@@ -104,21 +104,13 @@ def quadratic_form(space: DickeSpace, a: float, b: float, c: float) -> SpinOpera
 
 
 def second_moment_operators(space: DickeSpace) -> dict[str, np.ndarray]:
-    """Cached squares and symmetrized cross products of Sx, Sy, Sz."""
+    """Cached squares Sx^2, Sy^2, Sz^2, keyed "xx", "yy", "zz"."""
     cached = _MOMENT_CACHE.get(space.n_spins)
     if cached is not None:
         return cached
     sx = collective_operator(space, "Sx").matrix
     sy = collective_operator(space, "Sy").matrix
     sz = collective_operator(space, "Sz").matrix
-    prods = {
-        "xx": sx @ sx,
-        "yy": sy @ sy,
-        "zz": sz @ sz,
-        "xy": 0.5 * (sx @ sy + sy @ sx),
-        "yz": 0.5 * (sy @ sz + sz @ sy),
-        "zx": 0.5 * (sz @ sx + sx @ sz),
-    }
-    prods = {k: _frozen(v) for k, v in prods.items()}
+    prods = {"xx": _frozen(sx @ sx), "yy": _frozen(sy @ sy), "zz": _frozen(sz @ sz)}
     _MOMENT_CACHE[space.n_spins] = prods
     return prods

@@ -38,23 +38,21 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from . import __version__
 from .algebra import build_space, second_moment_operators
 from .canonical import LMGModel, from_chi_gamma, realize_hamiltonian
 from .errors import ConfigError
 from .metrics import (
-    REFINE_XTOL,
-    TraceMinimum,
     batch_squeezing,
     fit_loglog_slope,
     minimize_hamiltonian,
+    refined_minimum,
     trace_from_states,
 )
-from .propagate import evolve, evolve_batch, run_schedule
+from .propagate import Eigenbasis, evolve_batch, run_schedule
 from .pulses import PulseDesign, design, effective_hamiltonian, schedule
-from .states import BlochAngles, SpinState, coherent_state
+from .states import BlochAngles, SpinState, coherent_generator_eig, coherent_state
 
 NOISE_CHANNELS = (
     "pulse_separation",
@@ -198,8 +196,7 @@ def evolve_trace(
     )
     chi_n = model.chi * model.n_spins
     rows = tuple(
-        (s.t, s.t * chi_n, s.xi2, s.contrast, s.mean_spin[0], s.mean_spin[1], s.mean_spin[2])
-        for s in trace.samples
+        zip(trace.t, trace.t * chi_n, trace.xi2, trace.contrast, *trace.mean_spin)
     )
     result = ExperimentResult(
         descriptor=_descriptor(
@@ -235,22 +232,19 @@ def evolve_trace(
 # initial-state sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_point(task):
-    chi, gamma, n_spins, theta, phi, t_max, grid_points = task
-    model = from_chi_gamma(chi, gamma, n_spins)
-    space = build_space(n_spins)
-    hamiltonian = realize_hamiltonian(model, space)
-    psi0 = coherent_state(space, BlochAngles(theta=theta, phi=phi))
-    trace = minimize_hamiltonian(
-        space,
-        hamiltonian,
-        psi0,
-        t_max,
-        grid_points=grid_points,
-        refine=False,
-        allow_unbracketed=True,
-    )
-    return trace.minimum.t, trace.minimum.xi2, trace.minimum.bracketed
+def _sweep_column(task):
+    """First minima down one phi column of the initial-state grid, one per
+    theta; the column shares one coherent-state generator eigendecomposition."""
+    space, basis, phi, thetas, t_max, grid_points = task
+    generator_eig = coherent_generator_eig(space, phi)
+    outcomes = []
+    for theta in thetas:
+        psi0 = coherent_state(space, BlochAngles(theta=theta, phi=phi), generator_eig)
+        trace = minimize_hamiltonian(
+            space, basis, psi0, t_max, grid_points, refine=False, allow_unbracketed=True
+        )
+        outcomes.append((trace.minimum.t, trace.minimum.xi2, trace.minimum.bracketed))
+    return outcomes
 
 
 def sweep_initial_state(
@@ -286,26 +280,24 @@ def sweep_initial_state(
     if np.any(phis < 0.0) or np.any(phis >= 2.0 * math.pi):
         raise ConfigError("phi_grid: values must lie in [0, 2*pi)")
     t_max = horizon / (model.chi * model.n_spins)
-    tasks = [
-        (model.chi, model.gamma, model.n_spins, float(th), float(ph), t_max, grid_points)
-        for th in thetas
-        for ph in phis
-    ]
+    space = build_space(model.n_spins)
+    basis = Eigenbasis.of(realize_hamiltonian(model, space))
+    tasks = [(space, basis, ph, thetas, t_max, grid_points) for ph in phis]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_point, tasks, chunksize=32))
+            columns = list(pool.map(_sweep_column, tasks))
     else:
-        outcomes = [_sweep_point(t) for t in tasks]
+        columns = [_sweep_column(t) for t in tasks]
 
     chi_n = model.chi * model.n_spins
     rows = []
     best = None
-    for (chi_, gamma_, n_, th, ph, _tm, _gp), (t_min, xi2_min, bracketed) in zip(
-        tasks, outcomes
-    ):
-        rows.append((th, ph, xi2_min, t_min, t_min * chi_n, bracketed))
-        if np.isfinite(xi2_min) and (best is None or xi2_min < best[2]):
-            best = (th, ph, xi2_min)
+    for i, th in enumerate(thetas):
+        for ph, column in zip(phis, columns):
+            t_min, xi2_min, bracketed = column[i]
+            rows.append((th, ph, xi2_min, t_min, t_min * chi_n, bracketed))
+            if np.isfinite(xi2_min) and (best is None or xi2_min < best[2]):
+                best = (th, ph, xi2_min)
 
     result = ExperimentResult(
         descriptor=_descriptor(
@@ -389,12 +381,19 @@ def sweep_gamma(
 # pulsed-vs-reference comparison
 # ---------------------------------------------------------------------------
 
-def predicted_optimal_time(design_: PulseDesign, model: LMGModel) -> float:
+def _effective_start(design_: PulseDesign, model: LMGModel, space) -> tuple:
+    """Eigenbasis of the design's effective Hamiltonian and the coherent
+    state it squeezes best from."""
+    h_eff = Eigenbasis.of(effective_hamiltonian(design_, model, space))
+    return h_eff, coherent_state(space, design_.optimal_initial)
+
+
+def predicted_optimal_time(design_: PulseDesign, model: LMGModel, *, start=None) -> float:
     """First-minimum time of the effective Hamiltonian from its optimal
-    initial state (used to size schedules)."""
+    initial state (used to size schedules).  ``start``: that Hamiltonian's
+    Eigenbasis and that state, when the caller already holds them."""
     space = build_space(model.n_spins)
-    h_eff = effective_hamiltonian(design_, model, space)
-    psi0 = coherent_state(space, design_.optimal_initial)
+    h_eff, psi0 = _effective_start(design_, model, space) if start is None else start
     t_max = 5.0 / (abs(design_.chi_eff) * model.n_spins)
     trace = minimize_hamiltonian(space, h_eff, psi0, t_max, grid_points=2000)
     return trace.minimum.t
@@ -420,27 +419,25 @@ def compare_pulsed(
 
     design_z = design(model, "z", branch)
     design_y = design(model, "y", branch)
-    t_pred_z = predicted_optimal_time(design_z, model)
-    t_pred_y = predicted_optimal_time(design_y, model)
+    start_z = _effective_start(design_z, model, space)
+    start_y = _effective_start(design_y, model, space)
+    h_ref, psi_z = start_z
+    psi_y = start_y[1]
+    t_pred_z = predicted_optimal_time(design_z, model, start=start_z)
+    t_pred_y = predicted_optimal_time(design_y, model, start=start_y)
     schedule_z = schedule(design_z, model, 1.2 * t_pred_z, max_step=max_step)
     schedule_y = schedule(design_y, model, 1.2 * t_pred_y, max_step=max_step)
 
-    psi_z = coherent_state(space, design_z.optimal_initial)
-    psi_y = coherent_state(space, design_y.optimal_initial)
-    trace_z = run_schedule(psi_z, schedule_z, model)
-    trace_y = run_schedule(psi_y, schedule_y, model)
+    h_lmg = Eigenbasis.of(realize_hamiltonian(model, space))
+    trace_z = run_schedule(psi_z, schedule_z, model, model_basis=h_lmg)
+    trace_y = run_schedule(psi_y, schedule_y, model, model_basis=h_lmg)
 
-    times_z = trace_z.times()
-    h_lmg = realize_hamiltonian(model, space)
-    h_ref = effective_hamiltonian(design_z, model, space)
+    times_z = trace_z.t
     psi_lmg = coherent_state(space, lmg_initial)
-
-    lmg_trace = trace_from_states(
-        space, times_z, evolve_batch(psi_lmg, h_lmg, times_z)
-    )
+    lmg_trace = trace_from_states(space, times_z, evolve_batch(psi_lmg, h_lmg, times_z))
     ref_trace = trace_from_states(space, times_z, evolve_batch(psi_z, h_ref, times_z))
-    lmg_min = _refined_minimum(space, h_lmg, psi_lmg, lmg_trace)
-    ref_min = _refined_minimum(space, h_ref, psi_z, ref_trace)
+    lmg_min = refined_minimum(space, h_lmg, psi_lmg, lmg_trace)
+    ref_min = refined_minimum(space, h_ref, psi_z, ref_trace)
 
     rows = []
     for name, trace in (
@@ -449,8 +446,8 @@ def compare_pulsed(
         ("pulsed_z", trace_z),
         ("pulsed_y", trace_y),
     ):
-        for i, sample in enumerate(trace.samples):
-            rows.append((name, i, sample.t, sample.t * chi_n, sample.xi2))
+        for i, (t, xi2) in enumerate(zip(trace.t, trace.xi2)):
+            rows.append((name, i, t, t * chi_n, xi2))
 
     minima_rows = (
         ("lmg", lmg_min.t, lmg_min.t * chi_n, lmg_min.xi2, model.chi, True),
@@ -501,31 +498,6 @@ def compare_pulsed(
     return result
 
 
-def _refined_minimum(space, hamiltonian, initial, trace):
-    """Golden-section refinement of a bracketed trace minimum."""
-    if not trace.minimum.bracketed:
-        return trace.minimum
-    times = trace.times()
-    k = int(np.searchsorted(times, trace.minimum.t))
-    k = min(max(k, 1), len(times) - 2)
-
-    def objective(t):
-        state = evolve(initial, hamiltonian, t)
-        xi2, _, _, _ = batch_squeezing(space, state.amplitudes[:, None])
-        return float(xi2[0]) if np.isfinite(xi2[0]) else np.inf
-
-    try:
-        res = optimize.minimize_scalar(
-            objective,
-            bracket=(times[k - 1], times[k], times[k + 1]),
-            method="golden",
-            options={"xtol": REFINE_XTOL},
-        )
-        return TraceMinimum(t=float(res.x), xi2=float(res.fun), bracketed=True)
-    except ValueError:
-        return trace.minimum
-
-
 # ---------------------------------------------------------------------------
 # size scaling
 # ---------------------------------------------------------------------------
@@ -565,10 +537,10 @@ def scaling_study(
             if variant == "pulsed":
                 model = from_chi_gamma(chi, gamma, n)
                 design_ = design(model, axis, branch)
-                t_pred = predicted_optimal_time(design_, model)
+                start = _effective_start(design_, model, space)
+                t_pred = predicted_optimal_time(design_, model, start=start)
                 sch = schedule(design_, model, 1.2 * t_pred, max_step=pulsed_step_product / n)
-                psi = coherent_state(space, design_.optimal_initial)
-                trace = run_schedule(psi, sch, model)
+                trace = run_schedule(start[1], sch, model)
                 minimum = trace.minimum
             else:
                 g = {"OAT": 0.0, "TAT": 0.5, "LMG": gamma}[variant]
@@ -623,12 +595,12 @@ def _channel_streams(seed_seq) -> dict:
     }
 
 
-def _noise_run(task: dict):
+def _noise_run(task: dict, initial_states: dict):
     """Simulate one (possibly noisy) pulsed trajectory.
 
     Returns the xi2 value at every cycle boundary (nan where the contrast
     collapses), the realized per-run parameters, and the count of clamped
-    negative durations.
+    negative durations.  ``initial_states``: initial amplitudes by atom number.
     """
     from .states import rotate_state
 
@@ -655,13 +627,15 @@ def _noise_run(task: dict):
     space = build_space(n_spins)
     moments = second_moment_operators(space)
 
-    def free_eig(g):
-        return np.linalg.eigh(chi * (moments["xx"] + g * moments["yy"]))
+    def free_basis(g):
+        w, v = np.linalg.eigh(chi * (moments["xx"] + g * moments["yy"]))
+        return Eigenbasis(w=w, v=v, vh=v.conj().T)
 
-    w, v = free_eig(gamma)
-    psi = coherent_state(
-        space, BlochAngles(theta=task["theta"], phi=task["phi"])
-    ).amplitudes
+    basis = free_basis(gamma)
+    psi = initial_states.get(n_spins)
+    if psi is None:
+        initial = BlochAngles(theta=task["theta"], phi=task["phi"])
+        psi = initial_states[n_spins] = coherent_state(space, initial).amplitudes
 
     axis = task["axis"]
     tilt_axis = {"z": "y", "y": "x", "x": "z"}[axis]
@@ -684,7 +658,7 @@ def _noise_run(task: dict):
     clamped = 0
 
     def duration(nominal):
-        nonlocal clamped, w, v
+        nonlocal clamped, basis
         factor = separation_factor
         if active("pulse_separation", "per_segment"):
             factor = 1.0 + sigma * streams["pulse_separation"].standard_normal()
@@ -692,7 +666,7 @@ def _noise_run(task: dict):
             factor *= 1.0 + sigma * streams["chi"].standard_normal()
         if active("gamma", "per_segment"):
             g = gamma * (1.0 + sigma * streams["gamma"].standard_normal())
-            w, v = free_eig(g)
+            basis = free_basis(g)
         value = nominal * factor
         if value < 0.0:
             clamped += 1
@@ -700,7 +674,8 @@ def _noise_run(task: dict):
         return value
 
     def apply_free(state, dt):
-        return v @ (np.exp(-1j * w * dt) * (v.conj().T @ state))
+        # reads ``basis`` only after duration() has drawn a new one
+        return basis.propagate(state, dt)
 
     def apply_pulse(state, sign):
         angle = sign * (math.pi / 2.0)
@@ -744,6 +719,13 @@ def _noise_run(task: dict):
     return xi2, (n_spins, gamma, chi), clamped, norm_error
 
 
+def _noise_runs(tasks: list) -> list:
+    """Outcomes of ``_noise_run`` for each task, in order; runs with the
+    same atom number share one initial state."""
+    initial_states = {}
+    return [_noise_run(task, initial_states) for task in tasks]
+
+
 def noise_monte_carlo(
     model: LMGModel,
     design_: PulseDesign,
@@ -784,19 +766,19 @@ def noise_monte_carlo(
         "scope": scope,
     }
     noiseless = dict(base, sigma=0.0, seed=np.random.SeedSequence(0))
-    ref_xi2, _, _, _ = _noise_run(noiseless)
-    ref_min = float(np.nanmin(ref_xi2))
-
     root = np.random.SeedSequence(seed)
-    tasks = [
+    tasks = [noiseless] + [
         dict(base, sigma=noise.relative_sigma, seed=child)
         for child in root.spawn(n_runs)
     ]
     if workers > 1:
+        chunks = [tasks[i : i + 8] for i in range(0, len(tasks), 8)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_noise_run, tasks, chunksize=8))
+            outcomes = [out for chunk in pool.map(_noise_runs, chunks) for out in chunk]
     else:
-        outcomes = [_noise_run(t) for t in tasks]
+        outcomes = _noise_runs(tasks)
+    ref_xi2 = outcomes.pop(0)[0]
+    ref_min = float(np.nanmin(ref_xi2))
 
     cycle_time = sch.t1 + sch.t2
     chi_n = model.chi * model.n_spins

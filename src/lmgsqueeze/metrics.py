@@ -6,7 +6,7 @@ angular search is needed; the brute-force angular scan survives only in the
 tests as an independent oracle.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize
@@ -14,7 +14,7 @@ from scipy import optimize
 from .algebra import DickeSpace, build_space, collective_operator
 from .canonical import LMGModel, realize_hamiltonian
 from .errors import MeanSpinVanished, NoMinimumFound
-from .propagate import evolve, evolve_batch
+from .propagate import Eigenbasis, evolve, evolve_batch
 from .states import BlochAngles, SpinState, coherent_state
 
 CONTRAST_EPS = 1e-6
@@ -41,16 +41,27 @@ class TraceMinimum:
 
 @dataclass(frozen=True)
 class SqueezingTrace:
-    """Time-ordered squeezing samples plus the located first local minimum."""
+    """Per-sample arrays (``mean_spin`` and ``min_variance_axis`` of shape
+    (3, K), the rest of shape (K,)) plus the located first local minimum."""
 
-    samples: tuple
+    t: np.ndarray
+    xi2: np.ndarray
+    contrast: np.ndarray
+    mean_spin: np.ndarray
+    min_variance_axis: np.ndarray
     minimum: TraceMinimum
 
+    @property
+    def samples(self) -> tuple:
+        """The samples as SqueezingSample objects, built on each access."""
+        rows = zip(self.t, self.xi2, self.mean_spin.T, self.contrast, self.min_variance_axis.T)
+        return tuple(SqueezingSample(float(t), float(x), m, float(c), a) for t, x, m, c, a in rows)
+
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
+        return self.t
 
     def xi2_values(self) -> np.ndarray:
-        return np.array([s.xi2 for s in self.samples])
+        return self.xi2
 
 
 def _batch_moments(space: DickeSpace, states: np.ndarray):
@@ -133,52 +144,36 @@ def squeezing_parameter(state: SpinState, t: float = 0.0) -> SqueezingSample:
     Raises MeanSpinVanished when the contrast is below CONTRAST_EPS (the
     over-squeezed regime, where no perpendicular plane is defined).
     """
-    xi2, contrast, mean, axes = batch_squeezing(
-        state.space, state.amplitudes[:, None]
-    )
-    if not np.isfinite(xi2[0]):
+    (sample,) = trace_from_states(state.space, [t], state.amplitudes[:, None]).samples
+    if not np.isfinite(sample.xi2):
         raise MeanSpinVanished(
-            f"mean spin contrast {contrast[0]:.3e} below {CONTRAST_EPS:.0e}"
+            f"mean spin contrast {sample.contrast:.3e} below {CONTRAST_EPS:.0e}"
         )
-    return SqueezingSample(
-        t=t,
-        xi2=float(xi2[0]),
-        mean_spin=mean[:, 0],
-        contrast=float(contrast[0]),
-        min_variance_axis=axes[:, 0],
-    )
+    return sample
 
 
 def first_local_minimum(values: np.ndarray):
     """Index of the first interior local minimum, or None.
 
     A plateau counts as a minimum at its left edge (<= on the left, strict <
-    on the right).
+    on the right); points with a non-finite value or neighbour are skipped.
     """
     v = np.asarray(values)
-    for k in range(1, len(v) - 1):
-        if not (np.isfinite(v[k - 1]) and np.isfinite(v[k]) and np.isfinite(v[k + 1])):
-            continue
-        if v[k] <= v[k - 1] and v[k] < v[k + 1]:
-            return k
-    return None
+    finite = np.isfinite(v)
+    mid = v[1:-1]
+    is_min = (
+        finite[:-2] & finite[1:-1] & finite[2:] & (mid <= v[:-2]) & (mid < v[2:])
+    )
+    hits = np.flatnonzero(is_min)
+    return int(hits[0]) + 1 if hits.size else None
 
 
 def trace_from_states(
     space: DickeSpace, times: np.ndarray, states: np.ndarray
 ) -> SqueezingTrace:
     """Build a SqueezingTrace from precomputed state columns."""
+    times = np.asarray(times, dtype=float)
     xi2, contrast, mean, axes = batch_squeezing(space, states)
-    samples = tuple(
-        SqueezingSample(
-            t=float(times[i]),
-            xi2=float(xi2[i]),
-            mean_spin=mean[:, i],
-            contrast=float(contrast[i]),
-            min_variance_axis=axes[:, i],
-        )
-        for i in range(len(times))
-    )
     k = first_local_minimum(xi2)
     if k is None:
         finite = np.where(np.isfinite(xi2))[0]
@@ -186,7 +181,37 @@ def trace_from_states(
         minimum = TraceMinimum(t=float(times[best]), xi2=float(xi2[best]), bracketed=False)
     else:
         minimum = TraceMinimum(t=float(times[k]), xi2=float(xi2[k]), bracketed=True)
-    return SqueezingTrace(samples=samples, minimum=minimum)
+    return SqueezingTrace(times, xi2, contrast, mean, axes, minimum)
+
+
+def refined_minimum(
+    space: DickeSpace, basis: Eigenbasis, initial: SpinState, trace: SqueezingTrace
+) -> TraceMinimum:
+    """Golden-section refinement (relative time tolerance REFINE_XTOL) of the
+    bracketed minimum of a trace of evolution under ``basis`` from ``initial``.
+
+    Each step re-evaluates the exact evolution; nothing is interpolated.
+    """
+    if not trace.minimum.bracketed:
+        return trace.minimum
+    times = trace.t
+    k = int(np.searchsorted(times, trace.minimum.t))
+
+    def objective(t: float) -> float:
+        state_t = evolve(initial, basis, t)
+        xi2, _, _, _ = batch_squeezing(space, state_t.amplitudes[:, None])
+        return float(xi2[0]) if np.isfinite(xi2[0]) else np.inf
+
+    try:
+        result = optimize.minimize_scalar(
+            objective,
+            bracket=(times[k - 1], times[k], times[k + 1]),
+            method="golden",
+            options={"xtol": REFINE_XTOL},
+        )
+    except ValueError:
+        return trace.minimum  # flat bracket; keep the grid point
+    return TraceMinimum(t=float(result.x), xi2=float(result.fun), bracketed=True)
 
 
 def minimize_hamiltonian(
@@ -200,13 +225,14 @@ def minimize_hamiltonian(
 ) -> SqueezingTrace:
     """Scan xi^2(t) on a uniform grid and refine the first local minimum.
 
-    Refinement re-evaluates the exact evolution (golden-section search to a
-    relative time tolerance of 1e-6); nothing is interpolated.
+    ``hamiltonian`` is an Eigenbasis or a Hermitian matrix; it is factored
+    once and the refinement (see refined_minimum) reuses that basis.
     """
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    basis = Eigenbasis.of(hamiltonian)
     times = np.linspace(0.0, t_max, grid_points)
-    states = evolve_batch(initial, hamiltonian, times)
+    states = evolve_batch(initial, basis, times)
     trace = trace_from_states(space, times, states)
     if not trace.minimum.bracketed:
         if allow_unbracketed:
@@ -217,25 +243,7 @@ def minimize_hamiltonian(
         )
     if not refine:
         return trace
-
-    k = int(np.searchsorted(times, trace.minimum.t))
-
-    def objective(t: float) -> float:
-        state_t = evolve(initial, hamiltonian, t)
-        xi2, _, _, _ = batch_squeezing(space, state_t.amplitudes[:, None])
-        return float(xi2[0]) if np.isfinite(xi2[0]) else np.inf
-
-    try:
-        result = optimize.minimize_scalar(
-            objective,
-            bracket=(times[k - 1], times[k], times[k + 1]),
-            method="golden",
-            options={"xtol": REFINE_XTOL},
-        )
-        minimum = TraceMinimum(t=float(result.x), xi2=float(result.fun), bracketed=True)
-    except ValueError:
-        minimum = trace.minimum  # flat bracket; keep the grid point
-    return SqueezingTrace(samples=trace.samples, minimum=minimum)
+    return replace(trace, minimum=refined_minimum(space, basis, initial, trace))
 
 
 def minimize_over_time(

@@ -1,15 +1,14 @@
 """Exact time evolution under piecewise-constant Hamiltonians.
 
-Evolution uses a one-time Hermitian eigendecomposition per distinct
-Hamiltonian, cached by content hash, so schedules that reuse the same two
-Hamiltonians thousands of times pay for two factorizations.  Pulses are
-instantaneous unitaries (Rabi limit).  A small-N full product-space evolver
-is provided as an independent oracle for the symmetric-sector reduction.
+Evolution uses the Hermitian eigendecomposition of each Hamiltonian, held
+in an Eigenbasis that the caller builds once and passes in, so schedules
+that reuse the same two Hamiltonians thousands of times pay for two
+factorizations.  Pulses are instantaneous unitaries (Rabi limit).  A small-N
+full product-space evolver is provided as an independent oracle for the
+symmetric-sector reduction.
 """
 
-import hashlib
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,53 +21,54 @@ from .states import BlochAngles, SpinState, check_same_space, rotate_state, rota
 HERMITICITY_TOL = 1e-10
 FULL_SPACE_MAX_SPINS = 12
 
-_EIG_CACHE: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-_EIG_CACHE_LOCK = threading.Lock()
-_EIG_CACHE_MAX = 64
-
-
-def _as_matrix(hamiltonian) -> np.ndarray:
-    if isinstance(hamiltonian, SpinOperator):
-        return hamiltonian.matrix
-    return np.asarray(hamiltonian)
-
 
 def hamiltonian_eig(hamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a Hermitian matrix, cached by content."""
-    mat = _as_matrix(hamiltonian)
+    """Eigenvalues and eigenvectors of a Hermitian matrix (else NotHermitian)."""
+    mat = hamiltonian.matrix if isinstance(hamiltonian, SpinOperator) else np.asarray(hamiltonian)
     scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
     if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL * scale:
         raise NotHermitian("hamiltonian is not Hermitian")
-    digest = hashlib.sha1(mat.tobytes()).hexdigest()
-    with _EIG_CACHE_LOCK:
-        cached = _EIG_CACHE.get(digest)
-    if cached is not None:
-        return cached
-    w, v = np.linalg.eigh(mat)
-    with _EIG_CACHE_LOCK:
-        if len(_EIG_CACHE) >= _EIG_CACHE_MAX:
-            _EIG_CACHE.pop(next(iter(_EIG_CACHE)))
-        _EIG_CACHE[digest] = (w, v)
-    return w, v
+    return np.linalg.eigh(mat)
+
+
+@dataclass(frozen=True)
+class Eigenbasis:
+    """Eigenvalues ``w``, eigenvector columns ``v`` and ``vh = v.conj().T``
+    of one Hermitian Hamiltonian, factored once and reused for every time."""
+
+    w: np.ndarray
+    v: np.ndarray
+    vh: np.ndarray
+
+    @classmethod
+    def of(cls, hamiltonian) -> "Eigenbasis":
+        """Factor ``hamiltonian`` (an Eigenbasis is returned as it is)."""
+        if isinstance(hamiltonian, Eigenbasis):
+            return hamiltonian
+        w, v = hamiltonian_eig(hamiltonian)
+        return cls(w=w, v=v, vh=v.conj().T)
+
+    def propagate(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
+        """exp(-i H t) applied to an amplitude vector."""
+        return self.v @ (np.exp(-1j * self.w * t) * (self.vh @ amplitudes))
 
 
 def evolve(state: SpinState, hamiltonian, t: float) -> SpinState:
-    """Propagate |psi> to exp(-i H t) |psi| via the cached eigendecomposition.
+    """Propagate |psi> to exp(-i H t) |psi>, H an Eigenbasis or a Hermitian matrix.
 
     Negative times are permitted (time reversal); the norm is preserved to
     machine precision.
     """
-    w, v = hamiltonian_eig(hamiltonian)
-    amps = v @ (np.exp(-1j * w * t) * (v.conj().T @ state.amplitudes))
+    amps = Eigenbasis.of(hamiltonian).propagate(state.amplitudes, t)
     return SpinState(amplitudes=amps, space=state.space)
 
 
 def evolve_batch(state: SpinState, hamiltonian, times: np.ndarray) -> np.ndarray:
     """States at many times as columns of a (dim, len(times)) array."""
-    w, v = hamiltonian_eig(hamiltonian)
-    coeffs = v.conj().T @ state.amplitudes
-    phases = np.exp(-1j * np.outer(w, np.asarray(times, dtype=float)))
-    return v @ (phases * coeffs[:, None])
+    basis = Eigenbasis.of(hamiltonian)
+    coeffs = basis.vh @ state.amplitudes
+    phases = np.exp(-1j * np.outer(basis.w, np.asarray(times, dtype=float)))
+    return basis.v @ (phases * coeffs[:, None])
 
 
 @dataclass(frozen=True)
@@ -113,28 +113,39 @@ class PulseSchedule:
         return self.cycle_count * self.cycle_time
 
 
+def _free_bases(
+    schedule: PulseSchedule, model: LMGModel, space: DickeSpace, model_basis=None
+) -> dict:
+    """Eigenbasis of each distinct free-segment Hamiltonian, keyed by the id
+    of ``FreeSegment.hamiltonian`` (None: the model's)."""
+    bases = {}
+    for seg in schedule.segments:
+        if isinstance(seg, FreeSegment) and id(seg.hamiltonian) not in bases:
+            if seg.hamiltonian is None:
+                bases[id(None)] = model_basis or Eigenbasis.of(realize_hamiltonian(model, space))
+            else:
+                bases[id(seg.hamiltonian)] = Eigenbasis.of(seg.hamiltonian)
+    return bases
+
+
 def run_schedule(
     state: SpinState,
     schedule: PulseSchedule,
     model: LMGModel,
     sample_every: int = 1,
+    model_basis: Eigenbasis | None = None,
 ):
     """Apply the schedule, sampling the squeezing trace at cycle boundaries.
 
     Returns a SqueezingTrace with snapshots every ``sample_every`` cycles
-    (the initial and final states are always included).
+    (the initial and final states are always included).  ``model_basis``:
+    the Eigenbasis of the model's Hamiltonian, when the caller holds it.
     """
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     space = state.space
-    model_h = realize_hamiltonian(model, space)
-    check_same_space(state, space)
-
-    free_eigs = {}
-    for seg in schedule.segments:
-        if isinstance(seg, FreeSegment):
-            mat = model_h.matrix if seg.hamiltonian is None else _as_matrix(seg.hamiltonian)
-            free_eigs[id(seg)] = hamiltonian_eig(mat)
+    check_same_space(state, build_space(model.n_spins))
+    free_bases = _free_bases(schedule, model, space, model_basis)
 
     times = [0.0]
     snapshots = [state.amplitudes]
@@ -143,11 +154,8 @@ def run_schedule(
     for cycle in range(1, schedule.cycle_count + 1):
         for seg in schedule.segments:
             if isinstance(seg, FreeSegment):
-                w, v = free_eigs[id(seg)]
-                amps = v @ (
-                    np.exp(-1j * w * seg.duration) * (v.conj().T @ current.amplitudes)
-                )
-                current = SpinState(amplitudes=amps, space=space)
+                basis = free_bases[id(seg.hamiltonian)]
+                current = SpinState(basis.propagate(current.amplitudes, seg.duration), space)
                 elapsed += seg.duration
             else:
                 current = rotate_state(current, seg.axis, seg.angle)
@@ -162,13 +170,12 @@ def run_schedule(
 
 def schedule_unitary(schedule: PulseSchedule, model: LMGModel, space: DickeSpace) -> np.ndarray:
     """Dense unitary for a single cycle of the schedule."""
-    model_h = realize_hamiltonian(model, space)
+    free_bases = _free_bases(schedule, model, space)
     un = np.eye(space.dim, dtype=complex)
     for seg in schedule.segments:
         if isinstance(seg, FreeSegment):
-            mat = model_h.matrix if seg.hamiltonian is None else _as_matrix(seg.hamiltonian)
-            w, v = hamiltonian_eig(mat)
-            step = (v * np.exp(-1j * w * seg.duration)) @ v.conj().T
+            basis = free_bases[id(seg.hamiltonian)]
+            step = (basis.v * np.exp(-1j * basis.w * seg.duration)) @ basis.vh
         else:
             step = rotation(space, seg.axis, seg.angle).matrix
         un = step @ un

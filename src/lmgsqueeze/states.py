@@ -15,8 +15,8 @@ from .errors import DimensionMismatch
 
 _AXES = ("x", "y", "z")
 
-# (eigenvalues, eigenvectors) of S_axis, keyed by (n_spins, axis)
-_AXIS_EIG_CACHE: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
+# (eigenvalues, eigenvectors, v.conj().T) of S_axis, keyed by (n_spins, axis)
+_AXIS_EIG_CACHE: dict[tuple[int, str], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -61,27 +61,35 @@ class SpinState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-def coherent_state(space: DickeSpace, angles: BlochAngles) -> SpinState:
+def coherent_generator_eig(space: DickeSpace, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the coherent-state generator sin(phi) Sx - cos(phi) Sy."""
+    sx = collective_operator(space, "Sx").matrix
+    sy = collective_operator(space, "Sy").matrix
+    return np.linalg.eigh(math.sin(phi) * sx - math.cos(phi) * sy)
+
+
+def coherent_state(space: DickeSpace, angles: BlochAngles, generator_eig=None) -> SpinState:
     """Coherent spin state exp(i theta (Sx sin phi - Sy cos phi)) |j, j>.
 
     The mean spin points along ``angles.direction()`` with length N/2.
+    ``generator_eig`` is ``coherent_generator_eig(space, angles.phi)`` when
+    the caller already holds it (states sharing one azimuth share it).
     """
-    sx = collective_operator(space, "Sx").matrix
-    sy = collective_operator(space, "Sy").matrix
-    gen = math.sin(angles.phi) * sx - math.cos(angles.phi) * sy
-    w, v = np.linalg.eigh(gen)
+    if generator_eig is None:
+        generator_eig = coherent_generator_eig(space, angles.phi)
+    w, v = generator_eig
     # exp(i theta G) applied to |j, j> (basis index 0)
     amps = v @ (np.exp(1j * angles.theta * w) * np.conj(v[0, :]))
     amps = amps / np.linalg.norm(amps)
     return SpinState(amplitudes=amps, space=space)
 
 
-def _axis_eig(space: DickeSpace, axis: str) -> tuple[np.ndarray, np.ndarray]:
+def _axis_eig(space: DickeSpace, axis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     key = (space.n_spins, axis)
     cached = _AXIS_EIG_CACHE.get(key)
     if cached is None:
-        mat = collective_operator(space, "S" + axis).matrix
-        cached = np.linalg.eigh(mat)
+        w, v = np.linalg.eigh(collective_operator(space, "S" + axis).matrix)
+        cached = (w, v, v.conj().T)
         _AXIS_EIG_CACHE[key] = cached
     return cached
 
@@ -95,8 +103,8 @@ def rotation(space: DickeSpace, axis: str, angle: float) -> SpinOperator:
     if axis == "z":
         mat = np.diag(np.exp(-1j * angle * space.m_values()))
     else:
-        w, v = _axis_eig(space, axis)
-        mat = (v * np.exp(-1j * angle * w)) @ v.conj().T
+        w, v, vh = _axis_eig(space, axis)
+        mat = (v * np.exp(-1j * angle * w)) @ vh
     return SpinOperator(matrix=mat, label=f"R{axis}")
 
 
@@ -105,8 +113,8 @@ def rotate_state(state: SpinState, axis: str, angle: float) -> SpinState:
     if axis == "z":
         amps = np.exp(-1j * angle * state.space.m_values()) * state.amplitudes
     else:
-        w, v = _axis_eig(state.space, axis)
-        amps = v @ (np.exp(-1j * angle * w) * (v.conj().T @ state.amplitudes))
+        w, v, vh = _axis_eig(state.space, axis)
+        amps = v @ (np.exp(-1j * angle * w) * (vh @ state.amplitudes))
     return SpinState(amplitudes=amps, space=state.space)
 
 

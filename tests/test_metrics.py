@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmgsqueeze.algebra import build_space, collective_operator
 from lmgsqueeze.canonical import from_chi_gamma, realize_hamiltonian
@@ -200,3 +202,49 @@ def test_refinement_improves_on_grid():
         from_chi_gamma(1.0, 0.3, 40), ang, horizon=8.0, grid_points=150, refine=True
     )
     assert refined.minimum.xi2 <= coarse.minimum.xi2
+
+
+def test_trace_samples_match_batch_values():
+    from lmgsqueeze.metrics import SqueezingSample, batch_squeezing, trace_from_states
+    from lmgsqueeze.propagate import evolve_batch
+
+    space = build_space(12)
+    ham = realize_hamiltonian(from_chi_gamma(1.0, 0.1, 12), space)
+    state = coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
+    times = np.linspace(0.0, 0.3, 9)
+    states = evolve_batch(state, ham, times)
+    trace = trace_from_states(space, times, states)
+    xi2, contrast, mean, axes = batch_squeezing(space, states)
+    assert len(trace.samples) == len(times)
+    for i, sample in enumerate(trace.samples):
+        assert isinstance(sample, SqueezingSample)
+        assert type(sample.t) is float and sample.t == times[i]
+        assert type(sample.xi2) is float and sample.xi2 == xi2[i]
+        assert type(sample.contrast) is float and sample.contrast == contrast[i]
+        assert np.array_equal(sample.mean_spin, mean[:, i])
+        assert np.array_equal(sample.min_variance_axis, axes[:, i])
+
+
+def _first_local_minimum_loop(values):
+    """The element-by-element scan that first_local_minimum replaced."""
+    v = np.asarray(values)
+    for k in range(1, len(v) - 1):
+        if not (np.isfinite(v[k - 1]) and np.isfinite(v[k]) and np.isfinite(v[k + 1])):
+            continue
+        if v[k] <= v[k - 1] and v[k] < v[k + 1]:
+            return k
+    return None
+
+
+# few distinct values, so plateaus and non-finite neighbours are common
+_TRACE_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, np.nan, np.inf, -np.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.lists(_TRACE_VALUES, max_size=50))
+def test_first_local_minimum_matches_loop(values):
+    arr = np.array(values, dtype=float)
+    assert first_local_minimum(arr) == _first_local_minimum_loop(arr)

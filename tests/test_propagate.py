@@ -224,3 +224,63 @@ def test_eig_cache_safe_under_concurrent_use():
         results = list(pool.map(task, range(64)))
     for k, amps in enumerate(results):
         assert np.max(np.abs(amps - expected[k % 4])) < 1e-14
+
+
+def test_prebuilt_eigenbasis_matches_hamiltonian_argument():
+    from lmgsqueeze.propagate import Eigenbasis
+
+    space = build_space(10)
+    model = from_chi_gamma(1.0, 0.2, 10)
+    ham = realize_hamiltonian(model, space)
+    basis = Eigenbasis.of(ham)
+    assert Eigenbasis.of(basis) is basis
+    assert np.array_equal(basis.vh, basis.v.conj().T)
+    state = coherent_state(space, BlochAngles(math.pi / 2, 0.3))
+    assert np.array_equal(
+        evolve(state, basis, 0.13).amplitudes, evolve(state, ham, 0.13).amplitudes
+    )
+    times = np.linspace(0.0, 0.2, 7)
+    assert np.array_equal(evolve_batch(state, basis, times), evolve_batch(state, ham, times))
+
+    sched = schedule(design(model, "y", "A"), model, total_time=0.05, cycles=6)
+    explicit = PulseSchedule(
+        segments=tuple(
+            FreeSegment(seg.duration, ham) if isinstance(seg, FreeSegment) else seg
+            for seg in sched.segments
+        ),
+        cycle_count=sched.cycle_count,
+        t1=sched.t1,
+        t2=sched.t2,
+    )
+    reference = run_schedule(state, sched, model)
+    for trace in (
+        run_schedule(state, sched, model, model_basis=basis),
+        run_schedule(state, explicit, model),
+    ):
+        for field in ("t", "xi2", "contrast", "mean_spin", "min_variance_axis"):
+            assert np.array_equal(getattr(trace, field), getattr(reference, field))
+        assert trace.minimum == reference.minimum
+
+
+def test_not_hermitian_rejected_on_every_basis_build():
+    from lmgsqueeze.propagate import Eigenbasis
+
+    mat = np.zeros((5, 5), dtype=complex)
+    mat[0, 1] = 1.0
+    for _ in range(2):
+        with pytest.raises(NotHermitian):
+            Eigenbasis.of(mat)
+
+
+def test_run_schedule_rejects_model_of_another_size():
+    from lmgsqueeze.errors import DimensionMismatch
+    from lmgsqueeze.propagate import Eigenbasis
+
+    model = from_chi_gamma(1.0, 0.1, 6)
+    sched = schedule(design(model, "z", "A"), model, total_time=0.05, cycles=2)
+    space = build_space(8)
+    state = coherent_state(space, BlochAngles(math.pi / 2, 0.0))
+    basis = Eigenbasis.of(realize_hamiltonian(from_chi_gamma(1.0, 0.1, 8), space))
+    for kwargs in ({}, {"model_basis": basis}):
+        with pytest.raises(DimensionMismatch):
+            run_schedule(state, sched, model, **kwargs)

@@ -122,3 +122,13 @@ def test_angle_validation():
         BlochAngles(0.5, 2 * math.pi)
     with pytest.raises(ValueError):
         rotation(build_space(2), "q", 0.1)
+
+
+def test_coherent_state_with_supplied_generator_eig():
+    from lmgsqueeze.states import coherent_generator_eig
+
+    space = build_space(9)
+    for theta, phi in ((0.0, 0.0), (0.7, 1.9), (math.pi, 5.0)):
+        angles = BlochAngles(theta, phi)
+        supplied = coherent_state(space, angles, coherent_generator_eig(space, phi))
+        assert np.array_equal(supplied.amplitudes, coherent_state(space, angles).amplitudes)
