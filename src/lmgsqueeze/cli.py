@@ -70,7 +70,7 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
-def _require_number(cfg, key, lo=None, hi=None, allow_none=False, integer=False):
+def _require_number(cfg, key, lo=None, hi=None, allow_none=False, integer=False, positive=False):
     value = cfg.get(key)
     if value is None:
         if allow_none:
@@ -78,8 +78,12 @@ def _require_number(cfg, key, lo=None, hi=None, allow_none=False, integer=False)
         _fail(key, "missing required field")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(key, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        _fail(key, f"must be finite, got {value!r}")
     if integer and int(value) != value:
         _fail(key, f"expected an integer, got {value!r}")
+    if positive and value <= 0:
+        _fail(key, f"must be > 0, got {value}")
     if lo is not None and value < lo:
         _fail(key, f"must be >= {lo}, got {value}")
     if hi is not None and value > hi:
@@ -135,11 +139,12 @@ def validate_config(raw: dict) -> dict:
         coupling = cfg["coupling"]
         if not isinstance(coupling, (list, tuple)) or len(coupling) != 9:
             _fail("coupling", "expected a 9-element row-major array")
-        cfg["coupling"] = [float(x) for x in coupling]
+        cfg["coupling"] = [
+            _require_number({f"coupling[{i}]": x}, f"coupling[{i}]")
+            for i, x in enumerate(coupling)
+        ]
     else:
-        _require_number(cfg, "chi", lo=0.0)
-        if cfg["chi"] == 0.0:
-            _fail("chi", "must be > 0")
+        _require_number(cfg, "chi", positive=True)
         _require_number(cfg, "gamma", lo=0.0, hi=1.0)
 
     cfg["n_spins"] = _require_number(cfg, "n_spins", lo=1, integer=True)
@@ -157,21 +162,15 @@ def validate_config(raw: dict) -> dict:
         _fail("initial.phi", f"must be < 2*pi, got {phi}")
     cfg["initial"] = {"theta": theta, "phi": phi}
 
-    if cfg.get("horizon") is not None:
-        cfg["horizon"] = _require_number(cfg, "horizon", lo=0.0)
-    if cfg.get("grid_points") is not None:
-        cfg["grid_points"] = _require_number(cfg, "grid_points", lo=100, integer=True)
+    cfg["horizon"] = _require_number(cfg, "horizon", allow_none=True, positive=True)
+    cfg["grid_points"] = _require_number(cfg, "grid_points", lo=100, allow_none=True, integer=True)
     if cfg["axis"] not in ("x", "y", "z"):
         _fail("axis", f"must be one of x, y, z, got {cfg['axis']!r}")
     if cfg["branch"] not in ("A", "B"):
         _fail("branch", f"must be A or B, got {cfg['branch']!r}")
-    cfg["max_step"] = _require_number(cfg, "max_step", lo=0.0)
-    if cfg["max_step"] == 0.0:
-        _fail("max_step", "must be > 0")
-    if cfg.get("cycles") is not None:
-        cfg["cycles"] = _require_number(cfg, "cycles", lo=1, integer=True)
-    if cfg.get("total_time") is not None:
-        cfg["total_time"] = _require_number(cfg, "total_time", lo=0.0)
+    cfg["max_step"] = _require_number(cfg, "max_step", positive=True)
+    cfg["cycles"] = _require_number(cfg, "cycles", lo=1, allow_none=True, integer=True)
+    cfg["total_time"] = _require_number(cfg, "total_time", allow_none=True, positive=True)
     cfg["theta_points"] = _require_number(cfg, "theta_points", lo=2, integer=True)
     cfg["phi_points"] = _require_number(cfg, "phi_points", lo=2, integer=True)
     if cfg.get("gammas") is not None:
@@ -194,11 +193,9 @@ def validate_config(raw: dict) -> dict:
     if experiment == "noise":
         if cfg.get("channel") is None:
             _fail("channel", "missing required field for the noise experiment")
-        if cfg.get("relative_sigma") is None:
-            _fail("relative_sigma", "missing required field for the noise experiment")
+        cfg["relative_sigma"] = _require_number(cfg, "relative_sigma")
         # the NoiseSpec constructor validates channel, scope, and sigma
-        NoiseSpec(cfg["channel"], float(cfg["relative_sigma"]), cfg.get("scope"))
-        cfg["relative_sigma"] = float(cfg["relative_sigma"])
+        NoiseSpec(cfg["channel"], cfg["relative_sigma"], cfg.get("scope"))
 
     if cfg.get("output_dir") is not None and not isinstance(cfg["output_dir"], str):
         _fail("output_dir", "expected a path string")

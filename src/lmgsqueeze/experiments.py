@@ -5,7 +5,10 @@ Every experiment returns an ExperimentResult holding named tables plus a
 descriptor, and is bit-reproducible from (parameters, seed): randomness is
 drawn from per-run child streams spawned from one root SeedSequence, and
 each noise channel owns a dedicated stream per run, so inactive channels
-consume nothing and worker partitioning cannot change any draw.
+consume nothing and worker partitioning cannot change any draw.  A noise run
+is the nominal pulse schedule with its segments perturbed (stretched free
+evolutions, scaled or tilted pulses, per-run or per-segment Hamiltonians),
+executed by the same ``propagate.run_cycles`` as the noiseless schedule.
 
 Emitted tables (one CSV per table, RFC-4180-style, LF line endings, floats
 at 17 significant digits):
@@ -50,7 +53,9 @@ from .metrics import (
     refined_minimum,
     trace_from_states,
 )
-from .propagate import Eigenbasis, evolve_batch, run_schedule
+from .propagate import (
+    Eigenbasis, FreeSegment, PulseSegment, evolve_batch, run_cycles, run_schedule
+)
 from .pulses import PulseDesign, design, effective_hamiltonian, schedule
 from .states import BlochAngles, SpinState, coherent_generator_eig, coherent_state
 
@@ -336,14 +341,13 @@ def sweep_gamma(
 ) -> ExperimentResult:
     """(gamma, xi2_min, t_min) from the fixed initial state |pi/2, pi/2>."""
     horizon = default_horizon(n_spins) if horizon is None else horizon
-    initial = BlochAngles(theta=math.pi / 2.0, phi=math.pi / 2.0)
+    space = build_space(n_spins)
+    psi0 = coherent_state(space, BlochAngles(theta=math.pi / 2.0, phi=math.pi / 2.0))
     rows = []
     for gamma in gamma_grid:
         if not 0.0 <= gamma <= 0.5:
             raise ConfigError(f"gammas: values must lie in [0, 0.5], got {gamma}")
         model = from_chi_gamma(chi, float(gamma), n_spins)
-        space = build_space(n_spins)
-        psi0 = coherent_state(space, initial)
         trace = minimize_hamiltonian(
             space,
             realize_hamiltonian(model, space),
@@ -596,14 +600,13 @@ def _channel_streams(seed_seq) -> dict:
 
 
 def _noise_run(task: dict, initial_states: dict):
-    """Simulate one (possibly noisy) pulsed trajectory.
+    """Simulate one (possibly noisy) pulsed trajectory: the nominal schedule
+    with each of its segments perturbed as the noise channel draws.
 
     Returns the xi2 value at every cycle boundary (nan where the contrast
     collapses), the realized per-run parameters, and the count of clamped
     negative durations.  ``initial_states``: initial amplitudes by atom number.
     """
-    from .states import rotate_state
-
     streams = _channel_streams(task["seed"])
     channel = task["channel"]
     sigma = task["sigma"]
@@ -615,21 +618,22 @@ def _noise_run(task: dict, initial_states: dict):
     def active(name, scope_name):
         return channel == name and sigma > 0.0 and scope == scope_name
 
+    def draw(name):
+        """A relative factor 1 + sigma * N(0, 1) from the channel's stream."""
+        return 1.0 + sigma * streams[name].standard_normal()
+
     if active("gamma", "per_run"):
-        gamma = gamma * (1.0 + sigma * streams["gamma"].standard_normal())
+        gamma = gamma * draw("gamma")
     if active("chi", "per_run"):
-        chi = chi * (1.0 + sigma * streams["chi"].standard_normal())
+        chi = chi * draw("chi")
     if active("atom_number", "per_run"):
-        n_spins = max(
-            1, int(round(n_spins * (1.0 + sigma * streams["atom_number"].standard_normal())))
-        )
+        n_spins = max(1, int(round(n_spins * draw("atom_number"))))
 
     space = build_space(n_spins)
     moments = second_moment_operators(space)
 
     def free_basis(g):
-        w, v = np.linalg.eigh(chi * (moments["xx"] + g * moments["yy"]))
-        return Eigenbasis(w=w, v=v, vh=v.conj().T)
+        return Eigenbasis.of(chi * (moments["xx"] + g * moments["yy"]))
 
     basis = free_basis(gamma)
     psi = initial_states.get(n_spins)
@@ -637,85 +641,59 @@ def _noise_run(task: dict, initial_states: dict):
         initial = BlochAngles(theta=task["theta"], phi=task["phi"])
         psi = initial_states[n_spins] = coherent_state(space, initial).amplitudes
 
-    axis = task["axis"]
-    tilt_axis = {"z": "y", "y": "x", "x": "z"}[axis]
-    t1, t2, cycles = task["t1"], task["t2"], task["cycles"]
-    pulsed = not task["no_pulse"]
+    def draw_tilt():
+        stream = streams["pulse_phase"]
+        delta = sigma * (math.pi / 2.0) * stream.standard_normal()
+        return delta, stream.uniform(0.0, 2.0 * math.pi)
 
-    area_factor = 1.0
-    tilt = None
-    separation_factor = 1.0
-    if active("pulse_area", "per_run"):
-        area_factor = 1.0 + sigma * streams["pulse_area"].standard_normal()
-    if active("pulse_phase", "per_run"):
-        tilt = (
-            sigma * (math.pi / 2.0) * streams["pulse_phase"].standard_normal(),
-            streams["pulse_phase"].uniform(0.0, 2.0 * math.pi),
-        )
-    if active("pulse_separation", "per_run"):
-        separation_factor = 1.0 + sigma * streams["pulse_separation"].standard_normal()
+    area_factor = draw("pulse_area") if active("pulse_area", "per_run") else 1.0
+    tilt = draw_tilt() if active("pulse_phase", "per_run") else None
+    separation = draw("pulse_separation") if active("pulse_separation", "per_run") else 1.0
 
     clamped = 0
 
-    def duration(nominal):
-        nonlocal clamped, basis
-        factor = separation_factor
-        if active("pulse_separation", "per_segment"):
-            factor = 1.0 + sigma * streams["pulse_separation"].standard_normal()
-        if active("chi", "per_segment"):
-            factor *= 1.0 + sigma * streams["chi"].standard_normal()
-        if active("gamma", "per_segment"):
-            g = gamma * (1.0 + sigma * streams["gamma"].standard_normal())
-            basis = free_basis(g)
-        value = nominal * factor
-        if value < 0.0:
-            clamped += 1
-            return 0.0
-        return value
+    def realize(seg) -> tuple:
+        """The segments that realize one nominal segment in this run."""
+        nonlocal clamped
+        if isinstance(seg, FreeSegment):
+            factor = separation
+            if active("pulse_separation", "per_segment"):
+                factor = draw("pulse_separation")
+            if active("chi", "per_segment"):
+                factor *= draw("chi")
+            duration = seg.duration * factor
+            if duration < 0.0:
+                clamped += 1
+                duration = 0.0
+            if active("gamma", "per_segment"):
+                return (FreeSegment(duration, free_basis(gamma * draw("gamma"))),)
+            return (FreeSegment(duration, basis),)
+        factor = draw("pulse_area") if active("pulse_area", "per_pulse") else area_factor
+        angle = seg.angle * factor
+        tilt_now = draw_tilt() if active("pulse_phase", "per_pulse") else tilt
+        if tilt_now is None:
+            return (PulseSegment(seg.axis, angle),)
+        delta, beta = tilt_now
+        tilt_axis = {"z": "y", "y": "x", "x": "z"}[seg.axis]
+        return (
+            PulseSegment(seg.axis, -beta),
+            PulseSegment(tilt_axis, -delta),
+            PulseSegment(seg.axis, angle),
+            PulseSegment(tilt_axis, delta),
+            PulseSegment(seg.axis, beta),
+        )
 
-    def apply_free(state, dt):
-        # reads ``basis`` only after duration() has drawn a new one
-        return basis.propagate(state, dt)
-
-    def apply_pulse(state, sign):
-        angle = sign * (math.pi / 2.0)
-        factor = area_factor
-        if active("pulse_area", "per_pulse"):
-            factor = 1.0 + sigma * streams["pulse_area"].standard_normal()
-        angle *= factor
-        tilt_now = tilt
-        if active("pulse_phase", "per_pulse"):
-            tilt_now = (
-                sigma * (math.pi / 2.0) * streams["pulse_phase"].standard_normal(),
-                streams["pulse_phase"].uniform(0.0, 2.0 * math.pi),
-            )
-        st = SpinState(amplitudes=state, space=space)
-        if tilt_now is not None:
-            delta, beta = tilt_now
-            st = rotate_state(st, axis, -beta)
-            st = rotate_state(st, tilt_axis, -delta)
-            st = rotate_state(st, axis, angle)
-            st = rotate_state(st, tilt_axis, delta)
-            st = rotate_state(st, axis, beta)
-        else:
-            st = rotate_state(st, axis, angle)
-        return st.amplitudes
-
-    snapshots = [psi]
-    state = psi
-    for _ in range(cycles):
-        if pulsed:
-            state = apply_pulse(state, +1.0)
-            state = apply_free(state, duration(t2))
-            state = apply_pulse(state, -1.0)
-            state = apply_free(state, duration(t1))
-        else:
-            state = apply_free(state, duration(t1 + t2))
-        snapshots.append(state)
+    # realized one cycle at a time, so draws follow segment order and a
+    # per-segment basis lives only as long as its cycle
+    cycles = (
+        tuple(out for seg in task["segments"] for out in realize(seg))
+        for _ in range(task["cycles"])
+    )
+    _, states = run_cycles(SpinState(psi, space), cycles)
 
     # the noise perturbs parameters, never the state: evolution stays unitary
-    norm_error = abs(float(np.linalg.norm(state)) - 1.0)
-    xi2, _, _, _ = batch_squeezing(space, np.column_stack(snapshots))
+    norm_error = abs(float(np.linalg.norm(states[:, -1])) - 1.0)
+    xi2, _, _, _ = batch_squeezing(space, states)
     return xi2, (n_spins, gamma, chi), clamped, norm_error
 
 
@@ -755,10 +733,7 @@ def noise_monte_carlo(
         "n_spins": model.n_spins,
         "gamma": model.gamma,
         "chi": model.chi,
-        "axis": design_.axis,
-        "no_pulse": design_.no_pulse,
-        "t1": sch.t1,
-        "t2": sch.t2,
+        "segments": sch.segments,
         "cycles": sch.cycle_count,
         "theta": initial.theta,
         "phi": initial.phi,
@@ -780,9 +755,8 @@ def noise_monte_carlo(
     ref_xi2 = outcomes.pop(0)[0]
     ref_min = float(np.nanmin(ref_xi2))
 
-    cycle_time = sch.t1 + sch.t2
     chi_n = model.chi * model.n_spins
-    nominal_times = np.arange(sch.cycle_count + 1) * cycle_time
+    nominal_times = np.arange(sch.cycle_count + 1) * sch.cycle_time
 
     run_rows = []
     traces = []

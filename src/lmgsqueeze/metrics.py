@@ -57,9 +57,6 @@ class SqueezingTrace:
         rows = zip(self.t, self.xi2, self.mean_spin.T, self.contrast, self.min_variance_axis.T)
         return tuple(SqueezingSample(float(t), float(x), m, float(c), a) for t, x, m, c, a in rows)
 
-    def times(self) -> np.ndarray:
-        return self.t
-
     def xi2_values(self) -> np.ndarray:
         return self.xi2
 

@@ -3,11 +3,14 @@
 Evolution uses the Hermitian eigendecomposition of each Hamiltonian, held
 in an Eigenbasis that the caller builds once and passes in, so schedules
 that reuse the same two Hamiltonians thousands of times pay for two
-factorizations.  Pulses are instantaneous unitaries (Rabi limit).  A small-N
-full product-space evolver is provided as an independent oracle for the
-symmetric-sector reduction.
+factorizations.  Pulses are instantaneous unitaries (Rabi limit).
+``run_cycles`` is the one executor that applies segments to a state: pulse
+schedules and every noisy trajectory (a perturbed copy of a schedule's
+segments) run through it.  A small-N full product-space evolver is provided
+as an independent oracle for the symmetric-sector reduction.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -108,73 +111,79 @@ class PulseSchedule:
     def cycle_time(self) -> float:
         return self.t1 + self.t2
 
-    @property
-    def total_time(self) -> float:
-        return self.cycle_count * self.cycle_time
 
-
-def _free_bases(
+def _resolved_cycle(
     schedule: PulseSchedule, model: LMGModel, space: DickeSpace, model_basis=None
-) -> dict:
-    """Eigenbasis of each distinct free-segment Hamiltonian, keyed by the id
-    of ``FreeSegment.hamiltonian`` (None: the model's)."""
+) -> tuple:
+    """The schedule's cycle with each distinct free-segment Hamiltonian
+    factored once (None: the model's) and put in place as an Eigenbasis."""
     bases = {}
-    for seg in schedule.segments:
-        if isinstance(seg, FreeSegment) and id(seg.hamiltonian) not in bases:
-            if seg.hamiltonian is None:
+
+    def basis(hamiltonian):
+        if id(hamiltonian) not in bases:
+            if hamiltonian is None:
                 bases[id(None)] = model_basis or Eigenbasis.of(realize_hamiltonian(model, space))
             else:
-                bases[id(seg.hamiltonian)] = Eigenbasis.of(seg.hamiltonian)
-    return bases
+                bases[id(hamiltonian)] = Eigenbasis.of(hamiltonian)
+        return bases[id(hamiltonian)]
+
+    return tuple(
+        FreeSegment(seg.duration, basis(seg.hamiltonian)) if isinstance(seg, FreeSegment) else seg
+        for seg in schedule.segments
+    )
+
+
+def run_cycles(state: SpinState, cycles) -> tuple[np.ndarray, np.ndarray]:
+    """Apply each cycle (a tuple of segments whose free Hamiltonians are
+    Eigenbases) to ``state`` in turn.
+
+    Returns the elapsed time and the amplitudes, as columns, at every cycle
+    boundary, starting with the initial state.
+    """
+    current = state
+    elapsed = 0.0
+    times = [elapsed]
+    snapshots = [state.amplitudes]
+    for segments in cycles:
+        for seg in segments:
+            if isinstance(seg, FreeSegment):
+                amps = seg.hamiltonian.propagate(current.amplitudes, seg.duration)
+                current = SpinState(amps, state.space)
+                elapsed += seg.duration
+            else:
+                current = rotate_state(current, seg.axis, seg.angle)
+        times.append(elapsed)
+        snapshots.append(current.amplitudes)
+    return np.array(times), np.column_stack(snapshots)
 
 
 def run_schedule(
     state: SpinState,
     schedule: PulseSchedule,
     model: LMGModel,
-    sample_every: int = 1,
     model_basis: Eigenbasis | None = None,
 ):
-    """Apply the schedule, sampling the squeezing trace at cycle boundaries.
+    """Apply the schedule, sampling the squeezing trace at every cycle boundary.
 
-    Returns a SqueezingTrace with snapshots every ``sample_every`` cycles
-    (the initial and final states are always included).  ``model_basis``:
-    the Eigenbasis of the model's Hamiltonian, when the caller holds it.
+    ``model_basis``: the Eigenbasis of the model's Hamiltonian, when the
+    caller holds it.
     """
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
     space = state.space
     check_same_space(state, build_space(model.n_spins))
-    free_bases = _free_bases(schedule, model, space, model_basis)
-
-    times = [0.0]
-    snapshots = [state.amplitudes]
-    current = state
-    elapsed = 0.0
-    for cycle in range(1, schedule.cycle_count + 1):
-        for seg in schedule.segments:
-            if isinstance(seg, FreeSegment):
-                basis = free_bases[id(seg.hamiltonian)]
-                current = SpinState(basis.propagate(current.amplitudes, seg.duration), space)
-                elapsed += seg.duration
-            else:
-                current = rotate_state(current, seg.axis, seg.angle)
-        if cycle % sample_every == 0 or cycle == schedule.cycle_count:
-            times.append(elapsed)
-            snapshots.append(current.amplitudes)
+    cycle = _resolved_cycle(schedule, model, space, model_basis)
+    times, states = run_cycles(state, itertools.repeat(cycle, schedule.cycle_count))
 
     from .metrics import trace_from_states
 
-    return trace_from_states(space, np.array(times), np.column_stack(snapshots))
+    return trace_from_states(space, times, states)
 
 
 def schedule_unitary(schedule: PulseSchedule, model: LMGModel, space: DickeSpace) -> np.ndarray:
     """Dense unitary for a single cycle of the schedule."""
-    free_bases = _free_bases(schedule, model, space)
     un = np.eye(space.dim, dtype=complex)
-    for seg in schedule.segments:
+    for seg in _resolved_cycle(schedule, model, space):
         if isinstance(seg, FreeSegment):
-            basis = free_bases[id(seg.hamiltonian)]
+            basis = seg.hamiltonian
             step = (basis.v * np.exp(-1j * basis.w * seg.duration)) @ basis.vh
         else:
             step = rotation(space, seg.axis, seg.angle).matrix

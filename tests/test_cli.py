@@ -76,6 +76,33 @@ def test_range_violations_name_field():
     assert "n_spins" in str(err.value)
 
 
+NOISE = dict(MINIMAL, experiment="noise", channel="pulse_separation", relative_sigma=0.1)
+COUPLED = {"experiment": "evolve", "n_spins": 10}
+
+
+@pytest.mark.parametrize(
+    "raw,field",
+    [
+        (dict(NOISE, relative_sigma="abc"), "relative_sigma"),
+        (dict(NOISE, relative_sigma=math.nan), "relative_sigma"),
+        (dict(NOISE, total_time=0), "total_time"),
+        (dict(NOISE, total_time=math.inf), "total_time"),
+        (dict(COUPLED, coupling=[1, 0, 0, 0, "x", 0, 0, 0, 0]), "coupling[4]"),
+        (dict(COUPLED, coupling=[1, 0, 0, 0, math.nan, 0, 0, 0, 0]), "coupling[4]"),
+        (dict(MINIMAL, chi=math.nan), "chi"),
+        (dict(MINIMAL, n_spins=math.inf), "n_spins"),
+        (dict(MINIMAL, horizon=math.inf), "horizon"),
+        (dict(MINIMAL, horizon=0), "horizon"),
+        (dict(MINIMAL, max_step=math.inf), "max_step"),
+        (dict(MINIMAL, initial={"theta": math.nan, "phi": 0.0}), "theta"),
+    ],
+)
+def test_non_finite_and_non_positive_values_name_field(raw, field):
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert str(err.value).startswith(f"{field}: ")
+
+
 def test_gamma_above_half_accepted_and_remapped(tmp_path):
     cfg = validate_config(
         {

@@ -7,6 +7,7 @@ from lmgsqueeze.algebra import build_space
 from lmgsqueeze.canonical import from_chi_gamma, realize_hamiltonian
 from lmgsqueeze.errors import ConfigError
 from lmgsqueeze.experiments import (
+    ALLOWED_SCOPES,
     NoiseSpec,
     compare_pulsed,
     default_horizon,
@@ -22,6 +23,7 @@ from lmgsqueeze.propagate import run_schedule
 from lmgsqueeze.states import BlochAngles, coherent_state
 
 N_SMALL = 24
+CHANNEL_SCOPES = [(ch, sc) for ch, scopes in ALLOWED_SCOPES.items() for sc in scopes]
 
 
 def small_model(gamma=0.1):
@@ -164,12 +166,12 @@ def test_scaling_rejects_unknown_variant():
         scaling_study(0.1, [8, 12], variants=("OAT", "bogus"))
 
 
-def test_noise_zero_sigma_reproduces_schedule():
+@pytest.mark.parametrize("axis", ["z", "y"])
+@pytest.mark.parametrize("channel,scope", CHANNEL_SCOPES)
+def test_noise_zero_sigma_reproduces_schedule(channel, scope, axis):
     model = small_model(0.1)
-    design_ = design(model, "z", "A")
-    result = noise_monte_carlo(
-        model, design_, NoiseSpec("pulse_separation", 0.0), n_runs=3, seed=5
-    )
+    design_ = design(model, axis, "A")
+    result = noise_monte_carlo(model, design_, NoiseSpec(channel, 0.0, scope), n_runs=3, seed=5)
     rows = result.tables["runs"].rows
     assert len({row[4] for row in rows}) == 1  # all runs identical
     summary = result.tables["summary"].rows[0]
@@ -183,6 +185,81 @@ def test_noise_zero_sigma_reproduces_schedule():
     assert len(stats) == len(clean)
     for row, xi2 in zip(stats, clean):
         assert row[3] == pytest.approx(xi2, abs=1e-12)
+
+
+# ``runs`` rows (n_spins, gamma, chi, xi2_min, t_min_nominal, chiN_t_min,
+# clamped_segments) at N = 12, gamma = 0.1, z axis, sigma = 0.1, seed 1, as
+# recorded from an earlier build.  They pin the order of the draws on each
+# channel's stream.
+GOLDEN_RUNS = {
+    ("pulse_separation", "per_segment"): (
+        (12, 0.1, 1.0, 0.1197001429348769, 0.33555360095959286, 4.026643211515115, 0),
+        (12, 0.1, 1.0, 0.11970697293629051, 0.33555360095959286, 4.026643211515115, 0),
+        (12, 0.1, 1.0, 0.11972848436378432, 0.3396962380084767, 4.07635485610172, 0),
+    ),
+    ("pulse_separation", "per_run"): (
+        (12, 0.1, 1.0, 0.1197468690306227, 0.3396962380084767, 4.07635485610172, 0),
+        (12, 0.1, 1.0, 0.11973703060519429, 0.3894078825950831, 4.672894591140997, 0),
+        (12, 0.1, 1.0, 0.11973677344719509, 0.3769799714484315, 4.523759657381178, 0),
+    ),
+    ("pulse_area", "per_pulse"): (
+        (12, 0.1, 1.0, 0.24851390588636293, 0.24441558588414788, 2.9329870306097745, 0),
+        (12, 0.1, 1.0, 0.14306519206027404, 0.40183579374173467, 4.822029524900816, 0),
+        (12, 0.1, 1.0, 0.20524191001573922, 0.3894078825950831, 4.672894591140997, 0),
+    ),
+    ("pulse_area", "per_run"): (
+        (12, 0.1, 1.0, 0.1603713632267715, 0.302412504568522, 3.6289500548222637, 0),
+        (12, 0.1, 1.0, 0.19014973465940077, 0.28169931932410264, 3.3803918318892316, 0),
+        (12, 0.1, 1.0, 0.1417929333652269, 0.31484041571517357, 3.7780849885820826, 0),
+    ),
+    ("pulse_phase", "per_pulse"): (
+        (12, 0.1, 1.0, 0.3089922730397429, 0.26927140817745104, 3.2312568981294127, 0),
+        (12, 0.1, 1.0, 0.4926942899121838, 0.19884657834642538, 2.3861589401571046, 0),
+        (12, 0.1, 1.0, 0.3319030566483758, 0.39769315669285077, 4.772317880314209, 0),
+    ),
+    ("pulse_phase", "per_run"): (
+        (12, 0.1, 1.0, 0.1197618277038514, 0.3396962380084767, 4.07635485610172, 0),
+        (12, 0.1, 1.0, 0.11976484790823072, 0.3396962380084767, 4.07635485610172, 0),
+        (12, 0.1, 1.0, 0.11975604269161859, 0.3396962380084767, 4.07635485610172, 0),
+    ),
+    ("gamma", "per_run"): (
+        (12, 0.09376927041661594, 1.0, 0.11971548997630006, 0.3396962380084767, 4.07635485610172, 0),
+        (12, 0.10387100237951259, 1.0, 0.1197869871116423, 0.3396962380084767, 4.07635485610172, 0),
+        (12, 0.11636230744065675, 1.0, 0.11988302097451194, 0.33555360095959286, 4.026643211515115, 0),
+    ),
+    ("gamma", "per_segment"): (
+        (12, 0.1, 1.0, 0.1197523482166994, 0.3396962380084767, 4.07635485610172, 0),
+        (12, 0.1, 1.0, 0.11976224670301801, 0.3396962380084767, 4.07635485610172, 0),
+        (12, 0.1, 1.0, 0.11974410462135292, 0.3396962380084767, 4.07635485610172, 0),
+    ),
+    ("chi", "per_run"): (
+        (12, 0.1, 1.0501319595286511, 0.1197562477272817, 0.32312568981294126, 3.877508277755295, 0),
+        (12, 0.1, 1.0369944382305323, 0.11975523386486724, 0.3272683268618251, 3.9272199223419015, 0),
+        (12, 0.1, 0.8965027854564804, 0.11973700961367466, 0.3769799714484315, 4.523759657381178, 0),
+    ),
+    ("chi", "per_segment"): (
+        (12, 0.1, 1.0, 0.11999706686007568, 0.33555360095959286, 4.026643211515115, 0),
+        (12, 0.1, 1.0, 0.11979038463014409, 0.33555360095959286, 4.026643211515115, 0),
+        (12, 0.1, 1.0, 0.11969060651924697, 0.3438388750573606, 4.126066500688327, 0),
+    ),
+    ("atom_number", "per_run"): (
+        (12, 0.1, 1.0, 0.11975436024765962, 0.3396962380084767, 4.07635485610172, 0),
+        (12, 0.1, 1.0, 0.11975436024765962, 0.3396962380084767, 4.07635485610172, 0),
+        (14, 0.1, 1.0, 0.10575258047785903, 0.302412504568522, 3.6289500548222637, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("channel,scope", CHANNEL_SCOPES)
+def test_noise_runs_match_recorded_draws(channel, scope):
+    model = from_chi_gamma(1.0, 0.1, 12)
+    result = noise_monte_carlo(
+        model, design(model, "z", "A"), NoiseSpec(channel, 0.1, scope), n_runs=3, seed=1
+    )
+    rows = result.tables["runs"].rows
+    assert [row[0] for row in rows] == [0, 1, 2]
+    for row, expected in zip(rows, GOLDEN_RUNS[channel, scope], strict=True):
+        assert row[1:] == pytest.approx(expected, rel=1e-9)
 
 
 def test_noise_determinism_and_worker_independence():
