@@ -7,13 +7,17 @@ double-precision complex, and frozen (read-only) once built; cached operators
 may be shared freely between threads.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSize
+from .errors import InvalidSize, TooLarge
 
 LABELS = ("Sx", "Sy", "Sz", "S+", "S-", "S2")
+# Dense complex matrices kept for one space: the cached Sx, Sy, Sz and
+# Sx^2, Sy^2, Sz^2, plus the v and v^H of one eigenbasis.
+DENSE_MATRICES_PER_SPACE = 8
 
 _OPERATOR_CACHE: dict[tuple[int, str], "SpinOperator"] = {}
 _MOMENT_CACHE: dict[int, dict[str, np.ndarray]] = {}
@@ -45,9 +49,18 @@ class SpinOperator:
 
 
 def build_space(n_spins: int) -> DickeSpace:
+    """The Dicke space of ``n_spins``; TooLarge when the dense operators
+    kept for it would not fit in physical memory."""
     if int(n_spins) != n_spins or n_spins < 1:
         raise InvalidSize(f"n_spins must be a positive integer, got {n_spins!r}")
     n = int(n_spins)
+    needed = DENSE_MATRICES_PER_SPACE * 16 * (n + 1) ** 2
+    available = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > available:
+        raise TooLarge(
+            f"n_spins={n} needs {needed / 2**30:.3g} GiB of dense operators, "
+            f"more than the {available / 2**30:.3g} GiB of physical memory"
+        )
     return DickeSpace(n_spins=n, dim=n + 1, j=n / 2.0)
 
 

@@ -34,6 +34,7 @@ nominal model.
 """
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -633,7 +634,7 @@ def _noise_run(task: dict, initial_states: dict):
     moments = second_moment_operators(space)
 
     def free_basis(g):
-        return Eigenbasis.of(chi * (moments["xx"] + g * moments["yy"]))
+        return Eigenbasis.of_quadratic_form(chi * (moments["xx"] + g * moments["yy"]))
 
     basis = free_basis(gamma)
     psi = initial_states.get(n_spins)
@@ -683,12 +684,17 @@ def _noise_run(task: dict, initial_states: dict):
             PulseSegment(seg.axis, beta),
         )
 
-    # realized one cycle at a time, so draws follow segment order and a
-    # per-segment basis lives only as long as its cycle
-    cycles = (
-        tuple(out for seg in task["segments"] for out in realize(seg))
-        for _ in range(task["cycles"])
-    )
+    def realize_cycle() -> tuple:
+        return tuple(out for seg in task["segments"] for out in realize(seg))
+
+    if sigma == 0.0 or scope == "per_run":
+        # nothing is drawn per segment or pulse: every cycle is the same
+        cycles = itertools.repeat(realize_cycle(), task["cycles"])
+        clamped *= task["cycles"]
+    else:
+        # realized one cycle at a time, so draws follow segment order and a
+        # per-segment basis lives only as long as its cycle
+        cycles = (realize_cycle() for _ in range(task["cycles"]))
     _, states = run_cycles(SpinState(psi, space), cycles)
 
     # the noise perturbs parameters, never the state: evolution stays unitary

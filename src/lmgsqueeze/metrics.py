@@ -63,8 +63,8 @@ class SqueezingTrace:
 
 def _batch_moments(space: DickeSpace, states: np.ndarray):
     """First moments (3, K) and symmetrized second moments (3, 3, K)."""
-    ops = [collective_operator(space, lbl).matrix for lbl in ("Sx", "Sy", "Sz")]
-    applied = [op @ states for op in ops]
+    applied = [collective_operator(space, lbl).matrix @ states for lbl in ("Sx", "Sy")]
+    applied.append(space.m_values()[:, None] * states)  # Sz is diagonal
     conj = states.conj()
     mean = np.empty((3, states.shape[1]))
     for a in range(3):

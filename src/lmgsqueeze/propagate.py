@@ -3,7 +3,9 @@
 Evolution uses the Hermitian eigendecomposition of each Hamiltonian, held
 in an Eigenbasis that the caller builds once and passes in, so schedules
 that reuse the same two Hamiltonians thousands of times pay for two
-factorizations.  Pulses are instantaneous unitaries (Rabi limit).
+factorizations; a real quadratic form, which conserves Sz-parity, can be
+factored as two real blocks of half the size.  Pulses are instantaneous
+unitaries (Rabi limit).
 ``run_cycles`` is the one executor that applies segments to a state: pulse
 schedules and every noisy trajectory (a perturbed copy of a schedule's
 segments) run through it.  A small-N full product-space evolver is provided
@@ -50,6 +52,36 @@ class Eigenbasis:
             return hamiltonian
         w, v = hamiltonian_eig(hamiltonian)
         return cls(w=w, v=v, vh=v.conj().T)
+
+    @classmethod
+    def of_quadratic_form(cls, matrix) -> "Eigenbasis":
+        """Factor a real symmetric a Sx^2 + b Sy^2 + c Sz^2 by Sz-parity.
+
+        Such a matrix couples m only to m +- 2, so its even- and odd-index
+        blocks are independent real problems of about half the size.  Any
+        matrix with an imaginary part, an asymmetry or a nonzero off the
+        diagonals 0 and +-2 raises ValueError.
+        """
+        mat = np.asarray(matrix)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        bands = [np.diagonal(mat, k) for k in (0, 2, -2)]
+        if np.count_nonzero(mat) != sum(np.count_nonzero(band) for band in bands):
+            raise ValueError("quadratic form has entries off the diagonals 0 and +-2")
+        if any(np.any(np.imag(band)) for band in bands):
+            raise ValueError("quadratic form is not real")
+        if np.any(bands[1] != bands[2]):
+            raise ValueError("quadratic form is not symmetric")
+        real = mat.real
+        w_even, v_even = np.linalg.eigh(real[0::2, 0::2])
+        w_odd, v_odd = np.linalg.eigh(real[1::2, 1::2])
+        w = np.concatenate([w_even, w_odd])
+        v = np.zeros(mat.shape, dtype=complex)
+        v[0::2, : w_even.size] = v_even
+        v[1::2, w_even.size :] = v_odd
+        order = np.argsort(w, kind="stable")
+        v = v[:, order]
+        return cls(w=w[order], v=v, vh=v.conj().T)
 
     def propagate(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
         """exp(-i H t) applied to an amplitude vector."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lmgsqueeze.algebra import build_space, collective_operator, quadratic_form
-from lmgsqueeze.errors import InvalidSize
+from lmgsqueeze.errors import InvalidSize, TooLarge
 
 SIZES = [1, 2, 6, 20, 100]
 
@@ -22,6 +22,13 @@ def test_build_space(n_spins, dim, j):
 def test_build_space_rejects_zero():
     with pytest.raises(InvalidSize):
         build_space(0)
+
+
+def test_build_space_refuses_sizes_beyond_memory():
+    # dense operators at N = 10^6 would need about 128 TB
+    with pytest.raises(TooLarge):
+        build_space(10**6)
+    assert build_space(1000).dim == 1001
 
 
 @pytest.mark.parametrize("n", SIZES)

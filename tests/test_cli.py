@@ -153,6 +153,16 @@ def test_exit_codes(tmp_path):
     assert "XAxisImpossible" in impossible.stderr
 
 
+def test_oversized_spin_count_exits_before_allocating(tmp_path):
+    out = cli(
+        ["evolve", "--n-spins", "1000000", "--chi", "1", "--gamma", "0.1", "--out", "big"],
+        tmp_path,
+    )
+    assert out.returncode == 3
+    assert "TooLarge" in out.stderr
+    assert not (tmp_path / "big").exists()
+
+
 def test_noise_zero_sigma_identical_columns(tmp_path):
     config = {
         "chi": 1.0,

@@ -19,7 +19,7 @@ from lmgsqueeze.experiments import (
 )
 from lmgsqueeze.metrics import minimize_hamiltonian
 from lmgsqueeze.pulses import design, schedule
-from lmgsqueeze.propagate import run_schedule
+from lmgsqueeze.propagate import FreeSegment, run_schedule
 from lmgsqueeze.states import BlochAngles, coherent_state
 
 N_SMALL = 24
@@ -308,6 +308,22 @@ def test_noise_alternate_scopes_run(channel, sigma, scope):
     # distinct runs actually see distinct draws
     minima = {row[4] for row in result.tables["runs"].rows}
     assert len(minima) > 1
+
+
+def test_per_run_clamping_counts_every_cycle():
+    # a per-run separation factor below zero clamps every free segment of
+    # every cycle, since each cycle of such a run is the same
+    model = small_model(0.1)
+    design_ = design(model, "z", "A")
+    result = noise_monte_carlo(
+        model, design_, NoiseSpec("pulse_separation", 3.0, "per_run"), n_runs=8, seed=2
+    )
+    params = result.descriptor["parameters"]
+    sch = schedule(design_, model, params["total_time"])
+    free_per_cycle = sum(isinstance(seg, FreeSegment) for seg in sch.segments)
+    counts = [row[7] for row in result.tables["runs"].rows]
+    assert set(counts) == {0, free_per_cycle * params["cycles"]}
+    assert result.tables["summary"].rows[0][5] == sum(counts)
 
 
 def test_noisy_trajectories_stay_unit_norm():

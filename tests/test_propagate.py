@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lmgsqueeze import propagate
 from lmgsqueeze.algebra import build_space, collective_operator, quadratic_form
 from lmgsqueeze.canonical import CouplingMatrix, canonicalize, frame_unitary, from_chi_gamma, realize_hamiltonian
 from lmgsqueeze.errors import NotHermitian, TooLarge
 from lmgsqueeze.metrics import squeezing_parameter
+from lmgsqueeze.experiments import NoiseSpec, noise_monte_carlo
 from lmgsqueeze.propagate import (
+    Eigenbasis,
     FreeSegment,
     PulseSchedule,
     PulseSegment,
@@ -284,3 +289,81 @@ def test_run_schedule_rejects_model_of_another_size():
     for kwargs in ({}, {"model_basis": basis}):
         with pytest.raises(DimensionMismatch):
             run_schedule(state, sched, model, **kwargs)
+
+
+# Coefficients are either zero or not tiny, so no entry of H is subnormal.
+COEFFICIENT = st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)
+
+
+@settings(max_examples=200)
+@given(a=COEFFICIENT, b=COEFFICIENT, c=COEFFICIENT, n=st.integers(1, 40), tau=st.floats(0.0, 10.0))
+@example(a=1.0, b=0.1, c=0.0, n=40, tau=3.0)
+@example(a=1.0, b=0.1, c=0.0, n=39, tau=3.0)
+def test_quadratic_form_basis_matches_dense(a, b, c, n, tau):
+    space = build_space(n)
+    ham = quadratic_form(space, a, b, c).matrix
+    norm = np.linalg.norm(ham, 2)
+    parity = Eigenbasis.of_quadratic_form(ham)
+    dense = Eigenbasis.of(ham)
+    assert np.max(np.abs(parity.w - dense.w)) <= 1e-12 * norm
+    assert np.max(np.abs((parity.v * parity.w) @ parity.vh - ham)) <= 1e-12 * norm
+    assert np.max(np.abs(parity.vh @ parity.v - np.eye(space.dim))) <= 1e-12
+    rng = np.random.default_rng(n)
+    amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    amps /= np.linalg.norm(amps)
+    t = tau / norm if norm > 0.0 else tau
+    assert np.max(np.abs(parity.propagate(amps, t) - dense.propagate(amps, t))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 40, 1000])
+def test_quadratic_form_basis_casimir_oracle(n):
+    # a (Sx^2 + Sy^2) = a (S^2 - Sz^2): diagonal, so both parity blocks are
+    # uncoupled, with spectrum a (j(j+1) - m^2) and Dicke eigenvectors
+    a = 0.7
+    space = build_space(n)
+    j, m = space.j, space.m_values()
+    ham = quadratic_form(space, a, a, 0.0).matrix
+    energies = a * (j * (j + 1) - m**2)
+    basis = Eigenbasis.of_quadratic_form(ham)
+    scale = np.max(np.abs(energies))
+    assert np.max(np.abs(basis.w - np.sort(energies))) <= 1e-12 * scale
+    t = 0.9 / scale
+    for index in (0, space.dim // 2, space.dim - 1):
+        dicke = np.zeros(space.dim, dtype=complex)
+        dicke[index] = 1.0
+        expected = np.exp(-1j * energies[index] * t) * dicke
+        assert np.max(np.abs(basis.propagate(dicke, t) - expected)) <= 1e-12
+
+
+def test_quadratic_form_basis_rejects_other_matrices():
+    space = build_space(6)
+    sx = collective_operator(space, "Sx").matrix
+    sy = collective_operator(space, "Sy").matrix
+    asymmetric = quadratic_form(space, 1.0, 0.2, 0.0).matrix.copy()
+    asymmetric[0, 2] += 0.1
+    for bad in (sx, sx @ sy + sy @ sx, asymmetric, np.ones((3, 4))):
+        with pytest.raises(ValueError):
+            Eigenbasis.of_quadratic_form(bad)
+
+
+def test_per_segment_gamma_noise_skips_dense_eigensolver(monkeypatch):
+    calls = []
+    dense = propagate.hamiltonian_eig
+
+    def counting(hamiltonian):
+        calls.append(1)
+        return dense(hamiltonian)
+
+    monkeypatch.setattr(propagate, "hamiltonian_eig", counting)
+    model = from_chi_gamma(1.0, 0.1, 12)
+    result = noise_monte_carlo(
+        model,
+        design(model, "z", "A"),
+        NoiseSpec("gamma", 0.1, "per_segment"),
+        n_runs=2,
+        seed=0,
+        total_time=0.4,
+        cycles=8,
+    )
+    assert len(calls) <= 1
+    assert np.all(np.isfinite([row[4] for row in result.tables["runs"].rows]))
