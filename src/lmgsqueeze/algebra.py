@@ -3,37 +3,51 @@
 For N spin-1/2 particles the symmetric sector carries total spin j = N/2 and
 has dimension N + 1.  The basis is ordered by decreasing magnetic quantum
 number, so index 0 is |j, j> and index N is |j, -j>.  All matrices are dense,
-double-precision complex, and frozen (read-only) once built; cached operators
-may be shared freely between threads.
+double-precision complex, and frozen (read-only) once built.  A DickeSpace
+holds its operators, their squares and the x and y axis eigendecompositions
+of ``states.rotate_state``, each built on first use (safe under threads: all
+callers get the one stored copy) and released with the space.
 """
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidSize, TooLarge
 
 LABELS = ("Sx", "Sy", "Sz", "S+", "S-", "S2")
-# Dense complex matrices kept for one space: the cached Sx, Sy, Sz and
-# Sx^2, Sy^2, Sz^2, plus the v and v^H of one eigenbasis.
+# Dense complex matrices counted for one space: the Sx, Sy, Sz, Sx^2, Sy^2,
+# Sz^2 it holds once used (built thread-safely, freed with it) and the v, v^H
+# of one caller's eigenbasis; x/y rotations add their axis's v, v^H uncounted.
 DENSE_MATRICES_PER_SPACE = 8
-
-_OPERATOR_CACHE: dict[tuple[int, str], "SpinOperator"] = {}
-_MOMENT_CACHE: dict[int, dict[str, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
 class DickeSpace:
-    """Symmetric subspace of ``n_spins`` spin-1/2 particles."""
+    """Symmetric subspace of ``n_spins`` spin-1/2 particles and the objects
+    built for it; equality and hashing use (n_spins, dim, j) only."""
 
     n_spins: int
     dim: int
     j: float
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def m_values(self) -> np.ndarray:
         """Magnetic quantum numbers in basis order: j, j-1, ..., -j."""
         return self.j - np.arange(self.dim)
+
+    def built(self, key, build):
+        """The object kept under ``key``, made by ``build()`` on first use."""
+        value = self._built.get(key)
+        if value is None:
+            # setdefault is atomic: concurrent builders all get the stored copy
+            value = self._built.setdefault(key, build())
+        return value
+
+    def __reduce__(self):
+        # a copy sent to another process carries its size, not its operators
+        return (DickeSpace, (self.n_spins, self.dim, self.j))
 
 
 @dataclass(frozen=True)
@@ -77,33 +91,26 @@ def collective_operator(space: DickeSpace, label: str) -> SpinOperator:
     """
     if label not in LABELS:
         raise ValueError(f"unknown operator label {label!r}, expected one of {LABELS}")
-    key = (space.n_spins, label)
-    cached = _OPERATOR_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return space.built(label, lambda: SpinOperator(_frozen(_operator_matrix(space, label)), label))
 
+
+def _operator_matrix(space: DickeSpace, label: str) -> np.ndarray:
     j = space.j
     m = space.m_values()
     if label == "Sz":
-        mat = np.diag(m).astype(complex)
-    elif label == "S2":
-        mat = j * (j + 1) * np.eye(space.dim, dtype=complex)
-    else:
-        # S+ raises m, which moves one index up in the descending-m ordering.
-        up = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
-        splus = np.diag(up, k=1).astype(complex)
-        if label == "S+":
-            mat = splus
-        elif label == "S-":
-            mat = splus.T.copy()
-        elif label == "Sx":
-            mat = 0.5 * (splus + splus.T)
-        else:  # Sy
-            mat = -0.5j * (splus - splus.T)
-
-    op = SpinOperator(matrix=_frozen(mat), label=label)
-    _OPERATOR_CACHE[key] = op
-    return op
+        return np.diag(m).astype(complex)
+    if label == "S2":
+        return j * (j + 1) * np.eye(space.dim, dtype=complex)
+    # S+ raises m, which moves one index up in the descending-m ordering.
+    up = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
+    splus = np.diag(up, k=1).astype(complex)
+    if label == "S+":
+        return splus
+    if label == "S-":
+        return splus.T.copy()
+    if label == "Sx":
+        return 0.5 * (splus + splus.T)
+    return -0.5j * (splus - splus.T)  # Sy
 
 
 def quadratic_form(space: DickeSpace, a: float, b: float, c: float) -> SpinOperator:
@@ -117,13 +124,12 @@ def quadratic_form(space: DickeSpace, a: float, b: float, c: float) -> SpinOpera
 
 
 def second_moment_operators(space: DickeSpace) -> dict[str, np.ndarray]:
-    """Cached squares Sx^2, Sy^2, Sz^2, keyed "xx", "yy", "zz"."""
-    cached = _MOMENT_CACHE.get(space.n_spins)
-    if cached is not None:
-        return cached
-    sx = collective_operator(space, "Sx").matrix
-    sy = collective_operator(space, "Sy").matrix
-    sz = collective_operator(space, "Sz").matrix
-    prods = {"xx": _frozen(sx @ sx), "yy": _frozen(sy @ sy), "zz": _frozen(sz @ sz)}
-    _MOMENT_CACHE[space.n_spins] = prods
-    return prods
+    """The squares Sx^2, Sy^2, Sz^2 the space holds, keyed "xx", "yy", "zz"."""
+
+    def build():
+        sx = collective_operator(space, "Sx").matrix
+        sy = collective_operator(space, "Sy").matrix
+        sz = collective_operator(space, "Sz").matrix
+        return {"xx": _frozen(sx @ sx), "yy": _frozen(sy @ sy), "zz": _frozen(sz @ sz)}
+
+    return space.built("moments", build)

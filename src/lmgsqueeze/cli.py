@@ -40,6 +40,8 @@ EXPERIMENTS = (
     "noise",
 )
 INSPECT_COMMANDS = ("canonicalize", "design")
+# Each worker is a process, and a process pool may start all of them at once.
+MAX_WORKERS = 64
 
 _DEFAULTS = {
     "seed": 0,
@@ -149,7 +151,7 @@ def validate_config(raw: dict) -> dict:
 
     cfg["n_spins"] = _require_number(cfg, "n_spins", lo=1, integer=True)
     cfg["seed"] = _require_number(cfg, "seed", lo=0, integer=True)
-    cfg["workers"] = _require_number(cfg, "workers", lo=1, integer=True)
+    cfg["workers"] = _require_number(cfg, "workers", lo=1, hi=MAX_WORKERS, integer=True)
 
     initial = cfg.get("initial")
     if isinstance(initial, (list, tuple)) and len(initial) == 2:
@@ -176,10 +178,10 @@ def validate_config(raw: dict) -> dict:
     if cfg.get("gammas") is not None:
         if not isinstance(cfg["gammas"], (list, tuple)) or not cfg["gammas"]:
             _fail("gammas", "expected a non-empty array of gamma values")
-        for i, g in enumerate(cfg["gammas"]):
-            if not isinstance(g, (int, float)) or not 0.0 <= g <= 0.5:
-                _fail(f"gammas[{i}]", f"must lie in [0, 0.5], got {g!r}")
-        cfg["gammas"] = [float(g) for g in cfg["gammas"]]
+        cfg["gammas"] = [
+            _require_number({f"gammas[{i}]": g}, f"gammas[{i}]", lo=0.0, hi=0.5)
+            for i, g in enumerate(cfg["gammas"])
+        ]
     if not isinstance(cfg["n_grid"], (list, tuple)) or not cfg["n_grid"]:
         _fail("n_grid", "expected a non-empty array of spin counts")
     cfg["n_grid"] = [

@@ -393,14 +393,13 @@ def _effective_start(design_: PulseDesign, model: LMGModel, space) -> tuple:
     return h_eff, coherent_state(space, design_.optimal_initial)
 
 
-def predicted_optimal_time(design_: PulseDesign, model: LMGModel, *, start=None) -> float:
+def predicted_optimal_time(design_: PulseDesign, model: LMGModel, start: tuple) -> float:
     """First-minimum time of the effective Hamiltonian from its optimal
     initial state (used to size schedules).  ``start``: that Hamiltonian's
-    Eigenbasis and that state, when the caller already holds them."""
-    space = build_space(model.n_spins)
-    h_eff, psi0 = _effective_start(design_, model, space) if start is None else start
+    Eigenbasis and that state, as ``_effective_start`` returns them."""
+    h_eff, psi0 = start
     t_max = 5.0 / (abs(design_.chi_eff) * model.n_spins)
-    trace = minimize_hamiltonian(space, h_eff, psi0, t_max, grid_points=2000)
+    trace = minimize_hamiltonian(psi0.space, h_eff, psi0, t_max, grid_points=2000)
     return trace.minimum.t
 
 
@@ -428,8 +427,8 @@ def compare_pulsed(
     start_y = _effective_start(design_y, model, space)
     h_ref, psi_z = start_z
     psi_y = start_y[1]
-    t_pred_z = predicted_optimal_time(design_z, model, start=start_z)
-    t_pred_y = predicted_optimal_time(design_y, model, start=start_y)
+    t_pred_z = predicted_optimal_time(design_z, model, start_z)
+    t_pred_y = predicted_optimal_time(design_y, model, start_y)
     schedule_z = schedule(design_z, model, 1.2 * t_pred_z, max_step=max_step)
     schedule_y = schedule(design_y, model, 1.2 * t_pred_y, max_step=max_step)
 
@@ -543,7 +542,7 @@ def scaling_study(
                 model = from_chi_gamma(chi, gamma, n)
                 design_ = design(model, axis, branch)
                 start = _effective_start(design_, model, space)
-                t_pred = predicted_optimal_time(design_, model, start=start)
+                t_pred = predicted_optimal_time(design_, model, start)
                 sch = schedule(design_, model, 1.2 * t_pred, max_step=pulsed_step_product / n)
                 trace = run_schedule(start[1], sch, model)
                 minimum = trace.minimum
@@ -606,7 +605,8 @@ def _noise_run(task: dict, initial_states: dict):
 
     Returns the xi2 value at every cycle boundary (nan where the contrast
     collapses), the realized per-run parameters, and the count of clamped
-    negative durations.  ``initial_states``: initial amplitudes by atom number.
+    negative durations.  A drawn atom number gets a space of its own, dropped
+    with the run.  ``initial_states``: initial amplitudes by atom number.
     """
     streams = _channel_streams(task["seed"])
     channel = task["channel"]
@@ -614,7 +614,8 @@ def _noise_run(task: dict, initial_states: dict):
     scope = task["scope"]
     gamma = task["gamma"]
     chi = task["chi"]
-    n_spins = task["n_spins"]
+    nominal = task["space"]
+    n_spins = nominal.n_spins
 
     def active(name, scope_name):
         return channel == name and sigma > 0.0 and scope == scope_name
@@ -630,7 +631,7 @@ def _noise_run(task: dict, initial_states: dict):
     if active("atom_number", "per_run"):
         n_spins = max(1, int(round(n_spins * draw("atom_number"))))
 
-    space = build_space(n_spins)
+    space = nominal if n_spins == nominal.n_spins else build_space(n_spins)
     moments = second_moment_operators(space)
 
     def free_basis(g):
@@ -729,14 +730,16 @@ def noise_monte_carlo(
     """
     if n_runs < 1:
         raise ConfigError(f"n_runs: must be >= 1, got {n_runs}")
+    space = build_space(model.n_spins)
     if total_time is None:
-        total_time = 1.2 * predicted_optimal_time(design_, model)
+        start = _effective_start(design_, model, space)
+        total_time = 1.2 * predicted_optimal_time(design_, model, start)
     sch = schedule(design_, model, total_time, max_step=max_step, cycles=cycles)
     scope = noise.resolved_scope
     initial = design_.optimal_initial
 
     base = {
-        "n_spins": model.n_spins,
+        "space": space,
         "gamma": model.gamma,
         "chi": model.chi,
         "segments": sch.segments,

@@ -20,8 +20,8 @@ import numpy as np
 
 from .algebra import DickeSpace, SpinOperator, build_space
 from .canonical import CouplingMatrix, LMGModel, realize_hamiltonian
-from .errors import NotHermitian, TooLarge
-from .states import BlochAngles, SpinState, check_same_space, rotate_state, rotation
+from .errors import DimensionMismatch, NotHermitian, TooLarge
+from .states import BlochAngles, SpinState, rotate_state, rotation
 
 HERMITICITY_TOL = 1e-10
 FULL_SPACE_MAX_SPINS = 12
@@ -201,7 +201,8 @@ def run_schedule(
     caller holds it.
     """
     space = state.space
-    check_same_space(state, build_space(model.n_spins))
+    if space.n_spins != model.n_spins:
+        raise DimensionMismatch(f"state has N={space.n_spins}, model has N={model.n_spins}")
     cycle = _resolved_cycle(schedule, model, space, model_basis)
     times, states = run_cycles(state, itertools.repeat(cycle, schedule.cycle_count))
 

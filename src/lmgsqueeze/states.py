@@ -10,13 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DickeSpace, SpinOperator, collective_operator
-from .errors import DimensionMismatch
+from .algebra import DickeSpace, SpinOperator, _frozen, collective_operator
 
 _AXES = ("x", "y", "z")
-
-# (eigenvalues, eigenvectors, v.conj().T) of S_axis, keyed by (n_spins, axis)
-_AXIS_EIG_CACHE: dict[tuple[int, str], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -57,9 +53,6 @@ class SpinState:
         mat = operator.matrix if isinstance(operator, SpinOperator) else operator
         return complex(np.vdot(self.amplitudes, mat @ self.amplitudes))
 
-    def overlap(self, other: "SpinState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 def coherent_generator_eig(space: DickeSpace, phi: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the coherent-state generator sin(phi) Sx - cos(phi) Sy."""
@@ -85,13 +78,13 @@ def coherent_state(space: DickeSpace, angles: BlochAngles, generator_eig=None) -
 
 
 def _axis_eig(space: DickeSpace, axis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    key = (space.n_spins, axis)
-    cached = _AXIS_EIG_CACHE.get(key)
-    if cached is None:
+    """(eigenvalues, eigenvectors, v.conj().T) of S_axis, held by the space."""
+
+    def build():
         w, v = np.linalg.eigh(collective_operator(space, "S" + axis).matrix)
-        cached = (w, v, v.conj().T)
-        _AXIS_EIG_CACHE[key] = cached
-    return cached
+        return _frozen(w), _frozen(v), _frozen(v.conj().T)
+
+    return space.built("eig" + axis, build)
 
 
 def rotation(space: DickeSpace, axis: str, angle: float) -> SpinOperator:
@@ -133,9 +126,3 @@ def rotation_about(space: DickeSpace, axis_vector: np.ndarray, angle: float) -> 
     w, v = np.linalg.eigh(gen)
     return (v * np.exp(-1j * angle * w)) @ v.conj().T
 
-
-def check_same_space(state: SpinState, space: DickeSpace) -> None:
-    if state.space.n_spins != space.n_spins:
-        raise DimensionMismatch(
-            f"state has N={state.space.n_spins} but operator space has N={space.n_spins}"
-        )

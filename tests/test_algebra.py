@@ -1,8 +1,17 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from lmgsqueeze.algebra import build_space, collective_operator, quadratic_form
+from lmgsqueeze.algebra import (
+    build_space,
+    collective_operator,
+    quadratic_form,
+    second_moment_operators,
+)
 from lmgsqueeze.errors import InvalidSize, TooLarge
+from lmgsqueeze.states import _axis_eig
 
 SIZES = [1, 2, 6, 20, 100]
 
@@ -113,3 +122,23 @@ def test_quadratic_form_rejects_nonfinite():
     space = build_space(2)
     with pytest.raises(ValueError):
         quadratic_form(space, np.inf, 0.0, 0.0)
+
+
+def test_operators_are_freed_with_their_space():
+    space = build_space(30)
+    held = [
+        collective_operator(space, "Sx").matrix,
+        second_moment_operators(space)["yy"],
+        _axis_eig(space, "x")[1],
+    ]
+    refs = [weakref.ref(mat) for mat in held]
+    assert collective_operator(space, "Sx").matrix is held[0]  # kept while the space lives
+    del space, held
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_spaces_of_one_size_compare_equal_but_hold_their_own_operators():
+    first, second = build_space(8), build_space(8)
+    assert first == second and hash(first) == hash(second)
+    assert collective_operator(first, "Sz") is not collective_operator(second, "Sz")

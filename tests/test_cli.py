@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import lmgsqueeze
-from lmgsqueeze.cli import main, parse_config, run, validate_config
+from lmgsqueeze.cli import MAX_WORKERS, main, parse_config, run, validate_config
 from lmgsqueeze.errors import ConfigError
 
 MINIMAL = {"chi": 1.0, "gamma": 0.1, "n_spins": 100, "experiment": "compare-pulsed"}
@@ -101,6 +101,25 @@ def test_non_finite_and_non_positive_values_name_field(raw, field):
     with pytest.raises(ConfigError) as err:
         validate_config(raw)
     assert str(err.value).startswith(f"{field}: ")
+
+
+def test_workers_above_maximum_refused():
+    assert MAX_WORKERS == 64
+    assert validate_config(dict(MINIMAL, workers=64))["workers"] == 64
+    for workers in (65, 10**6):
+        with pytest.raises(ConfigError) as err:
+            validate_config(dict(MINIMAL, workers=workers))
+        assert str(err.value).startswith("workers: ")
+
+
+@pytest.mark.parametrize("gammas", [[False], [0.6], ["0.1"], [math.nan]])
+def test_gammas_entries_validated(tmp_path, monkeypatch, capsys, gammas):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"chi": 1.0, "gamma": 0.1, "n_spins": 10, "gammas": gammas}))
+    assert main(["sweep-gamma", "--config", str(path), "--out", "out"]) == 2
+    assert "ConfigError]: gammas[0]: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_gamma_above_half_accepted_and_remapped(tmp_path):

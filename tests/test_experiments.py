@@ -1,5 +1,7 @@
+import gc
 import math
 import os
+import tracemalloc
 
 import pytest
 
@@ -284,6 +286,28 @@ def test_noise_atom_number_rounding():
     sampled = [row[1] for row in result.tables["runs"].rows]
     deviants = sum(1 for n in sampled if n != N_SMALL)
     assert deviants <= 1  # std is 2.4e-3 atoms; rounding almost never moves N
+
+
+def test_atom_number_noise_retains_no_operators():
+    def call(n_spins, n_runs, seed):
+        model = from_chi_gamma(1.0, 0.1, n_spins)
+        noise = NoiseSpec("atom_number", 0.2)
+        noise_monte_carlo(model, design(model, "z", "A"), noise, n_runs, seed, cycles=5)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    call(4, 2, 0)  # first-call imports and setup stay out of the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        first = call(60, 30, 0)
+        second = call(60, 30, 1)
+    finally:
+        tracemalloc.stop()
+    # each drawn atom number's operators go with its run
+    assert first - base < 1_000_000
+    assert second - first < 500_000
 
 
 @pytest.mark.parametrize(

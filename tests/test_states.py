@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from lmgsqueeze.algebra import build_space, collective_operator
-from lmgsqueeze.states import BlochAngles, coherent_state, rotate_state, rotation
+from lmgsqueeze.states import BlochAngles, SpinState, coherent_state, rotate_state, rotation
 
 
 def mean_spin(state):
@@ -132,3 +135,37 @@ def test_coherent_state_with_supplied_generator_eig():
         angles = BlochAngles(theta, phi)
         supplied = coherent_state(space, angles, coherent_generator_eig(space, phi))
         assert np.array_equal(supplied.amplitudes, coherent_state(space, angles).amplitudes)
+
+
+def test_first_use_from_many_threads_matches_serial():
+    n, threads = 40, 8
+    psi = coherent_state(build_space(n), BlochAngles(1.0, 0.3)).amplitudes
+
+    def work(space):
+        state = SpinState(psi, space)
+        ops = [collective_operator(space, lbl).matrix for lbl in ("Sx", "Sy", "Sz")]
+        return ops + [rotate_state(state, axis, 0.7).amplitudes for axis in ("x", "y")]
+
+    serial = work(build_space(n))
+    space = build_space(n)
+    barrier = threading.Barrier(threads)
+
+    def first_use():
+        barrier.wait(timeout=60)  # every thread reaches the space before anything is built
+        return work(space)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so first uses interleave
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(first_use) for _ in range(threads)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        for got, want in zip(result, serial, strict=True):
+            assert np.array_equal(got, want)
+        # every thread receives the one copy the space keeps
+        for got, kept in zip(result, results[0][:3]):
+            assert got is kept
+    assert results[0][0] is not serial[0]
