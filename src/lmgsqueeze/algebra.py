@@ -17,10 +17,10 @@ import numpy as np
 from .errors import InvalidSize, TooLarge
 
 LABELS = ("Sx", "Sy", "Sz", "S+", "S-", "S2")
-# Dense complex matrices counted for one space: the Sx, Sy, Sz, Sx^2, Sy^2,
-# Sz^2 it holds once used (built thread-safely, freed with it) and the v, v^H
-# of one caller's eigenbasis; x/y rotations add their axis's v, v^H uncounted.
-DENSE_MATRICES_PER_SPACE = 8
+# Dense complex matrices kept for one space during compare_pulsed: the Sx, Sy,
+# Sz, Sx^2, Sy^2, Sz^2 and one rotation axis's v, v^H that it holds once used
+# (built thread-safely, freed with it), and the v, v^H of three callers' bases.
+DENSE_MATRICES_PER_SPACE = 14
 
 
 @dataclass(frozen=True)

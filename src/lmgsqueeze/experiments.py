@@ -253,6 +253,26 @@ def _sweep_column(task):
     return outcomes
 
 
+def _orbit_representatives(thetas: np.ndarray, phis: np.ndarray) -> dict:
+    """For each grid point (phi index k, theta index i), the (k', i') whose
+    result it shares: the smallest of its images under the pi rotations about
+    x, z and y that land on the grid (to 1e-12), or itself."""
+
+    def match(values, images):  # on the circle; theta differences stay below pi
+        dist = np.abs(images[:, None] - values[None, :]) % (2.0 * math.pi)
+        hit = np.minimum(dist, 2.0 * math.pi - dist) <= 1e-12
+        return np.where(hit.any(axis=1), hit.argmax(axis=1), -1).tolist()
+
+    flip, keep = match(thetas, math.pi - thetas), list(range(len(thetas)))
+    maps = ((match(phis, -phis), flip), (match(phis, phis + math.pi), keep),
+            (match(phis, math.pi - phis), flip))  # x, z, y
+    rep = {}
+    for k, i in itertools.product(range(len(phis)), range(len(thetas))):
+        images = [(pk[k], ti[i]) for pk, ti in maps if min(pk[k], ti[i]) >= 0]
+        rep[k, i] = min((rep[q] for q in images if q < (k, i)), default=(k, i))
+    return rep
+
+
 def sweep_initial_state(
     model: LMGModel,
     theta_grid=None,
@@ -269,6 +289,14 @@ def sweep_initial_state(
     [0, pi] x [0, 2*pi).  Grid points whose trace is still decreasing at the
     horizon record the minimum seen so far with bracketed = 0; they cannot
     beat a bracketed optimum, so the argmin is unaffected.
+
+    H is invariant under pi rotations about x, (theta, phi) -> (pi - theta,
+    2pi - phi), z, (theta, phi + pi), and y, (pi - theta, pi - phi), and so
+    is xi^2.  A map joins two points only where its image is a grid point:
+    x on any default grid, z and y only when phi_points is even.  One point
+    per orbit is computed, the one with the smallest (phi index, theta
+    index), so phi < pi on default grids; the others copy its row.  The
+    argmin scans only computed points, so a tie goes to the phi < pi twin.
     """
     horizon = default_horizon(model.n_spins) if horizon is None else horizon
     thetas = (
@@ -285,24 +313,33 @@ def sweep_initial_state(
         raise ConfigError("theta_grid: values must lie in [0, pi]")
     if np.any(phis < 0.0) or np.any(phis >= 2.0 * math.pi):
         raise ConfigError("phi_grid: values must lie in [0, 2*pi)")
+    for name, values in (("theta_grid", thetas), ("phi_grid", phis)):
+        if values.size == 0:
+            raise ConfigError(f"{name}: the grid is empty")
     t_max = horizon / (model.chi * model.n_spins)
     space = build_space(model.n_spins)
     basis = Eigenbasis.of(realize_hamiltonian(model, space))
-    tasks = [(space, basis, ph, thetas, t_max, grid_points) for ph in phis]
+    rep = _orbit_representatives(thetas, phis)
+    own = {}
+    for k, i in rep:
+        if rep[k, i] == (k, i):
+            own.setdefault(k, []).append(i)
+    tasks = [(space, basis, phis[k], thetas[rows], t_max, grid_points) for k, rows in own.items()]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             columns = list(pool.map(_sweep_column, tasks))
     else:
         columns = [_sweep_column(t) for t in tasks]
+    outcomes = {(k, i): o for k, column in zip(own, columns) for i, o in zip(own[k], column)}
 
     chi_n = model.chi * model.n_spins
     rows = []
     best = None
     for i, th in enumerate(thetas):
-        for ph, column in zip(phis, columns):
-            t_min, xi2_min, bracketed = column[i]
+        for k, ph in enumerate(phis):
+            t_min, xi2_min, bracketed = outcomes[rep[k, i]]
             rows.append((th, ph, xi2_min, t_min, t_min * chi_n, bracketed))
-            if np.isfinite(xi2_min) and (best is None or xi2_min < best[2]):
+            if rep[k, i] == (k, i) and np.isfinite(xi2_min) and (best is None or xi2_min < best[2]):
                 best = (th, ph, xi2_min)
 
     result = ExperimentResult(

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from lmgsqueeze import algebra
 from lmgsqueeze.algebra import (
     build_space,
     collective_operator,
@@ -38,6 +39,17 @@ def test_build_space_refuses_sizes_beyond_memory():
     with pytest.raises(TooLarge):
         build_space(10**6)
     assert build_space(1000).dim == 1001
+
+
+def test_build_space_counts_every_matrix_a_run_keeps(monkeypatch):
+    # compare_pulsed keeps 14 dense (N+1)^2 matrices, 8 in the space and 6 in
+    # three eigenbases: memory for 10 of them admits 8 but must refuse N
+    n = 100
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 10 * 16 * (n + 1) ** 2}
+    monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
+    with pytest.raises(TooLarge):
+        build_space(n)
+    assert build_space(n // 2).dim == n // 2 + 1
 
 
 @pytest.mark.parametrize("n", SIZES)

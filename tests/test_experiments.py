@@ -3,8 +3,12 @@ import math
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lmgsqueeze import experiments
 from lmgsqueeze.algebra import build_space
 from lmgsqueeze.canonical import from_chi_gamma, realize_hamiltonian
 from lmgsqueeze.errors import ConfigError
@@ -21,7 +25,7 @@ from lmgsqueeze.experiments import (
 )
 from lmgsqueeze.metrics import minimize_hamiltonian
 from lmgsqueeze.pulses import design, schedule
-from lmgsqueeze.propagate import FreeSegment, run_schedule
+from lmgsqueeze.propagate import Eigenbasis, FreeSegment, run_schedule
 from lmgsqueeze.states import BlochAngles, coherent_state
 
 N_SMALL = 24
@@ -87,6 +91,68 @@ def test_sweep_rejects_out_of_range_grid():
         sweep_initial_state(small_model(), theta_grid=[3.5], phi_grid=[0.0])
 
 
+@pytest.mark.parametrize(
+    "theta_grid, phi_grid, name", [([], [0.0], "theta_grid"), ([1.0], [], "phi_grid")]
+)
+def test_sweep_rejects_empty_grid(theta_grid, phi_grid, name):
+    with pytest.raises(ConfigError, match=name):
+        sweep_initial_state(small_model(), theta_grid=theta_grid, phi_grid=phi_grid)
+
+
+@settings(max_examples=150)
+@given(
+    gamma=st.floats(0.0, 0.5),
+    n=st.integers(2, 16),
+    theta_points=st.integers(2, 9),
+    phi_points=st.integers(2, 9),
+)
+def test_sweep_rows_match_direct_minimization(gamma, n, theta_points, phi_points):
+    # every row, computed or copied from a pi-rotated twin, is the first
+    # minimum from its own initial state
+    model = from_chi_gamma(1.0, gamma, n)
+    grid_points = 60
+    result = sweep_initial_state(
+        model, theta_points=theta_points, phi_points=phi_points, grid_points=grid_points
+    )
+    space = build_space(n)
+    basis = Eigenbasis.of(realize_hamiltonian(model, space))
+    t_max = default_horizon(n) / (model.chi * n)
+    for theta, phi, xi2, t_min, _, bracketed in result.tables["grid"].rows:
+        psi = coherent_state(space, BlochAngles(theta, phi))
+        direct = minimize_hamiltonian(
+            space, basis, psi, t_max, grid_points, refine=False, allow_unbracketed=True
+        )
+        assert xi2 == pytest.approx(direct.minimum.xi2, rel=1e-10)
+        # a coherent eigenstate of H has a flat trace, whose first minimum
+        # rounding alone places; everywhere else the times are equal
+        if np.nanmax(direct.xi2) - np.nanmin(direct.xi2) > 1e-9:
+            assert (t_min, bracketed) == (direct.minimum.t, direct.minimum.bracketed)
+    assert result.tables["argmin"].rows[0][1] < math.pi
+
+
+@pytest.mark.parametrize(
+    "grids, expected",
+    [
+        ({"theta_points": 33, "phi_points": 33}, 545),
+        ({"theta_points": 33, "phi_points": 32}, 265),
+        ({"theta_points": 9, "phi_points": 8}, 19),
+        # no pi rotation maps this grid onto itself
+        ({"theta_grid": [0.3, 1.0, 2.0], "phi_grid": [0.1, 0.5]}, 6),
+    ],
+)
+def test_sweep_computes_one_point_per_orbit(monkeypatch, grids, expected):
+    computed = []
+    sweep_column = experiments._sweep_column
+
+    def counting(task):
+        computed.extend(task[3])
+        return sweep_column(task)
+
+    monkeypatch.setattr(experiments, "_sweep_column", counting)
+    sweep_initial_state(from_chi_gamma(1.0, 0.2, 4), grid_points=20, **grids)
+    assert len(computed) == expected
+
+
 def test_sweep_gamma_monotone_and_endpoints():
     gammas = [0.0, 0.25, 0.5]
     result = sweep_gamma(N_SMALL, gammas, horizon=8.0, grid_points=400)
@@ -135,6 +201,7 @@ def test_sweep_workers_do_not_change_results():
         model, theta_points=5, phi_points=4, grid_points=150, workers=2
     )
     assert serial.tables["grid"].rows == parallel.tables["grid"].rows
+    assert serial.tables["argmin"].rows == parallel.tables["argmin"].rows
 
 
 def test_compare_pulsed_tat_limit_traces_coincide():

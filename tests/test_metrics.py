@@ -9,11 +9,13 @@ from lmgsqueeze.algebra import build_space, collective_operator
 from lmgsqueeze.canonical import from_chi_gamma, realize_hamiltonian
 from lmgsqueeze.errors import MeanSpinVanished, NoMinimumFound
 from lmgsqueeze.metrics import (
+    batch_squeezing,
     first_local_minimum,
+    fit_loglog_slope,
     minimize_over_time,
     squeezing_parameter,
 )
-from lmgsqueeze.propagate import evolve
+from lmgsqueeze.propagate import Eigenbasis, evolve, evolve_batch
 from lmgsqueeze.states import BlochAngles, SpinState, coherent_state, rotation
 
 
@@ -248,3 +250,36 @@ _TRACE_VALUES = st.one_of(
 def test_first_local_minimum_matches_loop(values):
     arr = np.array(values, dtype=float)
     assert first_local_minimum(arr) == _first_local_minimum_loop(arr)
+
+
+def kitagawa_ueda_xi2(n, t):
+    """Closed-form xi^2 of one-axis twisting under Sx^2 (chi = 1) from a
+    coherent state along y, with mu = 2t (Kitagawa & Ueda, PRA 47, 5138, 1993)."""
+    mu = 2.0 * t
+    a = 1.0 - np.cos(mu) ** (n - 2)
+    b = 4.0 * np.sin(mu / 2.0) * np.cos(mu / 2.0) ** (n - 2)
+    return 1.0 + (n - 1) * (a - np.sqrt(a * a + b * b)) / 4.0
+
+
+def one_axis_twisting_xi2(n):
+    """Simulated xi^2 at gamma = 0 from (pi/2, pi/2), at 199 times up to
+    3 / N^(2/3), past the first minimum."""
+    space = build_space(n)
+    hamiltonian = realize_hamiltonian(from_chi_gamma(1.0, 0.0, n), space)
+    basis = Eigenbasis.of_quadratic_form(hamiltonian.matrix)
+    times = np.linspace(0.0, 3.0 / n ** (2.0 / 3.0), 200)[1:]
+    psi = coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
+    xi2, _, _, _ = batch_squeezing(space, evolve_batch(psi, basis, times))
+    return times, xi2
+
+
+@pytest.mark.parametrize("n", [50, 200, 1000])
+def test_one_axis_twisting_matches_closed_form(n):
+    times, xi2 = one_axis_twisting_xi2(n)
+    assert np.max(np.abs(xi2 / kitagawa_ueda_xi2(n, times) - 1.0)) < 1e-9
+
+
+def test_one_axis_twisting_minimum_scales_as_n_to_minus_two_thirds():
+    ns = (100, 200, 500, 1000)
+    slope = fit_loglog_slope(ns, [one_axis_twisting_xi2(n)[1].min() for n in ns])
+    assert slope == pytest.approx(-2.0 / 3.0, abs=0.01)

@@ -7,7 +7,13 @@ import sys
 
 from lmgsqueeze import cli  # noqa: F401  (the snapshot covers every module)
 from lmgsqueeze.canonical import from_chi_gamma
-from lmgsqueeze.experiments import NoiseSpec, compare_pulsed, evolve_trace, noise_monte_carlo
+from lmgsqueeze.experiments import (
+    NoiseSpec,
+    compare_pulsed,
+    evolve_trace,
+    noise_monte_carlo,
+    sweep_initial_state,
+)
 from lmgsqueeze.pulses import design
 from lmgsqueeze.states import BlochAngles
 
@@ -30,6 +36,7 @@ def test_experiments_leave_module_state_unchanged():
     model = from_chi_gamma(1.0, 0.1, 23)
     evolve_trace(model, BlochAngles(math.pi / 2, math.pi / 2), grid_points=200)
     compare_pulsed(model)
+    sweep_initial_state(model, theta_points=5, phi_points=4, grid_points=100)
     noise = NoiseSpec("atom_number", 0.2)
     noise_monte_carlo(model, design(model, "z", "A"), noise, n_runs=10, seed=3, cycles=5)
     assert container_lengths() == before
