@@ -4,7 +4,7 @@ twisting."""
 
 __version__ = "0.1.0"
 
-from .algebra import DickeSpace, SpinOperator, build_space, collective_operator, quadratic_form
+from .algebra import DickeSpace, build_space, collective_operator, quadratic_form
 from .canonical import (
     CouplingMatrix,
     LMGModel,
@@ -62,7 +62,6 @@ __all__ = [
     "PulseDesign",
     "PulseSchedule",
     "PulseSegment",
-    "SpinOperator",
     "SpinState",
     "SqueezingSample",
     "SqueezingTrace",

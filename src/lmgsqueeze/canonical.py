@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .algebra import DickeSpace, SpinOperator, collective_operator, quadratic_form
+from .algebra import DickeSpace, _frozen, collective_operator, quadratic_form
 from .errors import AsymmetricInput, DimensionMismatch, IsotropicCoupling
 from .states import rotation_about
 
@@ -173,19 +173,18 @@ def from_chi_gamma(chi: float, gamma: float, n_spins: int) -> LMGModel:
     )
 
 
-def realize_hamiltonian(model: LMGModel, space: DickeSpace) -> SpinOperator:
+def realize_hamiltonian(model: LMGModel, space: DickeSpace) -> np.ndarray:
     """Canonical-frame Hamiltonian chi * (Sx^2 + gamma * Sy^2)."""
     if space.n_spins != model.n_spins:
         raise DimensionMismatch(
             f"model has N={model.n_spins} but space has N={space.n_spins}"
         )
-    op = quadratic_form(space, model.chi, model.chi * model.gamma, 0.0)
-    return SpinOperator(matrix=op.matrix, label="lmg")
+    return quadratic_form(space, model.chi, model.chi * model.gamma, 0.0)
 
 
 def counter_twist_decomposition(
     model: LMGModel, space: DickeSpace
-) -> tuple[SpinOperator, SpinOperator]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Split the model into counter-twisting terms about the x and z axes.
 
     Returns (chi (1-gamma) Sx^2, -chi gamma Sz^2); their sum plus
@@ -213,12 +212,12 @@ def frame_unitary(model: LMGModel, space: DickeSpace) -> np.ndarray:
 
 def pairwise_collective_hamiltonian(
     coupling: CouplingMatrix, space: DickeSpace
-) -> SpinOperator:
+) -> np.ndarray:
     """Lab-frame collective form 2 sum_ab chi_ab S_a S_b (constant excluded)."""
-    ops = [collective_operator(space, lbl).matrix for lbl in ("Sx", "Sy", "Sz")]
+    ops = [collective_operator(space, lbl) for lbl in ("Sx", "Sy", "Sz")]
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     sym = 0.5 * (coupling.chi + coupling.chi.T)
     for a in range(3):
         for b in range(3):
             mat += 2.0 * sym[a, b] * (ops[a] @ ops[b])
-    return SpinOperator(matrix=mat, label="custom")
+    return _frozen(mat)

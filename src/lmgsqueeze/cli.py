@@ -187,6 +187,8 @@ def validate_config(raw: dict) -> dict:
     cfg["n_grid"] = [
         _require_number({"n_grid": n}, "n_grid", lo=1, integer=True) for n in cfg["n_grid"]
     ]
+    if len(set(cfg["n_grid"])) < 2:
+        _fail("n_grid", f"a slope needs at least two distinct N, got {cfg['n_grid']}")
     if not isinstance(cfg["variants"], (list, tuple)) or not cfg["variants"]:
         _fail("variants", "expected a non-empty array")
     cfg["variants"] = list(cfg["variants"])
@@ -362,30 +364,17 @@ def _add_common_flags(parser: argparse.ArgumentParser):
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    for key in (
-        "seed",
-        "workers",
-        "chi",
-        "gamma",
-        "n_spins",
-        "axis",
-        "branch",
-        "max_step",
-        "cycles",
-        "channel",
-        "relative_sigma",
-        "n_runs",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "coupling", None) is not None:
+    overrides = {
+        key: value
+        for key, value in vars(args).items()
+        if value is not None and key not in ("command", "config", "coupling", "out")
+    }
+    if args.coupling is not None:
         try:
             overrides["coupling"] = [float(x) for x in args.coupling.split(",")]
         except ValueError as exc:
             raise ConfigError(f"coupling: {exc}") from exc
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         overrides["output_dir"] = args.out
     return overrides
 

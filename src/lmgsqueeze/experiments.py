@@ -60,22 +60,8 @@ from .propagate import (
 from .pulses import PulseDesign, design, effective_hamiltonian, schedule
 from .states import BlochAngles, SpinState, coherent_generator_eig, coherent_state
 
-NOISE_CHANNELS = (
-    "pulse_separation",
-    "pulse_area",
-    "pulse_phase",
-    "gamma",
-    "chi",
-    "atom_number",
-)
-DEFAULT_SCOPES = {
-    "pulse_separation": "per_segment",
-    "pulse_area": "per_pulse",
-    "pulse_phase": "per_pulse",
-    "gamma": "per_run",
-    "chi": "per_run",
-    "atom_number": "per_run",
-}
+# Each channel and its scopes, the default first; the key order fixes the
+# order in which the per-run channel streams are spawned.
 ALLOWED_SCOPES = {
     "pulse_separation": ("per_segment", "per_run"),
     "pulse_area": ("per_pulse", "per_run"),
@@ -84,6 +70,7 @@ ALLOWED_SCOPES = {
     "chi": ("per_run", "per_segment"),
     "atom_number": ("per_run",),
 }
+NOISE_CHANNELS = tuple(ALLOWED_SCOPES)
 
 
 def default_horizon(n_spins: int) -> float:
@@ -118,7 +105,7 @@ class NoiseSpec:
 
     @property
     def resolved_scope(self) -> str:
-        return self.scope if self.scope is not None else DEFAULT_SCOPES[self.channel]
+        return self.scope if self.scope is not None else ALLOWED_SCOPES[self.channel][0]
 
 
 @dataclass(frozen=True)
@@ -562,6 +549,8 @@ def scaling_study(
     constant fraction of xi2_min.  The default 5.0 reproduces the single-size
     bound 0.05 at N = 100.
     """
+    if len({int(n) for n in n_grid}) < 2:
+        raise ConfigError(f"n_grid: a slope needs at least two distinct N, got {list(n_grid)}")
     known = ("OAT", "TAT", "LMG", "pulsed")
     for variant in variants:
         if variant not in known:

@@ -11,10 +11,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import optimize
 
-from .algebra import DickeSpace, build_space, collective_operator
+from .algebra import DickeSpace, Eigenbasis, build_space, collective_operator
 from .canonical import LMGModel, realize_hamiltonian
 from .errors import MeanSpinVanished, NoMinimumFound
-from .propagate import Eigenbasis, evolve, evolve_batch
+from .propagate import evolve, evolve_batch
 from .states import BlochAngles, SpinState, coherent_state
 
 CONTRAST_EPS = 1e-6
@@ -57,13 +57,10 @@ class SqueezingTrace:
         rows = zip(self.t, self.xi2, self.mean_spin.T, self.contrast, self.min_variance_axis.T)
         return tuple(SqueezingSample(float(t), float(x), m, float(c), a) for t, x, m, c, a in rows)
 
-    def xi2_values(self) -> np.ndarray:
-        return self.xi2
-
 
 def _batch_moments(space: DickeSpace, states: np.ndarray):
     """First moments (3, K) and symmetrized second moments (3, 3, K)."""
-    applied = [collective_operator(space, lbl).matrix @ states for lbl in ("Sx", "Sy")]
+    applied = [collective_operator(space, lbl) @ states for lbl in ("Sx", "Sy")]
     applied.append(space.m_values()[:, None] * states)  # Sz is diagonal
     conj = states.conj()
     mean = np.empty((3, states.shape[1]))

@@ -1,10 +1,10 @@
 """Exact time evolution under piecewise-constant Hamiltonians.
 
 Evolution uses the Hermitian eigendecomposition of each Hamiltonian, held
-in an Eigenbasis that the caller builds once and passes in, so schedules
-that reuse the same two Hamiltonians thousands of times pay for two
-factorizations; a real quadratic form, which conserves Sz-parity, can be
-factored as two real blocks of half the size.  Pulses are instantaneous
+in an ``algebra.Eigenbasis`` that the caller builds once and passes in, so
+schedules that reuse the same two Hamiltonians thousands of times pay for
+two factorizations; a real quadratic form, which conserves Sz-parity, can
+be factored as two real blocks of half the size.  Pulses are instantaneous
 unitaries (Rabi limit).
 ``run_cycles`` is the one executor that applies segments to a state: pulse
 schedules and every noisy trajectory (a perturbed copy of a schedule's
@@ -18,74 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DickeSpace, SpinOperator, build_space
+from .algebra import DickeSpace, Eigenbasis, build_space
+from .algebra import hamiltonian_eig  # noqa: F401  (re-exported: part of this module's API)
 from .canonical import CouplingMatrix, LMGModel, realize_hamiltonian
-from .errors import DimensionMismatch, NotHermitian, TooLarge
+from .errors import DimensionMismatch, TooLarge
 from .states import BlochAngles, SpinState, rotate_state, rotation
 
-HERMITICITY_TOL = 1e-10
 FULL_SPACE_MAX_SPINS = 12
-
-
-def hamiltonian_eig(hamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a Hermitian matrix (else NotHermitian)."""
-    mat = hamiltonian.matrix if isinstance(hamiltonian, SpinOperator) else np.asarray(hamiltonian)
-    scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
-    if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL * scale:
-        raise NotHermitian("hamiltonian is not Hermitian")
-    return np.linalg.eigh(mat)
-
-
-@dataclass(frozen=True)
-class Eigenbasis:
-    """Eigenvalues ``w``, eigenvector columns ``v`` and ``vh = v.conj().T``
-    of one Hermitian Hamiltonian, factored once and reused for every time."""
-
-    w: np.ndarray
-    v: np.ndarray
-    vh: np.ndarray
-
-    @classmethod
-    def of(cls, hamiltonian) -> "Eigenbasis":
-        """Factor ``hamiltonian`` (an Eigenbasis is returned as it is)."""
-        if isinstance(hamiltonian, Eigenbasis):
-            return hamiltonian
-        w, v = hamiltonian_eig(hamiltonian)
-        return cls(w=w, v=v, vh=v.conj().T)
-
-    @classmethod
-    def of_quadratic_form(cls, matrix) -> "Eigenbasis":
-        """Factor a real symmetric a Sx^2 + b Sy^2 + c Sz^2 by Sz-parity.
-
-        Such a matrix couples m only to m +- 2, so its even- and odd-index
-        blocks are independent real problems of about half the size.  Any
-        matrix with an imaginary part, an asymmetry or a nonzero off the
-        diagonals 0 and +-2 raises ValueError.
-        """
-        mat = np.asarray(matrix)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        bands = [np.diagonal(mat, k) for k in (0, 2, -2)]
-        if np.count_nonzero(mat) != sum(np.count_nonzero(band) for band in bands):
-            raise ValueError("quadratic form has entries off the diagonals 0 and +-2")
-        if any(np.any(np.imag(band)) for band in bands):
-            raise ValueError("quadratic form is not real")
-        if np.any(bands[1] != bands[2]):
-            raise ValueError("quadratic form is not symmetric")
-        real = mat.real
-        w_even, v_even = np.linalg.eigh(real[0::2, 0::2])
-        w_odd, v_odd = np.linalg.eigh(real[1::2, 1::2])
-        w = np.concatenate([w_even, w_odd])
-        v = np.zeros(mat.shape, dtype=complex)
-        v[0::2, : w_even.size] = v_even
-        v[1::2, w_even.size :] = v_odd
-        order = np.argsort(w, kind="stable")
-        v = v[:, order]
-        return cls(w=w[order], v=v, vh=v.conj().T)
-
-    def propagate(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i H t) applied to an amplitude vector."""
-        return self.v @ (np.exp(-1j * self.w * t) * (self.vh @ amplitudes))
 
 
 def evolve(state: SpinState, hamiltonian, t: float) -> SpinState:
@@ -114,8 +53,8 @@ class FreeSegment:
     hamiltonian: object = None
 
     def __post_init__(self):
-        if self.duration < 0.0:
-            raise ValueError(f"segment duration must be >= 0, got {self.duration}")
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError(f"segment duration must be finite and >= 0, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -216,11 +155,9 @@ def schedule_unitary(schedule: PulseSchedule, model: LMGModel, space: DickeSpace
     un = np.eye(space.dim, dtype=complex)
     for seg in _resolved_cycle(schedule, model, space):
         if isinstance(seg, FreeSegment):
-            basis = seg.hamiltonian
-            step = (basis.v * np.exp(-1j * basis.w * seg.duration)) @ basis.vh
+            un = seg.hamiltonian.unitary(seg.duration) @ un
         else:
-            step = rotation(space, seg.axis, seg.angle).matrix
-        un = step @ un
+            un = rotation(space, seg.axis, seg.angle) @ un
     return un
 
 

@@ -19,7 +19,9 @@ all, for any gamma in [0, 1/2).
 import math
 from dataclasses import dataclass
 
-from .algebra import DickeSpace, SpinOperator, quadratic_form
+import numpy as np
+
+from .algebra import DickeSpace, quadratic_form
 from .canonical import LMGModel
 from .errors import XAxisImpossible
 from .propagate import FreeSegment, PulseSegment, PulseSchedule
@@ -132,8 +134,8 @@ def schedule(
     pulse(axis, -pi/2), free(t1), which reproduces the single-period
     propagator exp(-i Ha chi' t1) exp(-i Hb chi' t2) exactly.
     """
-    if total_time <= 0.0:
-        raise ValueError(f"total_time must be > 0, got {total_time}")
+    if not 0.0 < total_time < math.inf:
+        raise ValueError(f"total_time must be finite and > 0, got {total_time}")
     if cycles is None:
         if max_step <= 0.0:
             raise ValueError(f"max_step must be > 0, got {max_step}")
@@ -161,7 +163,7 @@ def schedule(
 
 def effective_hamiltonian(
     design_: PulseDesign, model: LMGModel, space: DickeSpace
-) -> SpinOperator:
+) -> np.ndarray:
     """Exact first-order stroboscopic generator (t1 Ha + t2 Hb)/(t1 + t2).
 
     Equals chi_eff times the effective form plus the exact S^2 remainder, so
@@ -181,8 +183,7 @@ def effective_hamiltonian(
             chi * (f1 * gamma + f2 * conj[1]),
             chi * f2 * conj[2],
         )
-    op = quadratic_form(space, *coeffs)
-    return SpinOperator(matrix=op.matrix, label="custom")
+    return quadratic_form(space, *coeffs)
 
 
 @dataclass(frozen=True)

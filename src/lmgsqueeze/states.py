@@ -1,8 +1,9 @@
 """Coherent spin states and exact rotations.
 
-Rotations are realized through the eigendecomposition of their Hermitian
-generator, never by series truncation, so unitarity holds to machine
-precision.  Global phases are unconstrained throughout.
+Rotations about x and y and coherent-state preparation are applied through
+the Eigenbasis of their Hermitian generator, never by series truncation, so
+unitarity holds to machine precision; a rotation about z is a diagonal
+phase.  Global phases are unconstrained throughout.
 """
 
 import math
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DickeSpace, SpinOperator, _frozen, collective_operator
+from .algebra import DickeSpace, Eigenbasis, collective_operator
 
 _AXES = ("x", "y", "z")
 
@@ -49,16 +50,15 @@ class SpinState:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def expectation(self, operator) -> complex:
-        mat = operator.matrix if isinstance(operator, SpinOperator) else operator
-        return complex(np.vdot(self.amplitudes, mat @ self.amplitudes))
+    def expectation(self, operator: np.ndarray) -> complex:
+        return complex(np.vdot(self.amplitudes, operator @ self.amplitudes))
 
 
-def coherent_generator_eig(space: DickeSpace, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the coherent-state generator sin(phi) Sx - cos(phi) Sy."""
-    sx = collective_operator(space, "Sx").matrix
-    sy = collective_operator(space, "Sy").matrix
-    return np.linalg.eigh(math.sin(phi) * sx - math.cos(phi) * sy)
+def coherent_generator_eig(space: DickeSpace, phi: float) -> Eigenbasis:
+    """Eigenbasis of the coherent-state generator sin(phi) Sx - cos(phi) Sy."""
+    sx = collective_operator(space, "Sx")
+    sy = collective_operator(space, "Sy")
+    return Eigenbasis.of_eigh(*np.linalg.eigh(math.sin(phi) * sx - math.cos(phi) * sy))
 
 
 def coherent_state(space: DickeSpace, angles: BlochAngles, generator_eig=None) -> SpinState:
@@ -70,35 +70,29 @@ def coherent_state(space: DickeSpace, angles: BlochAngles, generator_eig=None) -
     """
     if generator_eig is None:
         generator_eig = coherent_generator_eig(space, angles.phi)
-    w, v = generator_eig
-    # exp(i theta G) applied to |j, j> (basis index 0)
-    amps = v @ (np.exp(1j * angles.theta * w) * np.conj(v[0, :]))
-    amps = amps / np.linalg.norm(amps)
-    return SpinState(amplitudes=amps, space=space)
+    top = np.zeros(space.dim, dtype=complex)
+    top[0] = 1.0  # |j, j>
+    amps = generator_eig.propagate(top, -angles.theta)
+    return SpinState(amplitudes=amps / np.linalg.norm(amps), space=space)
 
 
-def _axis_eig(space: DickeSpace, axis: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvectors, v.conj().T) of S_axis, held by the space."""
-
-    def build():
-        w, v = np.linalg.eigh(collective_operator(space, "S" + axis).matrix)
-        return _frozen(w), _frozen(v), _frozen(v.conj().T)
-
-    return space.built("eig" + axis, build)
+def _axis_eig(space: DickeSpace, axis: str) -> Eigenbasis:
+    """Eigenbasis of S_axis, held by the space."""
+    return space.built(
+        "eig" + axis,
+        lambda: Eigenbasis.of_eigh(*np.linalg.eigh(collective_operator(space, "S" + axis))),
+    )
 
 
-def rotation(space: DickeSpace, axis: str, angle: float) -> SpinOperator:
+def rotation(space: DickeSpace, axis: str, angle: float) -> np.ndarray:
     """Unitary rotation exp(-i angle S_axis) as a dense matrix."""
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
     if not np.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
     if axis == "z":
-        mat = np.diag(np.exp(-1j * angle * space.m_values()))
-    else:
-        w, v, vh = _axis_eig(space, axis)
-        mat = (v * np.exp(-1j * angle * w)) @ vh
-    return SpinOperator(matrix=mat, label=f"R{axis}")
+        return np.diag(np.exp(-1j * angle * space.m_values()))
+    return _axis_eig(space, axis).unitary(angle)
 
 
 def rotate_state(state: SpinState, axis: str, angle: float) -> SpinState:
@@ -106,8 +100,7 @@ def rotate_state(state: SpinState, axis: str, angle: float) -> SpinState:
     if axis == "z":
         amps = np.exp(-1j * angle * state.space.m_values()) * state.amplitudes
     else:
-        w, v, vh = _axis_eig(state.space, axis)
-        amps = v @ (np.exp(-1j * angle * w) * (vh @ state.amplitudes))
+        amps = _axis_eig(state.space, axis).propagate(state.amplitudes, angle)
     return SpinState(amplitudes=amps, space=state.space)
 
 
@@ -119,10 +112,8 @@ def rotation_about(space: DickeSpace, axis_vector: np.ndarray, angle: float) -> 
         return np.eye(space.dim, dtype=complex)
     n = n / norm
     gen = (
-        n[0] * collective_operator(space, "Sx").matrix
-        + n[1] * collective_operator(space, "Sy").matrix
-        + n[2] * collective_operator(space, "Sz").matrix
+        n[0] * collective_operator(space, "Sx")
+        + n[1] * collective_operator(space, "Sy")
+        + n[2] * collective_operator(space, "Sz")
     )
-    w, v = np.linalg.eigh(gen)
-    return (v * np.exp(-1j * angle * w)) @ v.conj().T
-
+    return Eigenbasis.of_eigh(*np.linalg.eigh(gen)).unitary(angle)

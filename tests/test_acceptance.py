@@ -47,7 +47,7 @@ def test_criterion_01_operator_algebra():
     worst_casimir = 0.0
     for n in (1, 2, 6, 20, 100):
         space = build_space(n)
-        s = {lbl: collective_operator(space, lbl).matrix for lbl in ("Sx", "Sy", "Sz")}
+        s = {lbl: collective_operator(space, lbl) for lbl in ("Sx", "Sy", "Sz")}
         for a, b, c in (("Sx", "Sy", "Sz"), ("Sy", "Sz", "Sx"), ("Sz", "Sx", "Sy")):
             comm = s[a] @ s[b] - s[b] @ s[a] - 1j * s[c]
             worst_comm = max(worst_comm, float(np.max(np.abs(comm))))
@@ -79,7 +79,7 @@ def test_criterion_02_product_space_oracle():
             u_frame = frame_unitary(model, space)
             psi = coherent_state(space, angles)
             canonical = SpinState(u_frame @ psi.amplitudes, space)
-            evolved = evolve(canonical, model.sign * realize_hamiltonian(model, space).matrix, t)
+            evolved = evolve(canonical, model.sign * realize_hamiltonian(model, space), t)
             lab = (u_frame.conj().T @ evolved.amplitudes) * np.exp(
                 -1j * model.dropped_constant * t
             )
@@ -201,7 +201,7 @@ def test_criterion_09_bch_convergence_order():
     space = build_space(100)
     model = from_chi_gamma(1.0, 0.1, 100)
     design_ = design(model, "z", "A")
-    h_eff = effective_hamiltonian(design_, model, space).matrix
+    h_eff = effective_hamiltonian(design_, model, space)
     w, v = np.linalg.eigh(h_eff)
     errors = []
     t_c = 0.1 / (model.chi * model.n_spins)

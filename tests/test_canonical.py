@@ -112,9 +112,9 @@ def test_spectrum_preservation(seed):
     n = 6
     model = canonicalize(coupling, n)
     space = build_space(n)
-    direct = pairwise_collective_hamiltonian(coupling, space).matrix
+    direct = pairwise_collective_hamiltonian(coupling, space)
     pair_constant = -0.5 * n * np.trace(coupling.chi)
-    canon = model.sign * realize_hamiltonian(model, space).matrix + (
+    canon = model.sign * realize_hamiltonian(model, space) + (
         model.dropped_constant - pair_constant
     ) * np.eye(space.dim)
     got = np.sort(np.linalg.eigvalsh(canon))
@@ -124,11 +124,11 @@ def test_spectrum_preservation(seed):
 
 def test_realize_oat_and_tat_forms():
     space = build_space(4)
-    sx = collective_operator(space, "Sx").matrix
-    oat = realize_hamiltonian(from_chi_gamma(1.0, 0.0, 4), space).matrix
+    sx = collective_operator(space, "Sx")
+    oat = realize_hamiltonian(from_chi_gamma(1.0, 0.0, 4), space)
     assert np.max(np.abs(oat - sx @ sx)) < 1e-12
-    tat = realize_hamiltonian(from_chi_gamma(1.0, 0.5, 4), space).matrix
-    assert np.max(np.abs(tat - 0.5 * quadratic_form(space, 2.0, 1.0, 0.0).matrix)) < 1e-12
+    tat = realize_hamiltonian(from_chi_gamma(1.0, 0.5, 4), space)
+    assert np.max(np.abs(tat - 0.5 * quadratic_form(space, 2.0, 1.0, 0.0))) < 1e-12
 
 
 def test_zero_chi_rejected():
@@ -153,15 +153,15 @@ def test_counter_twist_symmetric_at_half():
     space = build_space(4)
     model = from_chi_gamma(1.0, 0.5, 4)
     x_twist, z_twist = counter_twist_decomposition(model, space)
-    assert np.max(np.abs(x_twist.matrix - 0.5 * quadratic_form(space, 1, 0, 0).matrix)) < 1e-12
-    assert np.max(np.abs(z_twist.matrix + 0.5 * quadratic_form(space, 0, 0, 1).matrix)) < 1e-12
+    assert np.max(np.abs(x_twist - 0.5 * quadratic_form(space, 1, 0, 0))) < 1e-12
+    assert np.max(np.abs(z_twist + 0.5 * quadratic_form(space, 0, 0, 1))) < 1e-12
 
 
 def test_counter_twist_oat_limit():
     space = build_space(4)
     x_twist, z_twist = counter_twist_decomposition(from_chi_gamma(1.0, 0.0, 4), space)
-    assert np.max(np.abs(x_twist.matrix - quadratic_form(space, 1, 0, 0).matrix)) < 1e-12
-    assert np.max(np.abs(z_twist.matrix)) == 0.0
+    assert np.max(np.abs(x_twist - quadratic_form(space, 1, 0, 0))) < 1e-12
+    assert np.max(np.abs(z_twist)) == 0.0
 
 
 @pytest.mark.parametrize("gamma", [0.25, 0.4])
@@ -169,6 +169,6 @@ def test_counter_twist_sum_identity(gamma):
     space = build_space(6)
     model = from_chi_gamma(1.3, gamma, 6)
     x_twist, z_twist = counter_twist_decomposition(model, space)
-    s2 = quadratic_form(space, 1.0, 1.0, 1.0).matrix
-    total = x_twist.matrix + z_twist.matrix + model.chi * model.gamma * s2
-    assert np.max(np.abs(total - realize_hamiltonian(model, space).matrix)) < 1e-10
+    s2 = quadratic_form(space, 1.0, 1.0, 1.0)
+    total = x_twist + z_twist + model.chi * model.gamma * s2
+    assert np.max(np.abs(total - realize_hamiltonian(model, space))) < 1e-10

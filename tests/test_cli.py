@@ -182,6 +182,17 @@ def test_oversized_spin_count_exits_before_allocating(tmp_path):
     assert not (tmp_path / "big").exists()
 
 
+@pytest.mark.parametrize("extra", [{"n_grid": [20]}, {"n_grid": [20, 20], "variants": ["OAT"]}])
+def test_scaling_needs_two_distinct_spin_counts(tmp_path, extra):
+    config = dict(MINIMAL, experiment="scaling", output_dir="s", **extra)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = cli(["scaling", "--config", str(path)], tmp_path)
+    assert out.returncode == 2
+    assert "n_grid" in out.stderr
+    assert not (tmp_path / "s").exists()
+
+
 def test_noise_zero_sigma_identical_columns(tmp_path):
     config = {
         "chi": 1.0,

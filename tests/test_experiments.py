@@ -230,6 +230,12 @@ def test_scaling_study_small():
         assert t_min > 0.0
 
 
+@pytest.mark.parametrize("n_grid", [[20], [20, 20], [20, 20.0]])
+def test_scaling_rejects_fewer_than_two_distinct_sizes(n_grid):
+    with pytest.raises(ConfigError, match="n_grid"):
+        scaling_study(0.1, n_grid, variants=("OAT",))
+
+
 def test_scaling_rejects_unknown_variant():
     with pytest.raises(ConfigError):
         scaling_study(0.1, [8, 12], variants=("OAT", "bogus"))
@@ -250,7 +256,7 @@ def test_noise_zero_sigma_reproduces_schedule(channel, scope, axis):
     psi = coherent_state(build_space(N_SMALL), design_.optimal_initial)
     trace = run_schedule(psi, sch, model)
     stats = result.tables["trace_stats"].rows
-    clean = trace.xi2_values()
+    clean = trace.xi2
     assert len(stats) == len(clean)
     for row, xi2 in zip(stats, clean):
         assert row[3] == pytest.approx(xi2, abs=1e-12)

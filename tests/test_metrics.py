@@ -23,7 +23,7 @@ def brute_force_xi2(state, n_angles=3600):
     """Independent oracle: scan perpendicular directions for the minimal
     variance, building everything from raw operator expectation values."""
     space = state.space
-    s_ops = [collective_operator(space, lbl).matrix for lbl in ("Sx", "Sy", "Sz")]
+    s_ops = [collective_operator(space, lbl) for lbl in ("Sx", "Sy", "Sz")]
     psi = state.amplitudes
     mean = np.array([np.vdot(psi, op @ psi).real for op in s_ops])
     direction = mean / np.linalg.norm(mean)
@@ -104,7 +104,7 @@ def test_global_rotation_invariance():
     for _ in range(4):
         rotated = state.amplitudes
         for axis, angle in zip("zyz", rng.uniform(0, 2 * math.pi, size=3)):
-            rotated = rotation(space, axis, float(angle)).matrix @ rotated
+            rotated = rotation(space, axis, float(angle)) @ rotated
         assert squeezing_parameter(SpinState(rotated, space)).xi2 == pytest.approx(
             xi2, abs=1e-8
         )
@@ -132,7 +132,7 @@ def test_degenerate_covariance_at_t0():
     n2 = np.cross(sample.mean_spin / np.linalg.norm(sample.mean_spin), n1)
     for axis in (n1, n2):
         op = sum(
-            float(axis[i]) * collective_operator(space, lbl).matrix
+            float(axis[i]) * collective_operator(space, lbl)
             for i, lbl in enumerate(("Sx", "Sy", "Sz"))
         )
         psi = state.amplitudes
@@ -266,7 +266,7 @@ def one_axis_twisting_xi2(n):
     3 / N^(2/3), past the first minimum."""
     space = build_space(n)
     hamiltonian = realize_hamiltonian(from_chi_gamma(1.0, 0.0, n), space)
-    basis = Eigenbasis.of_quadratic_form(hamiltonian.matrix)
+    basis = Eigenbasis.of_quadratic_form(hamiltonian)
     times = np.linspace(0.0, 3.0 / n ** (2.0 / 3.0), 200)[1:]
     psi = coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
     xi2, _, _, _ = batch_squeezing(space, evolve_batch(psi, basis, times))

@@ -32,7 +32,7 @@ def container_lengths() -> dict:
 
 def test_experiments_leave_module_state_unchanged():
     before = container_lengths()
-    assert ("lmgsqueeze.experiments", "DEFAULT_SCOPES") in before
+    assert ("lmgsqueeze.experiments", "ALLOWED_SCOPES") in before
     model = from_chi_gamma(1.0, 0.1, 23)
     evolve_trace(model, BlochAngles(math.pi / 2, math.pi / 2), grid_points=200)
     compare_pulsed(model)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lmgsqueeze import propagate
+from lmgsqueeze import algebra, propagate
 from lmgsqueeze.algebra import build_space, collective_operator, quadratic_form
 from lmgsqueeze.canonical import CouplingMatrix, canonicalize, frame_unitary, from_chi_gamma, realize_hamiltonian
 from lmgsqueeze.errors import NotHermitian, TooLarge
@@ -23,7 +23,7 @@ from lmgsqueeze.propagate import (
     schedule_unitary,
 )
 from lmgsqueeze.pulses import design, effective_hamiltonian, schedule
-from lmgsqueeze.states import BlochAngles, SpinState, coherent_state
+from lmgsqueeze.states import BlochAngles, SpinState, coherent_state, rotate_state, rotation
 
 
 def test_zero_hamiltonian_and_zero_time():
@@ -111,8 +111,8 @@ def test_one_cycle_matches_closed_form():
     for axis, conj_coeffs in (("z", (0.1, 1.0, 0.0)), ("y", (0.0, 0.1, 1.0))):
         sched = schedule(design(model, axis, "A"), model, total_time=0.01, cycles=1)
         got = schedule_unitary(sched, model, space)
-        w_a, v_a = np.linalg.eigh(quadratic_form(space, 1.0, 0.1, 0.0).matrix)
-        w_b, v_b = np.linalg.eigh(quadratic_form(space, *conj_coeffs).matrix)
+        w_a, v_a = np.linalg.eigh(quadratic_form(space, 1.0, 0.1, 0.0))
+        w_b, v_b = np.linalg.eigh(quadratic_form(space, *conj_coeffs))
         expected = (
             (v_a * np.exp(-1j * w_a * sched.t1)) @ v_a.conj().T
             @ (v_b * np.exp(-1j * w_b * sched.t2)) @ v_b.conj().T
@@ -125,7 +125,7 @@ def test_bch_error_second_order():
     space = build_space(20)
     model = from_chi_gamma(1.0, 0.1, 20)
     design_ = design(model, "z", "A")
-    h_eff = effective_hamiltonian(design_, model, space).matrix
+    h_eff = effective_hamiltonian(design_, model, space)
     w, v = np.linalg.eigh(h_eff)
     errors = []
     t_c = 0.1 / (model.chi * model.n_spins)
@@ -154,7 +154,7 @@ def dicke_side_evolution(coupling, n, angles, t):
     psi = coherent_state(space, angles)
     canonical = SpinState(u_frame @ psi.amplitudes, space)
     ham = realize_hamiltonian(model, space)
-    evolved = evolve(canonical, model.sign * ham.matrix, t)
+    evolved = evolve(canonical, model.sign * ham, t)
     lab = u_frame.conj().T @ evolved.amplitudes
     return lab * np.exp(-1j * model.dropped_constant * t), model
 
@@ -206,8 +206,13 @@ def test_full_space_size_cap():
 
 
 def test_segment_duration_validation():
-    with pytest.raises(ValueError):
-        FreeSegment(duration=-0.1)
+    for bad in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            FreeSegment(duration=bad)
+    model = from_chi_gamma(1.0, 0.1, 6)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            schedule(design(model, "z", "A"), model, bad, cycles=3)
     PulseSegment(axis="z", angle=-math.pi / 2)  # any finite angle is fine
 
 
@@ -301,7 +306,7 @@ COEFFICIENT = st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)
 @example(a=1.0, b=0.1, c=0.0, n=39, tau=3.0)
 def test_quadratic_form_basis_matches_dense(a, b, c, n, tau):
     space = build_space(n)
-    ham = quadratic_form(space, a, b, c).matrix
+    ham = quadratic_form(space, a, b, c)
     norm = np.linalg.norm(ham, 2)
     parity = Eigenbasis.of_quadratic_form(ham)
     dense = Eigenbasis.of(ham)
@@ -322,7 +327,7 @@ def test_quadratic_form_basis_casimir_oracle(n):
     a = 0.7
     space = build_space(n)
     j, m = space.j, space.m_values()
-    ham = quadratic_form(space, a, a, 0.0).matrix
+    ham = quadratic_form(space, a, a, 0.0)
     energies = a * (j * (j + 1) - m**2)
     basis = Eigenbasis.of_quadratic_form(ham)
     scale = np.max(np.abs(energies))
@@ -337,9 +342,9 @@ def test_quadratic_form_basis_casimir_oracle(n):
 
 def test_quadratic_form_basis_rejects_other_matrices():
     space = build_space(6)
-    sx = collective_operator(space, "Sx").matrix
-    sy = collective_operator(space, "Sy").matrix
-    asymmetric = quadratic_form(space, 1.0, 0.2, 0.0).matrix.copy()
+    sx = collective_operator(space, "Sx")
+    sy = collective_operator(space, "Sy")
+    asymmetric = quadratic_form(space, 1.0, 0.2, 0.0).copy()
     asymmetric[0, 2] += 0.1
     for bad in (sx, sx @ sy + sy @ sx, asymmetric, np.ones((3, 4))):
         with pytest.raises(ValueError):
@@ -354,7 +359,7 @@ def test_per_segment_gamma_noise_skips_dense_eigensolver(monkeypatch):
         calls.append(1)
         return dense(hamiltonian)
 
-    monkeypatch.setattr(propagate, "hamiltonian_eig", counting)
+    monkeypatch.setattr(algebra, "hamiltonian_eig", counting)
     model = from_chi_gamma(1.0, 0.1, 12)
     result = noise_monte_carlo(
         model,
@@ -367,3 +372,48 @@ def test_per_segment_gamma_noise_skips_dense_eigensolver(monkeypatch):
     )
     assert len(calls) <= 1
     assert np.all(np.isfinite([row[4] for row in result.tables["runs"].rows]))
+
+
+def _inline_rotation(space, axis, angle):
+    """exp(-i angle S_axis) as the dense formula written out before
+    Eigenbasis applied it."""
+    if axis == "z":
+        return np.diag(np.exp(-1j * angle * space.m_values()))
+    w, v = np.linalg.eigh(collective_operator(space, "S" + axis))
+    return (v * np.exp(-1j * angle * w)) @ v.conj().T
+
+
+@pytest.mark.parametrize("n", [1, 20, 101])
+def test_eigenbasis_kernel_keeps_the_inline_bytes(n):
+    # The seed-0 pulsed reference depends on the rounding of these
+    # exponentials, so each must equal, bit for bit, the formula it replaced.
+    space = build_space(n)
+    state = coherent_state(space, BlochAngles(1.1, 0.4))
+    for axis in ("x", "y"):
+        w, v = np.linalg.eigh(collective_operator(space, "S" + axis))
+        for angle in (math.pi / 2, -math.pi / 2, 0.3731, -1.2e-3):
+            inline = v @ (np.exp(-1j * angle * w) * (v.conj().T @ state.amplitudes))
+            assert np.array_equal(rotate_state(state, axis, angle).amplitudes, inline)
+            dense = (v * np.exp(-1j * angle * w)) @ v.conj().T
+            assert np.array_equal(rotation(space, axis, angle), dense)
+
+    sx, sy = collective_operator(space, "Sx"), collective_operator(space, "Sy")
+    for theta in (0.0, math.pi / 2, 17 * math.pi / 32, math.pi):
+        for phi in (0.0, 1.5232, 4.76):
+            w, v = np.linalg.eigh(math.sin(phi) * sx - math.cos(phi) * sy)
+            inline = v @ (np.exp(1j * theta * w) * np.conj(v[0, :]))
+            coherent = coherent_state(space, BlochAngles(theta, phi)).amplitudes
+            assert np.array_equal(coherent, inline / np.linalg.norm(inline))
+
+    model = from_chi_gamma(1.0, 0.1, n)
+    w, v = np.linalg.eigh(realize_hamiltonian(model, space))
+    for axis in ("z", "y"):
+        sched = schedule(design(model, axis, "A"), model, total_time=0.05, cycles=3)
+        inline = np.eye(space.dim, dtype=complex)
+        for seg in sched.segments:
+            if isinstance(seg, FreeSegment):
+                step = (v * np.exp(-1j * w * seg.duration)) @ v.conj().T
+            else:
+                step = _inline_rotation(space, seg.axis, seg.angle)
+            inline = step @ inline
+        assert np.array_equal(schedule_unitary(sched, model, space), inline)

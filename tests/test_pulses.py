@@ -76,21 +76,21 @@ def test_z_timing_consistency(gamma, branch, target):
 def test_effective_form_equivalence_to_two_axis():
     # Sx^2 + 2 Sy^2 - S^2 == Sy^2 - Sz^2
     space = build_space(12)
-    lhs = quadratic_form(space, 1, 2, 0).matrix - quadratic_form(space, 1, 1, 1).matrix
-    rhs = quadratic_form(space, 0, 1, -1).matrix
+    lhs = quadratic_form(space, 1, 2, 0) - quadratic_form(space, 1, 1, 1)
+    rhs = quadratic_form(space, 0, 1, -1)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_effective_hamiltonian_identities():
     space = build_space(10)
     model = from_chi_gamma(1.0, 0.1, 10)
-    h_z = effective_hamiltonian(design(model, "z", "A"), model, space).matrix
-    target_z = (1.1 / 3.0) * quadratic_form(space, 1.0, 2.0, 0.0).matrix
+    h_z = effective_hamiltonian(design(model, "z", "A"), model, space)
+    target_z = (1.1 / 3.0) * quadratic_form(space, 1.0, 2.0, 0.0)
     assert np.max(np.abs(h_z - target_z)) < 1e-12
-    h_y = effective_hamiltonian(design(model, "y", "A"), model, space).matrix
-    target_y = (0.8 / 3.0) * quadratic_form(space, 1.0, -1.0, 0.0).matrix + (
+    h_y = effective_hamiltonian(design(model, "y", "A"), model, space)
+    target_y = (0.8 / 3.0) * quadratic_form(space, 1.0, -1.0, 0.0) + (
         1.1 / 3.0
-    ) * quadratic_form(space, 1.0, 1.0, 1.0).matrix
+    ) * quadratic_form(space, 1.0, 1.0, 1.0)
     assert np.max(np.abs(h_y - target_y)) < 1e-12
 
 
@@ -167,7 +167,7 @@ def test_no_pulse_schedule_is_free_evolution():
         refine=False,
         allow_unbracketed=True,
     )
-    assert np.allclose(trace.xi2_values(), direct.xi2_values(), atol=1e-9)
+    assert np.allclose(trace.xi2, direct.xi2, atol=1e-9)
 
 
 def test_design_validation():

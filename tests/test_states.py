@@ -72,13 +72,13 @@ def test_mean_spin_direction_grid():
 @pytest.mark.parametrize("axis", ["x", "y", "z"])
 def test_rotation_unitary(axis):
     space = build_space(9)
-    u = rotation(space, axis, 0.7).matrix
+    u = rotation(space, axis, 0.7)
     assert np.max(np.abs(u @ u.conj().T - np.eye(space.dim))) < 1e-10
 
 
 def test_full_turn_pair_is_identity():
     space = build_space(6)
-    u = rotation(space, "z", 2 * math.pi).matrix @ rotation(space, "z", -2 * math.pi).matrix
+    u = rotation(space, "z", 2 * math.pi) @ rotation(space, "z", -2 * math.pi)
     assert np.max(np.abs(u - np.eye(space.dim))) < 1e-12
 
 
@@ -86,7 +86,7 @@ def test_y_quarter_turn_gives_equatorial_state():
     space = build_space(10)
     top = np.zeros(space.dim, dtype=complex)
     top[0] = 1.0
-    rotated = rotation(space, "y", math.pi / 2).matrix @ top
+    rotated = rotation(space, "y", math.pi / 2) @ top
     target = coherent_state(space, BlochAngles(math.pi / 2, 0.0)).amplitudes
     assert abs(abs(np.vdot(target, rotated)) - 1.0) < 1e-10
 
@@ -94,10 +94,10 @@ def test_y_quarter_turn_gives_equatorial_state():
 def test_pulse_conjugation_identity():
     # R_{z,-pi/2} Sx^2 R_{z,+pi/2} == Sy^2
     space = build_space(8)
-    sx = collective_operator(space, "Sx").matrix
-    sy = collective_operator(space, "Sy").matrix
-    r_minus = rotation(space, "z", -math.pi / 2).matrix
-    r_plus = rotation(space, "z", math.pi / 2).matrix
+    sx = collective_operator(space, "Sx")
+    sy = collective_operator(space, "Sy")
+    r_minus = rotation(space, "z", -math.pi / 2)
+    r_plus = rotation(space, "z", math.pi / 2)
     conjugated = r_minus @ (sx @ sx) @ r_plus
     assert np.max(np.abs(conjugated - sy @ sy)) < 1e-10
 
@@ -114,7 +114,7 @@ def test_rotate_state_matches_matrix():
     space = build_space(7)
     state = coherent_state(space, BlochAngles(0.9, 1.8))
     fast = rotate_state(state, "y", 0.6).amplitudes
-    dense = rotation(space, "y", 0.6).matrix @ state.amplitudes
+    dense = rotation(space, "y", 0.6) @ state.amplitudes
     assert np.max(np.abs(fast - dense)) < 1e-12
 
 
@@ -143,7 +143,7 @@ def test_first_use_from_many_threads_matches_serial():
 
     def work(space):
         state = SpinState(psi, space)
-        ops = [collective_operator(space, lbl).matrix for lbl in ("Sx", "Sy", "Sz")]
+        ops = [collective_operator(space, lbl) for lbl in ("Sx", "Sy", "Sz")]
         return ops + [rotate_state(state, axis, 0.7).amplitudes for axis in ("x", "y")]
 
     serial = work(build_space(n))
