@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .algebra import TRACE_BLOCKS, require_memory
 from .canonical import CouplingMatrix, canonicalize, from_chi_gamma
 from .errors import ConfigError, LmgError
 from .experiments import (
@@ -24,6 +25,7 @@ from .experiments import (
     evolve_trace,
     noise_monte_carlo,
     scaling_study,
+    sweep_bytes,
     sweep_gamma,
     sweep_initial_state,
     write_result,
@@ -192,7 +194,22 @@ def validate_config(raw: dict) -> dict:
     if not isinstance(cfg["variants"], (list, tuple)) or not cfg["variants"]:
         _fail("variants", "expected a non-empty array")
     cfg["variants"] = list(cfg["variants"])
+    if not all(isinstance(v, str) for v in cfg["variants"]):
+        _fail("variants", f"expected an array of names, got {cfg['variants']}")
+    if len(set(cfg["variants"])) < len(cfg["variants"]):
+        _fail("variants", f"each variant may appear once, got {cfg['variants']}")
     cfg["n_runs"] = _require_number(cfg, "n_runs", lo=1, integer=True)
+
+    # refuse, before anything is allocated, a trace or sweep grid whose
+    # arrays would not fit in physical memory
+    if cfg["grid_points"] is not None:
+        n = max(cfg["n_grid"]) if experiment == "scaling" else cfg["n_spins"]
+        require_memory(
+            TRACE_BLOCKS * 16 * cfg["grid_points"] * (n + 1),
+            f"traces of grid_points={cfg['grid_points']} at n_spins={n}",
+        )
+    grid = (cfg["theta_points"], cfg["phi_points"])
+    require_memory(sweep_bytes(*grid), f"the objects of a {grid[0]} x {grid[1]} sweep grid")
 
     if experiment == "noise":
         if cfg.get("channel") is None:

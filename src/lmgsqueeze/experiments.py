@@ -47,16 +47,8 @@ from . import __version__
 from .algebra import build_space, second_moment_operators
 from .canonical import LMGModel, from_chi_gamma, realize_hamiltonian
 from .errors import ConfigError
-from .metrics import (
-    batch_squeezing,
-    fit_loglog_slope,
-    minimize_hamiltonian,
-    refined_minimum,
-    trace_from_states,
-)
-from .propagate import (
-    Eigenbasis, FreeSegment, PulseSegment, evolve_batch, run_cycles, run_schedule
-)
+from .metrics import batch_squeezing, default_horizon, fit_loglog_slope, minimize_hamiltonian
+from .propagate import Eigenbasis, FreeSegment, PulseSegment, run_cycles, run_schedule
 from .pulses import PulseDesign, design, effective_hamiltonian, schedule
 from .states import BlochAngles, SpinState, coherent_generator_eig, coherent_state
 
@@ -73,12 +65,6 @@ ALLOWED_SCOPES = {
 NOISE_CHANNELS = tuple(ALLOWED_SCOPES)
 
 
-def default_horizon(n_spins: int) -> float:
-    """Dimensionless scan horizon that brackets the first minimum for any
-    gamma in [0, 1/2]; the slowest case (gamma = 0) grows like (N/2)^(1/3)."""
-    return max(8.0, 1.0 + 2.2 * (n_spins / 2.0) ** (1.0 / 3.0))
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """One Gaussian noise channel with a relative standard deviation."""
@@ -93,9 +79,9 @@ class NoiseSpec:
                 f"channel: unknown noise channel {self.channel!r}; "
                 f"expected one of {NOISE_CHANNELS}"
             )
-        if not self.relative_sigma >= 0.0:
+        if not 0.0 <= self.relative_sigma < math.inf:
             raise ConfigError(
-                f"relative_sigma: must be >= 0, got {self.relative_sigma!r}"
+                f"relative_sigma: must be finite and >= 0, got {self.relative_sigma!r}"
             )
         if self.scope is not None and self.scope not in ALLOWED_SCOPES[self.channel]:
             raise ConfigError(
@@ -183,10 +169,8 @@ def evolve_trace(
     space = build_space(model.n_spins)
     hamiltonian = realize_hamiltonian(model, space)
     psi0 = coherent_state(space, initial)
-    t_max = horizon / (model.chi * model.n_spins)
-    trace = minimize_hamiltonian(
-        space, hamiltonian, psi0, t_max, grid_points=grid_points, allow_unbracketed=True
-    )
+    times = np.linspace(0.0, horizon / (model.chi * model.n_spins), grid_points)
+    trace = minimize_hamiltonian(space, hamiltonian, psi0, times, allow_unbracketed=True)
     chi_n = model.chi * model.n_spins
     rows = tuple(
         zip(trace.t, trace.t * chi_n, trace.xi2, trace.contrast, *trace.mean_spin)
@@ -228,16 +212,25 @@ def evolve_trace(
 def _sweep_column(task):
     """First minima down one phi column of the initial-state grid, one per
     theta; the column shares one coherent-state generator eigendecomposition."""
-    space, basis, phi, thetas, t_max, grid_points = task
+    space, basis, phi, thetas, times = task
     generator_eig = coherent_generator_eig(space, phi)
     outcomes = []
     for theta in thetas:
         psi0 = coherent_state(space, BlochAngles(theta=theta, phi=phi), generator_eig)
         trace = minimize_hamiltonian(
-            space, basis, psi0, t_max, grid_points, refine=False, allow_unbracketed=True
+            space, basis, psi0, times, refine=False, allow_unbracketed=True
         )
         outcomes.append((trace.minimum.t, trace.minimum.xi2, trace.minimum.bracketed))
     return outcomes
+
+
+def sweep_bytes(theta_points: int, phi_points: int) -> int:
+    """Lower bound on the memory sweep_initial_state holds at once for its
+    grid: 256 B of Python objects per grid point (its row, orbit
+    representative and outcome) and the three float64 n x n arrays of
+    ``_orbit_representatives``, n the longer axis (tracemalloc: 290 B per
+    point on an 80 x 80 grid, 24 n^2 B on a 2 x 400 one)."""
+    return 256 * theta_points * phi_points + 24 * max(theta_points, phi_points) ** 2
 
 
 def _orbit_representatives(thetas: np.ndarray, phis: np.ndarray) -> dict:
@@ -303,7 +296,7 @@ def sweep_initial_state(
     for name, values in (("theta_grid", thetas), ("phi_grid", phis)):
         if values.size == 0:
             raise ConfigError(f"{name}: the grid is empty")
-    t_max = horizon / (model.chi * model.n_spins)
+    times = np.linspace(0.0, horizon / (model.chi * model.n_spins), grid_points)
     space = build_space(model.n_spins)
     basis = Eigenbasis.of(realize_hamiltonian(model, space))
     rep = _orbit_representatives(thetas, phis)
@@ -311,7 +304,7 @@ def sweep_initial_state(
     for k, i in rep:
         if rep[k, i] == (k, i):
             own.setdefault(k, []).append(i)
-    tasks = [(space, basis, phis[k], thetas[rows], t_max, grid_points) for k, rows in own.items()]
+    tasks = [(space, basis, phis[k], thetas[rows], times) for k, rows in own.items()]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             columns = list(pool.map(_sweep_column, tasks))
@@ -368,18 +361,13 @@ def sweep_gamma(
     horizon = default_horizon(n_spins) if horizon is None else horizon
     space = build_space(n_spins)
     psi0 = coherent_state(space, BlochAngles(theta=math.pi / 2.0, phi=math.pi / 2.0))
+    times = np.linspace(0.0, horizon / (chi * n_spins), grid_points)
     rows = []
     for gamma in gamma_grid:
         if not 0.0 <= gamma <= 0.5:
             raise ConfigError(f"gammas: values must lie in [0, 0.5], got {gamma}")
         model = from_chi_gamma(chi, float(gamma), n_spins)
-        trace = minimize_hamiltonian(
-            space,
-            realize_hamiltonian(model, space),
-            psi0,
-            horizon / (chi * n_spins),
-            grid_points=grid_points,
-        )
+        trace = minimize_hamiltonian(space, realize_hamiltonian(model, space), psi0, times)
         rows.append(
             (
                 float(gamma),
@@ -410,21 +398,14 @@ def sweep_gamma(
 # pulsed-vs-reference comparison
 # ---------------------------------------------------------------------------
 
-def _effective_start(design_: PulseDesign, model: LMGModel, space) -> tuple:
-    """Eigenbasis of the design's effective Hamiltonian and the coherent
-    state it squeezes best from."""
+def predicted_optimal_time(design_: PulseDesign, model: LMGModel, space) -> tuple:
+    """First-minimum time of the design's effective Hamiltonian from the
+    coherent state it squeezes best (used to size schedules), returned with
+    that Hamiltonian's Eigenbasis and that state."""
     h_eff = Eigenbasis.of(effective_hamiltonian(design_, model, space))
-    return h_eff, coherent_state(space, design_.optimal_initial)
-
-
-def predicted_optimal_time(design_: PulseDesign, model: LMGModel, start: tuple) -> float:
-    """First-minimum time of the effective Hamiltonian from its optimal
-    initial state (used to size schedules).  ``start``: that Hamiltonian's
-    Eigenbasis and that state, as ``_effective_start`` returns them."""
-    h_eff, psi0 = start
-    t_max = 5.0 / (abs(design_.chi_eff) * model.n_spins)
-    trace = minimize_hamiltonian(psi0.space, h_eff, psi0, t_max, grid_points=2000)
-    return trace.minimum.t
+    psi0 = coherent_state(space, design_.optimal_initial)
+    times = np.linspace(0.0, 5.0 / (abs(design_.chi_eff) * model.n_spins), 2000)
+    return minimize_hamiltonian(space, h_eff, psi0, times).minimum.t, h_eff, psi0
 
 
 def compare_pulsed(
@@ -447,12 +428,8 @@ def compare_pulsed(
 
     design_z = design(model, "z", branch)
     design_y = design(model, "y", branch)
-    start_z = _effective_start(design_z, model, space)
-    start_y = _effective_start(design_y, model, space)
-    h_ref, psi_z = start_z
-    psi_y = start_y[1]
-    t_pred_z = predicted_optimal_time(design_z, model, start_z)
-    t_pred_y = predicted_optimal_time(design_y, model, start_y)
+    t_pred_z, h_ref, psi_z = predicted_optimal_time(design_z, model, space)
+    t_pred_y, _, psi_y = predicted_optimal_time(design_y, model, space)
     schedule_z = schedule(design_z, model, 1.2 * t_pred_z, max_step=max_step)
     schedule_y = schedule(design_y, model, 1.2 * t_pred_y, max_step=max_step)
 
@@ -460,12 +437,10 @@ def compare_pulsed(
     trace_z = run_schedule(psi_z, schedule_z, model, model_basis=h_lmg)
     trace_y = run_schedule(psi_y, schedule_y, model, model_basis=h_lmg)
 
-    times_z = trace_z.t
     psi_lmg = coherent_state(space, lmg_initial)
-    lmg_trace = trace_from_states(space, times_z, evolve_batch(psi_lmg, h_lmg, times_z))
-    ref_trace = trace_from_states(space, times_z, evolve_batch(psi_z, h_ref, times_z))
-    lmg_min = refined_minimum(space, h_lmg, psi_lmg, lmg_trace)
-    ref_min = refined_minimum(space, h_ref, psi_z, ref_trace)
+    lmg_trace = minimize_hamiltonian(space, h_lmg, psi_lmg, trace_z.t, allow_unbracketed=True)
+    ref_trace = minimize_hamiltonian(space, h_ref, psi_z, trace_z.t, allow_unbracketed=True)
+    lmg_min, ref_min = lmg_trace.minimum, ref_trace.minimum
 
     rows = []
     for name, trace in (
@@ -555,6 +530,8 @@ def scaling_study(
     for variant in variants:
         if variant not in known:
             raise ConfigError(f"variants: unknown variant {variant!r}")
+    if len(set(variants)) < len(variants):
+        raise ConfigError(f"variants: each variant may appear once, got {list(variants)}")
     initial = BlochAngles(theta=math.pi / 2.0, phi=math.pi / 2.0)
     rows = []
     minima = {v: [] for v in variants}
@@ -562,27 +539,19 @@ def scaling_study(
         n = int(n)
         space = build_space(n)
         psi0 = coherent_state(space, initial)
-        horizon = default_horizon(n)
+        times = np.linspace(0.0, default_horizon(n) / (chi * n), grid_points)
         for variant in variants:
             if variant == "pulsed":
                 model = from_chi_gamma(chi, gamma, n)
                 design_ = design(model, axis, branch)
-                start = _effective_start(design_, model, space)
-                t_pred = predicted_optimal_time(design_, model, start)
+                t_pred, _, psi_eff = predicted_optimal_time(design_, model, space)
                 sch = schedule(design_, model, 1.2 * t_pred, max_step=pulsed_step_product / n)
-                trace = run_schedule(start[1], sch, model)
-                minimum = trace.minimum
+                minimum = run_schedule(psi_eff, sch, model).minimum
             else:
                 g = {"OAT": 0.0, "TAT": 0.5, "LMG": gamma}[variant]
                 model = from_chi_gamma(chi, g, n)
-                trace = minimize_hamiltonian(
-                    space,
-                    realize_hamiltonian(model, space),
-                    psi0,
-                    horizon / (chi * n),
-                    grid_points=grid_points,
-                )
-                minimum = trace.minimum
+                hamiltonian = realize_hamiltonian(model, space)
+                minimum = minimize_hamiltonian(space, hamiltonian, psi0, times).minimum
             rows.append((variant, n, minimum.xi2, minimum.t, minimum.t * chi * n))
             minima[variant].append(minimum.xi2)
 
@@ -758,8 +727,7 @@ def noise_monte_carlo(
         raise ConfigError(f"n_runs: must be >= 1, got {n_runs}")
     space = build_space(model.n_spins)
     if total_time is None:
-        start = _effective_start(design_, model, space)
-        total_time = 1.2 * predicted_optimal_time(design_, model, start)
+        total_time = 1.2 * predicted_optimal_time(design_, model, space)[0]
     sch = schedule(design_, model, total_time, max_step=max_step, cycles=cycles)
     scope = noise.resolved_scope
     initial = design_.optimal_initial

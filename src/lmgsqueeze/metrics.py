@@ -178,22 +178,50 @@ def trace_from_states(
     return SqueezingTrace(times, xi2, contrast, mean, axes, minimum)
 
 
-def refined_minimum(
-    space: DickeSpace, basis: Eigenbasis, initial: SpinState, trace: SqueezingTrace
-) -> TraceMinimum:
-    """Golden-section refinement (relative time tolerance REFINE_XTOL) of the
-    bracketed minimum of a trace of evolution under ``basis`` from ``initial``.
+def default_horizon(n_spins: int) -> float:
+    """Dimensionless scan horizon that brackets the first minimum for any
+    gamma in [0, 1/2]; the slowest case (gamma = 0) grows like (N/2)^(1/3)."""
+    return max(8.0, 1.0 + 2.2 * (n_spins / 2.0) ** (1.0 / 3.0))
 
-    Each step re-evaluates the exact evolution; nothing is interpolated.
+
+def minimize_hamiltonian(
+    space: DickeSpace,
+    hamiltonian,
+    initial: SpinState,
+    times,
+    refine: bool = True,
+    allow_unbracketed: bool = False,
+) -> SqueezingTrace:
+    """Sample xi^2 at the strictly increasing ``times`` and locate its first
+    local minimum.
+
+    ``hamiltonian`` is an Eigenbasis or a Hermitian matrix, factored once.
+    With ``refine``, a golden-section search (relative time tolerance
+    REFINE_XTOL) between the neighbouring samples refines the bracketed
+    minimum; each step re-evaluates the exact evolution, nothing is
+    interpolated.  An unbracketed minimum raises NoMinimumFound, or with
+    ``allow_unbracketed`` is returned as the smallest sample.
     """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2:
+        raise ValueError(f"times must be a 1-d array of >= 2 samples, got shape {times.shape}")
+    if not np.all(np.diff(times) > 0.0):
+        raise ValueError("times must be strictly increasing")
+    basis = Eigenbasis.of(hamiltonian)
+    trace = trace_from_states(space, times, evolve_batch(initial, basis, times))
     if not trace.minimum.bracketed:
-        return trace.minimum
-    times = trace.t
+        if allow_unbracketed:
+            return trace
+        raise NoMinimumFound(
+            "xi^2 has no bracketed local minimum on the grid; "
+            "increase the horizon if the trace is still decreasing"
+        )
+    if not refine:
+        return trace
     k = int(np.searchsorted(times, trace.minimum.t))
 
     def objective(t: float) -> float:
-        state_t = evolve(initial, basis, t)
-        xi2, _, _, _ = batch_squeezing(space, state_t.amplitudes[:, None])
+        xi2, _, _, _ = batch_squeezing(space, evolve(initial, basis, t).amplitudes[:, None])
         return float(xi2[0]) if np.isfinite(xi2[0]) else np.inf
 
     try:
@@ -204,63 +232,30 @@ def refined_minimum(
             options={"xtol": REFINE_XTOL},
         )
     except ValueError:
-        return trace.minimum  # flat bracket; keep the grid point
-    return TraceMinimum(t=float(result.x), xi2=float(result.fun), bracketed=True)
-
-
-def minimize_hamiltonian(
-    space: DickeSpace,
-    hamiltonian,
-    initial: SpinState,
-    t_max: float,
-    grid_points: int = 2000,
-    refine: bool = True,
-    allow_unbracketed: bool = False,
-) -> SqueezingTrace:
-    """Scan xi^2(t) on a uniform grid and refine the first local minimum.
-
-    ``hamiltonian`` is an Eigenbasis or a Hermitian matrix; it is factored
-    once and the refinement (see refined_minimum) reuses that basis.
-    """
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    basis = Eigenbasis.of(hamiltonian)
-    times = np.linspace(0.0, t_max, grid_points)
-    states = evolve_batch(initial, basis, times)
-    trace = trace_from_states(space, times, states)
-    if not trace.minimum.bracketed:
-        if allow_unbracketed:
-            return trace
-        raise NoMinimumFound(
-            "xi^2 has no bracketed local minimum on the grid; "
-            "increase the horizon if the trace is still decreasing"
-        )
-    if not refine:
-        return trace
-    return replace(trace, minimum=refined_minimum(space, basis, initial, trace))
+        return trace  # flat bracket; keep the grid point
+    return replace(trace, minimum=TraceMinimum(t=float(result.x), xi2=float(result.fun)))
 
 
 def minimize_over_time(
     model: LMGModel,
     initial: BlochAngles,
-    horizon: float = 5.0,
+    horizon: float | None = None,
     grid_points: int = 2000,
     refine: bool = True,
 ) -> SqueezingTrace:
     """Locate the first squeezing minimum of the model from a coherent state.
 
-    ``horizon`` is dimensionless: the scan covers t in [0, horizon/(chi N)].
+    ``horizon`` is dimensionless: the scan covers t in [0, horizon/(chi N)]
+    on ``grid_points`` uniform samples; None means default_horizon(N).
     Raises NoMinimumFound if xi^2 never turns upward within the horizon.
     """
     if grid_points < 100:
         raise ValueError(f"grid_points must be >= 100, got {grid_points}")
+    horizon = default_horizon(model.n_spins) if horizon is None else horizon
     space = build_space(model.n_spins)
-    hamiltonian = realize_hamiltonian(model, space)
+    times = np.linspace(0.0, horizon / (model.chi * model.n_spins), grid_points)
     psi0 = coherent_state(space, initial)
-    t_max = horizon / (model.chi * model.n_spins)
-    return minimize_hamiltonian(
-        space, hamiltonian, psi0, t_max, grid_points=grid_points, refine=refine
-    )
+    return minimize_hamiltonian(space, realize_hamiltonian(model, space), psi0, times, refine)
 
 
 def fit_loglog_slope(n_values, xi2_values) -> float:

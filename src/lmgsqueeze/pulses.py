@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DickeSpace, quadratic_form
+from .algebra import TRACE_BLOCKS, DickeSpace, quadratic_form, require_memory
 from .canonical import LMGModel
 from .errors import XAxisImpossible
 from .propagate import FreeSegment, PulseSegment, PulseSchedule
@@ -132,7 +132,9 @@ def schedule(
 
     One cycle applies, in order: pulse(axis, +pi/2), free(t2),
     pulse(axis, -pi/2), free(t1), which reproduces the single-period
-    propagator exp(-i Ha chi' t1) exp(-i Hb chi' t2) exactly.
+    propagator exp(-i Ha chi' t1) exp(-i Hb chi' t2) exactly.  A run keeps
+    the state at every cycle boundary, so a cycle count whose trace would
+    not fit in physical memory raises TooLarge.
     """
     if not 0.0 < total_time < math.inf:
         raise ValueError(f"total_time must be finite and > 0, got {total_time}")
@@ -141,6 +143,10 @@ def schedule(
             raise ValueError(f"max_step must be > 0, got {max_step}")
         cycles = max(1, math.ceil(total_time * model.n_spins * model.chi / max_step))
     cycles = int(cycles)
+    require_memory(
+        TRACE_BLOCKS * 16 * (cycles + 1) * (model.n_spins + 1),
+        f"traces of {cycles} cycles at n_spins={model.n_spins}",
+    )
     cycle_time = total_time / cycles
     if design_.no_pulse:
         return PulseSchedule(

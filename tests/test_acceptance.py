@@ -156,7 +156,7 @@ def test_criterion_06_gamma_monotonicity():
     for gamma, row in ((0.0, rows[0]), (0.5, rows[-1])):
         model = from_chi_gamma(1.0, gamma, 100)
         direct = minimize_hamiltonian(
-            space, realize_hamiltonian(model, space), psi, horizon / 100.0, grid_points=2000
+            space, realize_hamiltonian(model, space), psi, np.linspace(0.0, horizon / 100.0, 2000)
         )
         assert row[1] == direct.minimum.xi2
         assert row[2] == direct.minimum.t

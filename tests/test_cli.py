@@ -7,8 +7,11 @@ import sys
 import pytest
 
 import lmgsqueeze
+from lmgsqueeze import algebra
+from lmgsqueeze.algebra import TRACE_BLOCKS
 from lmgsqueeze.cli import MAX_WORKERS, main, parse_config, run, validate_config
-from lmgsqueeze.errors import ConfigError
+from lmgsqueeze.errors import ConfigError, TooLarge
+from lmgsqueeze.experiments import sweep_bytes
 
 MINIMAL = {"chi": 1.0, "gamma": 0.1, "n_spins": 100, "experiment": "compare-pulsed"}
 
@@ -191,6 +194,54 @@ def test_scaling_needs_two_distinct_spin_counts(tmp_path, extra):
     assert out.returncode == 2
     assert "n_grid" in out.stderr
     assert not (tmp_path / "s").exists()
+
+
+def test_scaling_refuses_repeated_variant(tmp_path):
+    config = dict(
+        MINIMAL, experiment="scaling", output_dir="s", n_grid=[10, 20], variants=["OAT", "OAT"]
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = cli(["scaling", "--config", str(path)], tmp_path)
+    assert out.returncode == 2
+    assert "variants" in out.stderr
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, extra",
+    [
+        ("evolve", {"grid_points": 10**12}),
+        ("sweep-initial-state", {"theta_points": 10**8, "phi_points": 10**8}),
+    ],
+)
+def test_oversized_trace_or_sweep_grid_exits_before_allocating(tmp_path, experiment, extra):
+    config = dict(MINIMAL, experiment=experiment, output_dir="big", **extra)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = cli([experiment, "--config", str(path)], tmp_path)
+    assert out.returncode == 3
+    assert "TooLarge" in out.stderr
+    assert not (tmp_path / "big").exists()
+
+
+def test_trace_and_sweep_sizes_count_every_block(monkeypatch):
+    # memory for exactly the blocks of 1000 trace samples at N = 100
+    n, k = 100, 1000
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": TRACE_BLOCKS * 16 * k * (n + 1)}
+    monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
+    cfg = dict(MINIMAL, experiment="evolve", n_spins=n)
+    assert validate_config(dict(cfg, grid_points=k))["grid_points"] == k
+    with pytest.raises(TooLarge):
+        validate_config(dict(cfg, grid_points=k + 1))
+    # scaling's largest N sets the size
+    with pytest.raises(TooLarge):
+        validate_config(dict(cfg, experiment="scaling", n_grid=[10, n + 1], grid_points=k))
+
+    memory["SC_PHYS_PAGES"] = sweep_bytes(40, 30)
+    assert validate_config(dict(cfg, theta_points=40, phi_points=30))["theta_points"] == 40
+    with pytest.raises(TooLarge):
+        validate_config(dict(cfg, theta_points=41, phi_points=30))
 
 
 def test_noise_zero_sigma_identical_columns(tmp_path):

@@ -24,7 +24,7 @@ from lmgsqueeze.experiments import (
     write_result,
 )
 from lmgsqueeze.metrics import minimize_hamiltonian
-from lmgsqueeze.pulses import design, schedule
+from lmgsqueeze.pulses import design, effective_hamiltonian, schedule
 from lmgsqueeze.propagate import Eigenbasis, FreeSegment, run_schedule
 from lmgsqueeze.states import BlochAngles, coherent_state
 
@@ -53,8 +53,7 @@ def test_single_point_sweep_reduces_to_minimize():
         space,
         realize_hamiltonian(model, space),
         psi,
-        horizon / (model.chi * N_SMALL),
-        grid_points=200,
+        np.linspace(0.0, horizon / (model.chi * N_SMALL), 200),
         refine=False,
         allow_unbracketed=True,
     )
@@ -120,7 +119,8 @@ def test_sweep_rows_match_direct_minimization(gamma, n, theta_points, phi_points
     for theta, phi, xi2, t_min, _, bracketed in result.tables["grid"].rows:
         psi = coherent_state(space, BlochAngles(theta, phi))
         direct = minimize_hamiltonian(
-            space, basis, psi, t_max, grid_points, refine=False, allow_unbracketed=True
+            space, basis, psi, np.linspace(0.0, t_max, grid_points), refine=False,
+            allow_unbracketed=True,
         )
         assert xi2 == pytest.approx(direct.minimum.xi2, rel=1e-10)
         # a coherent eigenstate of H has a flat trace, whose first minimum
@@ -170,8 +170,7 @@ def test_sweep_gamma_monotone_and_endpoints():
             space,
             realize_hamiltonian(model, space),
             psi,
-            8.0 / (1.0 * N_SMALL),
-            grid_points=400,
+            np.linspace(0.0, 8.0 / (1.0 * N_SMALL), 400),
         )
         assert row[1] == direct.minimum.xi2
         assert row[2] == direct.minimum.t
@@ -184,6 +183,28 @@ def test_compare_pulsed_ordering():
     assert minima["pulsed_z"][1] < minima["pulsed_y"][1]
     assert minima["lmg"][3] > minima["pulsed_z"][3]
     assert minima["lmg"][3] > minima["pulsed_y"][3]
+
+
+def test_compare_pulsed_reference_minima_are_the_one_search():
+    # the bare and reference minima are minimize_hamiltonian on the z
+    # schedule's cycle times, golden-refined
+    model = from_chi_gamma(1.0, 0.1, 20)
+    initial = BlochAngles(1.2, 0.7)
+    result = compare_pulsed(model, lmg_initial=initial)
+    minima = {row[0]: row for row in result.tables["minima"].rows}
+    times = np.array([row[2] for row in result.tables["traces"].rows if row[0] == "pulsed_z"])
+    space = build_space(20)
+    design_z = design(model, "z", "A")
+    for name, hamiltonian, psi in (
+        ("lmg", realize_hamiltonian(model, space), coherent_state(space, initial)),
+        (
+            "tat",
+            effective_hamiltonian(design_z, model, space),
+            coherent_state(space, design_z.optimal_initial),
+        ),
+    ):
+        direct = minimize_hamiltonian(space, hamiltonian, psi, times, allow_unbracketed=True)
+        assert (minima[name][1], minima[name][3]) == (direct.minimum.t, direct.minimum.xi2)
 
 
 @pytest.mark.parametrize("gamma", [0.05, 0.25, 0.4])
@@ -239,6 +260,9 @@ def test_scaling_rejects_fewer_than_two_distinct_sizes(n_grid):
 def test_scaling_rejects_unknown_variant():
     with pytest.raises(ConfigError):
         scaling_study(0.1, [8, 12], variants=("OAT", "bogus"))
+    # a repeated variant would give its slope fit twice as many minima as N
+    with pytest.raises(ConfigError, match="variants"):
+        scaling_study(0.1, [10, 20], variants=("OAT", "OAT"))
 
 
 @pytest.mark.parametrize("axis", ["z", "y"])
@@ -459,6 +483,8 @@ def test_noise_channel_validation():
         NoiseSpec("atom_number", 0.1, scope="per_pulse")
     with pytest.raises(ConfigError):
         NoiseSpec("chi", -0.1)
+    with pytest.raises(ConfigError, match="relative_sigma"):
+        NoiseSpec("pulse_area", math.inf)
     assert NoiseSpec("chi", 0.01).resolved_scope == "per_run"
     assert NoiseSpec("chi", 0.01, scope="per_segment").resolved_scope == "per_segment"
 

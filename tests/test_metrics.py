@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from lmgsqueeze.algebra import build_space, collective_operator
 from lmgsqueeze.canonical import from_chi_gamma, realize_hamiltonian
 from lmgsqueeze.errors import MeanSpinVanished, NoMinimumFound
+from lmgsqueeze.experiments import evolve_trace
 from lmgsqueeze.metrics import (
     batch_squeezing,
     first_local_minimum,
     fit_loglog_slope,
+    minimize_hamiltonian,
     minimize_over_time,
     squeezing_parameter,
 )
@@ -185,6 +187,63 @@ def test_grid_points_precondition():
             BlochAngles(math.pi / 2, math.pi / 2),
             grid_points=50,
         )
+
+
+@pytest.mark.parametrize("n", [100, 400])
+def test_default_horizon_brackets_one_axis_twisting(n):
+    # the one-axis-twisting minimum sits at chi N t ~ N^(1/3), past a fixed
+    # horizon of 5 already at N = 100; the default grows with N
+    model = from_chi_gamma(1.0, 0.0, n)
+    angles = BlochAngles(math.pi / 2, math.pi / 2)
+    trace = minimize_over_time(model, angles)
+    t_min, _, xi2_min, bracketed = evolve_trace(model, angles).tables["minimum"].rows[0]
+    assert bracketed
+    assert (trace.minimum.t, trace.minimum.xi2) == (t_min, xi2_min)
+
+
+@pytest.mark.parametrize("times", [[], [0.0], [0.0, 0.2, 0.1], [0.0, 0.1, 0.1, 0.2]])
+def test_minimize_hamiltonian_needs_increasing_times(times):
+    space = build_space(6)
+    ham = realize_hamiltonian(from_chi_gamma(1.0, 0.1, 6), space)
+    psi = coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
+    with pytest.raises(ValueError, match="times"):
+        minimize_hamiltonian(space, ham, psi, times, allow_unbracketed=True)
+
+
+@settings(max_examples=150)
+@given(
+    gamma=st.floats(0.0, 0.5),
+    n=st.integers(2, 16),
+    theta=st.floats(0.0, math.pi),
+    phi=st.floats(0.0, 2 * math.pi),
+    start=st.floats(0.0, 1.0),
+    steps=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=40),
+)
+def test_minimize_hamiltonian_on_nonuniform_times(gamma, n, theta, phi, start, steps):
+    space = build_space(n)
+    basis = Eigenbasis.of(realize_hamiltonian(from_chi_gamma(1.0, gamma, n), space))
+    psi = coherent_state(space, BlochAngles(theta, phi))
+    times = (start + np.concatenate([[0.0], np.cumsum(steps)])) / n  # chi N t units
+    xi2 = batch_squeezing(space, evolve_batch(psi, basis, times))[0]
+    k = first_local_minimum(xi2)
+
+    sampled = minimize_hamiltonian(space, basis, psi, times, refine=False, allow_unbracketed=True)
+    if k is None:
+        # unbracketed fallback: the smallest finite sample
+        assert not sampled.minimum.bracketed
+        if np.any(np.isfinite(xi2)):
+            best = int(np.nanargmin(xi2))
+            assert (sampled.minimum.t, sampled.minimum.xi2) == (times[best], xi2[best])
+        return
+    assert sampled.minimum.bracketed
+    assert (sampled.minimum.t, sampled.minimum.xi2) == (times[k], xi2[k])
+
+    refined = minimize_hamiltonian(space, basis, psi, times, allow_unbracketed=True).minimum
+    assert refined.bracketed
+    assert times[k - 1] <= refined.t <= times[k + 1]
+    # the search evaluates one state at a time, the scan a batch: allow
+    # their last-digit rounding difference
+    assert refined.xi2 <= xi2[k] * (1.0 + 1e-12)
 
 
 def test_gamma_ordering_at_fixed_n():

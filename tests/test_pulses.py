@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lmgsqueeze.algebra import build_space, quadratic_form
+from lmgsqueeze import algebra
+from lmgsqueeze.algebra import TRACE_BLOCKS, build_space, quadratic_form
 from lmgsqueeze.canonical import from_chi_gamma, realize_hamiltonian
-from lmgsqueeze.errors import XAxisImpossible
+from lmgsqueeze.errors import TooLarge, XAxisImpossible
 from lmgsqueeze.metrics import minimize_hamiltonian
 from lmgsqueeze.propagate import run_schedule
 from lmgsqueeze.pulses import (
@@ -94,6 +97,26 @@ def test_effective_hamiltonian_identities():
     assert np.max(np.abs(h_y - target_y)) < 1e-12
 
 
+@settings(max_examples=200)
+@given(
+    gamma=st.floats(0.0, 0.5, exclude_max=True),
+    chi=st.floats(0.1, 10.0),
+    axis=st.sampled_from(["z", "y"]),
+    branch=st.sampled_from(["A", "B"]),
+    n=st.integers(2, 30),
+)
+def test_effective_hamiltonian_is_design_form_for_all_gamma(gamma, chi, axis, branch, n):
+    # the toggled average is chi_eff times the design's form plus a multiple
+    # of S^2, which is c * I on the Dicke space
+    model = from_chi_gamma(chi, gamma, n)
+    space = build_space(n)
+    design_ = design(model, axis, branch)
+    h_eff = effective_hamiltonian(design_, model, space)
+    rest = h_eff - design_.chi_eff * quadratic_form(space, *design_.form_coefficients)
+    offset = rest - rest[0, 0] * np.eye(space.dim)
+    assert np.max(np.abs(offset)) <= 1e-12 * np.max(np.abs(h_eff))
+
+
 def test_schedule_respects_ratio_and_step():
     model = from_chi_gamma(1.0, 0.1, 100)
     design_ = design(model, "z", "A")
@@ -126,7 +149,7 @@ def test_cycle_limit_convergence():
     h_eff = effective_hamiltonian(design_, model, space)
     psi = coherent_state(space, design_.optimal_initial)
     reference = minimize_hamiltonian(
-        space, h_eff, psi, 5.0 / (abs(design_.chi_eff) * n), grid_points=2000
+        space, h_eff, psi, np.linspace(0.0, 5.0 / (abs(design_.chi_eff) * n), 2000)
     )
     deviations = []
     for max_step in (0.2, 0.1, 0.05, 0.025):
@@ -162,8 +185,7 @@ def test_no_pulse_schedule_is_free_evolution():
         space,
         realize_hamiltonian(model, space),
         psi,
-        0.1,
-        grid_points=sched.cycle_count + 1,
+        np.linspace(0.0, 0.1, sched.cycle_count + 1),
         refine=False,
         allow_unbracketed=True,
     )
@@ -178,3 +200,18 @@ def test_design_validation():
         design(model, "z", "C")
     with pytest.raises(ValueError):
         schedule(design(model, "z", "A"), model, total_time=0.0)
+
+
+def test_schedule_refuses_cycle_counts_beyond_memory(monkeypatch):
+    # the y scheme slows as gamma -> 1/2: 900,593 cycles at N = 100 and
+    # gamma = 0.4999, each boundary state kept as a trace sample
+    model = from_chi_gamma(1.0, 0.4999, 100)
+    design_ = design(model, "y", "A")
+    with pytest.raises(TooLarge):
+        schedule(design_, model, 1.0, cycles=10**15)
+    cycles = 900_593
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": TRACE_BLOCKS * 16 * (cycles + 1) * 101}
+    monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
+    assert schedule(design_, model, 1.0, cycles=cycles).cycle_count == cycles
+    with pytest.raises(TooLarge):
+        schedule(design_, model, 1.0, cycles=cycles + 1)
