@@ -95,17 +95,12 @@ def _require_number(cfg, key, lo=None, hi=None, allow_none=False, integer=False,
     return int(value) if integer else float(value)
 
 
-def parse_config(text: str) -> dict:
-    """Parse and validate a JSON config (or descriptor.json) into a resolved
-    config dict with all defaults filled.  Unknown keys are rejected."""
+def _read_config(text: str | bytes) -> dict:
+    """The config object of a JSON config or descriptor.json, as text or bytes."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bytes that are not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return validate_config(raw)
-
-
-def validate_config(raw: dict) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     if "tool" in raw and "parameters" in raw:
@@ -113,7 +108,16 @@ def validate_config(raw: dict) -> dict:
         raw = raw.get("config", raw["parameters"])
         if not isinstance(raw, dict):
             raise ConfigError("descriptor does not embed a config object")
+    return raw
 
+
+def parse_config(text: str) -> dict:
+    """Parse and validate a JSON config (or descriptor.json) into a resolved
+    config dict with all defaults filled.  Unknown keys are rejected."""
+    return validate_config(_read_config(text))
+
+
+def validate_config(raw: dict) -> dict:
     for key in raw:
         if key not in _KNOWN_KEYS:
             _fail(key, "unknown key")
@@ -410,11 +414,8 @@ def main(argv=None) -> int:
     try:
         raw = {}
         if args.config:
-            with open(args.config) as fh:
-                loaded = json.load(fh)
-            if "tool" in loaded and "parameters" in loaded:
-                loaded = loaded.get("config", loaded["parameters"])
-            raw.update(loaded)
+            with open(args.config, "rb") as fh:
+                raw.update(_read_config(fh.read()))
         raw.update(_flag_overrides(args))
         raw["experiment"] = args.command
         if args.command in INSPECT_COMMANDS:

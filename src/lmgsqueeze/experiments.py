@@ -227,36 +227,28 @@ def _sweep_column(task):
 def sweep_bytes(theta_points: int, phi_points: int) -> int:
     """Lower bound on the memory sweep_initial_state holds at once for its
     grid: 256 B of Python objects per grid point (its row, orbit
-    representative and outcome) and the three float64 n x n arrays of
-    ``_orbit_representatives``, n the longer axis (tracemalloc: 290 B per
-    point on an 80 x 80 grid, 24 n^2 B on a 2 x 400 one)."""
-    return 256 * theta_points * phi_points + 24 * max(theta_points, phi_points) ** 2
+    representative and outcome; tracemalloc at N = 2: 390 B per point on an
+    80 x 80 grid, 474 B on a 2 x 2000 one)."""
+    return 256 * theta_points * phi_points
 
 
-def _orbit_representatives(thetas: np.ndarray, phis: np.ndarray) -> dict:
-    """For each grid point (phi index k, theta index i), the (k', i') whose
-    result it shares: the smallest of its images under the pi rotations about
-    x, z and y that land on the grid (to 1e-12), or itself."""
-
-    def match(values, images):  # on the circle; theta differences stay below pi
-        dist = np.abs(images[:, None] - values[None, :]) % (2.0 * math.pi)
-        hit = np.minimum(dist, 2.0 * math.pi - dist) <= 1e-12
-        return np.where(hit.any(axis=1), hit.argmax(axis=1), -1).tolist()
-
-    flip, keep = match(thetas, math.pi - thetas), list(range(len(thetas)))
-    maps = ((match(phis, -phis), flip), (match(phis, phis + math.pi), keep),
-            (match(phis, math.pi - phis), flip))  # x, z, y
+def _orbit_representatives(theta_points: int, phi_points: int) -> dict:
+    """For each point (phi index k, theta index i) of the uniform grid, the
+    smallest member of its orbit under the pi rotations about x, z and y that
+    map the grid onto itself: x always, z and y when phi_points is even.
+    With the identity they form a group, so every orbit is complete."""
+    t, p = theta_points, phi_points
     rep = {}
-    for k, i in itertools.product(range(len(phis)), range(len(thetas))):
-        images = [(pk[k], ti[i]) for pk, ti in maps if min(pk[k], ti[i]) >= 0]
-        rep[k, i] = min((rep[q] for q in images if q < (k, i)), default=(k, i))
+    for k, i in itertools.product(range(p), range(t)):
+        orbit = [(k, i), (-k % p, t - 1 - i)]  # x
+        if p % 2 == 0:
+            orbit += [((k + p // 2) % p, i), ((p // 2 - k) % p, t - 1 - i)]  # z, y
+        rep[k, i] = min(orbit)
     return rep
 
 
 def sweep_initial_state(
     model: LMGModel,
-    theta_grid=None,
-    phi_grid=None,
     theta_points: int = 33,
     phi_points: int = 33,
     horizon: float | None = None,
@@ -265,41 +257,30 @@ def sweep_initial_state(
 ) -> ExperimentResult:
     """Map of the first squeezing minimum over the initial-state sphere.
 
-    Explicit grids win over the point counts; the default grids cover
-    [0, pi] x [0, 2*pi).  Grid points whose trace is still decreasing at the
-    horizon record the minimum seen so far with bracketed = 0; they cannot
-    beat a bracketed optimum, so the argmin is unaffected.
+    The grid is theta_points values of theta in [0, pi] by phi_points values
+    of phi in [0, 2*pi), both uniform and at least 2.  Grid points whose
+    trace is still decreasing at the horizon record the minimum seen so far
+    with bracketed = 0; they cannot beat a bracketed optimum, so the argmin
+    is unaffected.
 
     H is invariant under pi rotations about x, (theta, phi) -> (pi - theta,
     2pi - phi), z, (theta, phi + pi), and y, (pi - theta, pi - phi), and so
-    is xi^2.  A map joins two points only where its image is a grid point:
-    x on any default grid, z and y only when phi_points is even.  One point
-    per orbit is computed, the one with the smallest (phi index, theta
-    index), so phi < pi on default grids; the others copy its row.  The
-    argmin scans only computed points, so a tie goes to the phi < pi twin.
+    is xi^2.  x maps every grid onto itself, z and y only those with
+    phi_points even.  One point per orbit is computed, the one with the
+    smallest (phi index, theta index), so phi < pi; the others copy its row.
+    The argmin scans only computed points, so a tie goes to the phi < pi
+    twin.
     """
+    for name, points in (("theta_points", theta_points), ("phi_points", phi_points)):
+        if points < 2:
+            raise ConfigError(f"{name}: must be >= 2, got {points}")
     horizon = default_horizon(model.n_spins) if horizon is None else horizon
-    thetas = (
-        np.asarray(theta_grid, dtype=float)
-        if theta_grid is not None
-        else np.linspace(0.0, math.pi, theta_points)
-    )
-    phis = (
-        np.asarray(phi_grid, dtype=float)
-        if phi_grid is not None
-        else np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
-    )
-    if np.any(thetas < 0.0) or np.any(thetas > math.pi):
-        raise ConfigError("theta_grid: values must lie in [0, pi]")
-    if np.any(phis < 0.0) or np.any(phis >= 2.0 * math.pi):
-        raise ConfigError("phi_grid: values must lie in [0, 2*pi)")
-    for name, values in (("theta_grid", thetas), ("phi_grid", phis)):
-        if values.size == 0:
-            raise ConfigError(f"{name}: the grid is empty")
+    thetas = np.linspace(0.0, math.pi, theta_points)
+    phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
     times = np.linspace(0.0, horizon / (model.chi * model.n_spins), grid_points)
     space = build_space(model.n_spins)
     basis = Eigenbasis.of(realize_hamiltonian(model, space))
-    rep = _orbit_representatives(thetas, phis)
+    rep = _orbit_representatives(theta_points, phi_points)
     own = {}
     for k, i in rep:
         if rep[k, i] == (k, i):

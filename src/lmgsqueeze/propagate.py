@@ -47,14 +47,17 @@ def evolve_batch(state: SpinState, hamiltonian, times: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class FreeSegment:
-    """Free evolution for ``duration``; ``hamiltonian`` None means the model's."""
+    """Free evolution for ``duration`` under an Eigenbasis; None means the model's."""
 
     duration: float
-    hamiltonian: object = None
+    hamiltonian: Eigenbasis | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.duration < math.inf:
             raise ValueError(f"segment duration must be finite and >= 0, got {self.duration}")
+        if self.hamiltonian is not None and not isinstance(self.hamiltonian, Eigenbasis):
+            kind = type(self.hamiltonian).__name__
+            raise TypeError(f"segment Hamiltonian must be an Eigenbasis or None, got {kind}")
 
 
 @dataclass(frozen=True)
@@ -83,23 +86,11 @@ class PulseSchedule:
         return self.t1 + self.t2
 
 
-def _resolved_cycle(
-    schedule: PulseSchedule, model: LMGModel, space: DickeSpace, model_basis=None
-) -> tuple:
-    """The schedule's cycle with each distinct free-segment Hamiltonian
-    factored once (None: the model's) and put in place as an Eigenbasis."""
-    bases = {}
-
-    def basis(hamiltonian):
-        if id(hamiltonian) not in bases:
-            if hamiltonian is None:
-                bases[id(None)] = model_basis or Eigenbasis.of(realize_hamiltonian(model, space))
-            else:
-                bases[id(hamiltonian)] = Eigenbasis.of(hamiltonian)
-        return bases[id(hamiltonian)]
-
+def _resolved_cycle(schedule: PulseSchedule, basis: Eigenbasis) -> tuple:
+    """The schedule's cycle with ``basis`` put in place of each free segment's
+    Hamiltonian left as None."""
     return tuple(
-        FreeSegment(seg.duration, basis(seg.hamiltonian)) if isinstance(seg, FreeSegment) else seg
+        FreeSegment(seg.duration, seg.hamiltonian or basis) if isinstance(seg, FreeSegment) else seg
         for seg in schedule.segments
     )
 
@@ -142,7 +133,8 @@ def run_schedule(
     space = state.space
     if space.n_spins != model.n_spins:
         raise DimensionMismatch(f"state has N={space.n_spins}, model has N={model.n_spins}")
-    cycle = _resolved_cycle(schedule, model, space, model_basis)
+    basis = model_basis or Eigenbasis.of(realize_hamiltonian(model, space))
+    cycle = _resolved_cycle(schedule, basis)
     times, states = run_cycles(state, itertools.repeat(cycle, schedule.cycle_count))
 
     from .metrics import trace_from_states
@@ -153,7 +145,7 @@ def run_schedule(
 def schedule_unitary(schedule: PulseSchedule, model: LMGModel, space: DickeSpace) -> np.ndarray:
     """Dense unitary for a single cycle of the schedule."""
     un = np.eye(space.dim, dtype=complex)
-    for seg in _resolved_cycle(schedule, model, space):
+    for seg in _resolved_cycle(schedule, Eigenbasis.of(realize_hamiltonian(model, space))):
         if isinstance(seg, FreeSegment):
             un = seg.hamiltonian.unitary(seg.duration) @ un
         else:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from lmgsqueeze.algebra import build_space, collective_operator, quadratic_form
@@ -7,6 +9,7 @@ from lmgsqueeze.canonical import (
     CouplingMatrix,
     canonicalize,
     counter_twist_decomposition,
+    frame_unitary,
     from_chi_gamma,
     pairwise_collective_hamiltonian,
     realize_hamiltonian,
@@ -120,6 +123,50 @@ def test_spectrum_preservation(seed):
     got = np.sort(np.linalg.eigvalsh(canon))
     expected = np.sort(np.linalg.eigvalsh(direct))
     assert np.max(np.abs(got - expected)) < 1e-8
+
+
+@st.composite
+def couplings(draw):
+    """Symmetric couplings with entries in [-2, 2]: generic, diagonal, or a
+    rotated diagonal with a degenerate pair or with raw gamma > 1/2 (a sign
+    flip)."""
+    value = st.floats(-2.0, 2.0)
+    kind = draw(st.sampled_from(("generic", "diagonal", "degenerate", "flip")))
+    if kind == "generic":
+        mat = np.zeros((3, 3))
+        mat[np.triu_indices(3)] = [draw(value) for _ in range(6)]
+        return mat + np.triu(mat, 1).T
+    low, high = sorted(draw(value) for _ in range(2))
+    diag = [draw(value) for _ in range(3)]
+    if kind == "degenerate":
+        diag = draw(st.permutations([low, low, high] if draw(st.booleans()) else [low, high, high]))
+    elif kind == "flip":
+        diag = draw(st.permutations([low, draw(st.floats(0.5 * (low + high), high)), high]))
+    if kind == "diagonal":
+        return np.diag(diag)
+    turn = Rotation.from_rotvec([draw(st.floats(-np.pi, np.pi)) for _ in range(3)]).as_matrix()
+    return turn @ np.diag(diag) @ turn.T
+
+
+@settings(max_examples=300)
+@given(chi=couplings(), n=st.integers(1, 10))
+@example(chi=np.diag([2.0, 0.0, -2.0]), n=1)
+def test_canonical_form_reproduces_the_pairwise_operator(chi, n):
+    # not only the spectrum: the frame rotation carries the canonical
+    # Hamiltonian onto the lab-frame collective form, up to the constants
+    eigenvalues = np.linalg.eigvalsh(chi)
+    assume(eigenvalues[-1] - eigenvalues[0] > 1e-6)
+    coupling = CouplingMatrix(chi=chi)
+    model = canonicalize(coupling, n)
+    space = build_space(n)
+    u = frame_unitary(model, space)
+    canonical = model.sign * realize_hamiltonian(model, space)
+    constant = model.dropped_constant + 0.5 * n * np.trace(chi)
+    lab = u.conj().T @ canonical @ u + constant * np.eye(space.dim)
+    direct = pairwise_collective_hamiltonian(coupling, space)
+    # the lab form is 0 for a traceless coupling at N = 1, the canonical never
+    scale = max(np.max(np.abs(direct)), np.max(np.abs(canonical)))
+    assert np.max(np.abs(lab - direct)) <= 1e-10 * scale
 
 
 def test_realize_oat_and_tat_forms():

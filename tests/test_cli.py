@@ -175,6 +175,32 @@ def test_exit_codes(tmp_path):
     assert "XAxisImpossible" in impossible.stderr
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"chi": 1.0,',
+        b"[1, 2]",
+        b'"just a string"',
+        json.dumps({"tool": "lmgsqueeze", "parameters": MINIMAL, "config": 5}).encode(),
+        b'{"chi": "\xc3\x28"}',
+    ],
+    ids=["truncated", "array", "string", "descriptor_config_not_object", "not_utf8"],
+)
+def test_malformed_config_file_is_a_config_error(tmp_path, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    out = cli(["evolve", "--config", str(path), "--out", "o"], tmp_path)
+    assert out.returncode == 2
+    assert "error[ConfigError]" in out.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_config_file_is_an_io_error(tmp_path):
+    out = cli(["evolve", "--config", str(tmp_path / "absent.json"), "--out", "o"], tmp_path)
+    assert out.returncode == 4
+    assert not (tmp_path / "o").exists()
+
+
 def test_oversized_spin_count_exits_before_allocating(tmp_path):
     out = cli(
         ["evolve", "--n-spins", "1000000", "--chi", "1", "--gamma", "0.1", "--out", "big"],

@@ -1,11 +1,12 @@
 import gc
+import itertools
 import math
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lmgsqueeze import experiments
@@ -17,6 +18,7 @@ from lmgsqueeze.experiments import (
     NoiseSpec,
     compare_pulsed,
     default_horizon,
+    evolve_trace,
     noise_monte_carlo,
     scaling_study,
     sweep_gamma,
@@ -40,13 +42,10 @@ def test_single_point_sweep_reduces_to_minimize():
     model = small_model(0.25)
     horizon = 6.0
     result = sweep_initial_state(
-        model,
-        theta_grid=[math.pi / 2],
-        phi_grid=[math.pi / 2],
-        horizon=horizon,
-        grid_points=200,
+        model, theta_points=3, phi_points=4, horizon=horizon, grid_points=200
     )
-    row = result.tables["grid"].rows[0]
+    row = result.tables["grid"].rows[5]  # theta index 1, phi index 1
+    assert row[:2] == (math.pi / 2, math.pi / 2)
     space = build_space(N_SMALL)
     psi = coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
     direct = minimize_hamiltonian(
@@ -85,17 +84,12 @@ def test_optimal_initial_state_constant_in_gamma(gamma):
     assert d_phi == pytest.approx(0.0, abs=1e-12)
 
 
-def test_sweep_rejects_out_of_range_grid():
-    with pytest.raises(ConfigError):
-        sweep_initial_state(small_model(), theta_grid=[3.5], phi_grid=[0.0])
-
-
-@pytest.mark.parametrize(
-    "theta_grid, phi_grid, name", [([], [0.0], "theta_grid"), ([1.0], [], "phi_grid")]
-)
-def test_sweep_rejects_empty_grid(theta_grid, phi_grid, name):
+@pytest.mark.parametrize("name", ["theta_points", "phi_points"])
+@pytest.mark.parametrize("points", [0, 1])
+def test_sweep_rejects_empty_grid(name, points):
+    # one theta value would leave the x rotation's image theta = pi off the grid
     with pytest.raises(ConfigError, match=name):
-        sweep_initial_state(small_model(), theta_grid=theta_grid, phi_grid=phi_grid)
+        sweep_initial_state(small_model(), **{name: points})
 
 
 @settings(max_examples=150)
@@ -136,8 +130,6 @@ def test_sweep_rows_match_direct_minimization(gamma, n, theta_points, phi_points
         ({"theta_points": 33, "phi_points": 33}, 545),
         ({"theta_points": 33, "phi_points": 32}, 265),
         ({"theta_points": 9, "phi_points": 8}, 19),
-        # no pi rotation maps this grid onto itself
-        ({"theta_grid": [0.3, 1.0, 2.0], "phi_grid": [0.1, 0.5]}, 6),
     ],
 )
 def test_sweep_computes_one_point_per_orbit(monkeypatch, grids, expected):
@@ -151,6 +143,74 @@ def test_sweep_computes_one_point_per_orbit(monkeypatch, grids, expected):
     monkeypatch.setattr(experiments, "_sweep_column", counting)
     sweep_initial_state(from_chi_gamma(1.0, 0.2, 4), grid_points=20, **grids)
     assert len(computed) == expected
+
+
+def matched_orbit_representatives(thetas: np.ndarray, phis: np.ndarray) -> dict:
+    """For each grid point (phi index k, theta index i), the (k', i') whose
+    result it shares: the smallest of its images under the pi rotations about
+    x, z and y that land on the grid (to 1e-12), or itself."""
+
+    def match(values, images):  # on the circle; theta differences stay below pi
+        dist = np.abs(images[:, None] - values[None, :]) % (2.0 * math.pi)
+        hit = np.minimum(dist, 2.0 * math.pi - dist) <= 1e-12
+        return np.where(hit.any(axis=1), hit.argmax(axis=1), -1).tolist()
+
+    flip, keep = match(thetas, math.pi - thetas), list(range(len(thetas)))
+    maps = ((match(phis, -phis), flip), (match(phis, phis + math.pi), keep),
+            (match(phis, math.pi - phis), flip))  # x, z, y
+    rep = {}
+    for k, i in itertools.product(range(len(phis)), range(len(thetas))):
+        images = [(pk[k], ti[i]) for pk, ti in maps if min(pk[k], ti[i]) >= 0]
+        rep[k, i] = min((rep[q] for q in images if q < (k, i)), default=(k, i))
+    return rep
+
+
+@settings(max_examples=300)
+@given(theta_points=st.integers(2, 60), phi_points=st.integers(1, 60))
+@example(theta_points=33, phi_points=33)
+@example(theta_points=33, phi_points=32)
+def test_orbit_index_maps_match_float_matching(theta_points, phi_points):
+    # the pi rotations as index maps on the uniform grid are exactly the maps
+    # found by matching the rotated grid values against the grid
+    thetas = np.linspace(0.0, math.pi, theta_points)
+    phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
+    assert experiments._orbit_representatives(theta_points, phi_points) == (
+        matched_orbit_representatives(thetas, phis)
+    )
+
+
+def test_long_thin_sweep_memory_is_linear_in_its_points():
+    model = from_chi_gamma(1.0, 0.2, 2)
+    sweep_initial_state(model, theta_points=2, phi_points=4, grid_points=20)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sweep_initial_state(model, theta_points=2, phi_points=2000, grid_points=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / (2 * 2000) < 1000
+
+
+@pytest.mark.parametrize("theta, phi", [(1.0, 0.7), (0.6, 2.0)])
+def test_sign_flipped_outputs_are_the_mirrored_physical_dynamics(theta, phi):
+    # experiments simulate the folded model chi (Sx^2 + gamma Sy^2); under a
+    # flip the physical Hamiltonian is its negative, and as H is real in the
+    # Dicke basis, running it backwards maps (theta, phi) to (theta, -phi)
+    model = from_chi_gamma(1.0, 0.7, 20)
+    assert model.sign_flipped
+    space = build_space(20)
+    physical = model.sign * realize_hamiltonian(model, space)
+    mirrored = BlochAngles(theta, -phi % (2.0 * math.pi))
+    reported = evolve_trace(model, mirrored, grid_points=300).tables["trace"].rows
+    times = np.array([row[0] for row in reported])
+    xi2 = np.array([row[2] for row in reported])
+    psi = coherent_state(space, BlochAngles(theta, phi))
+    direct = minimize_hamiltonian(space, physical, psi, times, allow_unbracketed=True)
+    assert np.max(np.abs(direct.xi2 - xi2)) < 1e-12
+    unmirrored = evolve_trace(model, BlochAngles(theta, phi), grid_points=300).tables["trace"]
+    assert np.max(np.abs(direct.xi2 - [row[2] for row in unmirrored.rows])) > 0.1
 
 
 def test_sweep_gamma_monotone_and_endpoints():

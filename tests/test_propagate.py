@@ -255,7 +255,7 @@ def test_prebuilt_eigenbasis_matches_hamiltonian_argument():
     sched = schedule(design(model, "y", "A"), model, total_time=0.05, cycles=6)
     explicit = PulseSchedule(
         segments=tuple(
-            FreeSegment(seg.duration, ham) if isinstance(seg, FreeSegment) else seg
+            FreeSegment(seg.duration, basis) if isinstance(seg, FreeSegment) else seg
             for seg in sched.segments
         ),
         cycle_count=sched.cycle_count,
@@ -270,6 +270,9 @@ def test_prebuilt_eigenbasis_matches_hamiltonian_argument():
         for field in ("t", "xi2", "contrast", "mean_spin", "min_variance_axis"):
             assert np.array_equal(getattr(trace, field), getattr(reference, field))
         assert trace.minimum == reference.minimum
+    # a segment takes its Hamiltonian factored, never as a matrix
+    with pytest.raises(TypeError, match="Eigenbasis"):
+        FreeSegment(0.1, ham)
 
 
 def test_not_hermitian_rejected_on_every_basis_build():

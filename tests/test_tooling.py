@@ -1,8 +1,11 @@
 """The test configuration and the source tree: a failing property test must
-still report the example that broke it under the repo's pytest settings, and
-the package must import nothing it does not use."""
+still report the example that broke it under the repo's pytest settings, the
+package must import nothing it does not use, and every function the
+benchmark traces must exist."""
 
 import ast
+import importlib
+import runpy
 import shutil
 import subprocess
 import sys
@@ -11,6 +14,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 PACKAGE = ROOT / "src" / "lmgsqueeze"
+PERFBENCH = ROOT / "perfbench"
 
 FAILING_PROPERTY = '''\
 from hypothesis import given, strategies as st
@@ -85,3 +89,18 @@ def test_package_has_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert found == []
+
+
+def test_benchmark_traced_names_exist():
+    # a function renamed or deleted here would otherwise fail only in a
+    # traced benchmark run; both files import only the standard library
+    targets = runpy.run_path(str(PERFBENCH / "tracing.py"))["TARGETS"]
+    expected = runpy.run_path(str(PERFBENCH / "workloads.py"))["EXPECTED_SPANS"]
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _, _ in targets
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []
+    spans = {span for _, _, span, _ in targets}
+    assert {name for names in expected.values() for name in names} <= spans
