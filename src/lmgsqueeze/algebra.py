@@ -203,9 +203,11 @@ class Eigenbasis:
         order = np.argsort(w, kind="stable")
         return cls.of_eigh(w[order], v[:, order])
 
-    def propagate(self, amplitudes: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i G t) applied to an amplitude vector."""
-        return self.v @ (np.exp(-1j * self.w * t) * (self.vh @ amplitudes))
+    def propagate(self, amplitudes: np.ndarray, t) -> np.ndarray:
+        """exp(-i G t) applied to an amplitude vector, or to each column of a
+        (dim, R) block with ``t`` one time or an (R,) array of one per column."""
+        w = self.w if np.ndim(amplitudes) == 1 else self.w[:, None]
+        return self.v @ (np.exp(-1j * w * t) * (self.vh @ amplitudes))
 
     def unitary(self, t: float) -> np.ndarray:
         """exp(-i G t) as a dense matrix."""

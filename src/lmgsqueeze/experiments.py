@@ -9,6 +9,10 @@ consume nothing and worker partitioning cannot change any draw.  A noise run
 is the nominal pulse schedule with its segments perturbed (stretched free
 evolutions, scaled or tilted pulses, per-run or per-segment Hamiltonians),
 executed by the same ``propagate.run_cycles`` as the noiseless schedule.
+Runs that drew one (atom number, gamma, chi) are stepped together, one
+column each of a block, in blocks fixed by the draws alone, so the worker
+count cannot change any byte either; the noiseless run is a block of its
+own.
 
 Emitted tables (one CSV per table, RFC-4180-style, LF line endings, floats
 at 17 significant digits):
@@ -63,6 +67,10 @@ ALLOWED_SCOPES = {
     "atom_number": ("per_run",),
 }
 NOISE_CHANNELS = tuple(ALLOWED_SCOPES)
+# Noise runs that share a space and a free basis are stepped together in
+# blocks whose states at the cycle boundaries take at most this many bytes
+# (N = 100 with 165 cycles: 31 runs).
+BLOCK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -379,13 +387,24 @@ def sweep_gamma(
 # pulsed-vs-reference comparison
 # ---------------------------------------------------------------------------
 
+def prediction_horizon(n_spins: int) -> float:
+    """Dimensionless |chi_eff| N t that the predicted-time scan covers.
+
+    The two-axis-twisting minimum sits near ln(2N)/2 (measured 1.72, 2.50,
+    3.20, 3.66 at N = 20, 100, 400, 1000), so the horizon keeps a margin of
+    1 above it; it is 5.0 up to N = 1490.
+    """
+    return max(5.0, math.log(2.0 * n_spins) / 2.0 + 1.0)
+
+
 def predicted_optimal_time(design_: PulseDesign, model: LMGModel, space) -> tuple:
     """First-minimum time of the design's effective Hamiltonian from the
     coherent state it squeezes best (used to size schedules), returned with
     that Hamiltonian's Eigenbasis and that state."""
     h_eff = Eigenbasis.of(effective_hamiltonian(design_, model, space))
     psi0 = coherent_state(space, design_.optimal_initial)
-    times = np.linspace(0.0, 5.0 / (abs(design_.chi_eff) * model.n_spins), 2000)
+    horizon = prediction_horizon(model.n_spins) / (abs(design_.chi_eff) * model.n_spins)
+    times = np.linspace(0.0, horizon, 2000)
     return minimize_hamiltonian(space, h_eff, psi0, times).minimum.t, h_eff, psi0
 
 
@@ -434,15 +453,15 @@ def compare_pulsed(
             rows.append((name, i, t, t * chi_n, xi2))
 
     minima_rows = (
-        ("lmg", lmg_min.t, lmg_min.t * chi_n, lmg_min.xi2, model.chi, True),
-        ("tat", ref_min.t, ref_min.t * chi_n, ref_min.xi2, design_z.chi_eff, True),
+        ("lmg", lmg_min.t, lmg_min.t * chi_n, lmg_min.xi2, model.chi, lmg_min.refined),
+        ("tat", ref_min.t, ref_min.t * chi_n, ref_min.xi2, design_z.chi_eff, ref_min.refined),
         (
             "pulsed_z",
             trace_z.minimum.t,
             trace_z.minimum.t * chi_n,
             trace_z.minimum.xi2,
             design_z.chi_eff,
-            False,
+            trace_z.minimum.refined,
         ),
         (
             "pulsed_y",
@@ -450,7 +469,7 @@ def compare_pulsed(
             trace_y.minimum.t * chi_n,
             trace_y.minimum.xi2,
             design_y.chi_eff,
-            False,
+            trace_y.minimum.refined,
         ),
     )
     result = ExperimentResult(
@@ -575,88 +594,122 @@ def _channel_streams(seed_seq) -> dict:
     }
 
 
-def _noise_run(task: dict, initial_states: dict):
-    """Simulate one (possibly noisy) pulsed trajectory: the nominal schedule
-    with each of its segments perturbed as the noise channel draws.
+@dataclass
+class _Run:
+    """One trajectory: its channel streams and the values it draws once."""
 
-    Returns the xi2 value at every cycle boundary (nan where the contrast
-    collapses), the realized per-run parameters, and the count of clamped
-    negative durations.  A drawn atom number gets a space of its own, dropped
-    with the run.  ``initial_states``: initial amplitudes by atom number.
+    streams: dict
+    n_spins: int
+    gamma: float
+    chi: float
+    area: float = 1.0
+    tilt: tuple | None = None
+    separation: float = 1.0
+
+
+def _active(task: dict, name: str, scope: str) -> bool:
+    return task["channel"] == name and task["sigma"] > 0.0 and task["scope"] == scope
+
+
+def _draw(task: dict, run: _Run, name: str) -> float:
+    """A relative factor 1 + sigma * N(0, 1) from the run's stream for ``name``."""
+    return 1.0 + task["sigma"] * run.streams[name].standard_normal()
+
+
+def _draw_tilt(task: dict, run: _Run) -> tuple:
+    stream = run.streams["pulse_phase"]
+    delta = task["sigma"] * (math.pi / 2.0) * stream.standard_normal()
+    return delta, stream.uniform(0.0, 2.0 * math.pi)
+
+
+def _new_run(task: dict, seed) -> _Run:
+    """A run with its streams spawned from ``seed`` and its per-run draws made."""
+    run = _Run(_channel_streams(seed), task["space"].n_spins, task["gamma"], task["chi"])
+    if _active(task, "gamma", "per_run"):
+        run.gamma *= _draw(task, run, "gamma")
+    if _active(task, "chi", "per_run"):
+        run.chi *= _draw(task, run, "chi")
+    if _active(task, "atom_number", "per_run"):
+        run.n_spins = max(1, int(round(run.n_spins * _draw(task, run, "atom_number"))))
+    if _active(task, "pulse_area", "per_run"):
+        run.area = _draw(task, run, "pulse_area")
+    if _active(task, "pulse_phase", "per_run"):
+        run.tilt = _draw_tilt(task, run)
+    if _active(task, "pulse_separation", "per_run"):
+        run.separation = _draw(task, run, "pulse_separation")
+    return run
+
+
+def _per_column(values: list):
+    """One value when every column of a block takes it, else an array of one
+    per column."""
+    return values[0] if all(value == values[0] for value in values) else np.array(values)
+
+
+def _noise_block(task: dict) -> list:
+    """Simulate the (possibly noisy) pulsed trajectories of ``task["runs"]``,
+    which share one (n_spins, gamma, chi), as the columns of one block: the
+    nominal schedule with each of its segments perturbed as each run draws.
+
+    Returns, per run: the xi2 value at every cycle boundary (nan where the
+    contrast collapses), the realized (n_spins, gamma, chi), the count of
+    clamped negative durations and the norm error.  A drawn atom number gets
+    a space of its own, dropped with the block.
     """
-    streams = _channel_streams(task["seed"])
-    channel = task["channel"]
-    sigma = task["sigma"]
-    scope = task["scope"]
-    gamma = task["gamma"]
-    chi = task["chi"]
+    runs = task["runs"]
+    repeated = task["sigma"] == 0.0 or task["scope"] == "per_run"
+    # runs that drew the same values, and draw nothing per segment or pulse,
+    # follow one trajectory: it is stepped once, as one column
+    same = len({(run.area, run.tilt, run.separation) for run in runs}) == 1
+    columns = runs[:1] if repeated and same else runs
     nominal = task["space"]
-    n_spins = nominal.n_spins
-
-    def active(name, scope_name):
-        return channel == name and sigma > 0.0 and scope == scope_name
-
-    def draw(name):
-        """A relative factor 1 + sigma * N(0, 1) from the channel's stream."""
-        return 1.0 + sigma * streams[name].standard_normal()
-
-    if active("gamma", "per_run"):
-        gamma = gamma * draw("gamma")
-    if active("chi", "per_run"):
-        chi = chi * draw("chi")
-    if active("atom_number", "per_run"):
-        n_spins = max(1, int(round(n_spins * draw("atom_number"))))
-
+    n_spins = runs[0].n_spins
     space = nominal if n_spins == nominal.n_spins else build_space(n_spins)
     moments = second_moment_operators(space)
 
-    def free_basis(g):
-        return Eigenbasis.of_quadratic_form(chi * (moments["xx"] + g * moments["yy"]))
+    def free_basis(gamma, chi):
+        return Eigenbasis.of_quadratic_form(chi * (moments["xx"] + gamma * moments["yy"]))
 
-    basis = free_basis(gamma)
-    psi = initial_states.get(n_spins)
-    if psi is None:
-        initial = BlochAngles(theta=task["theta"], phi=task["phi"])
-        psi = initial_states[n_spins] = coherent_state(space, initial).amplitudes
-
-    def draw_tilt():
-        stream = streams["pulse_phase"]
-        delta = sigma * (math.pi / 2.0) * stream.standard_normal()
-        return delta, stream.uniform(0.0, 2.0 * math.pi)
-
-    area_factor = draw("pulse_area") if active("pulse_area", "per_run") else 1.0
-    tilt = draw_tilt() if active("pulse_phase", "per_run") else None
-    separation = draw("pulse_separation") if active("pulse_separation", "per_run") else 1.0
-
-    clamped = 0
+    basis = free_basis(runs[0].gamma, runs[0].chi)
+    psi = coherent_state(space, BlochAngles(theta=task["theta"], phi=task["phi"])).amplitudes
+    clamped = [0] * len(columns)
 
     def realize(seg) -> tuple:
-        """The segments that realize one nominal segment in this run."""
-        nonlocal clamped
+        """The segments that realize one nominal segment in every run."""
         if isinstance(seg, FreeSegment):
-            factor = separation
-            if active("pulse_separation", "per_segment"):
-                factor = draw("pulse_separation")
-            if active("chi", "per_segment"):
-                factor *= draw("chi")
-            duration = seg.duration * factor
-            if duration < 0.0:
-                clamped += 1
-                duration = 0.0
-            if active("gamma", "per_segment"):
-                return (FreeSegment(duration, free_basis(gamma * draw("gamma"))),)
-            return (FreeSegment(duration, basis),)
-        factor = draw("pulse_area") if active("pulse_area", "per_pulse") else area_factor
-        angle = seg.angle * factor
-        tilt_now = draw_tilt() if active("pulse_phase", "per_pulse") else tilt
-        if tilt_now is None:
-            return (PulseSegment(seg.axis, angle),)
-        delta, beta = tilt_now
+            durations = []
+            for r, run in enumerate(columns):
+                factor = run.separation
+                if _active(task, "pulse_separation", "per_segment"):
+                    factor = _draw(task, run, "pulse_separation")
+                if _active(task, "chi", "per_segment"):
+                    factor *= _draw(task, run, "chi")
+                duration = seg.duration * factor
+                if duration < 0.0:
+                    clamped[r] += 1
+                    duration = 0.0
+                durations.append(duration)
+            hamiltonian = basis
+            if _active(task, "gamma", "per_segment"):
+                (run,) = columns  # such runs are blocks of one
+                hamiltonian = free_basis(run.gamma * _draw(task, run, "gamma"), run.chi)
+            return (FreeSegment(_per_column(durations), hamiltonian),)
+        per_pulse_area = _active(task, "pulse_area", "per_pulse")
+        per_pulse_tilt = _active(task, "pulse_phase", "per_pulse")
+        angles = [
+            seg.angle * (_draw(task, run, "pulse_area") if per_pulse_area else run.area)
+            for run in columns
+        ]
+        tilts = [_draw_tilt(task, run) if per_pulse_tilt else run.tilt for run in columns]
+        if tilts[0] is None:
+            return (PulseSegment(seg.axis, _per_column(angles)),)
+        delta = _per_column([tilt[0] for tilt in tilts])
+        beta = _per_column([tilt[1] for tilt in tilts])
         tilt_axis = {"z": "y", "y": "x", "x": "z"}[seg.axis]
         return (
             PulseSegment(seg.axis, -beta),
             PulseSegment(tilt_axis, -delta),
-            PulseSegment(seg.axis, angle),
+            PulseSegment(seg.axis, _per_column(angles)),
             PulseSegment(tilt_axis, delta),
             PulseSegment(seg.axis, beta),
         )
@@ -664,27 +717,73 @@ def _noise_run(task: dict, initial_states: dict):
     def realize_cycle() -> tuple:
         return tuple(out for seg in task["segments"] for out in realize(seg))
 
-    if sigma == 0.0 or scope == "per_run":
+    if repeated:
         # nothing is drawn per segment or pulse: every cycle is the same
-        cycles = itertools.repeat(realize_cycle(), task["cycles"])
-        clamped *= task["cycles"]
+        cycles = (realize_cycle(),) * task["cycles"]
+        clamped = [count * task["cycles"] for count in clamped]
     else:
         # realized one cycle at a time, so draws follow segment order and a
         # per-segment basis lives only as long as its cycle
         cycles = (realize_cycle() for _ in range(task["cycles"]))
-    _, states = run_cycles(SpinState(psi, space), cycles)
+    block = np.repeat(psi[:, None], len(columns), axis=1)
+    _, states = run_cycles(SpinState(block, space), cycles)
 
-    # the noise perturbs parameters, never the state: evolution stays unitary
-    norm_error = abs(float(np.linalg.norm(states[:, -1])) - 1.0)
-    xi2, _, _, _ = batch_squeezing(space, states)
-    return xi2, (n_spins, gamma, chi), clamped, norm_error
+    outcomes = []
+    for r, run in enumerate(runs):
+        c = r if len(columns) > 1 else 0
+        run_states = states[:, c]
+        # the noise perturbs parameters, never the state: evolution stays unitary
+        norm_error = abs(float(np.linalg.norm(run_states[:, -1])) - 1.0)
+        xi2, _, _, _ = batch_squeezing(space, run_states)
+        outcomes.append((xi2, (n_spins, run.gamma, run.chi), clamped[c], norm_error))
+    return outcomes
 
 
-def _noise_runs(tasks: list) -> list:
-    """Outcomes of ``_noise_run`` for each task, in order; runs with the
-    same atom number share one initial state."""
-    initial_states = {}
-    return [_noise_run(task, initial_states) for task in tasks]
+def _noise_outcomes(space, model, sch, initial, noise, n_runs, seed, workers) -> tuple:
+    """Outcomes (as ``_noise_block`` returns them) of the noiseless run and
+    of each noisy run in run order.
+
+    The noiseless run is a block of its own.  The noisy runs are grouped by
+    their (n_spins, gamma, chi), which fixes the space and the free
+    Eigenbasis they share, and cut into blocks of at most BLOCK_BYTES, so no
+    block depends on the worker count; a per-segment gamma draws a basis per
+    segment and run, so those runs are blocks of one.
+    """
+    base = {
+        "space": space,
+        "gamma": model.gamma,
+        "chi": model.chi,
+        "segments": sch.segments,
+        "cycles": sch.cycle_count,
+        "theta": initial.theta,
+        "phi": initial.phi,
+        "channel": noise.channel,
+        "scope": noise.resolved_scope,
+    }
+    noiseless = dict(base, sigma=0.0)
+    noiseless["runs"] = [_new_run(noiseless, np.random.SeedSequence(0))]
+    noisy = dict(base, sigma=noise.relative_sigma)
+    runs = [_new_run(noisy, child) for child in np.random.SeedSequence(seed).spawn(n_runs)]
+    alone = _active(noisy, "gamma", "per_segment")
+    groups = {}
+    for index, run in enumerate(runs):
+        groups.setdefault(index if alone else (run.n_spins, run.gamma, run.chi), []).append(index)
+    blocks = []
+    for indices in groups.values():
+        dim = runs[indices[0]].n_spins + 1
+        width = max(1, BLOCK_BYTES // (16 * dim * (sch.cycle_count + 1)))
+        blocks += [indices[i : i + width] for i in range(0, len(indices), width)]
+    tasks = [noiseless] + [dict(noisy, runs=[runs[i] for i in block]) for block in blocks]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_noise_block, tasks))
+    else:
+        results = [_noise_block(task) for task in tasks]
+    outcomes = [None] * n_runs
+    for block, block_outcomes in zip(blocks, results[1:]):
+        for index, outcome in zip(block, block_outcomes):
+            outcomes[index] = outcome
+    return results[0][0], outcomes
 
 
 def noise_monte_carlo(
@@ -711,33 +810,10 @@ def noise_monte_carlo(
         total_time = 1.2 * predicted_optimal_time(design_, model, space)[0]
     sch = schedule(design_, model, total_time, max_step=max_step, cycles=cycles)
     scope = noise.resolved_scope
-    initial = design_.optimal_initial
-
-    base = {
-        "space": space,
-        "gamma": model.gamma,
-        "chi": model.chi,
-        "segments": sch.segments,
-        "cycles": sch.cycle_count,
-        "theta": initial.theta,
-        "phi": initial.phi,
-        "channel": noise.channel,
-        "scope": scope,
-    }
-    noiseless = dict(base, sigma=0.0, seed=np.random.SeedSequence(0))
-    root = np.random.SeedSequence(seed)
-    tasks = [noiseless] + [
-        dict(base, sigma=noise.relative_sigma, seed=child)
-        for child in root.spawn(n_runs)
-    ]
-    if workers > 1:
-        chunks = [tasks[i : i + 8] for i in range(0, len(tasks), 8)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = [out for chunk in pool.map(_noise_runs, chunks) for out in chunk]
-    else:
-        outcomes = _noise_runs(tasks)
-    ref_xi2 = outcomes.pop(0)[0]
-    ref_min = float(np.nanmin(ref_xi2))
+    ref, outcomes = _noise_outcomes(
+        space, model, sch, design_.optimal_initial, noise, n_runs, seed, workers
+    )
+    ref_min = float(np.nanmin(ref[0]))
 
     chi_n = model.chi * model.n_spins
     nominal_times = np.arange(sch.cycle_count + 1) * sch.cycle_time

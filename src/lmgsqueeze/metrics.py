@@ -34,9 +34,13 @@ class SqueezingSample:
 
 @dataclass(frozen=True)
 class TraceMinimum:
+    """A first minimum; ``refined`` when a golden-section search located it
+    between the samples, else it is a sample."""
+
     t: float
     xi2: float
     bracketed: bool = True
+    refined: bool = False
 
 
 @dataclass(frozen=True)
@@ -233,7 +237,8 @@ def minimize_hamiltonian(
         )
     except ValueError:
         return trace  # flat bracket; keep the grid point
-    return replace(trace, minimum=TraceMinimum(t=float(result.x), xi2=float(result.fun)))
+    minimum = TraceMinimum(t=float(result.x), xi2=float(result.fun), refined=True)
+    return replace(trace, minimum=minimum)
 
 
 def minimize_over_time(

@@ -6,14 +6,17 @@ schedules that reuse the same two Hamiltonians thousands of times pay for
 two factorizations; a real quadratic form, which conserves Sz-parity, can
 be factored as two real blocks of half the size.  Pulses are instantaneous
 unitaries (Rabi limit).
-``run_cycles`` is the one executor that applies segments to a state: pulse
-schedules and every noisy trajectory (a perturbed copy of a schedule's
-segments) run through it.  A small-N full product-space evolver is provided
-as an independent oracle for the symmetric-sector reduction.
+``run_cycles`` is the one executor that applies segments to states: pulse
+schedules (one trajectory) and blocks of noisy trajectories (perturbed
+copies of a schedule's segments, held as the columns of one array) run
+through it, one product per segment for the whole block.  A cycle repeated
+at least dim times is applied as its one-cycle unitary instead.  A small-N
+full product-space evolver is provided as an independent oracle for the
+symmetric-sector reduction.
 """
 
-import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +50,17 @@ def evolve_batch(state: SpinState, hamiltonian, times: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True)
 class FreeSegment:
-    """Free evolution for ``duration`` under an Eigenbasis; None means the model's."""
+    """Free evolution for ``duration`` under an Eigenbasis; None means the model's.
 
-    duration: float
+    Applied to a block of states (``run_cycles``), ``duration`` may be an
+    (R,) array of one duration per column.
+    """
+
+    duration: float | np.ndarray
     hamiltonian: Eigenbasis | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.duration < math.inf:
+        if not np.all((np.asarray(self.duration) >= 0.0) & np.isfinite(self.duration)):
             raise ValueError(f"segment duration must be finite and >= 0, got {self.duration}")
         if self.hamiltonian is not None and not isinstance(self.hamiltonian, Eigenbasis):
             kind = type(self.hamiltonian).__name__
@@ -62,10 +69,11 @@ class FreeSegment:
 
 @dataclass(frozen=True)
 class PulseSegment:
-    """Instantaneous rotation exp(-i angle S_axis)."""
+    """Instantaneous rotation exp(-i angle S_axis); on a block of states,
+    ``angle`` may be an (R,) array of one angle per column."""
 
     axis: str
-    angle: float
+    angle: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -95,28 +103,57 @@ def _resolved_cycle(schedule: PulseSchedule, basis: Eigenbasis) -> tuple:
     )
 
 
+def _cycle_unitary(space: DickeSpace, cycle) -> np.ndarray:
+    """Dense unitary of one cycle of segments, each taking one value for
+    every column."""
+    un = np.eye(space.dim, dtype=complex)
+    for seg in cycle:
+        if isinstance(seg, FreeSegment):
+            un = seg.hamiltonian.unitary(seg.duration) @ un
+        else:
+            un = rotation(space, seg.axis, seg.angle) @ un
+    return un
+
+
 def run_cycles(state: SpinState, cycles) -> tuple[np.ndarray, np.ndarray]:
     """Apply each cycle (a tuple of segments whose free Hamiltonians are
     Eigenbases) to ``state`` in turn.
 
-    Returns the elapsed time and the amplitudes, as columns, at every cycle
-    boundary, starting with the initial state.
+    ``state`` holds one amplitude vector or a block of R trajectories as the
+    columns of a (dim, R) array, and each segment applies to the whole block
+    as one product; its duration or angle may be an (R,) array of one value
+    per column.  When ``cycles`` is a sequence holding one cycle object at
+    least dim times, and that cycle takes one value for every column, its
+    unitary is built once and applied as one product per cycle.
+
+    Returns the elapsed time (per column where durations are) and the
+    amplitudes, stacked along a last axis, at every cycle boundary, starting
+    with the initial state.
     """
-    current = state
+    space = state.space
+    amps = state.amplitudes
     elapsed = 0.0
     times = [elapsed]
-    snapshots = [state.amplitudes]
+    snapshots = [amps]
+    unitary = None
+    if isinstance(cycles, Sequence) and len(cycles) >= space.dim:
+        first = cycles[0]
+        values = [seg.duration if isinstance(seg, FreeSegment) else seg.angle for seg in first]
+        if all(cycle is first for cycle in cycles) and not any(map(np.ndim, values)):
+            unitary = _cycle_unitary(space, first)
     for segments in cycles:
         for seg in segments:
             if isinstance(seg, FreeSegment):
-                amps = seg.hamiltonian.propagate(current.amplitudes, seg.duration)
-                current = SpinState(amps, state.space)
-                elapsed += seg.duration
-            else:
-                current = rotate_state(current, seg.axis, seg.angle)
+                if unitary is None:
+                    amps = seg.hamiltonian.propagate(amps, seg.duration)
+                elapsed = elapsed + seg.duration
+            elif unitary is None:
+                amps = rotate_state(SpinState(amps, space), seg.axis, seg.angle).amplitudes
+        if unitary is not None:
+            amps = unitary @ amps
         times.append(elapsed)
-        snapshots.append(current.amplitudes)
-    return np.array(times), np.column_stack(snapshots)
+        snapshots.append(amps)
+    return np.stack(np.broadcast_arrays(*times)), np.stack(snapshots, axis=-1)
 
 
 def run_schedule(
@@ -135,7 +172,7 @@ def run_schedule(
         raise DimensionMismatch(f"state has N={space.n_spins}, model has N={model.n_spins}")
     basis = model_basis or Eigenbasis.of(realize_hamiltonian(model, space))
     cycle = _resolved_cycle(schedule, basis)
-    times, states = run_cycles(state, itertools.repeat(cycle, schedule.cycle_count))
+    times, states = run_cycles(state, (cycle,) * schedule.cycle_count)
 
     from .metrics import trace_from_states
 
@@ -144,13 +181,8 @@ def run_schedule(
 
 def schedule_unitary(schedule: PulseSchedule, model: LMGModel, space: DickeSpace) -> np.ndarray:
     """Dense unitary for a single cycle of the schedule."""
-    un = np.eye(space.dim, dtype=complex)
-    for seg in _resolved_cycle(schedule, Eigenbasis.of(realize_hamiltonian(model, space))):
-        if isinstance(seg, FreeSegment):
-            un = seg.hamiltonian.unitary(seg.duration) @ un
-        else:
-            un = rotation(space, seg.axis, seg.angle) @ un
-    return un
+    basis = Eigenbasis.of(realize_hamiltonian(model, space))
+    return _cycle_unitary(space, _resolved_cycle(schedule, basis))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,9 @@ class BlochAngles:
 
 @dataclass(frozen=True)
 class SpinState:
-    """Pure state on a Dicke space, stored as complex amplitudes."""
+    """Pure state on a Dicke space, stored as complex amplitudes; the
+    schedule executor and ``rotate_state`` also carry a block of states as
+    the columns of a (dim, R) array."""
 
     amplitudes: np.ndarray
     space: DickeSpace
@@ -95,10 +97,16 @@ def rotation(space: DickeSpace, axis: str, angle: float) -> np.ndarray:
     return _axis_eig(space, axis).unitary(angle)
 
 
-def rotate_state(state: SpinState, axis: str, angle: float) -> SpinState:
-    """Apply exp(-i angle S_axis) without materializing the full matrix."""
+def rotate_state(state: SpinState, axis: str, angle) -> SpinState:
+    """Apply exp(-i angle S_axis) without materializing the full matrix.
+
+    ``state`` may hold a block of states as the columns of a (dim, R) array,
+    rotated by one ``angle`` or by an (R,) array of one angle per column.
+    """
     if axis == "z":
-        amps = np.exp(-1j * angle * state.space.m_values()) * state.amplitudes
+        m = state.space.m_values()
+        m = m if np.ndim(state.amplitudes) == 1 else m[:, None]
+        amps = np.exp(-1j * angle * m) * state.amplitudes
     else:
         amps = _axis_eig(state.space, axis).propagate(state.amplitudes, angle)
     return SpinState(amplitudes=amps, space=state.space)

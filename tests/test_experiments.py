@@ -1,3 +1,4 @@
+import csv
 import gc
 import itertools
 import math
@@ -20,6 +21,8 @@ from lmgsqueeze.experiments import (
     default_horizon,
     evolve_trace,
     noise_monte_carlo,
+    predicted_optimal_time,
+    prediction_horizon,
     scaling_study,
     sweep_gamma,
     sweep_initial_state,
@@ -265,6 +268,42 @@ def test_compare_pulsed_reference_minima_are_the_one_search():
     ):
         direct = minimize_hamiltonian(space, hamiltonian, psi, times, allow_unbracketed=True)
         assert (minima[name][1], minima[name][3]) == (direct.minimum.t, direct.minimum.xi2)
+
+
+def test_compare_pulsed_marks_minima_that_were_never_refined(tmp_path):
+    # from (pi/2, 0) the gamma = 0 trace is flat (xi2 = 1 +- 1e-15): the
+    # golden search finds no bracket and the grid point is kept
+    model = from_chi_gamma(1.0, 0.0, 20)
+    result = compare_pulsed(model, lmg_initial=BlochAngles(math.pi / 2, 0.0))
+    write_result(result, tmp_path)
+    with open(tmp_path / "minima.csv") as fh:
+        refined = {row["trace"]: row["refined"] for row in csv.DictReader(fh)}
+    assert refined == {"lmg": "0", "tat": "1", "pulsed_z": "0", "pulsed_y": "0"}
+    lmg_times = [row[2] for row in result.tables["traces"].rows if row[0] == "lmg"]
+    assert result.tables["minima"].rows[0][1] == lmg_times[2]
+
+
+# |chi_eff| N t of the first two-axis-twisting minimum from the optimal state
+MEASURED_TAT_MINIMA = {20: 1.72, 100: 2.50, 400: 3.20, 1000: 3.66}
+
+
+def test_prediction_horizon_covers_the_twisting_minimum():
+    for n, tau in MEASURED_TAT_MINIMA.items():
+        assert prediction_horizon(n) >= tau + 1.0
+        # the minimum grows like ln(2N)/2, which the horizon tracks
+        assert abs(tau - math.log(2 * n) / 2) < 0.2
+    for n in (20, 100):
+        model = from_chi_gamma(1.0, 0.1, n)
+        design_ = design(model, "z", "A")
+        t_pred = predicted_optimal_time(design_, model, build_space(n))[0]
+        assert t_pred * abs(design_.chi_eff) * n == pytest.approx(MEASURED_TAT_MINIMA[n], abs=0.01)
+    # exactly the old fixed 5.0 up to N = 1490, so no benchmark grid moves
+    assert {prediction_horizon(n) for n in (1, 20, 1000, 1490)} == {5.0}
+    assert prediction_horizon(1491) > 5.0
+    # at N = 20,000 a fixed 5.0 would fall short of the extrapolated minimum
+    tau = math.log(2 * 20_000) / 2
+    assert tau > 5.0
+    assert prediction_horizon(20_000) == pytest.approx(tau + 1.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("gamma", [0.05, 0.25, 0.4])

@@ -237,10 +237,13 @@ def test_minimize_hamiltonian_on_nonuniform_times(gamma, n, theta, phi, start, s
         return
     assert sampled.minimum.bracketed
     assert (sampled.minimum.t, sampled.minimum.xi2) == (times[k], xi2[k])
+    assert not sampled.minimum.refined
 
     refined = minimize_hamiltonian(space, basis, psi, times, allow_unbracketed=True).minimum
     assert refined.bracketed
     assert times[k - 1] <= refined.t <= times[k + 1]
+    # a search that could not run (flat bracket) keeps the sample, unrefined
+    assert refined.refined or refined == sampled.minimum
     # the search evaluates one state at a time, the scan a batch: allow
     # their last-digit rounding difference
     assert refined.xi2 <= xi2[k] * (1.0 + 1e-12)

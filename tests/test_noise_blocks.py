@@ -1,0 +1,166 @@
+"""The noise Monte Carlo steps its runs in blocks, one column per run.  Each
+run must come out as if it had been stepped alone, segment by segment, and
+no output may depend on which runs share a block or on the worker count."""
+
+import math
+import os
+
+import numpy as np
+import pytest
+
+from lmgsqueeze import experiments
+from lmgsqueeze.algebra import build_space, second_moment_operators
+from lmgsqueeze.canonical import from_chi_gamma
+from lmgsqueeze.experiments import ALLOWED_SCOPES, NoiseSpec, noise_monte_carlo, write_result
+from lmgsqueeze.metrics import batch_squeezing
+from lmgsqueeze.propagate import Eigenbasis, FreeSegment, PulseSegment, run_cycles
+from lmgsqueeze.pulses import design, schedule
+from lmgsqueeze.states import coherent_state
+
+CHANNEL_SCOPES = [(ch, sc) for ch, scopes in ALLOWED_SCOPES.items() for sc in scopes]
+N_BLOCK = 12
+
+
+def step_alone(model, sch, initial, noise, seed_seq, sigma):
+    """One run drawn and stepped on its own, one segment at a time, as the
+    Monte Carlo did before runs were blocked: (xi2 trace, (n_spins, gamma,
+    chi), clamped segments)."""
+    streams = experiments._channel_streams(seed_seq)
+    channel, scope = noise.channel, noise.resolved_scope
+    gamma, chi, n_spins = model.gamma, model.chi, model.n_spins
+
+    def active(name, scope_name):
+        return channel == name and sigma > 0.0 and scope == scope_name
+
+    def draw(name):
+        return 1.0 + sigma * streams[name].standard_normal()
+
+    def draw_tilt():
+        stream = streams["pulse_phase"]
+        delta = sigma * (math.pi / 2.0) * stream.standard_normal()
+        return delta, stream.uniform(0.0, 2.0 * math.pi)
+
+    if active("gamma", "per_run"):
+        gamma = gamma * draw("gamma")
+    if active("chi", "per_run"):
+        chi = chi * draw("chi")
+    if active("atom_number", "per_run"):
+        n_spins = max(1, int(round(n_spins * draw("atom_number"))))
+    space = build_space(n_spins)
+    moments = second_moment_operators(space)
+
+    def free_basis(g):
+        return Eigenbasis.of_quadratic_form(chi * (moments["xx"] + g * moments["yy"]))
+
+    basis = free_basis(gamma)
+    area = draw("pulse_area") if active("pulse_area", "per_run") else 1.0
+    tilt = draw_tilt() if active("pulse_phase", "per_run") else None
+    separation = draw("pulse_separation") if active("pulse_separation", "per_run") else 1.0
+    clamped = 0
+
+    def realize(seg):
+        nonlocal clamped
+        if isinstance(seg, FreeSegment):
+            factor = separation
+            if active("pulse_separation", "per_segment"):
+                factor = draw("pulse_separation")
+            if active("chi", "per_segment"):
+                factor *= draw("chi")
+            duration = seg.duration * factor
+            if duration < 0.0:
+                clamped += 1
+                duration = 0.0
+            if active("gamma", "per_segment"):
+                return (FreeSegment(duration, free_basis(gamma * draw("gamma"))),)
+            return (FreeSegment(duration, basis),)
+        factor = draw("pulse_area") if active("pulse_area", "per_pulse") else area
+        tilt_now = draw_tilt() if active("pulse_phase", "per_pulse") else tilt
+        if tilt_now is None:
+            return (PulseSegment(seg.axis, seg.angle * factor),)
+        delta, beta = tilt_now
+        tilt_axis = {"z": "y", "y": "x", "x": "z"}[seg.axis]
+        return (
+            PulseSegment(seg.axis, -beta),
+            PulseSegment(tilt_axis, -delta),
+            PulseSegment(seg.axis, seg.angle * factor),
+            PulseSegment(tilt_axis, delta),
+            PulseSegment(seg.axis, beta),
+        )
+
+    def realize_cycle():
+        return tuple(out for seg in sch.segments for out in realize(seg))
+
+    if sigma == 0.0 or scope == "per_run":
+        cycle = realize_cycle()
+        clamped *= sch.cycle_count
+        cycles = (cycle for _ in range(sch.cycle_count))
+    else:
+        cycles = (realize_cycle() for _ in range(sch.cycle_count))
+    # a generator of cycles is always stepped segment by segment
+    _, states = run_cycles(coherent_state(space, initial), cycles)
+    xi2, _, _, _ = batch_squeezing(space, states)
+    return xi2, (n_spins, gamma, chi), clamped
+
+
+def block_setup(axis="z"):
+    model = from_chi_gamma(1.0, 0.1, N_BLOCK)
+    design_ = design(model, axis, "A")
+    # 20 cycles: runs whose cycle is the same in every column take the
+    # one-cycle unitary at dim 13, larger drawn atom numbers still step
+    return model, design_, schedule(design_, model, 0.4, cycles=20)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1, 3.0])
+@pytest.mark.parametrize("channel,scope", CHANNEL_SCOPES)
+def test_blocks_match_each_run_stepped_alone(channel, scope, sigma):
+    model, design_, sch = block_setup()
+    noise = NoiseSpec(channel, sigma, scope)
+    n_runs, seed = 5, 11
+    ref, outcomes = experiments._noise_outcomes(
+        build_space(N_BLOCK), model, sch, design_.optimal_initial, noise, n_runs, seed, 1
+    )
+    initial = design_.optimal_initial
+    want_ref = step_alone(model, sch, initial, noise, np.random.SeedSequence(0), 0.0)
+    wanted = [
+        step_alone(model, sch, initial, noise, child, sigma)
+        for child in np.random.SeedSequence(seed).spawn(n_runs)
+    ]
+    for (xi2, realized, clamped, norm_error), want in zip([ref] + outcomes, [want_ref] + wanted):
+        np.testing.assert_allclose(xi2, want[0], rtol=1e-12, atol=0.0)
+        assert realized == want[1]
+        assert clamped == want[2]
+        assert norm_error < 1e-12
+    if sigma == 3.0 and channel == "pulse_separation":
+        assert sum(outcome[2] for outcome in outcomes) > 0  # clamping is exercised
+
+
+def test_noiseless_trace_is_bit_identical_across_channels():
+    model, design_, sch = block_setup("y")
+    traces = []
+    for channel, scope in CHANNEL_SCOPES:
+        noise = NoiseSpec(channel, 0.1, scope)
+        ref, _ = experiments._noise_outcomes(
+            build_space(N_BLOCK), model, sch, design_.optimal_initial, noise, 4, 2, 1
+        )
+        traces.append(ref[0])
+    assert all(np.array_equal(trace, traces[0], equal_nan=True) for trace in traces)
+
+
+@pytest.mark.parametrize(
+    "channel,scope",
+    [("pulse_separation", "per_segment"), ("pulse_phase", "per_run"), ("atom_number", "per_run")],
+)
+def test_worker_count_changes_no_output_byte(tmp_path, monkeypatch, channel, scope):
+    model, design_, sch = block_setup()
+    # blocks of 4 runs at N = 12, so 10 runs end on a partial block
+    monkeypatch.setattr(experiments, "BLOCK_BYTES", 4 * 16 * (N_BLOCK + 1) * (sch.cycle_count + 1))
+    noise = NoiseSpec(channel, 0.1, scope)
+    for workers in (1, 2, 3):
+        result = noise_monte_carlo(
+            model, design_, noise, n_runs=10, seed=6, total_time=0.4, cycles=20, workers=workers
+        )
+        write_result(result, tmp_path / str(workers))
+    for table in ("runs", "trace_stats", "summary"):
+        files = [(tmp_path / str(w) / f"{table}.csv").read_bytes() for w in (1, 2, 3)]
+        assert files[1] == files[0] and files[2] == files[0], table
+    assert os.listdir(tmp_path / "1") == os.listdir(tmp_path / "3")

@@ -19,6 +19,7 @@ from lmgsqueeze.propagate import (
     evolve,
     evolve_batch,
     evolve_full_product_space,
+    run_cycles,
     run_schedule,
     schedule_unitary,
 )
@@ -214,6 +215,11 @@ def test_segment_duration_validation():
         with pytest.raises(ValueError):
             schedule(design(model, "z", "A"), model, bad, cycles=3)
     PulseSegment(axis="z", angle=-math.pi / 2)  # any finite angle is fine
+    # a block of states takes one duration per column
+    FreeSegment(duration=np.array([0.1, 0.0]))
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            FreeSegment(duration=np.array([0.1, bad]))
 
 
 def test_eig_cache_safe_under_concurrent_use():
@@ -420,3 +426,64 @@ def test_eigenbasis_kernel_keeps_the_inline_bytes(n):
                 step = _inline_rotation(space, seg.axis, seg.angle)
             inline = step @ inline
         assert np.array_equal(schedule_unitary(sched, model, space), inline)
+
+
+def block_and_cycle(n, axis):
+    """Three coherent states as the columns of a block, and one schedule
+    cycle with its free Hamiltonian factored."""
+    space = build_space(n)
+    model = from_chi_gamma(1.0, 0.1, n)
+    sched = schedule(design(model, axis, "A"), model, total_time=0.3, cycles=1)
+    basis = Eigenbasis.of(realize_hamiltonian(model, space))
+    cycle = tuple(
+        FreeSegment(seg.duration, basis) if isinstance(seg, FreeSegment) else seg
+        for seg in sched.segments
+    )
+    angles = (BlochAngles(math.pi / 2, 0.3), BlochAngles(0.4, 2.0), BlochAngles(2.9, 5.1))
+    block = np.column_stack([coherent_state(space, a).amplitudes for a in angles])
+    return space, block, cycle
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_repeated_cycle_unitary_matches_stepping(monkeypatch, columns):
+    space, block, cycle = block_and_cycle(12, "y")
+    state = SpinState(block[:, 0] if columns == 1 else block, space)
+    pulses = []
+
+    def counting(state, axis, angle):
+        pulses.append(axis)
+        return rotate_state(state, axis, angle)
+
+    monkeypatch.setattr(propagate, "rotate_state", counting)
+    for count in (space.dim - 2, space.dim - 1, space.dim, space.dim + 9):
+        pulses.clear()
+        times, states = run_cycles(state, (cycle,) * count)
+        switched = not pulses
+        # an iterator of cycles is always stepped segment by segment
+        step_times, stepped = run_cycles(state, iter((cycle,) * count))
+        assert switched == (count >= space.dim)
+        assert states.shape == stepped.shape == state.amplitudes.shape + (count + 1,)
+        assert np.array_equal(times, step_times)
+        assert np.max(np.abs(states - stepped)) < 1e-12
+
+
+@pytest.mark.parametrize("axis", ["z", "y"])
+def test_block_columns_match_vectors_stepped_alone(axis):
+    # per-column durations and angles, applied to the block at once
+    space, block, cycle = block_and_cycle(15, axis)
+    scale = np.array([1.0, 0.5, 1.7])
+
+    def per_column(seg, r=None):
+        factor = scale if r is None else scale[r]
+        if isinstance(seg, FreeSegment):
+            return FreeSegment(seg.duration * factor, seg.hamiltonian)
+        return PulseSegment(seg.axis, seg.angle * factor)
+
+    cycles = [tuple(per_column(seg) for seg in cycle)] * 4
+    times, states = run_cycles(SpinState(block, space), cycles)
+    assert times.shape == (5, 3) and states.shape == (space.dim, 3, 5)
+    for r in range(3):
+        alone = [tuple(per_column(seg, r) for seg in cycle)] * 4
+        t_alone, s_alone = run_cycles(SpinState(block[:, r], space), alone)
+        assert np.array_equal(times[:, r], t_alone)
+        assert np.max(np.abs(states[:, r] - s_alone)) < 1e-12

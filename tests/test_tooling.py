@@ -1,15 +1,20 @@
 """The test configuration and the source tree: a failing property test must
 still report the example that broke it under the repo's pytest settings, the
-package must import nothing it does not use, and every function the
-benchmark traces must exist."""
+package must import nothing it does not use, every function the benchmark
+traces must exist, and each benchmark workload must reach the spans its
+traced run expects."""
 
 import ast
 import importlib
+import importlib.util
+import json
 import runpy
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
@@ -104,3 +109,47 @@ def test_benchmark_traced_names_exist():
     assert missing == []
     spans = {span for _, _, span, _ in targets}
     assert {name for names in expected.values() for name in names} <= spans
+
+
+def load_by_path(name: str):
+    """The perfbench module ``name``, loaded from its file without a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def reduced_configs(workloads, name: str) -> list:
+    """(experiment, config) of each call of a benchmark workload, made
+    smaller but run on the code paths of the full size."""
+    experiments = workloads.make_workload(name, workloads.DEFAULT_SEED)
+    smaller = {
+        "noise_n100": {"n_runs": 2},
+        # at N = 400 both schedules keep fewer cycles than dim, so they are
+        # stepped segment by segment as at N = 1000
+        "pulsed_n1000": {"n_spins": 400},
+        "sweep_n100": {"theta_points": 5, "phi_points": 4},
+    }[name]
+    return [(exp, dict(exp.config, **smaller)) for exp in experiments]
+
+
+@pytest.mark.parametrize("workload", ["sweep_n100", "pulsed_n1000", "noise_n100"])
+def test_benchmark_workloads_reach_their_expected_spans(tmp_path, monkeypatch, workload):
+    from lmgsqueeze import cli
+
+    tracing = load_by_path("tracing")
+    workloads = load_by_path("workloads")
+    monkeypatch.chdir(tmp_path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for exp, config in reduced_configs(workloads, workload):
+            (tmp_path / f"{exp.tag}.json").write_text(json.dumps(config))
+            assert cli.main([exp.command, "--config", f"{exp.tag}.json", "--out", exp.tag]) == 0
+    finally:
+        tracer.uninstall()
+    layers = tracer.metrics()
+    assert [span for span in workloads.EXPECTED_SPANS[workload] if not layers[f"{span}_calls"]] == []
+    if workload == "pulsed_n1000":
+        notes = json.loads((tmp_path / "pulsed" / "descriptor.json").read_text())["notes"]
+        assert max(notes["cycles_z"], notes["cycles_y"]) < 401
