@@ -13,7 +13,11 @@ space.
 Every exp(-i t G) is applied through an Eigenbasis of G: free evolution,
 the x and y pulses, coherent-state preparation and cycle unitaries.  Only
 the diagonal z rotation and the 2^N product-space oracle exponentiate on
-their own.
+their own, and ``hamiltonian_eig`` is the one checked dense eigensolver.
+The model's chi (Sx^2 + gamma Sy^2), real and Sz-parity conserving, is
+factored as two real blocks (``Eigenbasis.of_quadratic_form``); the pulse
+axes, coherent-state generators and the effective Hamiltonian that sizes
+schedules (``experiments.predicted_optimal_time``) are factored densely.
 """
 
 import os
@@ -140,7 +144,8 @@ def second_moment_operators(space: DickeSpace) -> dict[str, np.ndarray]:
 
 
 def hamiltonian_eig(hamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a Hermitian matrix (else NotHermitian)."""
+    """Eigenvalues and eigenvectors of a Hermitian matrix (else NotHermitian):
+    the one entry point of every dense eigensolve."""
     mat = np.asarray(hamiltonian)
     scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
     if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL * scale:
@@ -148,31 +153,56 @@ def hamiltonian_eig(hamiltonian) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(mat)
 
 
-@dataclass(frozen=True)
-class Eigenbasis:
-    """Eigenvalues ``w``, eigenvector columns ``v`` and ``vh = v.conj().T``
-    of one Hermitian generator G, factored once and reused for every t;
-    the arrays are frozen."""
+def _matmul(matrix: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """``matrix @ amplitudes``; a real matrix multiplies complex amplitudes as
+    one real product over their (dim, 2R) float view, where ``@`` would cast
+    it to complex and do twice the work."""
+    if np.iscomplexobj(matrix) or not np.iscomplexobj(amplitudes):
+        return matrix @ amplitudes
+    z = np.ascontiguousarray(amplitudes, dtype=complex)
+    pairs = z.reshape(z.shape[0], -1).view(np.float64)
+    return (matrix @ pairs).view(complex).reshape(z.shape)
 
-    w: np.ndarray
+
+@dataclass(frozen=True)
+class Block:
+    """One diagonal block of a generator: the basis ``rows`` it acts on, the
+    slice ``cols`` of ``Eigenbasis.w`` that holds its eigenvalues, its
+    eigenvector columns ``v`` and ``vh = v^H``."""
+
+    rows: slice
+    cols: slice
     v: np.ndarray
     vh: np.ndarray
 
-    def __post_init__(self):
-        for array in (self.w, self.v, self.vh):
-            _frozen(array)
 
-    @classmethod
-    def of_eigh(cls, w: np.ndarray, v: np.ndarray) -> "Eigenbasis":
-        """The basis of an ``np.linalg.eigh`` result (w, v)."""
-        return cls(w=w, v=v, vh=v.conj().T)
+@dataclass(frozen=True)
+class Eigenbasis:
+    """Eigenvalues ``w`` and eigenvector ``blocks`` of one Hermitian
+    generator G, factored once and reused for every t; the arrays are frozen.
+
+    A dense basis (``of``) is one complex block over every row.  A parity
+    basis (``of_quadratic_form``) is two real blocks, the even and the odd
+    rows, applied as real products of half the size; no dense eigenvector
+    matrix is built for it.
+    """
+
+    w: np.ndarray
+    blocks: tuple
+
+    def __post_init__(self):
+        _frozen(self.w)
+        for block in self.blocks:
+            _frozen(block.v)
+            _frozen(block.vh)
 
     @classmethod
     def of(cls, hamiltonian) -> "Eigenbasis":
-        """Factor ``hamiltonian`` (an Eigenbasis is returned as it is)."""
+        """Factor ``hamiltonian`` densely (an Eigenbasis is returned as it is)."""
         if isinstance(hamiltonian, Eigenbasis):
             return hamiltonian
-        return cls.of_eigh(*hamiltonian_eig(hamiltonian))
+        w, v = hamiltonian_eig(hamiltonian)
+        return cls(w, (Block(slice(None), slice(None), v, v.conj().T),))
 
     @classmethod
     def of_quadratic_form(cls, matrix) -> "Eigenbasis":
@@ -196,19 +226,54 @@ class Eigenbasis:
         real = mat.real
         w_even, v_even = np.linalg.eigh(real[0::2, 0::2])
         w_odd, v_odd = np.linalg.eigh(real[1::2, 1::2])
-        w = np.concatenate([w_even, w_odd])
-        v = np.zeros(mat.shape, dtype=complex)
-        v[0::2, : w_even.size] = v_even
-        v[1::2, w_even.size :] = v_odd
-        order = np.argsort(w, kind="stable")
-        return cls.of_eigh(w[order], v[:, order])
+        half = w_even.size
+        blocks = (
+            Block(slice(0, None, 2), slice(0, half), v_even, v_even.T),
+            Block(slice(1, None, 2), slice(half, None), v_odd, v_odd.T),
+        )
+        return cls(np.concatenate([w_even, w_odd]), blocks)
+
+    def phases(self, times) -> np.ndarray:
+        """The table exp(-i w t), one row per eigenvalue and one column per
+        time, that ``sample`` applies; callers sampling many states on one
+        time grid build it once."""
+        return np.exp(-1j * np.outer(self.w, np.asarray(times, dtype=float)))
 
     def propagate(self, amplitudes: np.ndarray, t) -> np.ndarray:
         """exp(-i G t) applied to an amplitude vector, or to each column of a
         (dim, R) block with ``t`` one time or an (R,) array of one per column."""
         w = self.w if np.ndim(amplitudes) == 1 else self.w[:, None]
-        return self.v @ (np.exp(-1j * w * t) * (self.vh @ amplitudes))
+        return self._apply(amplitudes, np.exp(-1j * w * t))
+
+    def sample(self, amplitudes: np.ndarray, phases: np.ndarray) -> np.ndarray:
+        """exp(-i G t) applied to an amplitude vector at every time of the
+        table ``phases`` (``self.phases(times)``), as the columns of a
+        (dim, len(times)) array."""
+        return self._apply(amplitudes, phases)
+
+    def _apply(self, amplitudes, phases) -> np.ndarray:
+        """v (phases * (vh @ amplitudes)), block by block; a table of
+        phases on one vector gives one column per time."""
+        parts = []
+        for block in self.blocks:
+            coeffs = _matmul(block.vh, amplitudes[block.rows])
+            if coeffs.ndim < phases.ndim:
+                coeffs = coeffs[:, None]
+            parts.append(_matmul(block.v, phases[block.cols] * coeffs))
+        if len(parts) == 1:  # one block spans every row
+            return parts[0]
+        out = np.empty((amplitudes.shape[0],) + parts[0].shape[1:], dtype=complex)
+        for block, part in zip(self.blocks, parts):
+            out[block.rows] = part
+        return out
 
     def unitary(self, t: float) -> np.ndarray:
         """exp(-i G t) as a dense matrix."""
-        return (self.v * np.exp(-1j * self.w * t)) @ self.vh
+        un = np.zeros((self.w.size, self.w.size), dtype=complex)
+        for block in self.blocks:
+            phase = np.exp(-1j * self.w[block.cols] * t)
+            if np.iscomplexobj(block.v):  # the dense product order, kept bit for bit
+                un[block.rows, block.rows] = (block.v * phase) @ block.vh
+            else:
+                un[block.rows, block.rows] = _matmul(block.v, phase[:, None] * block.vh)
+        return un

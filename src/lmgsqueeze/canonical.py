@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .algebra import DickeSpace, _frozen, collective_operator, quadratic_form
+from .algebra import (
+    DickeSpace,
+    Eigenbasis,
+    _frozen,
+    collective_operator,
+    hamiltonian_eig,
+    quadratic_form,
+)
 from .errors import AsymmetricInput, DimensionMismatch, IsotropicCoupling
 from .states import rotation_about
 
@@ -76,7 +83,7 @@ class LMGModel:
 
 def _ordered_principal_axes(a_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues descending plus a deterministic, proper rotation frame."""
-    evals, evecs = np.linalg.eigh(a_matrix)
+    evals, evecs = hamiltonian_eig(a_matrix)
     scale = max(np.max(np.abs(evals)), 1.0)
     cols = []
     for i in range(3):
@@ -180,6 +187,12 @@ def realize_hamiltonian(model: LMGModel, space: DickeSpace) -> np.ndarray:
             f"model has N={model.n_spins} but space has N={space.n_spins}"
         )
     return quadratic_form(space, model.chi, model.chi * model.gamma, 0.0)
+
+
+def model_eigenbasis(model: LMGModel, space: DickeSpace) -> Eigenbasis:
+    """Eigenbasis of the realized Hamiltonian, factored as its two real
+    Sz-parity blocks."""
+    return Eigenbasis.of_quadratic_form(realize_hamiltonian(model, space))
 
 
 def counter_twist_decomposition(

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import build_space, second_moment_operators
-from .canonical import LMGModel, from_chi_gamma, realize_hamiltonian
+from .canonical import LMGModel, from_chi_gamma, model_eigenbasis
 from .errors import ConfigError
 from .metrics import batch_squeezing, default_horizon, fit_loglog_slope, minimize_hamiltonian
 from .propagate import Eigenbasis, FreeSegment, PulseSegment, run_cycles, run_schedule
@@ -175,10 +175,10 @@ def evolve_trace(
     """Squeezing trace and first minimum for one model and initial state."""
     horizon = default_horizon(model.n_spins) if horizon is None else horizon
     space = build_space(model.n_spins)
-    hamiltonian = realize_hamiltonian(model, space)
     psi0 = coherent_state(space, initial)
     times = np.linspace(0.0, horizon / (model.chi * model.n_spins), grid_points)
-    trace = minimize_hamiltonian(space, hamiltonian, psi0, times, allow_unbracketed=True)
+    basis = model_eigenbasis(model, space)
+    trace = minimize_hamiltonian(space, basis, psi0, times, allow_unbracketed=True)
     chi_n = model.chi * model.n_spins
     rows = tuple(
         zip(trace.t, trace.t * chi_n, trace.xi2, trace.contrast, *trace.mean_spin)
@@ -219,14 +219,15 @@ def evolve_trace(
 
 def _sweep_column(task):
     """First minima down one phi column of the initial-state grid, one per
-    theta; the column shares one coherent-state generator eigendecomposition."""
-    space, basis, phi, thetas, times = task
+    theta; the column shares one coherent-state generator eigendecomposition,
+    and the whole grid one phase table of the model's basis."""
+    space, basis, phases, phi, thetas, times = task
     generator_eig = coherent_generator_eig(space, phi)
     outcomes = []
     for theta in thetas:
         psi0 = coherent_state(space, BlochAngles(theta=theta, phi=phi), generator_eig)
         trace = minimize_hamiltonian(
-            space, basis, psi0, times, refine=False, allow_unbracketed=True
+            space, basis, psi0, times, refine=False, allow_unbracketed=True, phases=phases
         )
         outcomes.append((trace.minimum.t, trace.minimum.xi2, trace.minimum.bracketed))
     return outcomes
@@ -244,10 +245,15 @@ def _orbit_representatives(theta_points: int, phi_points: int) -> dict:
     """For each point (phi index k, theta index i) of the uniform grid, the
     smallest member of its orbit under the pi rotations about x, z and y that
     map the grid onto itself: x always, z and y when phi_points is even.
-    With the identity they form a group, so every orbit is complete."""
+    With the identity they form a group, so every orbit is complete.  At the
+    poles every phi gives one state up to a global phase, and x joins the
+    two poles, so all pole points make one orbit, represented by (0, 0)."""
     t, p = theta_points, phi_points
     rep = {}
     for k, i in itertools.product(range(p), range(t)):
+        if i in (0, t - 1):
+            rep[k, i] = (0, 0)
+            continue
         orbit = [(k, i), (-k % p, t - 1 - i)]  # x
         if p % 2 == 0:
             orbit += [((k + p // 2) % p, i), ((p // 2 - k) % p, t - 1 - i)]  # z, y
@@ -274,10 +280,12 @@ def sweep_initial_state(
     H is invariant under pi rotations about x, (theta, phi) -> (pi - theta,
     2pi - phi), z, (theta, phi + pi), and y, (pi - theta, pi - phi), and so
     is xi^2.  x maps every grid onto itself, z and y only those with
-    phi_points even.  One point per orbit is computed, the one with the
-    smallest (phi index, theta index), so phi < pi; the others copy its row.
-    The argmin scans only computed points, so a tie goes to the phi < pi
-    twin.
+    phi_points even; at the poles, theta = 0 or pi, every phi gives the same
+    state up to a global phase.  One point per orbit is computed, the one
+    with the smallest (phi index, theta index), so phi < pi; the others copy
+    its row.  The argmin scans only computed points, so a tie goes to the
+    phi < pi twin.  Every point is sampled through one phase table of the
+    model's parity basis, built once for the time grid.
     """
     for name, points in (("theta_points", theta_points), ("phi_points", phi_points)):
         if points < 2:
@@ -287,13 +295,14 @@ def sweep_initial_state(
     phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
     times = np.linspace(0.0, horizon / (model.chi * model.n_spins), grid_points)
     space = build_space(model.n_spins)
-    basis = Eigenbasis.of(realize_hamiltonian(model, space))
+    basis = model_eigenbasis(model, space)
+    phases = basis.phases(times)
     rep = _orbit_representatives(theta_points, phi_points)
     own = {}
     for k, i in rep:
         if rep[k, i] == (k, i):
             own.setdefault(k, []).append(i)
-    tasks = [(space, basis, phis[k], thetas[rows], times) for k, rows in own.items()]
+    tasks = [(space, basis, phases, phis[k], thetas[rows], times) for k, rows in own.items()]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             columns = list(pool.map(_sweep_column, tasks))
@@ -356,7 +365,7 @@ def sweep_gamma(
         if not 0.0 <= gamma <= 0.5:
             raise ConfigError(f"gammas: values must lie in [0, 0.5], got {gamma}")
         model = from_chi_gamma(chi, float(gamma), n_spins)
-        trace = minimize_hamiltonian(space, realize_hamiltonian(model, space), psi0, times)
+        trace = minimize_hamiltonian(space, model_eigenbasis(model, space), psi0, times)
         rows.append(
             (
                 float(gamma),
@@ -400,7 +409,11 @@ def prediction_horizon(n_spins: int) -> float:
 def predicted_optimal_time(design_: PulseDesign, model: LMGModel, space) -> tuple:
     """First-minimum time of the design's effective Hamiltonian from the
     coherent state it squeezes best (used to size schedules), returned with
-    that Hamiltonian's Eigenbasis and that state."""
+    that Hamiltonian's Eigenbasis and that state.
+
+    The basis is dense, not parity blocks: schedule lengths follow this
+    golden-refined time to its last bits, as recorded with the dense basis.
+    """
     h_eff = Eigenbasis.of(effective_hamiltonian(design_, model, space))
     psi0 = coherent_state(space, design_.optimal_initial)
     horizon = prediction_horizon(model.n_spins) / (abs(design_.chi_eff) * model.n_spins)
@@ -433,7 +446,7 @@ def compare_pulsed(
     schedule_z = schedule(design_z, model, 1.2 * t_pred_z, max_step=max_step)
     schedule_y = schedule(design_y, model, 1.2 * t_pred_y, max_step=max_step)
 
-    h_lmg = Eigenbasis.of(realize_hamiltonian(model, space))
+    h_lmg = model_eigenbasis(model, space)
     trace_z = run_schedule(psi_z, schedule_z, model, model_basis=h_lmg)
     trace_y = run_schedule(psi_y, schedule_y, model, model_basis=h_lmg)
 
@@ -550,8 +563,8 @@ def scaling_study(
             else:
                 g = {"OAT": 0.0, "TAT": 0.5, "LMG": gamma}[variant]
                 model = from_chi_gamma(chi, g, n)
-                hamiltonian = realize_hamiltonian(model, space)
-                minimum = minimize_hamiltonian(space, hamiltonian, psi0, times).minimum
+                basis = model_eigenbasis(model, space)
+                minimum = minimize_hamiltonian(space, basis, psi0, times).minimum
             rows.append((variant, n, minimum.xi2, minimum.t, minimum.t * chi * n))
             minima[variant].append(minimum.xi2)
 

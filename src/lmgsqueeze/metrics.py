@@ -12,7 +12,7 @@ import numpy as np
 from scipy import optimize
 
 from .algebra import DickeSpace, Eigenbasis, build_space, collective_operator
-from .canonical import LMGModel, realize_hamiltonian
+from .canonical import LMGModel, model_eigenbasis
 from .errors import MeanSpinVanished, NoMinimumFound
 from .propagate import evolve, evolve_batch
 from .states import BlochAngles, SpinState, coherent_state
@@ -72,9 +72,12 @@ def _batch_moments(space: DickeSpace, states: np.ndarray):
         mean[a] = np.sum(conj * applied[a], axis=0).real
     second = np.empty((3, 3, states.shape[1]))
     for a in range(3):
+        # each applied block is conjugated once, into the buffer of the
+        # states' conjugate, which the means no longer need
+        bra = np.conjugate(applied[a], out=conj)
         for b in range(a, 3):
             # <Sa Sb> = (Sa psi)^dag (Sb psi); the real part symmetrizes
-            second[a, b] = np.sum(applied[a].conj() * applied[b], axis=0).real
+            second[a, b] = np.sum(bra * applied[b], axis=0).real
             second[b, a] = second[a, b]
     return mean, second
 
@@ -195,11 +198,14 @@ def minimize_hamiltonian(
     times,
     refine: bool = True,
     allow_unbracketed: bool = False,
+    phases: np.ndarray | None = None,
 ) -> SqueezingTrace:
     """Sample xi^2 at the strictly increasing ``times`` and locate its first
     local minimum.
 
-    ``hamiltonian`` is an Eigenbasis or a Hermitian matrix, factored once.
+    ``hamiltonian`` is an Eigenbasis or a Hermitian matrix, factored once;
+    ``phases`` is that basis's ``Eigenbasis.phases(times)`` when the caller
+    holds it.
     With ``refine``, a golden-section search (relative time tolerance
     REFINE_XTOL) between the neighbouring samples refines the bracketed
     minimum; each step re-evaluates the exact evolution, nothing is
@@ -212,7 +218,7 @@ def minimize_hamiltonian(
     if not np.all(np.diff(times) > 0.0):
         raise ValueError("times must be strictly increasing")
     basis = Eigenbasis.of(hamiltonian)
-    trace = trace_from_states(space, times, evolve_batch(initial, basis, times))
+    trace = trace_from_states(space, times, evolve_batch(initial, basis, times, phases))
     if not trace.minimum.bracketed:
         if allow_unbracketed:
             return trace
@@ -260,7 +266,7 @@ def minimize_over_time(
     space = build_space(model.n_spins)
     times = np.linspace(0.0, horizon / (model.chi * model.n_spins), grid_points)
     psi0 = coherent_state(space, initial)
-    return minimize_hamiltonian(space, realize_hamiltonian(model, space), psi0, times, refine)
+    return minimize_hamiltonian(space, model_eigenbasis(model, space), psi0, times, refine)
 
 
 def fit_loglog_slope(n_values, xi2_values) -> float:

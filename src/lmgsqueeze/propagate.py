@@ -3,9 +3,11 @@
 Evolution uses the Hermitian eigendecomposition of each Hamiltonian, held
 in an ``algebra.Eigenbasis`` that the caller builds once and passes in, so
 schedules that reuse the same two Hamiltonians thousands of times pay for
-two factorizations; a real quadratic form, which conserves Sz-parity, can
-be factored as two real blocks of half the size.  Pulses are instantaneous
-unitaries (Rabi limit).
+two factorizations.  The model Hamiltonian, a real quadratic form that
+conserves Sz-parity, is factored as two real blocks of half the size
+(``canonical.model_eigenbasis``) and applied as real products; a matrix
+passed in is factored densely (``Eigenbasis.of``).  Pulses are
+instantaneous unitaries (Rabi limit).
 ``run_cycles`` is the one executor that applies segments to states: pulse
 schedules (one trajectory) and blocks of noisy trajectories (perturbed
 copies of a schedule's segments, held as the columns of one array) run
@@ -23,7 +25,7 @@ import numpy as np
 
 from .algebra import DickeSpace, Eigenbasis, build_space
 from .algebra import hamiltonian_eig  # noqa: F401  (re-exported: part of this module's API)
-from .canonical import CouplingMatrix, LMGModel, realize_hamiltonian
+from .canonical import CouplingMatrix, LMGModel, model_eigenbasis
 from .errors import DimensionMismatch, TooLarge
 from .states import BlochAngles, SpinState, rotate_state, rotation
 
@@ -40,12 +42,20 @@ def evolve(state: SpinState, hamiltonian, t: float) -> SpinState:
     return SpinState(amplitudes=amps, space=state.space)
 
 
-def evolve_batch(state: SpinState, hamiltonian, times: np.ndarray) -> np.ndarray:
-    """States at many times as columns of a (dim, len(times)) array."""
+def evolve_batch(
+    state: SpinState, hamiltonian, times: np.ndarray, phases: np.ndarray | None = None
+) -> np.ndarray:
+    """States at many times as columns of a (dim, len(times)) array.
+
+    ``phases`` is the basis's ``Eigenbasis.phases(times)`` when the caller
+    holds it (one table serves every state sampled on one time grid).
+    """
     basis = Eigenbasis.of(hamiltonian)
-    coeffs = basis.vh @ state.amplitudes
-    phases = np.exp(-1j * np.outer(basis.w, np.asarray(times, dtype=float)))
-    return basis.v @ (phases * coeffs[:, None])
+    if phases is None:
+        phases = basis.phases(times)
+    elif phases.shape != (basis.w.size, np.size(times)):
+        raise ValueError(f"phase table of shape {phases.shape} does not match the basis and times")
+    return basis.sample(state.amplitudes, phases)
 
 
 @dataclass(frozen=True)
@@ -165,13 +175,12 @@ def run_schedule(
     """Apply the schedule, sampling the squeezing trace at every cycle boundary.
 
     ``model_basis``: the Eigenbasis of the model's Hamiltonian, when the
-    caller holds it.
+    caller holds it; else ``model_eigenbasis`` factors it.
     """
     space = state.space
     if space.n_spins != model.n_spins:
         raise DimensionMismatch(f"state has N={space.n_spins}, model has N={model.n_spins}")
-    basis = model_basis or Eigenbasis.of(realize_hamiltonian(model, space))
-    cycle = _resolved_cycle(schedule, basis)
+    cycle = _resolved_cycle(schedule, model_basis or model_eigenbasis(model, space))
     times, states = run_cycles(state, (cycle,) * schedule.cycle_count)
 
     from .metrics import trace_from_states
@@ -181,8 +190,7 @@ def run_schedule(
 
 def schedule_unitary(schedule: PulseSchedule, model: LMGModel, space: DickeSpace) -> np.ndarray:
     """Dense unitary for a single cycle of the schedule."""
-    basis = Eigenbasis.of(realize_hamiltonian(model, space))
-    return _cycle_unitary(space, _resolved_cycle(schedule, basis))
+    return _cycle_unitary(space, _resolved_cycle(schedule, model_eigenbasis(model, space)))
 
 
 # ---------------------------------------------------------------------------

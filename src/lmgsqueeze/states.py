@@ -60,7 +60,7 @@ def coherent_generator_eig(space: DickeSpace, phi: float) -> Eigenbasis:
     """Eigenbasis of the coherent-state generator sin(phi) Sx - cos(phi) Sy."""
     sx = collective_operator(space, "Sx")
     sy = collective_operator(space, "Sy")
-    return Eigenbasis.of_eigh(*np.linalg.eigh(math.sin(phi) * sx - math.cos(phi) * sy))
+    return Eigenbasis.of(math.sin(phi) * sx - math.cos(phi) * sy)
 
 
 def coherent_state(space: DickeSpace, angles: BlochAngles, generator_eig=None) -> SpinState:
@@ -80,10 +80,7 @@ def coherent_state(space: DickeSpace, angles: BlochAngles, generator_eig=None) -
 
 def _axis_eig(space: DickeSpace, axis: str) -> Eigenbasis:
     """Eigenbasis of S_axis, held by the space."""
-    return space.built(
-        "eig" + axis,
-        lambda: Eigenbasis.of_eigh(*np.linalg.eigh(collective_operator(space, "S" + axis))),
-    )
+    return space.built("eig" + axis, lambda: Eigenbasis.of(collective_operator(space, "S" + axis)))
 
 
 def rotation(space: DickeSpace, axis: str, angle: float) -> np.ndarray:
@@ -124,4 +121,4 @@ def rotation_about(space: DickeSpace, axis_vector: np.ndarray, angle: float) -> 
         + n[1] * collective_operator(space, "Sy")
         + n[2] * collective_operator(space, "Sz")
     )
-    return Eigenbasis.of_eigh(*np.linalg.eigh(gen)).unitary(angle)
+    return Eigenbasis.of(gen).unitary(angle)

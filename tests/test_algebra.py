@@ -141,7 +141,7 @@ def test_operators_are_freed_with_their_space():
     held = [
         collective_operator(space, "Sx"),
         second_moment_operators(space)["yy"],
-        _axis_eig(space, "x").v,
+        _axis_eig(space, "x").blocks[0].v,
     ]
     refs = [weakref.ref(mat) for mat in held]
     assert collective_operator(space, "Sx") is held[0]  # kept while the space lives

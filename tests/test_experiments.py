@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lmgsqueeze import experiments
 from lmgsqueeze.algebra import build_space
-from lmgsqueeze.canonical import from_chi_gamma, realize_hamiltonian
+from lmgsqueeze.canonical import from_chi_gamma, model_eigenbasis, realize_hamiltonian
 from lmgsqueeze.errors import ConfigError
 from lmgsqueeze.experiments import (
     ALLOWED_SCOPES,
@@ -53,7 +53,7 @@ def test_single_point_sweep_reduces_to_minimize():
     psi = coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
     direct = minimize_hamiltonian(
         space,
-        realize_hamiltonian(model, space),
+        model_eigenbasis(model, space),
         psi,
         np.linspace(0.0, horizon / (model.chi * N_SMALL), 200),
         refine=False,
@@ -130,9 +130,9 @@ def test_sweep_rows_match_direct_minimization(gamma, n, theta_points, phi_points
 @pytest.mark.parametrize(
     "grids, expected",
     [
-        ({"theta_points": 33, "phi_points": 33}, 545),
-        ({"theta_points": 33, "phi_points": 32}, 265),
-        ({"theta_points": 9, "phi_points": 8}, 19),
+        ({"theta_points": 33, "phi_points": 33}, 513),
+        ({"theta_points": 33, "phi_points": 32}, 250),
+        ({"theta_points": 9, "phi_points": 8}, 16),
     ],
 )
 def test_sweep_computes_one_point_per_orbit(monkeypatch, grids, expected):
@@ -140,7 +140,7 @@ def test_sweep_computes_one_point_per_orbit(monkeypatch, grids, expected):
     sweep_column = experiments._sweep_column
 
     def counting(task):
-        computed.extend(task[3])
+        computed.extend(task[4])
         return sweep_column(task)
 
     monkeypatch.setattr(experiments, "_sweep_column", counting)
@@ -151,7 +151,8 @@ def test_sweep_computes_one_point_per_orbit(monkeypatch, grids, expected):
 def matched_orbit_representatives(thetas: np.ndarray, phis: np.ndarray) -> dict:
     """For each grid point (phi index k, theta index i), the (k', i') whose
     result it shares: the smallest of its images under the pi rotations about
-    x, z and y that land on the grid (to 1e-12), or itself."""
+    x, z and y that land on the grid (to 1e-12), or itself.  A pole point's
+    images also include every point of either pole."""
 
     def match(values, images):  # on the circle; theta differences stay below pi
         dist = np.abs(images[:, None] - values[None, :]) % (2.0 * math.pi)
@@ -161,9 +162,12 @@ def matched_orbit_representatives(thetas: np.ndarray, phis: np.ndarray) -> dict:
     flip, keep = match(thetas, math.pi - thetas), list(range(len(thetas)))
     maps = ((match(phis, -phis), flip), (match(phis, phis + math.pi), keep),
             (match(phis, math.pi - phis), flip))  # x, z, y
+    poles = [i for i, theta in enumerate(thetas) if min(theta, math.pi - theta) <= 1e-12]
     rep = {}
     for k, i in itertools.product(range(len(phis)), range(len(thetas))):
         images = [(pk[k], ti[i]) for pk, ti in maps if min(pk[k], ti[i]) >= 0]
+        if i in poles:  # every phi gives one state up to a global phase
+            images += [(q, pole) for q in range(len(phis)) for pole in poles]
         rep[k, i] = min((rep[q] for q in images if q < (k, i)), default=(k, i))
     return rep
 
@@ -231,7 +235,7 @@ def test_sweep_gamma_monotone_and_endpoints():
         psi = coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
         direct = minimize_hamiltonian(
             space,
-            realize_hamiltonian(model, space),
+            model_eigenbasis(model, space),
             psi,
             np.linspace(0.0, 8.0 / (1.0 * N_SMALL), 400),
         )
@@ -259,7 +263,7 @@ def test_compare_pulsed_reference_minima_are_the_one_search():
     space = build_space(20)
     design_z = design(model, "z", "A")
     for name, hamiltonian, psi in (
-        ("lmg", realize_hamiltonian(model, space), coherent_state(space, initial)),
+        ("lmg", model_eigenbasis(model, space), coherent_state(space, initial)),
         (
             "tat",
             effective_hamiltonian(design_z, model, space),
@@ -274,13 +278,24 @@ def test_compare_pulsed_marks_minima_that_were_never_refined(tmp_path):
     # from (pi/2, 0) the gamma = 0 trace is flat (xi2 = 1 +- 1e-15): the
     # golden search finds no bracket and the grid point is kept
     model = from_chi_gamma(1.0, 0.0, 20)
-    result = compare_pulsed(model, lmg_initial=BlochAngles(math.pi / 2, 0.0))
+    initial = BlochAngles(math.pi / 2, 0.0)
+    result = compare_pulsed(model, lmg_initial=initial)
     write_result(result, tmp_path)
     with open(tmp_path / "minima.csv") as fh:
         refined = {row["trace"]: row["refined"] for row in csv.DictReader(fh)}
     assert refined == {"lmg": "0", "tat": "1", "pulsed_z": "0", "pulsed_y": "0"}
-    lmg_times = [row[2] for row in result.tables["traces"].rows if row[0] == "lmg"]
-    assert result.tables["minima"].rows[0][1] == lmg_times[2]
+    lmg_times = np.array([row[2] for row in result.tables["traces"].rows if row[0] == "lmg"])
+    space = build_space(20)
+    sampled = minimize_hamiltonian(
+        space,
+        model_eigenbasis(model, space),
+        coherent_state(space, initial),
+        lmg_times,
+        refine=False,
+        allow_unbracketed=True,
+    )
+    assert result.tables["minima"].rows[0][1] == sampled.minimum.t
+    assert sampled.minimum.t in lmg_times
 
 
 # |chi_eff| N t of the first two-axis-twisting minimum from the optimal state

@@ -10,6 +10,7 @@ from lmgsqueeze.canonical import from_chi_gamma, realize_hamiltonian
 from lmgsqueeze.errors import MeanSpinVanished, NoMinimumFound
 from lmgsqueeze.experiments import evolve_trace
 from lmgsqueeze.metrics import (
+    _batch_moments,
     batch_squeezing,
     first_local_minimum,
     fit_loglog_slope,
@@ -287,6 +288,31 @@ def test_trace_samples_match_batch_values():
         assert type(sample.contrast) is float and sample.contrast == contrast[i]
         assert np.array_equal(sample.mean_spin, mean[:, i])
         assert np.array_equal(sample.min_variance_axis, axes[:, i])
+
+
+def _batch_moments_pairwise(space, states):
+    """The moments as they were taken before each applied block was
+    conjugated once: one conjugate per (a, b) pair."""
+    applied = [collective_operator(space, lbl) @ states for lbl in ("Sx", "Sy")]
+    applied.append(space.m_values()[:, None] * states)
+    conj = states.conj()
+    mean = np.array([np.sum(conj * applied[a], axis=0).real for a in range(3)])
+    second = np.empty((3, 3, states.shape[1]))
+    for a in range(3):
+        for b in range(a, 3):
+            second[a, b] = second[b, a] = np.sum(applied[a].conj() * applied[b], axis=0).real
+    return mean, second
+
+
+@pytest.mark.parametrize("n", [3, 100])
+def test_batch_moments_equal_the_pairwise_conjugates_bit_for_bit(n):
+    # these moments size schedules through predicted_optimal_time
+    space = build_space(n)
+    basis = Eigenbasis.of(realize_hamiltonian(from_chi_gamma(1.0, 0.1, n), space))
+    psi = coherent_state(space, BlochAngles(1.1, 0.4))
+    states = evolve_batch(psi, basis, np.linspace(0.0, 2.0 / n, 37))
+    for got, expected in zip(_batch_moments(space, states), _batch_moments_pairwise(space, states)):
+        assert np.array_equal(got, expected)
 
 
 def _first_local_minimum_loop(values):

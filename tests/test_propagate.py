@@ -7,10 +7,17 @@ from hypothesis import strategies as st
 
 from lmgsqueeze import algebra, propagate
 from lmgsqueeze.algebra import build_space, collective_operator, quadratic_form
-from lmgsqueeze.canonical import CouplingMatrix, canonicalize, frame_unitary, from_chi_gamma, realize_hamiltonian
+from lmgsqueeze.canonical import (
+    CouplingMatrix,
+    canonicalize,
+    frame_unitary,
+    from_chi_gamma,
+    model_eigenbasis,
+    realize_hamiltonian,
+)
 from lmgsqueeze.errors import NotHermitian, TooLarge
 from lmgsqueeze.metrics import squeezing_parameter
-from lmgsqueeze.experiments import NoiseSpec, noise_monte_carlo
+from lmgsqueeze.experiments import NoiseSpec, noise_monte_carlo, predicted_optimal_time
 from lmgsqueeze.propagate import (
     Eigenbasis,
     FreeSegment,
@@ -250,14 +257,22 @@ def test_prebuilt_eigenbasis_matches_hamiltonian_argument():
     ham = realize_hamiltonian(model, space)
     basis = Eigenbasis.of(ham)
     assert Eigenbasis.of(basis) is basis
-    assert np.array_equal(basis.vh, basis.v.conj().T)
+    (block,) = basis.blocks
+    assert np.array_equal(block.vh, block.v.conj().T)
     state = coherent_state(space, BlochAngles(math.pi / 2, 0.3))
     assert np.array_equal(
         evolve(state, basis, 0.13).amplitudes, evolve(state, ham, 0.13).amplitudes
     )
     times = np.linspace(0.0, 0.2, 7)
     assert np.array_equal(evolve_batch(state, basis, times), evolve_batch(state, ham, times))
+    assert np.array_equal(
+        evolve_batch(state, basis, times, basis.phases(times)), evolve_batch(state, ham, times)
+    )
+    with pytest.raises(ValueError, match="phase table"):
+        evolve_batch(state, basis, times[1:], basis.phases(times))
 
+    # run_schedule factors the model's Hamiltonian as its parity blocks
+    basis = model_eigenbasis(model, space)
     sched = schedule(design(model, "y", "A"), model, total_time=0.05, cycles=6)
     explicit = PulseSchedule(
         segments=tuple(
@@ -314,19 +329,36 @@ COEFFICIENT = st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)
 @example(a=1.0, b=0.1, c=0.0, n=40, tau=3.0)
 @example(a=1.0, b=0.1, c=0.0, n=39, tau=3.0)
 def test_quadratic_form_basis_matches_dense(a, b, c, n, tau):
+    # the parity basis keeps only its two real blocks, the even and the odd
+    # rows, and every way of applying it agrees with the dense basis
     space = build_space(n)
     ham = quadratic_form(space, a, b, c)
     norm = np.linalg.norm(ham, 2)
     parity = Eigenbasis.of_quadratic_form(ham)
     dense = Eigenbasis.of(ham)
-    assert np.max(np.abs(parity.w - dense.w)) <= 1e-12 * norm
-    assert np.max(np.abs((parity.v * parity.w) @ parity.vh - ham)) <= 1e-12 * norm
-    assert np.max(np.abs(parity.vh @ parity.v - np.eye(space.dim))) <= 1e-12
+    sizes = [block.v.shape for block in parity.blocks]
+    assert sizes == [((n + 2) // 2,) * 2, ((n + 1) // 2,) * 2]
+    assert not any(np.iscomplexobj(block.v) for block in parity.blocks)
+    assert np.max(np.abs(np.sort(parity.w) - dense.w)) <= 1e-12 * norm
+    for block in parity.blocks:
+        w, rows = parity.w[block.cols], block.rows
+        assert np.max(np.abs((block.v * w) @ block.vh - ham[rows, rows])) <= 1e-12 * norm
+        assert np.max(np.abs(block.vh @ block.v - np.eye(w.size))) <= 1e-12
     rng = np.random.default_rng(n)
-    amps = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    amps /= np.linalg.norm(amps)
+    amps = rng.normal(size=(space.dim, 4)) + 1j * rng.normal(size=(space.dim, 4))
+    amps /= np.linalg.norm(amps, axis=0)
     t = tau / norm if norm > 0.0 else tau
-    assert np.max(np.abs(parity.propagate(amps, t) - dense.propagate(amps, t))) <= 1e-12
+    per_column = t * np.array([0.0, 0.5, 1.0, 1.7])
+    for x, time in ((amps[:, 0], t), (amps, t), (amps, per_column)):
+        assert np.max(np.abs(parity.propagate(x, time) - dense.propagate(x, time))) <= 1e-12
+    # one phase table serves every state sampled on its time grid
+    times = np.linspace(0.0, t, 6)
+    phases = parity.phases(times)
+    for x in amps.T:
+        state = SpinState(x, space)
+        sampled = evolve_batch(state, parity, times, phases)
+        assert np.max(np.abs(sampled - evolve_batch(state, dense, times))) <= 1e-12
+    assert np.max(np.abs(parity.unitary(t) - dense.unitary(t))) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 40, 1000])
@@ -340,7 +372,7 @@ def test_quadratic_form_basis_casimir_oracle(n):
     energies = a * (j * (j + 1) - m**2)
     basis = Eigenbasis.of_quadratic_form(ham)
     scale = np.max(np.abs(energies))
-    assert np.max(np.abs(basis.w - np.sort(energies))) <= 1e-12 * scale
+    assert np.max(np.abs(np.sort(basis.w) - np.sort(energies))) <= 1e-12 * scale
     t = 0.9 / scale
     for index in (0, space.dim // 2, space.dim - 1):
         dicke = np.zeros(space.dim, dtype=complex)
@@ -361,11 +393,16 @@ def test_quadratic_form_basis_rejects_other_matrices():
 
 
 def test_per_segment_gamma_noise_skips_dense_eigensolver(monkeypatch):
+    # every dense eigensolve goes through hamiltonian_eig: the pulse axes
+    # and coherent-state generators (nonzero first off-diagonal) do, and of
+    # the quadratic forms only the effective Hamiltonian that sizes the
+    # schedule
     calls = []
     dense = propagate.hamiltonian_eig
 
     def counting(hamiltonian):
-        calls.append(1)
+        if not np.any(np.diagonal(hamiltonian, 1)):
+            calls.append(1)
         return dense(hamiltonian)
 
     monkeypatch.setattr(algebra, "hamiltonian_eig", counting)
@@ -394,8 +431,9 @@ def _inline_rotation(space, axis, angle):
 
 @pytest.mark.parametrize("n", [1, 20, 101])
 def test_eigenbasis_kernel_keeps_the_inline_bytes(n):
-    # The seed-0 pulsed reference depends on the rounding of these
-    # exponentials, so each must equal, bit for bit, the formula it replaced.
+    # The seed-0 pulsed reference depends on the rounding of the pulses and
+    # coherent states, so each must equal, bit for bit, the formula it
+    # replaced.
     space = build_space(n)
     state = coherent_state(space, BlochAngles(1.1, 0.4))
     for axis in ("x", "y"):
@@ -414,6 +452,8 @@ def test_eigenbasis_kernel_keeps_the_inline_bytes(n):
             coherent = coherent_state(space, BlochAngles(theta, phi)).amplitudes
             assert np.array_equal(coherent, inline / np.linalg.norm(inline))
 
+    # The model's Hamiltonian is factored as its two real parity blocks,
+    # which round differently from the dense formula but agree with it.
     model = from_chi_gamma(1.0, 0.1, n)
     w, v = np.linalg.eigh(realize_hamiltonian(model, space))
     for axis in ("z", "y"):
@@ -425,7 +465,28 @@ def test_eigenbasis_kernel_keeps_the_inline_bytes(n):
             else:
                 step = _inline_rotation(space, seg.axis, seg.angle)
             inline = step @ inline
-        assert np.array_equal(schedule_unitary(sched, model, space), inline)
+        assert np.max(np.abs(schedule_unitary(sched, model, space) - inline)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [20, 101])
+def test_predicted_time_basis_is_the_inline_dense_eigh(n):
+    # Schedules are sized by the golden-refined first minimum of the
+    # effective Hamiltonian, to its last bits, so its basis and the states
+    # sampled from it must equal the dense formula bit for bit.
+    space = build_space(n)
+    model = from_chi_gamma(1.0, 0.1, n)
+    for axis in ("z", "y"):
+        design_ = design(model, axis, "A")
+        w, v = np.linalg.eigh(effective_hamiltonian(design_, model, space))
+        _, h_eff, psi = predicted_optimal_time(design_, model, space)
+        (block,) = h_eff.blocks
+        assert np.array_equal(h_eff.w, w) and np.array_equal(block.v, v)
+        times = np.linspace(0.0, 5.0 / (abs(design_.chi_eff) * n), 40)
+        coeffs = v.conj().T @ psi.amplitudes
+        inline = v @ (np.exp(-1j * np.outer(w, times)) * coeffs[:, None])
+        assert np.array_equal(evolve_batch(psi, h_eff, times), inline)
+        inline = v @ (np.exp(-1j * w * times[7]) * coeffs)
+        assert np.array_equal(evolve(psi, h_eff, times[7]).amplitudes, inline)
 
 
 def block_and_cycle(n, axis):

@@ -1,8 +1,9 @@
 """The test configuration and the source tree: a failing property test must
 still report the example that broke it under the repo's pytest settings, the
-package must import nothing it does not use, every function the benchmark
-traces must exist, and each benchmark workload must reach the spans its
-traced run expects."""
+package must import nothing it does not use, every dense eigensolve must go
+through the one checked entry point, every function the benchmark traces
+must exist, and each benchmark workload must reach the spans its traced run
+expects."""
 
 import ast
 import importlib
@@ -94,6 +95,42 @@ def test_package_has_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert found == []
+
+
+def eigh_calls(source: str) -> list:
+    """(enclosing function, line) of each call to a function named eigh."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func
+            if getattr(callee, "attr", getattr(callee, "id", None)) == "eigh":
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_dense_eigensolves_go_through_hamiltonian_eig():
+    # hamiltonian_eig checks Hermiticity before it calls np.linalg.eigh; the
+    # only other eigensolves are the real parity blocks of a quadratic form,
+    # which of_quadratic_form checks itself, and the 2^N product-space oracle
+    sample = "def f(a):\n    return np.linalg.eigh(a)\neigh(b)\n"
+    assert eigh_calls(sample) == [("f", 2), (None, 3)]
+    found = {
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, _ in eigh_calls(path.read_text())
+    }
+    assert found == {
+        ("algebra.py", "hamiltonian_eig"),
+        ("algebra.py", "of_quadratic_form"),
+        ("propagate.py", "evolve_full_product_space"),
+    }
 
 
 def test_benchmark_traced_names_exist():
