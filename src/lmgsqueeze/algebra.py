@@ -10,10 +10,11 @@ y axis eigenbases of ``states.rotate_state``, each built on first use (safe
 under threads: all callers get the one stored copy) and released with the
 space.
 
-Every exp(-i t G) is applied through an Eigenbasis of G: free evolution,
-the x and y pulses, coherent-state preparation and cycle unitaries.  Only
-the diagonal z rotation and the 2^N product-space oracle exponentiate on
-their own, and ``hamiltonian_eig`` is the one checked dense eigensolver.
+Every exp(-i t G) is applied through an Eigenbasis of G (``propagate`` or
+``sample``): free evolution, the x and y pulses and coherent states; a dense
+propagator is the kernel applied to the identity.  Only the diagonal z
+rotation and the 2^N product-space oracle exponentiate on their own, and
+``hamiltonian_eig`` is the one checked dense eigensolver.
 The model's chi (Sx^2 + gamma Sy^2), real and Sz-parity conserving, is
 factored as two real blocks (``Eigenbasis.of_quadratic_form``); the pulse
 axes, coherent-state generators and the effective Hamiltonian that sizes
@@ -29,6 +30,7 @@ from .errors import InvalidSize, NotHermitian, TooLarge
 
 LABELS = ("Sx", "Sy", "Sz", "S+", "S-", "S2")
 HERMITICITY_TOL = 1e-10
+HERMITICITY_ROWS = 64  # rows per block of the Hermiticity check: no dense temporary
 # Dense complex matrices kept for one space during compare_pulsed: the Sx, Sy,
 # Sz, Sx^2, Sy^2, Sz^2 and one rotation axis's v, v^H that it holds once used
 # (built thread-safely, freed with it), and the v, v^H of three callers' bases.
@@ -147,8 +149,13 @@ def hamiltonian_eig(hamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a Hermitian matrix (else NotHermitian):
     the one entry point of every dense eigensolve."""
     mat = np.asarray(hamiltonian)
-    scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
-    if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL * scale:
+    sizes, asymmetries = [], []
+    for start in range(0, len(mat), HERMITICITY_ROWS):
+        rows = slice(start, start + HERMITICITY_ROWS)
+        sizes.append(np.max(np.abs(mat[rows])))
+        asymmetries.append(np.max(np.abs(mat[rows] - mat[:, rows].conj().T)))
+    scale = max(1.0, float(np.max(sizes)))
+    if np.max(asymmetries) > HERMITICITY_TOL * scale:
         raise NotHermitian("hamiltonian is not Hermitian")
     return np.linalg.eigh(mat)
 
@@ -243,17 +250,12 @@ class Eigenbasis:
         """exp(-i G t) applied to an amplitude vector, or to each column of a
         (dim, R) block with ``t`` one time or an (R,) array of one per column."""
         w = self.w if np.ndim(amplitudes) == 1 else self.w[:, None]
-        return self._apply(amplitudes, np.exp(-1j * w * t))
+        return self.sample(amplitudes, np.exp(-1j * w * t))
 
     def sample(self, amplitudes: np.ndarray, phases: np.ndarray) -> np.ndarray:
-        """exp(-i G t) applied to an amplitude vector at every time of the
-        table ``phases`` (``self.phases(times)``), as the columns of a
-        (dim, len(times)) array."""
-        return self._apply(amplitudes, phases)
-
-    def _apply(self, amplitudes, phases) -> np.ndarray:
-        """v (phases * (vh @ amplitudes)), block by block; a table of
-        phases on one vector gives one column per time."""
+        """v (phases * (vh @ amplitudes)), block by block.  On one amplitude
+        vector, the table ``phases = self.phases(times)`` gives exp(-i G t)
+        applied at every time, as the columns of a (dim, len(times)) array."""
         parts = []
         for block in self.blocks:
             coeffs = _matmul(block.vh, amplitudes[block.rows])
@@ -266,14 +268,3 @@ class Eigenbasis:
         for block, part in zip(self.blocks, parts):
             out[block.rows] = part
         return out
-
-    def unitary(self, t: float) -> np.ndarray:
-        """exp(-i G t) as a dense matrix."""
-        un = np.zeros((self.w.size, self.w.size), dtype=complex)
-        for block in self.blocks:
-            phase = np.exp(-1j * self.w[block.cols] * t)
-            if np.iscomplexobj(block.v):  # the dense product order, kept bit for bit
-                un[block.rows, block.rows] = (block.v * phase) @ block.vh
-            else:
-                un[block.rows, block.rows] = _matmul(block.v, phase[:, None] * block.vh)
-        return un

@@ -11,8 +11,8 @@ evolutions, scaled or tilted pulses, per-run or per-segment Hamiltonians),
 executed by the same ``propagate.run_cycles`` as the noiseless schedule.
 Runs that drew one (atom number, gamma, chi) are stepped together, one
 column each of a block, in blocks fixed by the draws alone, so the worker
-count cannot change any byte either; the noiseless run is a block of its
-own.
+count cannot change any byte either.  The noiseless run is the schedule
+itself, run by ``propagate.run_schedule``.
 
 Emitted tables (one CSV per table, RFC-4180-style, LF line endings, floats
 at 17 significant digits):
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .algebra import build_space, second_moment_operators
+from .algebra import build_space, quadratic_form
 from .canonical import LMGModel, from_chi_gamma, model_eigenbasis
 from .errors import ConfigError
 from .metrics import batch_squeezing, default_horizon, fit_loglog_slope, minimize_hamiltonian
@@ -213,6 +213,14 @@ def evolve_trace(
     return result
 
 
+def _map(function, tasks: list, workers: int) -> list:
+    """``function`` of each task, in order; in ``workers`` processes if more than one."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(function, tasks))
+    return [function(task) for task in tasks]
+
+
 # ---------------------------------------------------------------------------
 # initial-state sweep
 # ---------------------------------------------------------------------------
@@ -303,11 +311,7 @@ def sweep_initial_state(
         if rep[k, i] == (k, i):
             own.setdefault(k, []).append(i)
     tasks = [(space, basis, phases, phis[k], thetas[rows], times) for k, rows in own.items()]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(_sweep_column, tasks))
-    else:
-        columns = [_sweep_column(t) for t in tasks]
+    columns = _map(_sweep_column, tasks, workers)
     outcomes = {(k, i): o for k, column in zip(own, columns) for i, o in zip(own[k], column)}
 
     chi_n = model.chi * model.n_spins
@@ -678,10 +682,9 @@ def _noise_block(task: dict) -> list:
     nominal = task["space"]
     n_spins = runs[0].n_spins
     space = nominal if n_spins == nominal.n_spins else build_space(n_spins)
-    moments = second_moment_operators(space)
 
     def free_basis(gamma, chi):
-        return Eigenbasis.of_quadratic_form(chi * (moments["xx"] + gamma * moments["yy"]))
+        return Eigenbasis.of_quadratic_form(quadratic_form(space, chi, chi * gamma, 0.0))
 
     basis = free_basis(runs[0].gamma, runs[0].chi)
     psi = coherent_state(space, BlochAngles(theta=task["theta"], phi=task["phi"])).amplitudes
@@ -752,17 +755,15 @@ def _noise_block(task: dict) -> list:
     return outcomes
 
 
-def _noise_outcomes(space, model, sch, initial, noise, n_runs, seed, workers) -> tuple:
-    """Outcomes (as ``_noise_block`` returns them) of the noiseless run and
-    of each noisy run in run order.
+def _noise_outcomes(space, model, sch, initial, noise, n_runs, seed, workers) -> list:
+    """Each noisy run's outcome, as ``_noise_block`` returns it, in run order.
 
-    The noiseless run is a block of its own.  The noisy runs are grouped by
-    their (n_spins, gamma, chi), which fixes the space and the free
-    Eigenbasis they share, and cut into blocks of at most BLOCK_BYTES, so no
-    block depends on the worker count; a per-segment gamma draws a basis per
-    segment and run, so those runs are blocks of one.
+    The runs are grouped by their (n_spins, gamma, chi), which fixes the
+    space and the free Eigenbasis they share, and cut into blocks of at most
+    BLOCK_BYTES, so no block depends on the worker count; a per-segment
+    gamma draws a basis per segment and run, so those runs are blocks of one.
     """
-    base = {
+    task = {
         "space": space,
         "gamma": model.gamma,
         "chi": model.chi,
@@ -772,12 +773,10 @@ def _noise_outcomes(space, model, sch, initial, noise, n_runs, seed, workers) ->
         "phi": initial.phi,
         "channel": noise.channel,
         "scope": noise.resolved_scope,
+        "sigma": noise.relative_sigma,
     }
-    noiseless = dict(base, sigma=0.0)
-    noiseless["runs"] = [_new_run(noiseless, np.random.SeedSequence(0))]
-    noisy = dict(base, sigma=noise.relative_sigma)
-    runs = [_new_run(noisy, child) for child in np.random.SeedSequence(seed).spawn(n_runs)]
-    alone = _active(noisy, "gamma", "per_segment")
+    runs = [_new_run(task, child) for child in np.random.SeedSequence(seed).spawn(n_runs)]
+    alone = _active(task, "gamma", "per_segment")
     groups = {}
     for index, run in enumerate(runs):
         groups.setdefault(index if alone else (run.n_spins, run.gamma, run.chi), []).append(index)
@@ -786,17 +785,12 @@ def _noise_outcomes(space, model, sch, initial, noise, n_runs, seed, workers) ->
         dim = runs[indices[0]].n_spins + 1
         width = max(1, BLOCK_BYTES // (16 * dim * (sch.cycle_count + 1)))
         blocks += [indices[i : i + width] for i in range(0, len(indices), width)]
-    tasks = [noiseless] + [dict(noisy, runs=[runs[i] for i in block]) for block in blocks]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_noise_block, tasks))
-    else:
-        results = [_noise_block(task) for task in tasks]
+    tasks = [dict(task, runs=[runs[i] for i in block]) for block in blocks]
     outcomes = [None] * n_runs
-    for block, block_outcomes in zip(blocks, results[1:]):
+    for block, block_outcomes in zip(blocks, _map(_noise_block, tasks, workers)):
         for index, outcome in zip(block, block_outcomes):
             outcomes[index] = outcome
-    return results[0][0], outcomes
+    return outcomes
 
 
 def noise_monte_carlo(
@@ -823,10 +817,11 @@ def noise_monte_carlo(
         total_time = 1.2 * predicted_optimal_time(design_, model, space)[0]
     sch = schedule(design_, model, total_time, max_step=max_step, cycles=cycles)
     scope = noise.resolved_scope
-    ref, outcomes = _noise_outcomes(
+    ref = run_schedule(coherent_state(space, design_.optimal_initial), sch, model)
+    ref_min = float(np.nanmin(ref.xi2))
+    outcomes = _noise_outcomes(
         space, model, sch, design_.optimal_initial, noise, n_runs, seed, workers
     )
-    ref_min = float(np.nanmin(ref[0]))
 
     chi_n = model.chi * model.n_spins
     nominal_times = np.arange(sch.cycle_count + 1) * sch.cycle_time

@@ -11,10 +11,10 @@ instantaneous unitaries (Rabi limit).
 ``run_cycles`` is the one executor that applies segments to states: pulse
 schedules (one trajectory) and blocks of noisy trajectories (perturbed
 copies of a schedule's segments, held as the columns of one array) run
-through it, one product per segment for the whole block.  A cycle repeated
-at least dim times is applied as its one-cycle unitary instead.  A small-N
-full product-space evolver is provided as an independent oracle for the
-symmetric-sector reduction.
+through it, one product per segment for the whole block.  A cycle's dense
+unitary is ``_apply_cycle`` on the identity; a cycle repeated at least dim
+times is applied as it.  A small-N full product-space evolver is provided
+as an independent oracle for the symmetric-sector reduction.
 """
 
 import math
@@ -27,7 +27,7 @@ from .algebra import DickeSpace, Eigenbasis, build_space
 from .algebra import hamiltonian_eig  # noqa: F401  (re-exported: part of this module's API)
 from .canonical import CouplingMatrix, LMGModel, model_eigenbasis
 from .errors import DimensionMismatch, TooLarge
-from .states import BlochAngles, SpinState, rotate_state, rotation
+from .states import BlochAngles, SpinState, rotate_state
 
 FULL_SPACE_MAX_SPINS = 12
 
@@ -113,16 +113,15 @@ def _resolved_cycle(schedule: PulseSchedule, basis: Eigenbasis) -> tuple:
     )
 
 
-def _cycle_unitary(space: DickeSpace, cycle) -> np.ndarray:
-    """Dense unitary of one cycle of segments, each taking one value for
-    every column."""
-    un = np.eye(space.dim, dtype=complex)
+def _apply_cycle(space: DickeSpace, cycle, amps: np.ndarray) -> np.ndarray:
+    """One cycle of segments applied to an amplitude vector or a (dim, R)
+    block; on ``np.eye(dim)`` it gives the cycle's dense unitary."""
     for seg in cycle:
         if isinstance(seg, FreeSegment):
-            un = seg.hamiltonian.unitary(seg.duration) @ un
+            amps = seg.hamiltonian.propagate(amps, seg.duration)
         else:
-            un = rotation(space, seg.axis, seg.angle) @ un
-    return un
+            amps = rotate_state(SpinState(amps, space), seg.axis, seg.angle).amplitudes
+    return amps
 
 
 def run_cycles(state: SpinState, cycles) -> tuple[np.ndarray, np.ndarray]:
@@ -150,17 +149,12 @@ def run_cycles(state: SpinState, cycles) -> tuple[np.ndarray, np.ndarray]:
         first = cycles[0]
         values = [seg.duration if isinstance(seg, FreeSegment) else seg.angle for seg in first]
         if all(cycle is first for cycle in cycles) and not any(map(np.ndim, values)):
-            unitary = _cycle_unitary(space, first)
+            unitary = _apply_cycle(space, first, np.eye(space.dim, dtype=complex))
     for segments in cycles:
+        amps = _apply_cycle(space, segments, amps) if unitary is None else unitary @ amps
         for seg in segments:
             if isinstance(seg, FreeSegment):
-                if unitary is None:
-                    amps = seg.hamiltonian.propagate(amps, seg.duration)
                 elapsed = elapsed + seg.duration
-            elif unitary is None:
-                amps = rotate_state(SpinState(amps, space), seg.axis, seg.angle).amplitudes
-        if unitary is not None:
-            amps = unitary @ amps
         times.append(elapsed)
         snapshots.append(amps)
     return np.stack(np.broadcast_arrays(*times)), np.stack(snapshots, axis=-1)
@@ -190,7 +184,8 @@ def run_schedule(
 
 def schedule_unitary(schedule: PulseSchedule, model: LMGModel, space: DickeSpace) -> np.ndarray:
     """Dense unitary for a single cycle of the schedule."""
-    return _cycle_unitary(space, _resolved_cycle(schedule, model_eigenbasis(model, space)))
+    cycle = _resolved_cycle(schedule, model_eigenbasis(model, space))
+    return _apply_cycle(space, cycle, np.eye(space.dim, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

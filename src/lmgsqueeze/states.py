@@ -3,7 +3,8 @@
 Rotations about x and y and coherent-state preparation are applied through
 the Eigenbasis of their Hermitian generator, never by series truncation, so
 unitarity holds to machine precision; a rotation about z is a diagonal
-phase.  Global phases are unconstrained throughout.
+phase, and a dense rotation matrix is ``rotate_state`` on the identity.
+Global phases are unconstrained throughout.
 """
 
 import math
@@ -84,14 +85,12 @@ def _axis_eig(space: DickeSpace, axis: str) -> Eigenbasis:
 
 
 def rotation(space: DickeSpace, axis: str, angle: float) -> np.ndarray:
-    """Unitary rotation exp(-i angle S_axis) as a dense matrix."""
+    """exp(-i angle S_axis) as a dense matrix: ``rotate_state`` on the identity."""
     if axis not in _AXES:
         raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
     if not np.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
-    if axis == "z":
-        return np.diag(np.exp(-1j * angle * space.m_values()))
-    return _axis_eig(space, axis).unitary(angle)
+    return rotate_state(SpinState(np.eye(space.dim, dtype=complex), space), axis, angle).amplitudes
 
 
 def rotate_state(state: SpinState, axis: str, angle) -> SpinState:
@@ -121,4 +120,4 @@ def rotation_about(space: DickeSpace, axis_vector: np.ndarray, angle: float) -> 
         + n[1] * collective_operator(space, "Sy")
         + n[2] * collective_operator(space, "Sz")
     )
-    return Eigenbasis.of(gen).unitary(angle)
+    return Eigenbasis.of(gen).propagate(np.eye(space.dim, dtype=complex), angle)

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ from lmgsqueeze.algebra import (
     quadratic_form,
     second_moment_operators,
 )
-from lmgsqueeze.errors import InvalidSize, TooLarge
+from lmgsqueeze.errors import InvalidSize, NotHermitian, TooLarge
 from lmgsqueeze.states import _axis_eig
 
 SIZES = [1, 2, 6, 20, 100]
@@ -154,3 +155,40 @@ def test_spaces_of_one_size_compare_equal_but_hold_their_own_operators():
     first, second = build_space(8), build_space(8)
     assert first == second and hash(first) == hash(second)
     assert collective_operator(first, "Sz") is not collective_operator(second, "Sz")
+
+
+def test_hermiticity_check_sees_every_row_block():
+    # an asymmetry inside the last, partial block of rows decides as the dense
+    # max |H - H^H| > tol * max(1, max |H|) did, and a passing matrix goes to
+    # eigh as it is
+    rng = np.random.default_rng(3)
+    dim = 2 * algebra.HERMITICITY_ROWS + 7
+    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    mat = mat + mat.conj().T
+    bound = algebra.HERMITICITY_TOL * np.max(np.abs(mat))
+    for excess, rejected in ((0.5, False), (2.0, True)):
+        skewed = mat.copy()
+        skewed[dim - 1, dim - 3] += excess * bound
+        if rejected:
+            with pytest.raises(NotHermitian):
+                algebra.hamiltonian_eig(skewed)
+        else:
+            w, v = algebra.hamiltonian_eig(skewed)
+            want_w, want_v = np.linalg.eigh(skewed)
+            assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+
+
+def test_hermiticity_check_allocates_less_than_one_dense_matrix():
+    # at N = 400 the dense check held the conjugate transpose, the difference
+    # and its absolute value, about 2.5 complex matrices; S+ is rejected after
+    # the check has seen every row, before eigh allocates anything
+    splus = np.array(collective_operator(build_space(400), "S+"))
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        with pytest.raises(NotHermitian):
+            algebra.hamiltonian_eig(splus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < splus.nbytes

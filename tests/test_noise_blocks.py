@@ -13,7 +13,7 @@ from lmgsqueeze.algebra import build_space, second_moment_operators
 from lmgsqueeze.canonical import from_chi_gamma
 from lmgsqueeze.experiments import ALLOWED_SCOPES, NoiseSpec, noise_monte_carlo, write_result
 from lmgsqueeze.metrics import batch_squeezing
-from lmgsqueeze.propagate import Eigenbasis, FreeSegment, PulseSegment, run_cycles
+from lmgsqueeze.propagate import Eigenbasis, FreeSegment, PulseSegment, run_cycles, run_schedule
 from lmgsqueeze.pulses import design, schedule
 from lmgsqueeze.states import coherent_state
 
@@ -116,16 +116,18 @@ def test_blocks_match_each_run_stepped_alone(channel, scope, sigma):
     model, design_, sch = block_setup()
     noise = NoiseSpec(channel, sigma, scope)
     n_runs, seed = 5, 11
-    ref, outcomes = experiments._noise_outcomes(
-        build_space(N_BLOCK), model, sch, design_.optimal_initial, noise, n_runs, seed, 1
-    )
+    space = build_space(N_BLOCK)
     initial = design_.optimal_initial
+    outcomes = experiments._noise_outcomes(space, model, sch, initial, noise, n_runs, seed, 1)
+    # the noiseless reference is the schedule run on its own
+    noiseless = run_schedule(coherent_state(space, initial), sch, model).xi2
     want_ref = step_alone(model, sch, initial, noise, np.random.SeedSequence(0), 0.0)
+    np.testing.assert_allclose(noiseless, want_ref[0], rtol=1e-12, atol=0.0)
     wanted = [
         step_alone(model, sch, initial, noise, child, sigma)
         for child in np.random.SeedSequence(seed).spawn(n_runs)
     ]
-    for (xi2, realized, clamped, norm_error), want in zip([ref] + outcomes, [want_ref] + wanted):
+    for (xi2, realized, clamped, norm_error), want in zip(outcomes, wanted):
         np.testing.assert_allclose(xi2, want[0], rtol=1e-12, atol=0.0)
         assert realized == want[1]
         assert clamped == want[2]
@@ -135,15 +137,17 @@ def test_blocks_match_each_run_stepped_alone(channel, scope, sigma):
 
 
 def test_noiseless_trace_is_bit_identical_across_channels():
+    # every channel's noiseless minimum is the schedule's own, run_schedule's
     model, design_, sch = block_setup("y")
-    traces = []
+    psi = coherent_state(build_space(N_BLOCK), design_.optimal_initial)
+    want = float(np.nanmin(run_schedule(psi, sch, model).xi2))
     for channel, scope in CHANNEL_SCOPES:
         noise = NoiseSpec(channel, 0.1, scope)
-        ref, _ = experiments._noise_outcomes(
-            build_space(N_BLOCK), model, sch, design_.optimal_initial, noise, 4, 2, 1
+        result = noise_monte_carlo(
+            model, design_, noise, n_runs=2, seed=2, total_time=0.4, cycles=20
         )
-        traces.append(ref[0])
-    assert all(np.array_equal(trace, traces[0], equal_nan=True) for trace in traces)
+        (summary,) = result.tables["summary"].rows
+        assert summary[0] == want, (channel, scope)
 
 
 @pytest.mark.parametrize(

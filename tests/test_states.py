@@ -118,6 +118,16 @@ def test_rotate_state_matches_matrix():
     assert np.max(np.abs(fast - dense)) < 1e-12
 
 
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_rotation_matrix_is_rotate_state_on_a_block(axis):
+    space = build_space(11)
+    angles = (BlochAngles(0.3, 0.2), BlochAngles(1.6, 4.0), BlochAngles(2.8, 5.9))
+    block = np.column_stack([coherent_state(space, a).amplitudes for a in angles])
+    for angle in (math.pi / 2, -0.37):
+        rotated = rotate_state(SpinState(block, space), axis, angle).amplitudes
+        assert np.max(np.abs(rotation(space, axis, angle) @ block - rotated)) <= 1e-13
+
+
 def test_angle_validation():
     with pytest.raises(ValueError):
         BlochAngles(-0.1, 0.0)

@@ -1,9 +1,9 @@
 """The test configuration and the source tree: a failing property test must
 still report the example that broke it under the repo's pytest settings, the
 package must import nothing it does not use, every dense eigensolve must go
-through the one checked entry point, every function the benchmark traces
-must exist, and each benchmark workload must reach the spans its traced run
-expects."""
+through the one checked entry point, every exponential must be formed in the
+one propagation kernel, every function the benchmark traces must exist, and
+each benchmark workload must reach the spans its traced run expects."""
 
 import ast
 import importlib
@@ -97,8 +97,8 @@ def test_package_has_no_unused_imports():
     assert found == []
 
 
-def eigh_calls(source: str) -> list:
-    """(enclosing function, line) of each call to a function named eigh."""
+def calls_named(source: str, name: str) -> list:
+    """(enclosing function, line) of each call to a function named ``name``."""
     found = []
 
     def visit(node, function):
@@ -106,7 +106,7 @@ def eigh_calls(source: str) -> list:
             function = node.name
         if isinstance(node, ast.Call):
             callee = node.func
-            if getattr(callee, "attr", getattr(callee, "id", None)) == "eigh":
+            if getattr(callee, "attr", getattr(callee, "id", None)) == name:
                 found.append((function, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -120,15 +120,33 @@ def test_dense_eigensolves_go_through_hamiltonian_eig():
     # only other eigensolves are the real parity blocks of a quadratic form,
     # which of_quadratic_form checks itself, and the 2^N product-space oracle
     sample = "def f(a):\n    return np.linalg.eigh(a)\neigh(b)\n"
-    assert eigh_calls(sample) == [("f", 2), (None, 3)]
+    assert calls_named(sample, "eigh") == [("f", 2), (None, 3)]
     found = {
         (path.name, function)
         for path in sorted(PACKAGE.glob("*.py"))
-        for function, _ in eigh_calls(path.read_text())
+        for function, _ in calls_named(path.read_text(), "eigh")
     }
     assert found == {
         ("algebra.py", "hamiltonian_eig"),
         ("algebra.py", "of_quadratic_form"),
+        ("propagate.py", "evolve_full_product_space"),
+    }
+
+
+def test_exponentials_are_formed_only_in_the_kernel():
+    # every exp(-i t G) is one Eigenbasis kernel: its phase table and its
+    # propagate, the diagonal z phase of rotate_state, and the 2^N
+    # product-space oracle; dense propagators are these applied to np.eye
+    found = {
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, _ in calls_named(path.read_text(), "exp")
+    }
+    assert found == {
+        ("algebra.py", "phases"),
+        ("algebra.py", "propagate"),
+        ("states.py", "rotate_state"),
+        ("propagate.py", "_product_coherent_state"),
         ("propagate.py", "evolve_full_product_space"),
     }
 
