@@ -11,14 +11,17 @@ under threads: all callers get the one stored copy) and released with the
 space.
 
 Every exp(-i t G) is applied through an Eigenbasis of G (``propagate`` or
-``sample``): free evolution, the x and y pulses and coherent states; a dense
-propagator is the kernel applied to the identity.  Only the diagonal z
+``sample``): free evolution, the x and y pulses that are applied as
+rotations and coherent states; a dense propagator is the kernel applied to
+the identity.  Only the diagonal z
 rotation and the 2^N product-space oracle exponentiate on their own, and
 ``hamiltonian_eig`` is the one checked dense eigensolver.
 The model's chi (Sx^2 + gamma Sy^2), real and Sz-parity conserving, is
-factored as two real blocks (``Eigenbasis.of_quadratic_form``); the pulse
-axes, coherent-state generators and the effective Hamiltonian that sizes
-schedules (``experiments.predicted_optimal_time``) are factored densely.
+factored as two real blocks (``Eigenbasis.of_quadratic_form``), and so is
+its image under a quarter turn about x or y, under which nominal pulse
+pairs run (``conjugated_coefficients``); the pulse axes, coherent-state
+generators and the effective Hamiltonian that sizes schedules
+(``experiments.predicted_optimal_time``) are factored densely.
 """
 
 import os
@@ -32,9 +35,10 @@ LABELS = ("Sx", "Sy", "Sz", "S+", "S-", "S2")
 HERMITICITY_TOL = 1e-10
 HERMITICITY_ROWS = 64  # rows per block of the Hermiticity check: no dense temporary
 # Dense complex matrices kept for one space during compare_pulsed: the Sx, Sy,
-# Sz, Sx^2, Sy^2, Sz^2 and one rotation axis's v, v^H that it holds once used
-# (built thread-safely, freed with it), and the v, v^H of three callers' bases.
-DENSE_MATRICES_PER_SPACE = 14
+# Sz, Sx^2, Sy^2 and Sz^2 that it holds once used (built thread-safely, freed
+# with it; its x/y pulses run in the toggling frame, so no rotation axis's
+# basis is built), and the v, v^H of three callers' bases.
+DENSE_MATRICES_PER_SPACE = 12
 # Dense complex (N+1) x K blocks alive at once while xi^2 is taken at K
 # times (metrics.batch_squeezing): the states, Sx, Sy and Sz applied to them,
 # their conjugate and one product (tracemalloc peak: 6.1 blocks).
@@ -130,7 +134,24 @@ def quadratic_form(space: DickeSpace, a: float, b: float, c: float) -> np.ndarra
         if not np.isfinite(coeff):
             raise ValueError(f"coefficient {name} must be finite, got {coeff!r}")
     mats = second_moment_operators(space)
-    return _frozen(a * mats["xx"] + b * mats["yy"] + c * mats["zz"])
+    out = a * mats["xx"]
+    out += b * mats["yy"]
+    out += c * mats["zz"]  # kept at c = 0: it fixes the signs of zeros
+    return _frozen(out)
+
+
+def conjugated_coefficients(axis: str, coefficients: tuple) -> tuple:
+    """Coefficients (on Sx^2, Sy^2, Sz^2) of R^H Q R, for Q the form with
+    ``coefficients`` and R = exp(-i theta S_axis) with theta = +-pi/2.
+
+    A quarter turn about one axis maps each of the other two axes to plus or
+    minus the other, so their squares, and their coefficients, swap.
+    """
+    a, b, c = coefficients
+    swapped = {"x": (a, c, b), "y": (c, b, a), "z": (b, a, c)}
+    if axis not in swapped:
+        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
+    return swapped[axis]
 
 
 def second_moment_operators(space: DickeSpace) -> dict[str, np.ndarray]:

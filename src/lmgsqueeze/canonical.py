@@ -80,6 +80,11 @@ class LMGModel:
         """Sign of the physical Hamiltonian relative to the realized one."""
         return -1.0 if self.sign_flipped else 1.0
 
+    @property
+    def coefficients(self) -> tuple:
+        """The realized Hamiltonian's coefficients on (Sx^2, Sy^2, Sz^2)."""
+        return (self.chi, self.chi * self.gamma, 0.0)
+
 
 def _ordered_principal_axes(a_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues descending plus a deterministic, proper rotation frame."""
@@ -186,7 +191,7 @@ def realize_hamiltonian(model: LMGModel, space: DickeSpace) -> np.ndarray:
         raise DimensionMismatch(
             f"model has N={model.n_spins} but space has N={space.n_spins}"
         )
-    return quadratic_form(space, model.chi, model.chi * model.gamma, 0.0)
+    return quadratic_form(space, *model.coefficients)
 
 
 def model_eigenbasis(model: LMGModel, space: DickeSpace) -> Eigenbasis:

@@ -48,11 +48,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .algebra import build_space, quadratic_form
+from .algebra import Eigenbasis, build_space, quadratic_form
 from .canonical import LMGModel, from_chi_gamma, model_eigenbasis
 from .errors import ConfigError
 from .metrics import batch_squeezing, default_horizon, fit_loglog_slope, minimize_hamiltonian
-from .propagate import Eigenbasis, FreeSegment, PulseSegment, run_cycles, run_schedule
+from .propagate import FreeSegment, PulseSegment, run_cycles, run_schedule, toggled_cycle
 from .pulses import PulseDesign, design, effective_hamiltonian, schedule
 from .states import BlochAngles, SpinState, coherent_generator_eig, coherent_state
 
@@ -667,6 +667,9 @@ def _noise_block(task: dict) -> list:
     """Simulate the (possibly noisy) pulsed trajectories of ``task["runs"]``,
     which share one (n_spins, gamma, chi), as the columns of one block: the
     nominal schedule with each of its segments perturbed as each run draws.
+    Its x and y pulse pairs run in the toggling frame of that form
+    (``propagate.toggled_cycle``), as in ``run_schedule``, unless the pulses
+    or a per-segment gamma are drawn.
 
     Returns, per run: the xi2 value at every cycle boundary (nan where the
     contrast collapses), the realized (n_spins, gamma, chi), the count of
@@ -687,6 +690,10 @@ def _noise_block(task: dict) -> list:
         return Eigenbasis.of_quadratic_form(quadratic_form(space, chi, chi * gamma, 0.0))
 
     basis = free_basis(runs[0].gamma, runs[0].chi)
+    segments = task["segments"]
+    drawn_pulses = task["sigma"] > 0.0 and task["channel"] in ("pulse_area", "pulse_phase")
+    if not (drawn_pulses or _active(task, "gamma", "per_segment")):
+        segments = toggled_cycle(space, segments, (runs[0].chi, runs[0].chi * runs[0].gamma, 0.0))
     psi = coherent_state(space, BlochAngles(theta=task["theta"], phi=task["phi"])).amplitudes
     clamped = [0] * len(columns)
 
@@ -705,7 +712,7 @@ def _noise_block(task: dict) -> list:
                     clamped[r] += 1
                     duration = 0.0
                 durations.append(duration)
-            hamiltonian = basis
+            hamiltonian = seg.hamiltonian or basis
             if _active(task, "gamma", "per_segment"):
                 (run,) = columns  # such runs are blocks of one
                 hamiltonian = free_basis(run.gamma * _draw(task, run, "gamma"), run.chi)
@@ -731,7 +738,7 @@ def _noise_block(task: dict) -> list:
         )
 
     def realize_cycle() -> tuple:
-        return tuple(out for seg in task["segments"] for out in realize(seg))
+        return tuple(out for seg in segments for out in realize(seg))
 
     if repeated:
         # nothing is drawn per segment or pulse: every cycle is the same

@@ -7,7 +7,12 @@ two factorizations.  The model Hamiltonian, a real quadratic form that
 conserves Sz-parity, is factored as two real blocks of half the size
 (``canonical.model_eigenbasis``) and applied as real products; a matrix
 passed in is factored densely (``Eigenbasis.of``).  Pulses are
-instantaneous unitaries (Rabi limit).
+instantaneous unitaries (Rabi limit).  A nominal pulse pair about x or y
+around free evolution under the model is run in the toggling frame
+(``toggled_cycle``): it is free evolution under the conjugated quadratic
+form, factored by parity once per schedule, so ``run_schedule``,
+``schedule_unitary`` and the noise runs apply no x or y rotation for it;
+z pulses (diagonal phases) and drawn pulse errors are applied as rotations.
 ``run_cycles`` is the one executor that applies segments to states: pulse
 schedules (one trajectory) and blocks of noisy trajectories (perturbed
 copies of a schedule's segments, held as the columns of one array) run
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DickeSpace, Eigenbasis, build_space
+from .algebra import DickeSpace, Eigenbasis, build_space, conjugated_coefficients, quadratic_form
 from .algebra import hamiltonian_eig  # noqa: F401  (re-exported: part of this module's API)
 from .canonical import CouplingMatrix, LMGModel, model_eigenbasis
 from .errors import DimensionMismatch, TooLarge
@@ -104,12 +109,60 @@ class PulseSchedule:
         return self.t1 + self.t2
 
 
-def _resolved_cycle(schedule: PulseSchedule, basis: Eigenbasis) -> tuple:
-    """The schedule's cycle with ``basis`` put in place of each free segment's
+def _is_nominal_pair(segments) -> bool:
+    """Whether ``segments`` is pulse(a, theta), free evolution under the
+    model, pulse(a, -theta), with a = x or y and theta = +-pi/2."""
+    if len(segments) != 3:
+        return False
+    first, free, last = segments
+    return (
+        isinstance(first, PulseSegment)
+        and isinstance(free, FreeSegment)
+        and isinstance(last, PulseSegment)
+        and first.axis in ("x", "y")
+        and last.axis == first.axis
+        and free.hamiltonian is None
+        and abs(first.angle) == math.pi / 2.0
+        and last.angle == -first.angle
+    )
+
+
+def toggled_cycle(space: DickeSpace, segments, coefficients: tuple) -> tuple:
+    """``segments`` with each nominal x or y pulse pair run in the toggling frame.
+
+    A pair pulse(a, theta), free(t) under the model, pulse(a, -theta) with
+    theta = +-pi/2 applies exp(-i t R^H H R), R = exp(-i theta S_a).  For the
+    model's form H with ``coefficients``, R^H H R is the same form with the two
+    coefficients other than a's swapped (``conjugated_coefficients``), so the
+    pair becomes one free segment under it, factored by parity once per axis.
+    Pairs about z stay pulses (a z pulse is a diagonal phase, cheaper than a
+    factorization), and so does every other segment.
+    """
+    out, bases, i = [], {}, 0
+    while i < len(segments):
+        if _is_nominal_pair(segments[i : i + 3]):
+            axis = segments[i].axis
+            if axis not in bases:
+                form = quadratic_form(space, *conjugated_coefficients(axis, coefficients))
+                bases[axis] = Eigenbasis.of_quadratic_form(form)
+            out.append(FreeSegment(segments[i + 1].duration, bases[axis]))
+            i += 3
+        else:
+            out.append(segments[i])
+            i += 1
+    return tuple(out)
+
+
+def _nominal_cycle(
+    schedule: PulseSchedule, model: LMGModel, space: DickeSpace, model_basis=None
+) -> tuple:
+    """The schedule's cycle as it is run: ``toggled_cycle``, with the model's
+    basis (``model_basis``, else factored) in place of each free segment's
     Hamiltonian left as None."""
+    basis = model_basis or model_eigenbasis(model, space)
     return tuple(
         FreeSegment(seg.duration, seg.hamiltonian or basis) if isinstance(seg, FreeSegment) else seg
-        for seg in schedule.segments
+        for seg in toggled_cycle(space, schedule.segments, model.coefficients)
     )
 
 
@@ -174,7 +227,7 @@ def run_schedule(
     space = state.space
     if space.n_spins != model.n_spins:
         raise DimensionMismatch(f"state has N={space.n_spins}, model has N={model.n_spins}")
-    cycle = _resolved_cycle(schedule, model_basis or model_eigenbasis(model, space))
+    cycle = _nominal_cycle(schedule, model, space, model_basis)
     times, states = run_cycles(state, (cycle,) * schedule.cycle_count)
 
     from .metrics import trace_from_states
@@ -184,7 +237,7 @@ def run_schedule(
 
 def schedule_unitary(schedule: PulseSchedule, model: LMGModel, space: DickeSpace) -> np.ndarray:
     """Dense unitary for a single cycle of the schedule."""
-    cycle = _resolved_cycle(schedule, model_eigenbasis(model, space))
+    cycle = _nominal_cycle(schedule, model, space)
     return _apply_cycle(space, cycle, np.eye(space.dim, dtype=complex))
 
 

@@ -4,10 +4,13 @@ twisting into effective two-axis twisting.
 One cycle alternates free evolution with a +-pi/2 rotation pair about the
 chosen axis, so the state toggles between the bare Hamiltonian
 Ha = chi (Sx^2 + gamma Sy^2) and its rotated image Hb for durations t1 and
-t2.  To leading order in the cycle time the stroboscopic generator is the
-weighted sum (t1 Ha + t2 Hb)/(t1 + t2); choosing t2/t1 so that the two
-quadratic coefficients sit in ratio 2 (or 1/2) makes that sum a two-axis
-twisting Hamiltonian up to a multiple of S^2.
+t2.  Hb is Ha with the two coefficients other than the pulse axis's swapped
+(``algebra.conjugated_coefficients``), the rule the executor also uses to
+run x and y pulse pairs as free evolution under Hb.  To leading order in
+the cycle time the stroboscopic generator is the weighted sum
+(t1 Ha + t2 Hb)/(t1 + t2); choosing t2/t1 so that the two quadratic
+coefficients sit in ratio 2 (or 1/2) makes that sum a two-axis twisting
+Hamiltonian up to a multiple of S^2.
 
 Axis y note: the pulse-toggled sum for the y axis reduces (after removing
 S^2) to a multiple of Sx^2 - Sy^2 for the primary branch, i.e. two-axis
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import TRACE_BLOCKS, DickeSpace, quadratic_form, require_memory
+from .algebra import conjugated_coefficients
 from .canonical import LMGModel
 from .errors import XAxisImpossible
 from .propagate import FreeSegment, PulseSegment, PulseSchedule
@@ -39,16 +43,6 @@ FORM_OPTIMAL_INITIAL = {
     "2Sx2+Sy2": (math.pi / 2.0, math.pi / 2.0),
     "Sx2-Sy2": (0.0, 0.0),
 }
-
-# Hamiltonian seen between the pulses, as (Sx^2, Sy^2, Sz^2) coefficients of
-# R_{axis,-pi/2} (Sx^2 + gamma Sy^2) R_{axis,+pi/2}, in units of chi.
-def _conjugated_coefficients(axis: str, gamma: float):
-    if axis == "z":
-        return (gamma, 1.0, 0.0)
-    if axis == "y":
-        return (0.0, gamma, 1.0)
-    return (1.0, 0.0, gamma)  # x axis (never reaches a valid design)
-
 
 @dataclass(frozen=True)
 class PulseDesign:
@@ -132,7 +126,9 @@ def schedule(
 
     One cycle applies, in order: pulse(axis, +pi/2), free(t2),
     pulse(axis, -pi/2), free(t1), which reproduces the single-period
-    propagator exp(-i Ha chi' t1) exp(-i Hb chi' t2) exactly.  A run keeps
+    propagator exp(-i Ha chi' t1) exp(-i Hb chi' t2) exactly; for the y
+    axis ``propagate.run_schedule`` applies the pulse pair and free(t2) as
+    that exp(-i Hb chi' t2) (the toggling frame).  A run keeps
     the state at every cycle boundary, so a cycle count whose trace would
     not fit in physical memory raises TooLarge.
     """
@@ -183,7 +179,8 @@ def effective_hamiltonian(
         ratio = design_.ratio_t2_t1
         f1 = 1.0 / (1.0 + ratio)
         f2 = 1.0 - f1
-        conj = _conjugated_coefficients(design_.axis, gamma)
+        # the Hamiltonian between the pulses, R^H (Sx^2 + gamma Sy^2) R, in units of chi
+        conj = conjugated_coefficients(design_.axis, (1.0, gamma, 0.0))
         coeffs = (
             chi * (f1 * 1.0 + f2 * conj[0]),
             chi * (f1 * gamma + f2 * conj[1]),

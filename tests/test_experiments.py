@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lmgsqueeze import experiments
+from lmgsqueeze import experiments, propagate
 from lmgsqueeze.algebra import build_space
 from lmgsqueeze.canonical import from_chi_gamma, model_eigenbasis, realize_hamiltonian
 from lmgsqueeze.errors import ConfigError
@@ -250,6 +250,56 @@ def test_compare_pulsed_ordering():
     assert minima["pulsed_z"][1] < minima["pulsed_y"][1]
     assert minima["lmg"][3] > minima["pulsed_z"][3]
     assert minima["lmg"][3] > minima["pulsed_y"][3]
+
+
+def recorded_pulse_axes(monkeypatch) -> list:
+    """The axis of every rotate_state call the schedule executor makes."""
+    axes = []
+    rotate = propagate.rotate_state
+
+    def recording(state, axis, angle):
+        axes.append(axis)
+        return rotate(state, axis, angle)
+
+    monkeypatch.setattr(propagate, "rotate_state", recording)
+    return axes
+
+
+def test_compare_pulsed_runs_y_pulses_in_the_toggling_frame(monkeypatch):
+    # the y schedule's pulse pairs become free segments: no y rotation is
+    # applied and no basis of Sy is built; the z pulses are still applied
+    spaces = []
+
+    def recording_space(n_spins):
+        spaces.append(build_space(n_spins))
+        return spaces[-1]
+
+    monkeypatch.setattr(experiments, "build_space", recording_space)
+    axes = recorded_pulse_axes(monkeypatch)
+    compare_pulsed(from_chi_gamma(1.0, 0.1, 20))
+    (space,) = spaces
+    assert "eigy" not in space._built and "eigx" not in space._built
+    assert axes and set(axes) == {"z"}
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+@pytest.mark.parametrize("channel,scope", CHANNEL_SCOPES)
+def test_noise_runs_take_y_pairs_in_the_toggling_frame(monkeypatch, channel, scope, sigma):
+    # drawn pulse errors, and a gamma drawn per segment, keep their y pulses
+    # as rotations; every other run takes its y pairs in the toggling frame,
+    # and agrees with the same draws with the y pulses applied as rotations
+    model = from_chi_gamma(1.0, 0.1, 10)
+    args = (model, design(model, "y", "A"), NoiseSpec(channel, sigma, scope))
+    kwargs = dict(n_runs=3, seed=4, total_time=0.3, cycles=6)
+    axes = recorded_pulse_axes(monkeypatch)
+    toggled = noise_monte_carlo(*args, **kwargs)
+    drawn = channel in ("pulse_area", "pulse_phase") or (channel, scope) == ("gamma", "per_segment")
+    assert ("y" in axes) == (sigma > 0.0 and drawn)
+    monkeypatch.setattr(experiments, "toggled_cycle", lambda space, segments, form: segments)
+    stepped = noise_monte_carlo(*args, **kwargs)
+    for name in ("runs", "trace_stats"):
+        rows = np.array(toggled.tables[name].rows, dtype=float)
+        assert np.allclose(rows, np.array(stepped.tables[name].rows, dtype=float), rtol=1e-12, atol=0)
 
 
 def test_compare_pulsed_reference_minima_are_the_one_search():

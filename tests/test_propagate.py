@@ -16,7 +16,7 @@ from lmgsqueeze.canonical import (
     realize_hamiltonian,
 )
 from lmgsqueeze.errors import NotHermitian, TooLarge
-from lmgsqueeze.metrics import squeezing_parameter
+from lmgsqueeze.metrics import squeezing_parameter, trace_from_states
 from lmgsqueeze.experiments import NoiseSpec, noise_monte_carlo, predicted_optimal_time
 from lmgsqueeze.propagate import (
     Eigenbasis,
@@ -29,6 +29,7 @@ from lmgsqueeze.propagate import (
     run_cycles,
     run_schedule,
     schedule_unitary,
+    toggled_cycle,
 )
 from lmgsqueeze.pulses import design, effective_hamiltonian, schedule
 from lmgsqueeze.states import (
@@ -291,13 +292,17 @@ def test_prebuilt_eigenbasis_matches_hamiltonian_argument():
         t2=sched.t2,
     )
     reference = run_schedule(state, sched, model)
-    for trace in (
-        run_schedule(state, sched, model, model_basis=basis),
-        run_schedule(state, explicit, model),
-    ):
-        for field in ("t", "xi2", "contrast", "mean_spin", "min_variance_axis"):
-            assert np.array_equal(getattr(trace, field), getattr(reference, field))
-        assert trace.minimum == reference.minimum
+    fields = ("t", "xi2", "contrast", "mean_spin", "min_variance_axis")
+    trace = run_schedule(state, sched, model, model_basis=basis)
+    for field in fields:
+        assert np.array_equal(getattr(trace, field), getattr(reference, field))
+    assert trace.minimum == reference.minimum
+    # free segments that carry their own basis are not the model's, so their
+    # pulses are stepped, which rounds differently from the toggling frame
+    trace = run_schedule(state, explicit, model)
+    for field in fields:
+        assert np.max(np.abs(getattr(trace, field) - getattr(reference, field))) <= 1e-12
+    assert abs(trace.minimum.xi2 - reference.minimum.xi2) <= 1e-12
     # a segment takes its Hamiltonian factored, never as a matrix
     with pytest.raises(TypeError, match="Eigenbasis"):
         FreeSegment(0.1, ham)
@@ -632,3 +637,77 @@ def test_global_rotation_leaves_xi2_and_dynamics_unchanged(
     later = evolve(psi, ham, t).amplitudes
     rotated_later = evolve(rotated, u @ ham @ u.conj().T, t).amplitudes
     assert np.max(np.abs(rotated_later - u @ later)) <= 1e-10
+
+
+def stepped(cycle, basis):
+    """The cycle with ``basis`` in each free segment left to the model: its
+    pulses are applied as rotations, not moved into the toggling frame."""
+    return tuple(
+        FreeSegment(seg.duration, seg.hamiltonian or basis) if isinstance(seg, FreeSegment) else seg
+        for seg in cycle
+    )
+
+
+def assert_traces_agree(trace, reference, space):
+    """xi^2, contrast, mean spin (in units of j) and the minimal-variance
+    axis of two traces agree to 1e-12."""
+    for field, scale in (("xi2", 1.0), ("contrast", 1.0), ("mean_spin", space.j)):
+        assert np.max(np.abs(getattr(trace, field) - getattr(reference, field))) <= 1e-12 * scale
+    assert np.max(np.abs(trace.min_variance_axis - reference.min_variance_axis)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [12, 40])
+def test_run_schedule_toggles_y_pairs_like_stepped_pulses(n):
+    space = build_space(n)
+    model = from_chi_gamma(1.0, 0.1, n)
+    sched = schedule(design(model, "y", "A"), model, total_time=0.3)
+    # the y pair becomes one free segment; the model's free segment is kept
+    toggled = toggled_cycle(space, sched.segments, model.coefficients)
+    assert [type(seg) for seg in toggled] == [FreeSegment, FreeSegment]
+    assert [seg.duration for seg in toggled] == [sched.t2, sched.t1]
+    assert toggled[0].hamiltonian is not None and toggled[1].hamiltonian is None
+    psi = coherent_state(space, design(model, "y", "A").optimal_initial)
+    trace = run_schedule(psi, sched, model)
+    cycle = stepped(sched.segments, model_eigenbasis(model, space))
+    times, states = run_cycles(psi, (cycle,) * sched.cycle_count)
+    reference = trace_from_states(space, times, states)
+    assert np.array_equal(trace.t, reference.t)
+    assert_traces_agree(trace, reference, space)
+
+
+def test_toggled_cycle_keeps_z_pairs_and_other_pulses():
+    space = build_space(10)
+    model = from_chi_gamma(1.0, 0.2, 10)
+    z_cycle = schedule(design(model, "z", "A"), model, total_time=0.1, cycles=2).segments
+    assert toggled_cycle(space, z_cycle, model.coefficients) == z_cycle
+    basis = model_eigenbasis(model, space)
+    kept = (
+        (PulseSegment("y", math.pi / 2), FreeSegment(0.1), PulseSegment("y", math.pi / 2)),
+        (PulseSegment("x", 0.3), FreeSegment(0.1), PulseSegment("x", -0.3)),
+        (PulseSegment("y", math.pi / 2), FreeSegment(0.1, basis), PulseSegment("y", -math.pi / 2)),
+        (PulseSegment("y", math.pi / 2), FreeSegment(0.1), PulseSegment("x", -math.pi / 2)),
+    )
+    for cycle in kept:
+        assert toggled_cycle(space, cycle, model.coefficients) == cycle
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_x_pair_cycle_toggles_like_stepped_pulses(sign):
+    n = 16
+    space = build_space(n)
+    model = from_chi_gamma(1.0, 0.3, n)
+    segments = (
+        PulseSegment("x", sign * math.pi / 2),
+        FreeSegment(0.03),
+        PulseSegment("x", -sign * math.pi / 2),
+        FreeSegment(0.05),
+    )
+    sched = PulseSchedule(segments, cycle_count=7, t1=0.05, t2=0.03)
+    cycle = stepped(segments, model_eigenbasis(model, space))
+    psi = coherent_state(space, BlochAngles(1.1, 0.4))
+    trace = run_schedule(psi, sched, model)
+    times, states = run_cycles(psi, (cycle,) * sched.cycle_count)
+    reference = trace_from_states(space, times, states)
+    assert_traces_agree(trace, reference, space)
+    _, unitary = run_cycles(SpinState(np.eye(space.dim, dtype=complex), space), (cycle,))
+    assert np.max(np.abs(schedule_unitary(sched, model, space) - unitary[..., 1])) <= 1e-12

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmgsqueeze import algebra
-from lmgsqueeze.algebra import TRACE_BLOCKS, build_space, quadratic_form
+from lmgsqueeze.algebra import TRACE_BLOCKS, build_space, conjugated_coefficients, quadratic_form
 from lmgsqueeze.canonical import from_chi_gamma, realize_hamiltonian
 from lmgsqueeze.errors import TooLarge, XAxisImpossible
 from lmgsqueeze.metrics import minimize_hamiltonian
@@ -17,7 +17,7 @@ from lmgsqueeze.pulses import (
     effective_hamiltonian,
     schedule,
 )
-from lmgsqueeze.states import coherent_state
+from lmgsqueeze.states import coherent_state, rotation
 
 
 def test_design_closed_forms_at_tenth():
@@ -115,6 +115,29 @@ def test_effective_hamiltonian_is_design_form_for_all_gamma(gamma, chi, axis, br
     rest = h_eff - design_.chi_eff * quadratic_form(space, *design_.form_coefficients)
     offset = rest - rest[0, 0] * np.eye(space.dim)
     assert np.max(np.abs(offset)) <= 1e-12 * np.max(np.abs(h_eff))
+
+
+@settings(max_examples=150)
+@given(
+    n=st.integers(1, 30),
+    coefficients=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    axis=st.sampled_from(["x", "y", "z"]),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_quarter_turn_swaps_the_other_two_coefficients(n, coefficients, axis, sign):
+    # R^H Q(a, b, c) R for R = exp(-i theta S_axis), theta = +-pi/2: the rule
+    # behind both the effective Hamiltonian and the toggling frame
+    space = build_space(n)
+    r = rotation(space, axis, sign * math.pi / 2)
+    form = quadratic_form(space, *coefficients)
+    swapped = quadratic_form(space, *conjugated_coefficients(axis, coefficients))
+    scale = max(1.0, np.max(np.abs(form)))
+    assert np.max(np.abs(r.conj().T @ form @ r - swapped)) <= 1e-12 * scale
+
+
+def test_conjugated_coefficients_rejects_unknown_axis():
+    with pytest.raises(ValueError, match="axis"):
+        conjugated_coefficients("w", (1.0, 0.1, 0.0))
 
 
 def test_schedule_respects_ratio_and_step():

@@ -2,8 +2,9 @@
 still report the example that broke it under the repo's pytest settings, the
 package must import nothing it does not use, every dense eigensolve must go
 through the one checked entry point, every exponential must be formed in the
-one propagation kernel, every function the benchmark traces must exist, and
-each benchmark workload must reach the spans its traced run expects."""
+one propagation kernel, pulses must be applied only by the segment executor,
+every function the benchmark traces must exist, and each benchmark workload
+must reach the spans its traced run expects."""
 
 import ast
 import importlib
@@ -149,6 +150,18 @@ def test_exponentials_are_formed_only_in_the_kernel():
         ("propagate.py", "_product_coherent_state"),
         ("propagate.py", "evolve_full_product_space"),
     }
+
+
+def test_pulses_are_applied_only_by_the_segment_executor():
+    # nominal x/y pulse pairs are rewritten into free segments, never applied
+    # on the side: rotate_state runs only in the executor's cycle step and in
+    # the dense rotation matrix built from it
+    found = {
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, _ in calls_named(path.read_text(), "rotate_state")
+    }
+    assert found == {("propagate.py", "_apply_cycle"), ("states.py", "rotation")}
 
 
 def test_benchmark_traced_names_exist():
