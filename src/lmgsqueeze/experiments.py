@@ -101,6 +101,10 @@ class NoiseSpec:
     def resolved_scope(self) -> str:
         return self.scope if self.scope is not None else ALLOWED_SCOPES[self.channel][0]
 
+    def draws(self, channel: str, scope: str) -> bool:
+        """Whether runs under this spec draw ``channel`` at ``scope``."""
+        return self.channel == channel and self.relative_sigma > 0.0 and self.resolved_scope == scope
+
 
 @dataclass(frozen=True)
 class Table:
@@ -457,38 +461,20 @@ def compare_pulsed(
     psi_lmg = coherent_state(space, lmg_initial)
     lmg_trace = minimize_hamiltonian(space, h_lmg, psi_lmg, trace_z.t, allow_unbracketed=True)
     ref_trace = minimize_hamiltonian(space, h_ref, psi_z, trace_z.t, allow_unbracketed=True)
-    lmg_min, ref_min = lmg_trace.minimum, ref_trace.minimum
 
     rows = []
-    for name, trace in (
-        ("lmg", lmg_trace),
-        ("tat", ref_trace),
-        ("pulsed_z", trace_z),
-        ("pulsed_y", trace_y),
+    minima_rows = []
+    for name, trace, chi_eff in (
+        ("lmg", lmg_trace, model.chi),
+        ("tat", ref_trace, design_z.chi_eff),
+        ("pulsed_z", trace_z, design_z.chi_eff),
+        ("pulsed_y", trace_y, design_y.chi_eff),
     ):
-        for i, (t, xi2) in enumerate(zip(trace.t, trace.xi2)):
-            rows.append((name, i, t, t * chi_n, xi2))
-
-    minima_rows = (
-        ("lmg", lmg_min.t, lmg_min.t * chi_n, lmg_min.xi2, model.chi, lmg_min.refined),
-        ("tat", ref_min.t, ref_min.t * chi_n, ref_min.xi2, design_z.chi_eff, ref_min.refined),
-        (
-            "pulsed_z",
-            trace_z.minimum.t,
-            trace_z.minimum.t * chi_n,
-            trace_z.minimum.xi2,
-            design_z.chi_eff,
-            trace_z.minimum.refined,
-        ),
-        (
-            "pulsed_y",
-            trace_y.minimum.t,
-            trace_y.minimum.t * chi_n,
-            trace_y.minimum.xi2,
-            design_y.chi_eff,
-            trace_y.minimum.refined,
-        ),
-    )
+        rows += [(name, i, t, t * chi_n, xi2) for i, (t, xi2) in enumerate(zip(trace.t, trace.xi2))]
+        minimum = trace.minimum
+        minima_rows.append(
+            (name, minimum.t, minimum.t * chi_n, minimum.xi2, chi_eff, minimum.refined)
+        )
     result = ExperimentResult(
         descriptor=_descriptor(
             "compare-pulsed",
@@ -513,7 +499,7 @@ def compare_pulsed(
     )
     result.tables["minima"] = Table(
         columns=("trace", "t_min", "chiN_t_min", "xi2_min", "chi_eff", "refined"),
-        rows=minima_rows,
+        rows=tuple(minima_rows),
     )
     return result
 
@@ -613,9 +599,11 @@ def _channel_streams(seed_seq) -> dict:
 
 @dataclass
 class _Run:
-    """One trajectory: its channel streams and the values it draws once."""
+    """One trajectory: its channel streams, the relative sigma it draws with
+    and the values it draws once."""
 
     streams: dict
+    sigma: float
     n_spins: int
     gamma: float
     chi: float
@@ -623,37 +611,36 @@ class _Run:
     tilt: tuple | None = None
     separation: float = 1.0
 
+    def factor(self, name: str) -> float:
+        """A relative factor 1 + sigma * N(0, 1) from the stream for ``name``."""
+        return 1.0 + self.sigma * self.streams[name].standard_normal()
 
-def _active(task: dict, name: str, scope: str) -> bool:
-    return task["channel"] == name and task["sigma"] > 0.0 and task["scope"] == scope
+    def draw_tilt(self) -> tuple:
+        stream = self.streams["pulse_phase"]
+        delta = self.sigma * (math.pi / 2.0) * stream.standard_normal()
+        return delta, stream.uniform(0.0, 2.0 * math.pi)
 
-
-def _draw(task: dict, run: _Run, name: str) -> float:
-    """A relative factor 1 + sigma * N(0, 1) from the run's stream for ``name``."""
-    return 1.0 + task["sigma"] * run.streams[name].standard_normal()
-
-
-def _draw_tilt(task: dict, run: _Run) -> tuple:
-    stream = run.streams["pulse_phase"]
-    delta = task["sigma"] * (math.pi / 2.0) * stream.standard_normal()
-    return delta, stream.uniform(0.0, 2.0 * math.pi)
+    def free_form(self, gamma_factor: float = 1.0) -> tuple:
+        """The (a, b, c) of chi (Sx^2 + gamma Sy^2), gamma scaled by ``gamma_factor``."""
+        return (self.chi, self.chi * (self.gamma * gamma_factor), 0.0)
 
 
-def _new_run(task: dict, seed) -> _Run:
-    """A run with its streams spawned from ``seed`` and its per-run draws made."""
-    run = _Run(_channel_streams(seed), task["space"].n_spins, task["gamma"], task["chi"])
-    if _active(task, "gamma", "per_run"):
-        run.gamma *= _draw(task, run, "gamma")
-    if _active(task, "chi", "per_run"):
-        run.chi *= _draw(task, run, "chi")
-    if _active(task, "atom_number", "per_run"):
-        run.n_spins = max(1, int(round(run.n_spins * _draw(task, run, "atom_number"))))
-    if _active(task, "pulse_area", "per_run"):
-        run.area = _draw(task, run, "pulse_area")
-    if _active(task, "pulse_phase", "per_run"):
-        run.tilt = _draw_tilt(task, run)
-    if _active(task, "pulse_separation", "per_run"):
-        run.separation = _draw(task, run, "pulse_separation")
+def _new_run(noise: NoiseSpec, model: LMGModel, seed) -> _Run:
+    """A run of ``model`` with its streams spawned from ``seed`` and its
+    per-run draws made."""
+    run = _Run(_channel_streams(seed), noise.relative_sigma, model.n_spins, model.gamma, model.chi)
+    if noise.draws("gamma", "per_run"):
+        run.gamma *= run.factor("gamma")
+    if noise.draws("chi", "per_run"):
+        run.chi *= run.factor("chi")
+    if noise.draws("atom_number", "per_run"):
+        run.n_spins = max(1, int(round(run.n_spins * run.factor("atom_number"))))
+    if noise.draws("pulse_area", "per_run"):
+        run.area = run.factor("pulse_area")
+    if noise.draws("pulse_phase", "per_run"):
+        run.tilt = run.draw_tilt()
+    if noise.draws("pulse_separation", "per_run"):
+        run.separation = run.factor("pulse_separation")
     return run
 
 
@@ -663,38 +650,39 @@ def _per_column(values: list):
     return values[0] if all(value == values[0] for value in values) else np.array(values)
 
 
-def _noise_block(task: dict) -> list:
-    """Simulate the (possibly noisy) pulsed trajectories of ``task["runs"]``,
-    which share one (n_spins, gamma, chi), as the columns of one block: the
-    nominal schedule with each of its segments perturbed as each run draws.
-    Its x and y pulse pairs run in the toggling frame of that form
-    (``propagate.toggled_cycle``), as in ``run_schedule``, unless the pulses
-    or a per-segment gamma are drawn.
+def _noise_block(block: tuple) -> list:
+    """Simulate the (possibly noisy) trajectories of a block (space,
+    schedule, initial state, NoiseSpec, runs).  Its runs share one (n_spins,
+    gamma, chi) and are stepped as the columns of one array: the nominal
+    schedule from the initial state, with each of its segments perturbed as
+    each run draws.  Its x and y pulse pairs run in the toggling frame of
+    that form (``propagate.toggled_cycle``), as in ``run_schedule``, unless
+    the pulses or a per-segment gamma are drawn.
 
     Returns, per run: the xi2 value at every cycle boundary (nan where the
     contrast collapses), the realized (n_spins, gamma, chi), the count of
     clamped negative durations and the norm error.  A drawn atom number gets
     a space of its own, dropped with the block.
     """
-    runs = task["runs"]
-    repeated = task["sigma"] == 0.0 or task["scope"] == "per_run"
+    nominal, sch, initial, noise, runs = block
+    repeated = noise.relative_sigma == 0.0 or noise.resolved_scope == "per_run"
     # runs that drew the same values, and draw nothing per segment or pulse,
     # follow one trajectory: it is stepped once, as one column
     same = len({(run.area, run.tilt, run.separation) for run in runs}) == 1
     columns = runs[:1] if repeated and same else runs
-    nominal = task["space"]
     n_spins = runs[0].n_spins
     space = nominal if n_spins == nominal.n_spins else build_space(n_spins)
 
-    def free_basis(gamma, chi):
-        return Eigenbasis.of_quadratic_form(quadratic_form(space, chi, chi * gamma, 0.0))
+    def free_basis(form):
+        return Eigenbasis.of_quadratic_form(quadratic_form(space, *form))
 
-    basis = free_basis(runs[0].gamma, runs[0].chi)
-    segments = task["segments"]
-    drawn_pulses = task["sigma"] > 0.0 and task["channel"] in ("pulse_area", "pulse_phase")
-    if not (drawn_pulses or _active(task, "gamma", "per_segment")):
-        segments = toggled_cycle(space, segments, (runs[0].chi, runs[0].chi * runs[0].gamma, 0.0))
-    psi = coherent_state(space, BlochAngles(theta=task["theta"], phi=task["phi"])).amplitudes
+    form = runs[0].free_form()
+    basis = free_basis(form)
+    segments = sch.segments
+    drawn_pulses = noise.relative_sigma > 0.0 and noise.channel in ("pulse_area", "pulse_phase")
+    if not (drawn_pulses or noise.draws("gamma", "per_segment")):
+        segments = toggled_cycle(space, segments, form)
+    psi = coherent_state(space, initial).amplitudes
     clamped = [0] * len(columns)
 
     def realize(seg) -> tuple:
@@ -703,27 +691,27 @@ def _noise_block(task: dict) -> list:
             durations = []
             for r, run in enumerate(columns):
                 factor = run.separation
-                if _active(task, "pulse_separation", "per_segment"):
-                    factor = _draw(task, run, "pulse_separation")
-                if _active(task, "chi", "per_segment"):
-                    factor *= _draw(task, run, "chi")
+                if noise.draws("pulse_separation", "per_segment"):
+                    factor = run.factor("pulse_separation")
+                if noise.draws("chi", "per_segment"):
+                    factor *= run.factor("chi")
                 duration = seg.duration * factor
                 if duration < 0.0:
                     clamped[r] += 1
                     duration = 0.0
                 durations.append(duration)
             hamiltonian = seg.hamiltonian or basis
-            if _active(task, "gamma", "per_segment"):
+            if noise.draws("gamma", "per_segment"):
                 (run,) = columns  # such runs are blocks of one
-                hamiltonian = free_basis(run.gamma * _draw(task, run, "gamma"), run.chi)
+                hamiltonian = free_basis(run.free_form(run.factor("gamma")))
             return (FreeSegment(_per_column(durations), hamiltonian),)
-        per_pulse_area = _active(task, "pulse_area", "per_pulse")
-        per_pulse_tilt = _active(task, "pulse_phase", "per_pulse")
+        per_pulse_area = noise.draws("pulse_area", "per_pulse")
+        per_pulse_tilt = noise.draws("pulse_phase", "per_pulse")
         angles = [
-            seg.angle * (_draw(task, run, "pulse_area") if per_pulse_area else run.area)
+            seg.angle * (run.factor("pulse_area") if per_pulse_area else run.area)
             for run in columns
         ]
-        tilts = [_draw_tilt(task, run) if per_pulse_tilt else run.tilt for run in columns]
+        tilts = [run.draw_tilt() if per_pulse_tilt else run.tilt for run in columns]
         if tilts[0] is None:
             return (PulseSegment(seg.axis, _per_column(angles)),)
         delta = _per_column([tilt[0] for tilt in tilts])
@@ -742,12 +730,12 @@ def _noise_block(task: dict) -> list:
 
     if repeated:
         # nothing is drawn per segment or pulse: every cycle is the same
-        cycles = (realize_cycle(),) * task["cycles"]
-        clamped = [count * task["cycles"] for count in clamped]
+        cycles = (realize_cycle(),) * sch.cycle_count
+        clamped = [count * sch.cycle_count for count in clamped]
     else:
         # realized one cycle at a time, so draws follow segment order and a
         # per-segment basis lives only as long as its cycle
-        cycles = (realize_cycle() for _ in range(task["cycles"]))
+        cycles = (realize_cycle() for _ in range(sch.cycle_count))
     block = np.repeat(psi[:, None], len(columns), axis=1)
     _, states = run_cycles(SpinState(block, space), cycles)
 
@@ -770,20 +758,8 @@ def _noise_outcomes(space, model, sch, initial, noise, n_runs, seed, workers) ->
     BLOCK_BYTES, so no block depends on the worker count; a per-segment
     gamma draws a basis per segment and run, so those runs are blocks of one.
     """
-    task = {
-        "space": space,
-        "gamma": model.gamma,
-        "chi": model.chi,
-        "segments": sch.segments,
-        "cycles": sch.cycle_count,
-        "theta": initial.theta,
-        "phi": initial.phi,
-        "channel": noise.channel,
-        "scope": noise.resolved_scope,
-        "sigma": noise.relative_sigma,
-    }
-    runs = [_new_run(task, child) for child in np.random.SeedSequence(seed).spawn(n_runs)]
-    alone = _active(task, "gamma", "per_segment")
+    runs = [_new_run(noise, model, child) for child in np.random.SeedSequence(seed).spawn(n_runs)]
+    alone = noise.draws("gamma", "per_segment")
     groups = {}
     for index, run in enumerate(runs):
         groups.setdefault(index if alone else (run.n_spins, run.gamma, run.chi), []).append(index)
@@ -792,7 +768,7 @@ def _noise_outcomes(space, model, sch, initial, noise, n_runs, seed, workers) ->
         dim = runs[indices[0]].n_spins + 1
         width = max(1, BLOCK_BYTES // (16 * dim * (sch.cycle_count + 1)))
         blocks += [indices[i : i + width] for i in range(0, len(indices), width)]
-    tasks = [dict(task, runs=[runs[i] for i in block]) for block in blocks]
+    tasks = [(space, sch, initial, noise, [runs[i] for i in block]) for block in blocks]
     outcomes = [None] * n_runs
     for block, block_outcomes in zip(blocks, _map(_noise_block, tasks, workers)):
         for index, outcome in zip(block, block_outcomes):

@@ -265,9 +265,27 @@ def test_trace_and_sweep_sizes_count_every_block(monkeypatch):
         validate_config(dict(cfg, experiment="scaling", n_grid=[10, n + 1], grid_points=k))
 
     memory["SC_PHYS_PAGES"] = sweep_bytes(40, 30)
+    cfg = dict(cfg, experiment="sweep-initial-state")
     assert validate_config(dict(cfg, theta_points=40, phi_points=30))["theta_points"] == 40
     with pytest.raises(TooLarge):
         validate_config(dict(cfg, theta_points=41, phi_points=30))
+
+
+@pytest.mark.parametrize(
+    "unused",
+    [
+        {"n_grid": [5, 5]},
+        {"variants": ["OAT", "OAT"]},
+        {"theta_points": 10**5, "phi_points": 10**5},
+    ],
+)
+def test_keys_of_other_experiments_do_not_fail_a_run(tmp_path, monkeypatch, unused):
+    # a scaling-only or sweep-only value that evolve never reads
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(MINIMAL, n_spins=12, grid_points=200, **unused)))
+    assert main(["evolve", "--config", str(path), "--out", "out"]) == 0
+    assert (tmp_path / "out" / "trace.csv").exists()
 
 
 def test_noise_zero_sigma_identical_columns(tmp_path):

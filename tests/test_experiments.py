@@ -513,16 +513,86 @@ GOLDEN_RUNS = {
 }
 
 
-@pytest.mark.parametrize("channel,scope", CHANNEL_SCOPES)
-def test_noise_runs_match_recorded_draws(channel, scope):
+# The same rows for the y design, whose nominal pulse pairs run in the
+# toggling frame unless the pulses themselves are drawn.
+GOLDEN_RUNS_Y = {
+    ("pulse_separation", "per_segment"): (
+        (12, 0.1, 1.0, 0.12022955886927396, 0.4665722264310092, 5.59886671717211, 0),
+        (12, 0.1, 1.0, 0.11991870544220677, 0.47073804988128604, 5.648856598575432, 0),
+        (12, 0.1, 1.0, 0.11968495712318254, 0.4665722264310092, 5.59886671717211, 0),
+    ),
+    ("pulse_separation", "per_run"): (
+        (12, 0.1, 1.0, 0.1197745163904127, 0.4665722264310092, 5.59886671717211, 0),
+        (12, 0.1, 1.0, 0.11975424317865684, 0.5373912250857159, 6.448694701028591, 0),
+        (12, 0.1, 1.0, 0.11976457173555133, 0.5165621078343317, 6.19874529401198, 0),
+    ),
+    ("pulse_area", "per_pulse"): (
+        (12, 0.1, 1.0, 0.1920813415760403, 0.4665722264310092, 5.59886671717211, 0),
+        (12, 0.1, 1.0, 0.12477367704591025, 0.5582203423371003, 6.698644108045203, 0),
+        (12, 0.1, 1.0, 0.1691325674139561, 0.5582203423371003, 6.698644108045203, 0),
+    ),
+    ("pulse_area", "per_run"): (
+        (12, 0.1, 1.0, 0.14645936731058504, 0.42074816847796365, 5.0489780217355635, 0),
+        (12, 0.1, 1.0, 0.16506326289554352, 0.39158740432602557, 4.699048851912307, 0),
+        (12, 0.1, 1.0, 0.1343209105145918, 0.43741146227907113, 5.248937547348854, 0),
+    ),
+    ("pulse_phase", "per_pulse"): (
+        (12, 0.1, 1.0, 0.27421999224647003, 0.4998988140332241, 5.998785768398689, 0),
+        (12, 0.1, 1.0, 0.5554770735041336, 0.22912028976522772, 2.7494434771827327, 0),
+        (12, 0.1, 1.0, 0.39633784387510823, 0.5582203423371003, 6.698644108045203, 0),
+    ),
+    ("pulse_phase", "per_run"): (
+        (12, 0.1, 1.0, 0.12008114689568927, 0.4665722264310092, 5.59886671717211, 0),
+        (12, 0.1, 1.0, 0.12017164812211807, 0.4624064029807323, 5.548876835768787, 0),
+        (12, 0.1, 1.0, 0.1198636663697729, 0.4665722264310092, 5.59886671717211, 0),
+    ),
+    ("gamma", "per_run"): (
+        (12, 0.09376927041661594, 1.0, 0.11972938036020035, 0.45824057953045544, 5.4988869543654655, 0),
+        (12, 0.10387100237951259, 1.0, 0.11981932699080507, 0.4665722264310092, 5.59886671717211, 0),
+        (12, 0.11636230744065675, 1.0, 0.11999081928791593, 0.4790696967818398, 5.748836361382078, 0),
+    ),
+    ("gamma", "per_segment"): (
+        (12, 0.1, 1.0, 0.11978935847223404, 0.4665722264310092, 5.59886671717211, 0),
+        (12, 0.1, 1.0, 0.11977559250571683, 0.4665722264310092, 5.59886671717211, 0),
+        (12, 0.1, 1.0, 0.11978585699757242, 0.4665722264310092, 5.59886671717211, 0),
+    ),
+    ("chi", "per_run"): (
+        (12, 0.1, 1.0501319595286511, 0.11978483747380686, 0.441577285729348, 5.298927428752176, 0),
+        (12, 0.1, 1.0369944382305323, 0.11978318413961968, 0.4499089326299017, 5.398907191558821, 0),
+        (12, 0.1, 0.8965027854564804, 0.11976381529571374, 0.5207279312846085, 6.248735175415302, 0),
+    ),
+    ("chi", "per_segment"): (
+        (12, 0.1, 1.0, 0.11993857044687495, 0.4665722264310092, 5.59886671717211, 0),
+        (12, 0.1, 1.0, 0.11988389755776414, 0.45824057953045544, 5.4988869543654655, 0),
+        (12, 0.1, 1.0, 0.11968542111582714, 0.4624064029807323, 5.548876835768787, 0),
+    ),
+    ("atom_number", "per_run"): (
+        (12, 0.1, 1.0, 0.11977743752548875, 0.4665722264310092, 5.59886671717211, 0),
+        (12, 0.1, 1.0, 0.11977743752548875, 0.4665722264310092, 5.59886671717211, 0),
+        (14, 0.1, 1.0, 0.10579209039272339, 0.41658234502768676, 4.998988140332241, 0),
+    ),
+}
+
+
+def assert_runs_match(axis, channel, scope, golden):
     model = from_chi_gamma(1.0, 0.1, 12)
     result = noise_monte_carlo(
-        model, design(model, "z", "A"), NoiseSpec(channel, 0.1, scope), n_runs=3, seed=1
+        model, design(model, axis, "A"), NoiseSpec(channel, 0.1, scope), n_runs=3, seed=1
     )
     rows = result.tables["runs"].rows
     assert [row[0] for row in rows] == [0, 1, 2]
-    for row, expected in zip(rows, GOLDEN_RUNS[channel, scope], strict=True):
+    for row, expected in zip(rows, golden[channel, scope], strict=True):
         assert row[1:] == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("channel,scope", CHANNEL_SCOPES)
+def test_noise_runs_match_recorded_draws(channel, scope):
+    assert_runs_match("z", channel, scope, GOLDEN_RUNS)
+
+
+@pytest.mark.parametrize("channel,scope", CHANNEL_SCOPES)
+def test_y_noise_runs_match_recorded_draws(channel, scope):
+    assert_runs_match("y", channel, scope, GOLDEN_RUNS_Y)
 
 
 def test_noise_determinism_and_worker_independence():

@@ -444,10 +444,13 @@ def _inline_rotation(space, axis, angle):
 
 @pytest.mark.parametrize("n", [1, 20, 101])
 def test_eigenbasis_kernel_keeps_the_inline_bytes(n):
-    # The seed-0 pulsed reference depends on the rounding of the pulses and
-    # coherent states, so each must equal, bit for bit, the formula it
-    # replaced.  The dense rotation matrix is rotate_state applied to the
-    # identity; nothing on the reference's path uses it, so it only agrees.
+    # The seed-0 references depend on the rounding of the coherent states
+    # and pulses, so each must equal, bit for bit, the formula it replaced.
+    # The pulsed reference applies only z pulses (its x and y pulse pairs
+    # run in the toggling frame); x and y pulses reach the outputs only as
+    # drawn noise pulses, such as the tilts of a z pulse.  The dense rotation
+    # matrix is rotate_state applied to the identity; nothing on the
+    # references' paths uses it, so it only agrees.
     space = build_space(n)
     state = coherent_state(space, BlochAngles(1.1, 0.4))
     for axis in ("x", "y"):

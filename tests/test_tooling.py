@@ -3,13 +3,17 @@ still report the example that broke it under the repo's pytest settings, the
 package must import nothing it does not use, every dense eigensolve must go
 through the one checked entry point, every exponential must be formed in the
 one propagation kernel, pulses must be applied only by the segment executor,
-every function the benchmark traces must exist, and each benchmark workload
-must reach the spans its traced run expects."""
+every function the benchmark traces must exist, each benchmark workload
+must reach the spans its traced run expects, and the README's library
+example must run."""
 
 import ast
 import importlib
 import importlib.util
 import json
+import math
+import os
+import re
 import runpy
 import shutil
 import subprocess
@@ -22,6 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 PACKAGE = ROOT / "src" / "lmgsqueeze"
 PERFBENCH = ROOT / "perfbench"
+README = ROOT / "README.md"
 
 FAILING_PROPERTY = '''\
 from hypothesis import given, strategies as st
@@ -221,3 +226,24 @@ def test_benchmark_workloads_reach_their_expected_spans(tmp_path, monkeypatch, w
     if workload == "pulsed_n1000":
         notes = json.loads((tmp_path / "pulsed" / "descriptor.json").read_text())["notes"]
         assert max(notes["cycles_z"], notes["cycles_y"]) < 401
+
+
+def test_readme_library_example_runs(tmp_path):
+    library = README.read_text().split("\n## Library\n", 1)[1]
+    example = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(ROOT / "src") + (os.pathsep + inherited if inherited else ""),
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", example],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    values = [float(word) for word in result.stdout.split()]
+    assert values and all(math.isfinite(value) for value in values), result.stdout
