@@ -14,7 +14,6 @@ dynamical Hamiltonian; the flip is recorded, never silently applied.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .algebra import (
     DickeSpace,
@@ -217,6 +216,30 @@ def counter_twist_decomposition(
     return x_twist, z_twist
 
 
+def _rotation_vector(frame: np.ndarray) -> np.ndarray:
+    """Axis times angle, the angle in [0, pi], of a 3x3 rotation matrix.
+
+    Each row of the symmetric matrix k below is a multiple 4 q_i q of the
+    quaternion q = (v, w); Shepperd's method takes the row with the largest
+    diagonal, which is at least 1, so it is well-conditioned at every
+    angle, 0 and pi included.  With w >= 0 the angle is 2 atan2(|v|, w)
+    about v / |v|, neither of which needs q normalized.
+    """
+    trace = np.trace(frame)
+    k = np.empty((4, 4))
+    k[:3, :3] = frame + frame.T + (1.0 - trace) * np.eye(3)
+    skew = frame - frame.T
+    k[:3, 3] = k[3, :3] = skew[2, 1], skew[0, 2], skew[1, 0]
+    k[3, 3] = 1.0 + trace
+    q = k[np.argmax(np.diag(k))]
+    if q[3] < 0.0:
+        q = -q
+    length = np.linalg.norm(q[:3])
+    if length == 0.0:
+        return np.zeros(3)
+    return 2.0 * np.arctan2(length, q[3]) / length * q[:3]
+
+
 def frame_unitary(model: LMGModel, space: DickeSpace) -> np.ndarray:
     """Unitary U with U^dag S_a U = sum_b frame[a, b] S_b.
 
@@ -224,7 +247,7 @@ def frame_unitary(model: LMGModel, space: DickeSpace) -> np.ndarray:
     pairwise Hamiltonian on the symmetric sector, then
     H_lab = U^dag (sign * chi (Sx^2 + gamma Sy^2)) U + dropped_constant.
     """
-    rotvec = Rotation.from_matrix(model.frame).as_rotvec()
+    rotvec = _rotation_vector(model.frame)
     return rotation_about(space, rotvec, float(np.linalg.norm(rotvec)))
 
 

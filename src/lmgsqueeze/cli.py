@@ -179,8 +179,11 @@ def validate_config(raw: dict) -> dict:
     cfg["max_step"] = _require_number(cfg, "max_step", positive=True)
     cfg["cycles"] = _require_number(cfg, "cycles", lo=1, allow_none=True, integer=True)
     cfg["total_time"] = _require_number(cfg, "total_time", allow_none=True, positive=True)
-    cfg["theta_points"] = _require_number(cfg, "theta_points", lo=2, integer=True)
-    cfg["phi_points"] = _require_number(cfg, "phi_points", lo=2, integer=True)
+    # counts, so that the sweep-grid size below is never a product of two
+    # negatives; sweep_initial_state owns its >= 2 rule, which no other
+    # experiment reads
+    cfg["theta_points"] = _require_number(cfg, "theta_points", lo=0, integer=True)
+    cfg["phi_points"] = _require_number(cfg, "phi_points", lo=0, integer=True)
     if cfg.get("gammas") is not None:
         if not isinstance(cfg["gammas"], (list, tuple)) or not cfg["gammas"]:
             _fail("gammas", "expected a non-empty array of gamma values")

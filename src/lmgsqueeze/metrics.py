@@ -9,7 +9,6 @@ tests as an independent oracle.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from .algebra import DickeSpace, Eigenbasis, build_space, collective_operator
 from .canonical import LMGModel, model_eigenbasis
@@ -19,6 +18,9 @@ from .states import BlochAngles, SpinState, coherent_state
 
 CONTRAST_EPS = 1e-6
 REFINE_XTOL = 1e-6
+# golden ratio conjugate 2 / (1 + sqrt(5)), rounded as scipy.optimize rounds it
+_GR = 0.61803399
+_GC = 1.0 - _GR
 
 
 @dataclass(frozen=True)
@@ -191,6 +193,36 @@ def default_horizon(n_spins: int) -> float:
     return max(8.0, 1.0 + 2.2 * (n_spins / 2.0) ** (1.0 / 3.0))
 
 
+def _golden(func, xa: float, xb: float, xc: float, tol: float):
+    """Golden-section search for a minimum of ``func`` inside xa < xb < xc.
+
+    A step-for-step copy of scipy 1.17's ``minimize_scalar(method="golden")``
+    on a three-point bracket: the same first interior point, stopping test
+    |x3 - x0| <= tol (|x1| + |x2|), 5000-step cap and tie rule, so it returns
+    the same bits.  Returns (x, func(x)), or None when f(xb) is not below
+    both ends.
+    """
+    fa, fb, fc = func(xa), func(xb), func(xc)
+    if not (fb < fa and fb < fc):
+        return None
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + _GC * (xc - xb)
+    else:
+        x1, x2 = xb - _GC * (xb - xa), xb
+    f1, f2 = func(x1), func(x2)
+    for _ in range(5000):
+        if abs(x3 - x0) <= tol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, x2 = x1, x2, _GR * x2 + _GC * x3
+            f1, f2 = f2, func(x2)
+        else:
+            x3, x2, x1 = x2, x1, _GR * x1 + _GC * x0
+            f2, f1 = f1, func(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
+
+
 def minimize_hamiltonian(
     space: DickeSpace,
     hamiltonian,
@@ -234,16 +266,10 @@ def minimize_hamiltonian(
         xi2, _, _, _ = batch_squeezing(space, evolve(initial, basis, t).amplitudes[:, None])
         return float(xi2[0]) if np.isfinite(xi2[0]) else np.inf
 
-    try:
-        result = optimize.minimize_scalar(
-            objective,
-            bracket=(times[k - 1], times[k], times[k + 1]),
-            method="golden",
-            options={"xtol": REFINE_XTOL},
-        )
-    except ValueError:
+    found = _golden(objective, times[k - 1], times[k], times[k + 1], REFINE_XTOL)
+    if found is None:
         return trace  # flat bracket; keep the grid point
-    minimum = TraceMinimum(t=float(result.x), xi2=float(result.fun), refined=True)
+    minimum = TraceMinimum(t=float(found[0]), xi2=float(found[1]), refined=True)
     return replace(trace, minimum=minimum)
 
 

@@ -6,7 +6,10 @@ from scipy.spatial.transform import Rotation
 
 from lmgsqueeze.algebra import build_space, collective_operator, quadratic_form
 from lmgsqueeze.canonical import (
+    _SWAP_XZ,
     CouplingMatrix,
+    LMGModel,
+    _rotation_vector,
     canonicalize,
     counter_twist_decomposition,
     frame_unitary,
@@ -167,6 +170,53 @@ def test_canonical_form_reproduces_the_pairwise_operator(chi, n):
     # the lab form is 0 for a traceless coupling at N = 1, the canonical never
     scale = max(np.max(np.abs(direct)), np.max(np.abs(canonical)))
     assert np.max(np.abs(lab - direct)) <= 1e-10 * scale
+
+
+# frames at angle 0 and at angle pi, where an SO(3) logarithm is most
+# easily ill-conditioned: the identity, the x <-> z swap (a pi turn about
+# (1, 0, 1)/sqrt(2)) and exact pi turns 2 n n^T - 1
+SPECIAL_FRAMES = [np.eye(3), _SWAP_XZ] + [
+    2.0 * np.outer(axis, axis) - np.eye(3)
+    for axis in (*np.eye(3), np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
+]
+FRAMES = st.integers(0, 2**32 - 1).map(lambda seed: Rotation.random(random_state=seed).as_matrix())
+
+
+def with_special_frames(**fixed):
+    """Run the property on every special frame, besides the drawn ones."""
+
+    def decorate(test):
+        for frame in SPECIAL_FRAMES:
+            test = example(frame=frame, **fixed)(test)
+        return test
+
+    return decorate
+
+
+@given(frame=FRAMES)
+@with_special_frames()
+def test_rotation_vector_matches_scipy(frame):
+    ours = _rotation_vector(frame)
+    oracle = Rotation.from_matrix(frame).as_rotvec()
+    if abs(np.linalg.norm(oracle) - np.pi) < 1e-9:
+        # a pi turn about n equals the pi turn about -n
+        assert min(np.max(np.abs(ours - oracle)), np.max(np.abs(ours + oracle))) <= 1e-12
+    else:
+        assert np.max(np.abs(ours - oracle)) <= 1e-12
+
+
+@settings(max_examples=50)
+@given(frame=FRAMES, n=st.integers(1, 30))
+@with_special_frames(n=30)
+def test_frame_unitary_rotates_the_collective_spin(frame, n):
+    # U^dag S_a U = sum_b frame[a, b] S_b, with no scipy on the path
+    space = build_space(n)
+    model = LMGModel(1.0, 0.1, frame, sign_flipped=False, n_spins=n, dropped_constant=0.0)
+    u = frame_unitary(model, space)
+    spin = [collective_operator(space, label) for label in ("Sx", "Sy", "Sz")]
+    for a in range(3):
+        rotated = sum(frame[a, b] * spin[b] for b in range(3))
+        assert np.max(np.abs(u.conj().T @ spin[a] @ u - rotated)) <= 1e-12
 
 
 def test_realize_oat_and_tat_forms():

@@ -277,6 +277,7 @@ def test_trace_and_sweep_sizes_count_every_block(monkeypatch):
         {"n_grid": [5, 5]},
         {"variants": ["OAT", "OAT"]},
         {"theta_points": 10**5, "phi_points": 10**5},
+        {"theta_points": 1, "phi_points": 1},
     ],
 )
 def test_keys_of_other_experiments_do_not_fail_a_run(tmp_path, monkeypatch, unused):
@@ -286,6 +287,25 @@ def test_keys_of_other_experiments_do_not_fail_a_run(tmp_path, monkeypatch, unus
     path.write_text(json.dumps(dict(MINIMAL, n_spins=12, grid_points=200, **unused)))
     assert main(["evolve", "--config", str(path), "--out", "out"]) == 0
     assert (tmp_path / "out" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        # sweep_initial_state owns this rule, not the config check every run makes
+        ({"theta_points": 1}, "theta_points: must be >= 2"),
+        ({"phi_points": 1}, "phi_points: must be >= 2"),
+        # a grid of negative counts is malformed, not too large
+        ({"theta_points": -(10**5), "phi_points": -(10**5)}, "theta_points: must be >= 0"),
+    ],
+)
+def test_sweep_needs_two_points_per_axis(tmp_path, monkeypatch, capsys, grid, message):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(MINIMAL, experiment="sweep-initial-state", **grid)))
+    assert main(["sweep-initial-state", "--config", str(path), "--out", "s"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_noise_zero_sigma_identical_columns(tmp_path):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
+from lmgsqueeze import metrics
 from lmgsqueeze.algebra import build_space, collective_operator
 from lmgsqueeze.canonical import from_chi_gamma, realize_hamiltonian
 from lmgsqueeze.errors import MeanSpinVanished, NoMinimumFound
 from lmgsqueeze.experiments import evolve_trace
 from lmgsqueeze.metrics import (
+    REFINE_XTOL,
     _batch_moments,
     batch_squeezing,
     first_local_minimum,
@@ -267,6 +270,74 @@ def test_refinement_improves_on_grid():
         from_chi_gamma(1.0, 0.3, 40), ang, horizon=8.0, grid_points=150, refine=True
     )
     assert refined.minimum.xi2 <= coarse.minimum.xi2
+
+
+def scipy_golden(func, xa, xb, xc):
+    """scipy's golden search on the bracket, or None where it refuses one
+    whose middle value is not below both ends."""
+    try:
+        result = optimize.minimize_scalar(
+            func, bracket=(xa, xb, xc), method="golden", options={"xtol": REFINE_XTOL}
+        )
+    except ValueError:
+        return None
+    return result.x, result.fun
+
+
+def captured_xi2_search(monkeypatch):
+    """minimize_hamiltonian's xi^2 objective and bracket at N = 20, as it
+    hands them to the golden search."""
+    captured = []
+    golden = metrics._golden
+
+    def spy(func, xa, xb, xc, tol):
+        captured.append((func, xa, xb, xc))
+        return golden(func, xa, xb, xc, tol)
+
+    monkeypatch.setattr(metrics, "_golden", spy)
+    minimize_over_time(from_chi_gamma(1.0, 0.1, 20), BlochAngles(math.pi / 2, math.pi / 2))
+    (search,) = captured
+    return search
+
+
+@pytest.mark.parametrize(
+    "func, bracket, flat",
+    [
+        # the first interior point on the longer side, right then left; on
+        # these brackets the way it is rounded shows in the last bits found
+        (lambda x: (x - 0.2) ** 2, (0.0, 0.1, 0.4), False),
+        (lambda x: (x - 0.95) ** 2, (0.0, 0.9, 1.1), False),
+        # equal sides and a staircase full of ties between f1 and f2
+        (lambda x: float(math.floor(8.0 * abs(x - 0.5))), (0.0, 0.5, 1.0), False),
+        # a minimum at 0 meets the relative stopping test only near the
+        # smallest floats, after 803 steps
+        (lambda x: x * x, (-1.0, 0.1, 1.0), False),
+        # the middle is not below both ends: a plateau on either side, a slope
+        (lambda x: max(x, 0.5), (0.0, 0.5, 1.0), True),
+        (lambda x: max(1.0 - x, 0.5), (0.0, 0.5, 1.0), True),
+        (lambda x: x, (0.0, 0.5, 1.0), True),
+        # None: the real xi^2 objective of minimize_hamiltonian
+        (None, None, False),
+    ],
+)
+def test_golden_search_returns_scipys_bits(monkeypatch, func, bracket, flat):
+    if func is None:
+        func, *bracket = captured_xi2_search(monkeypatch)
+    expected = scipy_golden(func, *bracket)
+    assert (expected is None) == flat
+    assert metrics._golden(func, *bracket, REFINE_XTOL) == expected
+
+
+def test_an_objective_error_is_not_read_as_a_flat_bracket(monkeypatch):
+    def broken(*args):
+        raise ValueError("objective failed")
+
+    with pytest.raises(ValueError, match="objective failed"):
+        metrics._golden(broken, 0.0, 0.5, 1.0, REFINE_XTOL)
+    # the grid scan has run when the search starts: only the search fails
+    monkeypatch.setattr(metrics, "evolve", broken)
+    with pytest.raises(ValueError, match="objective failed"):
+        minimize_over_time(from_chi_gamma(1.0, 0.1, 20), BlochAngles(math.pi / 2, math.pi / 2))
 
 
 def test_trace_samples_match_batch_values():

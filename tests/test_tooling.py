@@ -4,8 +4,8 @@ package must import nothing it does not use, every dense eigensolve must go
 through the one checked entry point, every exponential must be formed in the
 one propagation kernel, pulses must be applied only by the segment executor,
 every function the benchmark traces must exist, each benchmark workload
-must reach the spans its traced run expects, and the README's library
-example must run."""
+must reach the spans its traced run expects, the README's library
+example must run, and numpy must be the one runtime dependency."""
 
 import ast
 import importlib
@@ -228,22 +228,62 @@ def test_benchmark_workloads_reach_their_expected_spans(tmp_path, monkeypatch, w
         assert max(notes["cycles_z"], notes["cycles_y"]) < 401
 
 
-def test_readme_library_example_runs(tmp_path):
-    library = README.read_text().split("\n## Library\n", 1)[1]
-    example = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+def run_python(code: str, cwd) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the package from src/."""
     inherited = os.environ.get("PYTHONPATH")
     env = dict(
         os.environ,
         PYTHONPATH=str(ROOT / "src") + (os.pathsep + inherited if inherited else ""),
     )
-    result = subprocess.run(
-        [sys.executable, "-c", example],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env=env,
-        timeout=300,
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd, env=env, timeout=300
     )
+
+
+def test_readme_library_example_runs(tmp_path):
+    library = README.read_text().split("\n## Library\n", 1)[1]
+    example = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    result = run_python(example, tmp_path)
     assert result.returncode == 0, result.stderr
     values = [float(word) for word in result.stdout.split()]
     assert values and all(math.isfinite(value) for value in values), result.stdout
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules a source imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_package_imports_no_scipy():
+    sample = "import numpy as np\ndef f():\n    from scipy.linalg import eigh\n"
+    assert imported_modules(sample) == {"numpy", "scipy"}
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "scipy" in imported_modules(path.read_text())
+    ]
+    assert found == []
+
+
+def test_a_cli_run_leaves_scipy_unimported(tmp_path):
+    script = (
+        "import sys\n"
+        "import lmgsqueeze, lmgsqueeze.cli\n"
+        "assert lmgsqueeze.cli.main(['design', '--chi', '1', '--gamma', '0.1']) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    result = run_python(script, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    assert [re.match(r"[\w.-]+", spec).group() for spec in project["dependencies"]] == ["numpy"]
