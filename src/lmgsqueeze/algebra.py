@@ -37,8 +37,8 @@ HERMITICITY_ROWS = 64  # rows per block of the Hermiticity check: no dense tempo
 # Dense complex matrices kept for one space during compare_pulsed: the Sx, Sy,
 # Sz, Sx^2, Sy^2 and Sz^2 that it holds once used (built thread-safely, freed
 # with it; its x/y pulses run in the toggling frame, so no rotation axis's
-# basis is built), and the v, v^H of three callers' bases.
-DENSE_MATRICES_PER_SPACE = 12
+# basis is built), and the v of three callers' bases.
+DENSE_MATRICES_PER_SPACE = 9
 # Dense complex (N+1) x K blocks alive at once while xi^2 is taken at K
 # times (metrics.batch_squeezing): the states, Sx, Sy and Sz applied to them,
 # their conjugate and one product (tracemalloc peak: 6.1 blocks).
@@ -195,13 +195,12 @@ def _matmul(matrix: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Block:
     """One diagonal block of a generator: the basis ``rows`` it acts on, the
-    slice ``cols`` of ``Eigenbasis.w`` that holds its eigenvalues, its
-    eigenvector columns ``v`` and ``vh = v^H``."""
+    slice ``cols`` of ``Eigenbasis.w`` that holds its eigenvalues and its
+    eigenvector columns ``v``."""
 
     rows: slice
     cols: slice
     v: np.ndarray
-    vh: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -222,15 +221,12 @@ class Eigenbasis:
         _frozen(self.w)
         for block in self.blocks:
             _frozen(block.v)
-            _frozen(block.vh)
 
     @classmethod
     def of(cls, hamiltonian) -> "Eigenbasis":
-        """Factor ``hamiltonian`` densely (an Eigenbasis is returned as it is)."""
-        if isinstance(hamiltonian, Eigenbasis):
-            return hamiltonian
+        """Factor the Hermitian matrix ``hamiltonian`` densely."""
         w, v = hamiltonian_eig(hamiltonian)
-        return cls(w, (Block(slice(None), slice(None), v, v.conj().T),))
+        return cls(w, (Block(slice(None), slice(None), v),))
 
     @classmethod
     def of_quadratic_form(cls, matrix) -> "Eigenbasis":
@@ -256,8 +252,8 @@ class Eigenbasis:
         w_odd, v_odd = np.linalg.eigh(real[1::2, 1::2])
         half = w_even.size
         blocks = (
-            Block(slice(0, None, 2), slice(0, half), v_even, v_even.T),
-            Block(slice(1, None, 2), slice(half, None), v_odd, v_odd.T),
+            Block(slice(0, None, 2), slice(0, half), v_even),
+            Block(slice(1, None, 2), slice(half, None), v_odd),
         )
         return cls(np.concatenate([w_even, w_odd]), blocks)
 
@@ -274,12 +270,13 @@ class Eigenbasis:
         return self.sample(amplitudes, np.exp(-1j * w * t))
 
     def sample(self, amplitudes: np.ndarray, phases: np.ndarray) -> np.ndarray:
-        """v (phases * (vh @ amplitudes)), block by block.  On one amplitude
+        """v (phases * (v^H @ amplitudes)), block by block.  On one amplitude
         vector, the table ``phases = self.phases(times)`` gives exp(-i G t)
         applied at every time, as the columns of a (dim, len(times)) array."""
         parts = []
         for block in self.blocks:
-            coeffs = _matmul(block.vh, amplitudes[block.rows])
+            # v^H a as conj(v.T conj(a)): v.T is a view, no copy of v is formed
+            coeffs = np.conj(_matmul(block.v.T, np.conj(amplitudes[block.rows])))
             if coeffs.ndim < phases.ndim:
                 coeffs = coeffs[:, None]
             parts.append(_matmul(block.v, phases[block.cols] * coeffs))

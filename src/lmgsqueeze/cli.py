@@ -21,6 +21,7 @@ from .canonical import CouplingMatrix, canonicalize, from_chi_gamma
 from .errors import ConfigError, LmgError
 from .experiments import (
     NoiseSpec,
+    _fmt,
     compare_pulsed,
     evolve_trace,
     noise_monte_carlo,
@@ -68,6 +69,16 @@ _DEFAULTS = {
     "output_dir": None,
 }
 _KNOWN_KEYS = {"experiment", "n_spins", "chi", "gamma", "coupling"} | set(_DEFAULTS)
+# Model keys a command may leave out, filled with these values so that its
+# config validates: the inspect commands need no N and default to chi = 1,
+# gamma = 0; sweep-gamma sets gamma, and scaling N, at each of its points.
+_FILLED = {"n_spins": 100, "chi": 1.0, "gamma": 0.0}
+_OMITTABLE_KEYS = {
+    "canonicalize": ("n_spins", "chi", "gamma"),
+    "design": ("n_spins", "chi", "gamma"),
+    "sweep-gamma": ("gamma",),
+    "scaling": ("n_spins",),
+}
 
 
 def _fail(path: str, message: str):
@@ -234,13 +245,7 @@ def build_model(cfg: dict):
     return from_chi_gamma(cfg["chi"], cfg["gamma"], cfg["n_spins"])
 
 
-def _config_for_descriptor(cfg: dict) -> dict:
-    return {k: v for k, v in cfg.items() if k in _KNOWN_KEYS}
-
-
 def _summary(experiment: str, parts: dict, out_dir) -> str:
-    from .experiments import _fmt
-
     body = " ".join(f"{k}={_fmt(v)}" for k, v in parts.items())
     return f"{experiment} {body} out={out_dir}"
 
@@ -339,7 +344,7 @@ def run(cfg: dict) -> int:
         summary = result.tables["summary"].rows[0]
         parts = {"median_xi2_min": summary[1], "noiseless_xi2_min": summary[0]}
 
-    result.descriptor["config"] = _config_for_descriptor(cfg)
+    result.descriptor["config"] = dict(cfg)
     result.descriptor["model"] = {
         "chi": model.chi,
         "gamma": model.gamma,
@@ -410,11 +415,10 @@ def main(argv=None) -> int:
                 raw.update(_read_config(fh.read()))
         raw.update(_flag_overrides(args))
         raw["experiment"] = args.command
-        if args.command in INSPECT_COMMANDS:
-            raw.setdefault("n_spins", 100)
-            if "coupling" not in raw:
-                raw.setdefault("chi", 1.0)
-                raw.setdefault("gamma", 0.0)
+        for key in _OMITTABLE_KEYS.get(args.command, ()):
+            # a coupling matrix gives chi and gamma, which may not be given twice
+            if key == "n_spins" or "coupling" not in raw:
+                raw.setdefault(key, _FILLED[key])
         cfg = validate_config(raw)
         return run(cfg)
     except ConfigError as exc:

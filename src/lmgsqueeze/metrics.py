@@ -225,7 +225,7 @@ def _golden(func, xa: float, xb: float, xc: float, tol: float):
 
 def minimize_hamiltonian(
     space: DickeSpace,
-    hamiltonian,
+    basis: Eigenbasis,
     initial: SpinState,
     times,
     refine: bool = True,
@@ -235,9 +235,8 @@ def minimize_hamiltonian(
     """Sample xi^2 at the strictly increasing ``times`` and locate its first
     local minimum.
 
-    ``hamiltonian`` is an Eigenbasis or a Hermitian matrix, factored once;
-    ``phases`` is that basis's ``Eigenbasis.phases(times)`` when the caller
-    holds it.
+    ``basis`` is the Hamiltonian's Eigenbasis; ``phases`` is its
+    ``Eigenbasis.phases(times)`` when the caller holds it.
     With ``refine``, a golden-section search (relative time tolerance
     REFINE_XTOL) between the neighbouring samples refines the bracketed
     minimum; each step re-evaluates the exact evolution, nothing is
@@ -249,7 +248,6 @@ def minimize_hamiltonian(
         raise ValueError(f"times must be a 1-d array of >= 2 samples, got shape {times.shape}")
     if not np.all(np.diff(times) > 0.0):
         raise ValueError("times must be strictly increasing")
-    basis = Eigenbasis.of(hamiltonian)
     trace = trace_from_states(space, times, evolve_batch(initial, basis, times, phases))
     if not trace.minimum.bracketed:
         if allow_unbracketed:

@@ -5,8 +5,8 @@ in an ``algebra.Eigenbasis`` that the caller builds once and passes in, so
 schedules that reuse the same two Hamiltonians thousands of times pay for
 two factorizations.  The model Hamiltonian, a real quadratic form that
 conserves Sz-parity, is factored as two real blocks of half the size
-(``canonical.model_eigenbasis``) and applied as real products; a matrix
-passed in is factored densely (``Eigenbasis.of``).  Pulses are
+(``canonical.model_eigenbasis``) and applied as real products; any other
+Hamiltonian is factored densely (``Eigenbasis.of``).  Pulses are
 instantaneous unitaries (Rabi limit).  A nominal pulse pair about x or y
 around free evolution under the model is run in the toggling frame
 (``toggled_cycle``): it is free evolution under the conjugated quadratic
@@ -37,25 +37,23 @@ from .states import BlochAngles, SpinState, rotate_state
 FULL_SPACE_MAX_SPINS = 12
 
 
-def evolve(state: SpinState, hamiltonian, t: float) -> SpinState:
-    """Propagate |psi> to exp(-i H t) |psi>, H an Eigenbasis or a Hermitian matrix.
+def evolve(state: SpinState, basis: Eigenbasis, t: float) -> SpinState:
+    """Propagate |psi> to exp(-i H t) |psi>, H given by its Eigenbasis.
 
     Negative times are permitted (time reversal); the norm is preserved to
     machine precision.
     """
-    amps = Eigenbasis.of(hamiltonian).propagate(state.amplitudes, t)
-    return SpinState(amplitudes=amps, space=state.space)
+    return SpinState(amplitudes=basis.propagate(state.amplitudes, t), space=state.space)
 
 
 def evolve_batch(
-    state: SpinState, hamiltonian, times: np.ndarray, phases: np.ndarray | None = None
+    state: SpinState, basis: Eigenbasis, times: np.ndarray, phases: np.ndarray | None = None
 ) -> np.ndarray:
     """States at many times as columns of a (dim, len(times)) array.
 
     ``phases`` is the basis's ``Eigenbasis.phases(times)`` when the caller
     holds it (one table serves every state sampled on one time grid).
     """
-    basis = Eigenbasis.of(hamiltonian)
     if phases is None:
         phases = basis.phases(times)
     elif phases.shape != (basis.w.size, np.size(times)):

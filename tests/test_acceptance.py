@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from lmgsqueeze.algebra import build_space, collective_operator
+from lmgsqueeze.algebra import Eigenbasis, build_space, collective_operator
 from lmgsqueeze.canonical import (
     CouplingMatrix,
     canonicalize,
@@ -80,7 +80,8 @@ def test_criterion_02_product_space_oracle():
             u_frame = frame_unitary(model, space)
             psi = coherent_state(space, angles)
             canonical = SpinState(u_frame @ psi.amplitudes, space)
-            evolved = evolve(canonical, model.sign * realize_hamiltonian(model, space), t)
+            basis = Eigenbasis.of(model.sign * realize_hamiltonian(model, space))
+            evolved = evolve(canonical, basis, t)
             lab = (u_frame.conj().T @ evolved.amplitudes) * np.exp(
                 -1j * model.dropped_constant * t
             )
@@ -115,7 +116,7 @@ def test_criterion_04_directional_brute_force():
         space = build_space(n)
         state = coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
         t = float(rng.uniform(0.0, 0.7 / n))
-        evolved = evolve(state, realize_hamiltonian(model, space), t)
+        evolved = evolve(state, Eigenbasis.of(realize_hamiltonian(model, space)), t)
         xi2 = squeezing_parameter(evolved).xi2
         oracle = brute_force_xi2(evolved, n_angles=3600)
         worst = max(worst, abs(oracle - xi2))

@@ -43,10 +43,11 @@ def test_build_space_refuses_sizes_beyond_memory():
 
 
 def test_build_space_counts_every_matrix_a_run_keeps(monkeypatch):
-    # compare_pulsed keeps 12 dense (N+1)^2 matrices, 6 in the space and 6 in
-    # three eigenbases: memory for 10 of them admits N/2 but must refuse N
+    # compare_pulsed keeps 9 dense (N+1)^2 matrices, 6 in the space and one
+    # in each of three eigenbases: memory for 8 of them admits N/2 but must
+    # refuse N
     n = 100
-    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 10 * 16 * (n + 1) ** 2}
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 8 * 16 * (n + 1) ** 2}
     monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
     with pytest.raises(TooLarge):
         build_space(n)

@@ -228,6 +228,35 @@ def test_realize_oat_and_tat_forms():
     assert np.max(np.abs(tat - 0.5 * quadratic_form(space, 2.0, 1.0, 0.0))) < 1e-12
 
 
+def model_fields(**changed):
+    fields = dict(
+        chi=1.0, gamma=0.1, frame=np.eye(3), sign_flipped=False, n_spins=4, dropped_constant=0.0
+    )
+    return dict(fields, **changed)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: CouplingMatrix(chi=np.eye(2)), ValueError, "3x3"),
+        (lambda: CouplingMatrix(chi=np.full((3, 3), np.inf)), ValueError, "finite"),
+        (lambda: LMGModel(**model_fields(chi=0.0)), ValueError, "chi"),
+        (lambda: LMGModel(**model_fields(gamma=0.6)), ValueError, "gamma"),
+        (lambda: LMGModel(**model_fields(gamma=-0.1)), ValueError, "gamma"),
+        (lambda: from_chi_gamma(1.0, 1.5, 4), ValueError, "gamma"),
+        (lambda: from_chi_gamma(1.0, -0.1, 4), ValueError, "gamma"),
+        (
+            lambda: counter_twist_decomposition(from_chi_gamma(1.0, 0.1, 4), build_space(6)),
+            DimensionMismatch,
+            "N=4",
+        ),
+    ],
+)
+def test_malformed_model_input_raises_its_typed_error(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_zero_chi_rejected():
     with pytest.raises(ValueError):
         from_chi_gamma(0.0, 0.25, 4)

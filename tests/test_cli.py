@@ -290,6 +290,29 @@ def test_keys_of_other_experiments_do_not_fail_a_run(tmp_path, monkeypatch, unus
 
 
 @pytest.mark.parametrize(
+    "command, flags, grids",
+    [
+        ("sweep-gamma", ["--chi", "1", "--n-spins", "10"], {"gammas": [0.0, 0.25, 0.5]}),
+        ("scaling", ["--chi", "1", "--gamma", "0.1"], {"n_grid": [10, 14], "variants": ["OAT"]}),
+    ],
+)
+def test_a_model_key_the_experiment_sets_per_point_may_be_left_out(
+    tmp_path, monkeypatch, command, flags, grids
+):
+    # sweep-gamma sets gamma, and scaling N, at each of its points
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(grids, grid_points=200)))
+    assert main([command, "--config", str(path), *flags, "--out", "first"]) == 0
+    descriptor = str(tmp_path / "first" / "descriptor.json")
+    assert main([command, "--config", descriptor, "--out", "second"]) == 0
+    tables = sorted(p.name for p in (tmp_path / "first").glob("*.csv"))
+    assert tables
+    for name in tables:
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
     "grid, message",
     [
         # sweep_initial_state owns this rule, not the config check every run makes
@@ -306,6 +329,43 @@ def test_sweep_needs_two_points_per_axis(tmp_path, monkeypatch, capsys, grid, me
     assert main(["sweep-initial-state", "--config", str(path), "--out", "s"]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config, flags, field",
+    [
+        ("evolve", {"chi": 1.0, "gamma": 0.1}, [], "n_spins"),
+        ("evolve", dict(MINIMAL, n_spins=10.5), [], "n_spins"),
+        # the CLI takes the experiment from its command; a parsed config names it
+        (None, {k: v for k, v in MINIMAL.items() if k != "experiment"}, [], "experiment"),
+        (None, dict(MINIMAL, experiment="twist"), [], "experiment"),
+        ("evolve", {"n_spins": 10, "coupling": [1.0, 0.0, 0.0]}, [], "coupling"),
+        ("evolve", dict(MINIMAL, initial={"theta": 1.0}), [], "initial"),
+        ("evolve", dict(MINIMAL, initial={"theta": 1.0, "phi": 7.0}), [], "initial.phi"),
+        ("design", dict(MINIMAL, axis="w"), [], "axis"),
+        ("design", dict(MINIMAL, branch="C"), [], "branch"),
+        ("sweep-gamma", dict(MINIMAL, gammas=[]), [], "gammas"),
+        ("scaling", dict(MINIMAL, n_grid=[]), [], "n_grid"),
+        ("scaling", dict(MINIMAL, variants=[]), [], "variants"),
+        ("scaling", dict(MINIMAL, variants=["OAT", 3]), [], "variants"),
+        ("noise", dict(MINIMAL, relative_sigma=0.1), [], "channel"),
+        ("evolve", dict(MINIMAL, output_dir=5), [], "output_dir"),
+        ("canonicalize", {}, ["--coupling", "1,0,0,0,x,0,0,0,0"], "coupling"),
+    ],
+)
+def test_malformed_field_is_refused_by_name(
+    tmp_path, monkeypatch, capsys, command, config, flags, field
+):
+    monkeypatch.chdir(tmp_path)
+    if command is None:
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            parse_config(json.dumps(config))
+        return
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), *flags]) == 2
+    assert f"error[ConfigError]: {field}: " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_noise_zero_sigma_identical_columns(tmp_path):

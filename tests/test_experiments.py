@@ -208,7 +208,7 @@ def test_sign_flipped_outputs_are_the_mirrored_physical_dynamics(theta, phi):
     model = from_chi_gamma(1.0, 0.7, 20)
     assert model.sign_flipped
     space = build_space(20)
-    physical = model.sign * realize_hamiltonian(model, space)
+    physical = Eigenbasis.of(model.sign * realize_hamiltonian(model, space))
     mirrored = BlochAngles(theta, -phi % (2.0 * math.pi))
     reported = evolve_trace(model, mirrored, grid_points=300).tables["trace"].rows
     times = np.array([row[0] for row in reported])
@@ -218,6 +218,24 @@ def test_sign_flipped_outputs_are_the_mirrored_physical_dynamics(theta, phi):
     assert np.max(np.abs(direct.xi2 - xi2)) < 1e-12
     unmirrored = evolve_trace(model, BlochAngles(theta, phi), grid_points=300).tables["trace"]
     assert np.max(np.abs(direct.xi2 - [row[2] for row in unmirrored.rows])) > 0.1
+
+
+@pytest.mark.parametrize(
+    "run, field",
+    [
+        (lambda: sweep_gamma(N_SMALL, [0.75]), "gammas"),
+        (lambda: sweep_gamma(N_SMALL, [-0.1]), "gammas"),
+        (
+            lambda: noise_monte_carlo(
+                small_model(), design(small_model(), "z", "A"), NoiseSpec("pulse_area", 0.1), 0, 0
+            ),
+            "n_runs",
+        ),
+    ],
+)
+def test_out_of_range_experiment_argument_is_a_config_error(run, field):
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        run()
 
 
 def test_sweep_gamma_monotone_and_endpoints():
@@ -316,7 +334,7 @@ def test_compare_pulsed_reference_minima_are_the_one_search():
         ("lmg", model_eigenbasis(model, space), coherent_state(space, initial)),
         (
             "tat",
-            effective_hamiltonian(design_z, model, space),
+            Eigenbasis.of(effective_hamiltonian(design_z, model, space)),
             coherent_state(space, design_z.optimal_initial),
         ),
     ):

@@ -61,7 +61,7 @@ def test_coherent_state_is_sql_reference(n):
 def test_early_oat_squeezing_monotone():
     model = from_chi_gamma(1.0, 0.0, 100)
     space = build_space(100)
-    ham = realize_hamiltonian(model, space)
+    ham = Eigenbasis.of(realize_hamiltonian(model, space))
     state = coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
     previous = 1.0
     for t in np.linspace(2e-4, 2e-3, 8):
@@ -80,7 +80,7 @@ def test_matches_angular_brute_force(seed):
     space = build_space(n)
     state = coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
     t = float(rng.uniform(0.0, 0.5 / n))
-    evolved = evolve(state, realize_hamiltonian(model, space), t)
+    evolved = evolve(state, Eigenbasis.of(realize_hamiltonian(model, space)), t)
     xi2 = squeezing_parameter(evolved).xi2
     oracle = brute_force_xi2(evolved)
     assert oracle - xi2 == pytest.approx(0.0, abs=1e-6)
@@ -91,7 +91,7 @@ def test_n4_quarter_gamma_brute_force():
     model = from_chi_gamma(1.0, 0.25, 4)
     space = build_space(4)
     state = coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
-    evolved = evolve(state, realize_hamiltonian(model, space), 0.11)
+    evolved = evolve(state, Eigenbasis.of(realize_hamiltonian(model, space)), 0.11)
     assert brute_force_xi2(evolved) == pytest.approx(
         squeezing_parameter(evolved).xi2, abs=1e-6
     )
@@ -103,7 +103,7 @@ def test_global_rotation_invariance():
     model = from_chi_gamma(1.0, 0.2, 30)
     state = evolve(
         coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2)),
-        realize_hamiltonian(model, space),
+        Eigenbasis.of(realize_hamiltonian(model, space)),
         0.01,
     )
     xi2 = squeezing_parameter(state).xi2
@@ -120,7 +120,7 @@ def test_axis_perpendicular_to_mean_spin():
     space = build_space(40)
     model = from_chi_gamma(1.0, 0.3, 40)
     state = coherent_state(space, BlochAngles(1.2, 0.7))
-    evolved = evolve(state, realize_hamiltonian(model, space), 0.02)
+    evolved = evolve(state, Eigenbasis.of(realize_hamiltonian(model, space)), 0.02)
     sample = squeezing_parameter(evolved)
     assert abs(sample.min_variance_axis @ sample.mean_spin) < 1e-9 * np.linalg.norm(
         sample.mean_spin
@@ -208,7 +208,7 @@ def test_default_horizon_brackets_one_axis_twisting(n):
 @pytest.mark.parametrize("times", [[], [0.0], [0.0, 0.2, 0.1], [0.0, 0.1, 0.1, 0.2]])
 def test_minimize_hamiltonian_needs_increasing_times(times):
     space = build_space(6)
-    ham = realize_hamiltonian(from_chi_gamma(1.0, 0.1, 6), space)
+    ham = Eigenbasis.of(realize_hamiltonian(from_chi_gamma(1.0, 0.1, 6), space))
     psi = coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
     with pytest.raises(ValueError, match="times"):
         minimize_hamiltonian(space, ham, psi, times, allow_unbracketed=True)
@@ -345,7 +345,7 @@ def test_trace_samples_match_batch_values():
     from lmgsqueeze.propagate import evolve_batch
 
     space = build_space(12)
-    ham = realize_hamiltonian(from_chi_gamma(1.0, 0.1, 12), space)
+    ham = Eigenbasis.of(realize_hamiltonian(from_chi_gamma(1.0, 0.1, 12), space))
     state = coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
     times = np.linspace(0.0, 0.3, 9)
     states = evolve_batch(state, ham, times)

@@ -45,31 +45,30 @@ from lmgsqueeze.states import (
 def test_zero_hamiltonian_and_zero_time():
     space = build_space(6)
     state = coherent_state(space, BlochAngles(1.0, 2.0))
-    unchanged = evolve(state, np.zeros((space.dim, space.dim)), 1.7)
+    unchanged = evolve(state, Eigenbasis.of(np.zeros((space.dim, space.dim))), 1.7)
     assert np.max(np.abs(unchanged.amplitudes - state.amplitudes)) < 1e-12
-    same = evolve(state, collective_operator(space, "Sz"), 0.0)
+    same = evolve(state, Eigenbasis.of(collective_operator(space, "Sz")), 0.0)
     assert np.max(np.abs(same.amplitudes - state.amplitudes)) < 1e-12
 
 
 def test_sz_period_integer_j():
     space = build_space(6)  # j = 3, integer
     state = coherent_state(space, BlochAngles(0.7, 0.4))
-    evolved = evolve(state, collective_operator(space, "Sz"), 2 * math.pi)
+    evolved = evolve(state, Eigenbasis.of(collective_operator(space, "Sz")), 2 * math.pi)
     assert abs(abs(np.vdot(state.amplitudes, evolved.amplitudes)) - 1.0) < 1e-10
 
 
 def test_not_hermitian_rejected():
     space = build_space(4)
-    state = coherent_state(space, BlochAngles(0.7, 0.4))
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     mat[0, 1] = 1.0
     with pytest.raises(NotHermitian):
-        evolve(state, mat, 0.1)
+        Eigenbasis.of(mat)
 
 
 def test_evolution_composes():
     space = build_space(10)
-    ham = realize_hamiltonian(from_chi_gamma(1.0, 0.3, 10), space)
+    ham = Eigenbasis.of(realize_hamiltonian(from_chi_gamma(1.0, 0.3, 10), space))
     state = coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
     one_shot = evolve(state, ham, 0.37)
     two_step = evolve(evolve(state, ham, 0.17), ham, 0.2)
@@ -78,7 +77,7 @@ def test_evolution_composes():
 
 def test_batch_matches_single():
     space = build_space(8)
-    ham = realize_hamiltonian(from_chi_gamma(1.0, 0.2, 8), space)
+    ham = Eigenbasis.of(realize_hamiltonian(from_chi_gamma(1.0, 0.2, 8), space))
     state = coherent_state(space, BlochAngles(math.pi / 2, 0.0))
     times = np.array([0.0, 0.05, 0.11])
     batch = evolve_batch(state, ham, times)
@@ -170,7 +169,7 @@ def dicke_side_evolution(coupling, n, angles, t):
     psi = coherent_state(space, angles)
     canonical = SpinState(u_frame @ psi.amplitudes, space)
     ham = realize_hamiltonian(model, space)
-    evolved = evolve(canonical, model.sign * ham, t)
+    evolved = evolve(canonical, Eigenbasis.of(model.sign * ham), t)
     lab = u_frame.conj().T @ evolved.amplitudes
     return lab * np.exp(-1j * model.dropped_constant * t), model
 
@@ -243,7 +242,7 @@ def test_eig_cache_safe_under_concurrent_use():
     space = build_space(12)
     state = coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
     hams = [
-        realize_hamiltonian(from_chi_gamma(1.0, g, 12), space)
+        Eigenbasis.of(realize_hamiltonian(from_chi_gamma(1.0, g, 12), space))
         for g in (0.0, 0.1, 0.2, 0.3)
     ]
     expected = [evolve(state, h, 0.05).amplitudes for h in hams]
@@ -264,17 +263,22 @@ def test_prebuilt_eigenbasis_matches_hamiltonian_argument():
     model = from_chi_gamma(1.0, 0.2, 10)
     ham = realize_hamiltonian(model, space)
     basis = Eigenbasis.of(ham)
-    assert Eigenbasis.of(basis) is basis
+    refactored = Eigenbasis.of(ham)
     (block,) = basis.blocks
-    assert np.array_equal(block.vh, block.v.conj().T)
     state = coherent_state(space, BlochAngles(math.pi / 2, 0.3))
+    # the one stored matrix v is applied as v^H on the way in
+    inline = block.v @ (np.exp(-1j * basis.w * 0.13) * (block.v.conj().T @ state.amplitudes))
+    assert np.array_equal(evolve(state, basis, 0.13).amplitudes, inline)
     assert np.array_equal(
-        evolve(state, basis, 0.13).amplitudes, evolve(state, ham, 0.13).amplitudes
+        evolve(state, basis, 0.13).amplitudes, evolve(state, refactored, 0.13).amplitudes
     )
     times = np.linspace(0.0, 0.2, 7)
-    assert np.array_equal(evolve_batch(state, basis, times), evolve_batch(state, ham, times))
     assert np.array_equal(
-        evolve_batch(state, basis, times, basis.phases(times)), evolve_batch(state, ham, times)
+        evolve_batch(state, basis, times), evolve_batch(state, refactored, times)
+    )
+    assert np.array_equal(
+        evolve_batch(state, basis, times, basis.phases(times)),
+        evolve_batch(state, refactored, times),
     )
     with pytest.raises(ValueError, match="phase table"):
         evolve_batch(state, basis, times[1:], basis.phases(times))
@@ -354,8 +358,9 @@ def test_quadratic_form_basis_matches_dense(a, b, c, n, tau):
     assert np.max(np.abs(np.sort(parity.w) - dense.w)) <= 1e-12 * norm
     for block in parity.blocks:
         w, rows = parity.w[block.cols], block.rows
-        assert np.max(np.abs((block.v * w) @ block.vh - ham[rows, rows])) <= 1e-12 * norm
-        assert np.max(np.abs(block.vh @ block.v - np.eye(w.size))) <= 1e-12
+        vh = block.v.conj().T
+        assert np.max(np.abs((block.v * w) @ vh - ham[rows, rows])) <= 1e-12 * norm
+        assert np.max(np.abs(vh @ block.v - np.eye(w.size))) <= 1e-12
     rng = np.random.default_rng(n)
     amps = rng.normal(size=(space.dim, 4)) + 1j * rng.normal(size=(space.dim, 4))
     amps /= np.linalg.norm(amps, axis=0)
@@ -483,6 +488,53 @@ def test_eigenbasis_kernel_keeps_the_inline_bytes(n):
                 step = _inline_rotation(space, seg.axis, seg.angle)
             inline = step @ inline
         assert np.max(np.abs(schedule_unitary(sched, model, space) - inline)) <= 1e-12
+
+
+def inline_sample(basis, amplitudes, phases):
+    """The kernel's product with v^H held as a matrix: the conjugated copy
+    of a complex v, the transpose of a real one."""
+    out = np.empty(amplitudes.shape[:1] + phases.shape[1:], dtype=complex)
+    for block in basis.blocks:
+        vh = block.v.conj().T if np.iscomplexobj(block.v) else block.v.T
+        coeffs = algebra._matmul(vh, amplitudes[block.rows])
+        if coeffs.ndim < phases.ndim:
+            coeffs = coeffs[:, None]
+        out[block.rows] = algebra._matmul(block.v, phases[block.cols] * coeffs)
+    return out
+
+
+@pytest.mark.parametrize("dim", [21, 102, 1001])
+def test_sample_applies_the_stored_v_as_its_adjoint_bit_for_bit(dim):
+    # a basis keeps v only and applies v^H as conj(v.T @ conj(a)); its bits
+    # must be those of the product with v^H, since schedules are sized by a
+    # golden-refined minimum to its last bits
+    rng = np.random.default_rng(dim)
+
+    def complex_normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    w = rng.normal(size=dim)
+    dense = Eigenbasis(w, (algebra.Block(slice(None), slice(None), complex_normal(dim, dim)),))
+    half = (dim + 1) // 2
+    parity = Eigenbasis(
+        w,
+        (
+            algebra.Block(slice(0, None, 2), slice(0, half), rng.normal(size=(half, half))),
+            algebra.Block(
+                slice(1, None, 2), slice(half, None), rng.normal(size=(dim - half,) * 2)
+            ),
+        ),
+    )
+    vector, block = complex_normal(dim), complex_normal(dim, 7)
+    cases = (
+        (vector, complex_normal(dim)),
+        (vector, complex_normal(dim, 5)),
+        (block, complex_normal(dim, 7)),
+    )
+    for basis in (dense, parity):
+        for amplitudes, phases in cases:
+            expected = inline_sample(basis, amplitudes, phases)
+            assert np.array_equal(basis.sample(amplitudes, phases), expected)
 
 
 @pytest.mark.parametrize("n", [20, 101])
@@ -632,13 +684,14 @@ def test_global_rotation_leaves_xi2_and_dynamics_unchanged(
     # U H U^dag is U applied to psi evolved under H
     space = build_space(n)
     u = rotation_about(space, np.array(axis), angle)
-    ham = quadratic_form(space, a, b, c)
+    form = quadratic_form(space, a, b, c)
+    ham = Eigenbasis.of(form)
     t = tau / n
     psi = evolve(coherent_state(space, BlochAngles(theta, phi)), ham, t)
     rotated = SpinState(u @ psi.amplitudes, space)
     assert abs(squeezing_parameter(rotated).xi2 - squeezing_parameter(psi).xi2) <= 1e-10
     later = evolve(psi, ham, t).amplitudes
-    rotated_later = evolve(rotated, u @ ham @ u.conj().T, t).amplitudes
+    rotated_later = evolve(rotated, Eigenbasis.of(u @ form @ u.conj().T), t).amplitudes
     assert np.max(np.abs(rotated_later - u @ later)) <= 1e-10
 
 

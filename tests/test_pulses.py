@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmgsqueeze import algebra
-from lmgsqueeze.algebra import TRACE_BLOCKS, build_space, conjugated_coefficients, quadratic_form
+from lmgsqueeze.algebra import (
+    TRACE_BLOCKS,
+    Eigenbasis,
+    build_space,
+    conjugated_coefficients,
+    quadratic_form,
+)
 from lmgsqueeze.canonical import from_chi_gamma, realize_hamiltonian
 from lmgsqueeze.errors import TooLarge, XAxisImpossible
 from lmgsqueeze.metrics import minimize_hamiltonian
@@ -33,6 +39,13 @@ def test_design_closed_forms_at_tenth():
     z_b = design(model, "z", "B")
     assert z_b.ratio_t2_t1 == pytest.approx(1.0 / 2.375, abs=1e-12)
     assert z_b.effective_form == "2Sx2+Sy2"
+
+
+@pytest.mark.parametrize("max_step", [0.0, -0.05])
+def test_schedule_refuses_a_step_bound_that_is_not_positive(max_step):
+    model = from_chi_gamma(1.0, 0.1, 10)
+    with pytest.raises(ValueError, match="max_step"):
+        schedule(design(model, "z", "A"), model, 0.1, max_step=max_step)
 
 
 def test_oat_limit_recovers_known_ratio():
@@ -169,7 +182,7 @@ def test_cycle_limit_convergence():
     model = from_chi_gamma(1.0, 0.1, n)
     space = build_space(n)
     design_ = design(model, "z", "A")
-    h_eff = effective_hamiltonian(design_, model, space)
+    h_eff = Eigenbasis.of(effective_hamiltonian(design_, model, space))
     psi = coherent_state(space, design_.optimal_initial)
     reference = minimize_hamiltonian(
         space, h_eff, psi, np.linspace(0.0, 5.0 / (abs(design_.chi_eff) * n), 2000)
@@ -206,7 +219,7 @@ def test_no_pulse_schedule_is_free_evolution():
     trace = run_schedule(psi, sched, model)
     direct = minimize_hamiltonian(
         space,
-        realize_hamiltonian(model, space),
+        Eigenbasis.of(realize_hamiltonian(model, space)),
         psi,
         np.linspace(0.0, 0.1, sched.cycle_count + 1),
         refine=False,

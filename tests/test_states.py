@@ -137,6 +137,12 @@ def test_angle_validation():
         rotation(build_space(2), "q", 0.1)
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_rotation_refuses_a_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="angle"):
+        rotation(build_space(2), "x", angle)
+
+
 def test_coherent_state_with_supplied_generator_eig():
     from lmgsqueeze.states import coherent_generator_eig
 

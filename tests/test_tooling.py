@@ -1,7 +1,8 @@
 """The test configuration and the source tree: a failing property test must
 still report the example that broke it under the repo's pytest settings, the
 package must import nothing it does not use, every dense eigensolve must go
-through the one checked entry point, every exponential must be formed in the
+through the one checked entry point, evolution and the minimum search must
+take a factored basis, every exponential must be formed in the
 one propagation kernel, pulses must be applied only by the segment executor,
 every function the benchmark traces must exist, each benchmark workload
 must reach the spans its traced run expects, the README's library
@@ -137,6 +138,25 @@ def test_dense_eigensolves_go_through_hamiltonian_eig():
         ("algebra.py", "of_quadratic_form"),
         ("propagate.py", "evolve_full_product_space"),
     }
+
+
+def test_the_kernel_takes_a_basis_and_factors_nothing():
+    # every eigensolve is a visible basis build where the basis is made;
+    # evolution and the minimum search only apply the basis they are given
+    builds = ("of", "of_quadratic_form", "model_eigenbasis", "hamiltonian_eig", "eigh")
+    for module, name in (
+        ("propagate.py", "evolve"),
+        ("propagate.py", "evolve_batch"),
+        ("metrics.py", "minimize_hamiltonian"),
+    ):
+        source = (PACKAGE / module).read_text()
+        (function,) = [
+            node
+            for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        body = ast.get_source_segment(source, function)
+        assert [call for build in builds for call in calls_named(body, build)] == [], name
 
 
 def test_exponentials_are_formed_only_in_the_kernel():
