@@ -175,8 +175,10 @@ def validate_config(raw: dict) -> dict:
         initial = {"theta": initial[0], "phi": initial[1]}
     if not isinstance(initial, dict) or set(initial) != {"theta", "phi"}:
         _fail("initial", 'expected {"theta": ..., "phi": ...} or a [theta, phi] pair')
-    theta = _require_number(initial, "theta", lo=0.0, hi=math.pi)
-    phi = _require_number(initial, "phi", lo=0.0)
+    theta = _require_number(
+        {"initial.theta": initial["theta"]}, "initial.theta", lo=0.0, hi=math.pi
+    )
+    phi = _require_number({"initial.phi": initial["phi"]}, "initial.phi", lo=0.0)
     if phi >= 2.0 * math.pi:
         _fail("initial.phi", f"must be < 2*pi, got {phi}")
     cfg["initial"] = {"theta": theta, "phi": phi}

@@ -182,7 +182,9 @@ def evolve_trace(
     psi0 = coherent_state(space, initial)
     times = np.linspace(0.0, horizon / (model.chi * model.n_spins), grid_points)
     basis = model_eigenbasis(model, space)
-    trace = minimize_hamiltonian(space, basis, psi0, times, allow_unbracketed=True)
+    trace = minimize_hamiltonian(
+        space, basis, psi0, times, allow_unbracketed=True, every_sample=True
+    )
     chi_n = model.chi * model.n_spins
     rows = tuple(
         zip(trace.t, trace.t * chi_n, trace.xi2, trace.contrast, *trace.mean_spin)
@@ -229,15 +231,21 @@ def _map(function, tasks: list, workers: int) -> list:
 # initial-state sweep
 # ---------------------------------------------------------------------------
 
+def _coherent_states(space, angles) -> tuple:
+    """The coherent states at ``angles``; states sharing an azimuth share
+    one factored coherent-state generator."""
+    azimuths = dict.fromkeys(a.phi for a in angles)
+    generators = {phi: coherent_generator_eig(space, phi) for phi in azimuths}
+    return tuple(coherent_state(space, a, generators[a.phi]) for a in angles)
+
+
 def _sweep_column(task):
     """First minima down one phi column of the initial-state grid, one per
     theta; the column shares one coherent-state generator eigendecomposition,
     and the whole grid one phase table of the model's basis."""
     space, basis, phases, phi, thetas, times = task
-    generator_eig = coherent_generator_eig(space, phi)
     outcomes = []
-    for theta in thetas:
-        psi0 = coherent_state(space, BlochAngles(theta=theta, phi=phi), generator_eig)
+    for psi0 in _coherent_states(space, [BlochAngles(theta=theta, phi=phi) for theta in thetas]):
         trace = minimize_hamiltonian(
             space, basis, psi0, times, refine=False, allow_unbracketed=True, phases=phases
         )
@@ -414,19 +422,20 @@ def prediction_horizon(n_spins: int) -> float:
     return max(5.0, math.log(2.0 * n_spins) / 2.0 + 1.0)
 
 
-def predicted_optimal_time(design_: PulseDesign, model: LMGModel, space) -> tuple:
-    """First-minimum time of the design's effective Hamiltonian from the
-    coherent state it squeezes best (used to size schedules), returned with
-    that Hamiltonian's Eigenbasis and that state.
+def predicted_optimal_time(
+    design_: PulseDesign, model: LMGModel, space, psi0: SpinState
+) -> tuple:
+    """First-minimum time of the design's effective Hamiltonian from
+    ``psi0``, the coherent state at ``design_.optimal_initial`` (used to size
+    schedules), returned with that Hamiltonian's Eigenbasis.
 
     The basis is dense, not parity blocks: schedule lengths follow this
     golden-refined time to its last bits, as recorded with the dense basis.
     """
     h_eff = Eigenbasis.of(effective_hamiltonian(design_, model, space))
-    psi0 = coherent_state(space, design_.optimal_initial)
     horizon = prediction_horizon(model.n_spins) / (abs(design_.chi_eff) * model.n_spins)
     times = np.linspace(0.0, horizon, 2000)
-    return minimize_hamiltonian(space, h_eff, psi0, times).minimum.t, h_eff, psi0
+    return minimize_hamiltonian(space, h_eff, psi0, times).minimum.t, h_eff
 
 
 def compare_pulsed(
@@ -449,8 +458,11 @@ def compare_pulsed(
 
     design_z = design(model, "z", branch)
     design_y = design(model, "y", branch)
-    t_pred_z, h_ref, psi_z = predicted_optimal_time(design_z, model, space)
-    t_pred_y, _, psi_y = predicted_optimal_time(design_y, model, space)
+    psi_z, psi_y, psi_lmg = _coherent_states(
+        space, (design_z.optimal_initial, design_y.optimal_initial, lmg_initial)
+    )
+    t_pred_z, h_ref = predicted_optimal_time(design_z, model, space, psi_z)
+    t_pred_y, _ = predicted_optimal_time(design_y, model, space, psi_y)
     schedule_z = schedule(design_z, model, 1.2 * t_pred_z, max_step=max_step)
     schedule_y = schedule(design_y, model, 1.2 * t_pred_y, max_step=max_step)
 
@@ -458,9 +470,10 @@ def compare_pulsed(
     trace_z = run_schedule(psi_z, schedule_z, model, model_basis=h_lmg)
     trace_y = run_schedule(psi_y, schedule_y, model, model_basis=h_lmg)
 
-    psi_lmg = coherent_state(space, lmg_initial)
-    lmg_trace = minimize_hamiltonian(space, h_lmg, psi_lmg, trace_z.t, allow_unbracketed=True)
-    ref_trace = minimize_hamiltonian(space, h_ref, psi_z, trace_z.t, allow_unbracketed=True)
+    lmg_trace, ref_trace = (
+        minimize_hamiltonian(space, h, psi, trace_z.t, allow_unbracketed=True, every_sample=True)
+        for h, psi in ((h_lmg, psi_lmg), (h_ref, psi_z))
+    )
 
     rows = []
     minima_rows = []
@@ -547,7 +560,8 @@ def scaling_study(
             if variant == "pulsed":
                 model = from_chi_gamma(chi, gamma, n)
                 design_ = design(model, axis, branch)
-                t_pred, _, psi_eff = predicted_optimal_time(design_, model, space)
+                psi_eff = coherent_state(space, design_.optimal_initial)
+                t_pred, _ = predicted_optimal_time(design_, model, space, psi_eff)
                 sch = schedule(design_, model, 1.2 * t_pred, max_step=pulsed_step_product / n)
                 minimum = run_schedule(psi_eff, sch, model).minimum
             else:
@@ -796,11 +810,12 @@ def noise_monte_carlo(
     if n_runs < 1:
         raise ConfigError(f"n_runs: must be >= 1, got {n_runs}")
     space = build_space(model.n_spins)
+    psi0 = coherent_state(space, design_.optimal_initial)
     if total_time is None:
-        total_time = 1.2 * predicted_optimal_time(design_, model, space)[0]
+        total_time = 1.2 * predicted_optimal_time(design_, model, space, psi0)[0]
     sch = schedule(design_, model, total_time, max_step=max_step, cycles=cycles)
     scope = noise.resolved_scope
-    ref = run_schedule(coherent_state(space, design_.optimal_initial), sch, model)
+    ref = run_schedule(psi0, sch, model)
     ref_min = float(np.nanmin(ref.xi2))
     outcomes = _noise_outcomes(
         space, model, sch, design_.optimal_initial, noise, n_runs, seed, workers

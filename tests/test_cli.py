@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -7,7 +9,7 @@ import sys
 import pytest
 
 import lmgsqueeze
-from lmgsqueeze import algebra
+from lmgsqueeze import algebra, metrics
 from lmgsqueeze.algebra import TRACE_BLOCKS
 from lmgsqueeze.cli import MAX_WORKERS, main, parse_config, run, validate_config
 from lmgsqueeze.errors import ConfigError, TooLarge
@@ -97,7 +99,7 @@ COUPLED = {"experiment": "evolve", "n_spins": 10}
         (dict(MINIMAL, horizon=math.inf), "horizon"),
         (dict(MINIMAL, horizon=0), "horizon"),
         (dict(MINIMAL, max_step=math.inf), "max_step"),
-        (dict(MINIMAL, initial={"theta": math.nan, "phi": 0.0}), "theta"),
+        (dict(MINIMAL, initial={"theta": math.nan, "phi": 0.0}), "initial.theta"),
     ],
 )
 def test_non_finite_and_non_positive_values_name_field(raw, field):
@@ -502,3 +504,63 @@ def test_main_function_runs_in_process(tmp_path, monkeypatch, capsys):
     assert rc == 0
     assert "xi2_min=" in capsys.readouterr().out
     assert (tmp_path / "trace-out" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "initial, field",
+    [
+        ({"theta": 4.0, "phi": 0.0}, "initial.theta"),
+        ({"theta": 1.0, "phi": -0.5}, "initial.phi"),
+        ({"theta": 1.0, "phi": 7.0}, "initial.phi"),
+    ],
+)
+def test_out_of_range_initial_angle_is_named_in_full(tmp_path, monkeypatch, capsys, initial, field):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(MINIMAL, n_spins=10, initial=initial)))
+    assert main(["evolve", "--config", str(path), "--out", "out"]) == 2
+    assert f"error[ConfigError]: {field}: " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def _rows_agree(narrow: bytes, wide: bytes) -> bool:
+    """Whether two CSVs have the same cells, floats to a relative 1e-12."""
+    rows = [list(csv.reader(io.StringIO(text.decode()))) for text in (narrow, wide)]
+    if [len(r) for r in rows[0]] != [len(r) for r in rows[1]]:
+        return False
+    for got, want in zip(*rows):
+        for a, b in zip(got, want):
+            if a != b and not math.isclose(float(a), float(b), rel_tol=1e-12, abs_tol=0.0):
+                return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("sweep-initial-state", {"theta_points": 9, "phi_points": 8}),
+        ("compare-pulsed", {}),
+        ("noise", {"channel": "pulse_separation", "relative_sigma": 0.1, "n_runs": 4}),
+    ],
+)
+def test_outputs_do_not_depend_on_the_scan_chunk_width(tmp_path, monkeypatch, command, extra):
+    # a minimum search samples its times in chunks and stops at the first
+    # bracketed minimum; one time per chunk must find the same minima.  A
+    # one-column product may round differently from a wide one, so a file
+    # that is not byte-identical must agree to 1e-12 in every float cell
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(chi=1.0, gamma=0.1, n_spins=20, **extra)))
+    written = []
+    for width in (1, metrics.SCAN_CHUNK):
+        # the same relative output directory, which the descriptor records
+        (tmp_path / f"w{width}").mkdir()
+        monkeypatch.chdir(tmp_path / f"w{width}")
+        monkeypatch.setattr(metrics, "SCAN_CHUNK", width)
+        assert main([command, "--config", str(path), "--out", "out"]) == 0
+        out = tmp_path / f"w{width}" / "out"
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    narrow, wide = written
+    assert narrow.keys() == wide.keys() and "descriptor.json" in wide
+    assert narrow["descriptor.json"] == wide["descriptor.json"]
+    for name in wide:
+        assert narrow[name] == wide[name] or _rows_agree(narrow[name], wide[name]), name

@@ -117,7 +117,7 @@ def test_sweep_rows_match_direct_minimization(gamma, n, theta_points, phi_points
         psi = coherent_state(space, BlochAngles(theta, phi))
         direct = minimize_hamiltonian(
             space, basis, psi, np.linspace(0.0, t_max, grid_points), refine=False,
-            allow_unbracketed=True,
+            allow_unbracketed=True, every_sample=True,
         )
         assert xi2 == pytest.approx(direct.minimum.xi2, rel=1e-10)
         # a coherent eigenstate of H has a flat trace, whose first minimum
@@ -214,7 +214,9 @@ def test_sign_flipped_outputs_are_the_mirrored_physical_dynamics(theta, phi):
     times = np.array([row[0] for row in reported])
     xi2 = np.array([row[2] for row in reported])
     psi = coherent_state(space, BlochAngles(theta, phi))
-    direct = minimize_hamiltonian(space, physical, psi, times, allow_unbracketed=True)
+    direct = minimize_hamiltonian(
+        space, physical, psi, times, allow_unbracketed=True, every_sample=True
+    )
     assert np.max(np.abs(direct.xi2 - xi2)) < 1e-12
     unmirrored = evolve_trace(model, BlochAngles(theta, phi), grid_points=300).tables["trace"]
     assert np.max(np.abs(direct.xi2 - [row[2] for row in unmirrored.rows])) > 0.1
@@ -378,7 +380,9 @@ def test_prediction_horizon_covers_the_twisting_minimum():
     for n in (20, 100):
         model = from_chi_gamma(1.0, 0.1, n)
         design_ = design(model, "z", "A")
-        t_pred = predicted_optimal_time(design_, model, build_space(n))[0]
+        space = build_space(n)
+        psi = coherent_state(space, design_.optimal_initial)
+        t_pred = predicted_optimal_time(design_, model, space, psi)[0]
         assert t_pred * abs(design_.chi_eff) * n == pytest.approx(MEASURED_TAT_MINIMA[n], abs=0.01)
     # exactly the old fixed 5.0 up to N = 1490, so no benchmark grid moves
     assert {prediction_horizon(n) for n in (1, 20, 1000, 1490)} == {5.0}

@@ -8,7 +8,7 @@ from scipy import optimize
 
 from lmgsqueeze import metrics
 from lmgsqueeze.algebra import build_space, collective_operator
-from lmgsqueeze.canonical import from_chi_gamma, realize_hamiltonian
+from lmgsqueeze.canonical import from_chi_gamma, model_eigenbasis, realize_hamiltonian
 from lmgsqueeze.errors import MeanSpinVanished, NoMinimumFound
 from lmgsqueeze.experiments import evolve_trace
 from lmgsqueeze.metrics import (
@@ -442,3 +442,148 @@ def test_one_axis_twisting_minimum_scales_as_n_to_minus_two_thirds():
     ns = (100, 200, 500, 1000)
     slope = fit_loglog_slope(ns, [one_axis_twisting_xi2(n)[1].min() for n in ns])
     assert slope == pytest.approx(-2.0 / 3.0, abs=0.01)
+
+
+def _xi2_objective(space, basis, psi):
+    """minimize_hamiltonian's golden-search objective: xi^2 of one state."""
+
+    def objective(t):
+        xi2 = metrics.batch_squeezing(space, evolve(psi, basis, t).amplitudes[:, None])[0]
+        return float(xi2[0]) if np.isfinite(xi2[0]) else np.inf
+
+    return objective
+
+
+def _chunked_scan_matches_whole_grid(space, basis, psi, times):
+    """Compare minimize_hamiltonian, at the current chunk width, with one
+    whole-grid scan followed by the golden search; return the scan."""
+    whole = metrics.trace_from_states(space, times, evolve_batch(psi, basis, times))
+    k = first_local_minimum(whole.xi2)
+    sampled = minimize_hamiltonian(space, basis, psi, times, refine=False, allow_unbracketed=True)
+    refined = minimize_hamiltonian(space, basis, psi, times, allow_unbracketed=True).minimum
+    assert sampled.minimum.bracketed == refined.bracketed == (k is not None)
+    if k is None:
+        # nothing bracketed: every time is sampled and the smallest is kept
+        assert sampled.t.size == times.size
+        assert (refined.t, refined.xi2) == (whole.minimum.t, whole.minimum.xi2)
+        end = times.size
+    else:
+        # the scan ends one sample past the bracket the whole grid gives
+        assert sampled.t.size == k + 2
+        assert int(np.searchsorted(times, sampled.minimum.t)) == k
+        found = metrics._golden(
+            _xi2_objective(space, basis, psi), times[k - 1], times[k], times[k + 1], REFINE_XTOL
+        )
+        expected = (times[k], whole.xi2[k]) if found is None else found
+        assert (refined.t, refined.xi2) == expected
+        assert refined.refined == (found is not None)
+        end = k + 2
+    assert np.array_equal(sampled.t, times[:end])
+    assert np.allclose(sampled.xi2, whole.xi2[:end], rtol=1e-12, atol=0.0, equal_nan=True)
+    return sampled
+
+
+def _lmg_setup(gamma=0.1, n=20):
+    space = build_space(n)
+    basis = model_eigenbasis(from_chi_gamma(1.0, gamma, n), space)
+    return space, basis, coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
+
+
+def _first_minimum_index(space, basis, psi, times):
+    return first_local_minimum(
+        metrics.trace_from_states(space, times, evolve_batch(psi, basis, times)).xi2
+    )
+
+
+CHUNK_WIDTHS = [1, 2, 3, metrics.SCAN_CHUNK]
+
+
+@pytest.mark.parametrize("width", CHUNK_WIDTHS)
+@pytest.mark.parametrize("side", [-1, 0, 1])
+def test_chunked_scan_finds_a_minimum_beside_a_chunk_edge(monkeypatch, width, side):
+    # the minimum is the last sample of a chunk (-1), the first (0) or the
+    # second (1): its bracket straddles the edge or has just crossed it
+    monkeypatch.setattr(metrics, "SCAN_CHUNK", width)
+    space, basis, psi = _lmg_setup()
+    base = np.linspace(0.0, 0.3, 400)
+    key = _first_minimum_index(space, basis, psi, base)
+    index = max(width + side, 1)
+    times = base[key - index :]
+    scan = _chunked_scan_matches_whole_grid(space, basis, psi, times)
+    assert scan.minimum.bracketed and scan.t.size == index + 2
+
+
+@pytest.mark.parametrize("width", CHUNK_WIDTHS)
+def test_chunked_scan_of_an_unbracketed_trace_samples_every_time(monkeypatch, width):
+    monkeypatch.setattr(metrics, "SCAN_CHUNK", width)
+    space, basis, psi = _lmg_setup()
+    base = np.linspace(0.0, 0.3, 400)
+    times = base[: _first_minimum_index(space, basis, psi, base)]  # still decreasing
+    scan = _chunked_scan_matches_whole_grid(space, basis, psi, times)
+    assert not scan.minimum.bracketed and scan.t.size == times.size
+
+
+@pytest.mark.parametrize("width", CHUNK_WIDTHS)
+@pytest.mark.parametrize("side", [-1, 0])
+def test_chunked_scan_skips_a_collapsed_sample_beside_a_chunk_edge(monkeypatch, width, side):
+    # one-axis twisting at N = 20 loses its contrast near chi t = pi/2 (xi2
+    # is nan there) and revives at chi t = pi; the grid jumps from the
+    # first minimum into the collapse, so that minimum has a nan neighbour
+    # and the first bracketed minimum is the revival's
+    monkeypatch.setattr(metrics, "SCAN_CHUNK", width)
+    space, basis, psi = _lmg_setup(gamma=0.0)
+    base = np.linspace(0.0, 0.3, 400)
+    key = _first_minimum_index(space, basis, psi, base)
+    index = max(width + side, 2)  # where the first collapsed sample lands
+    collapse = np.linspace(math.pi / 2 - 0.05, math.pi / 2 + 0.05, 3)
+    revival = math.pi + base[1:]
+    times = np.concatenate((base[key - index + 1 : key + 1], collapse, revival))
+    whole = metrics.trace_from_states(space, times, evolve_batch(psi, basis, times))
+    assert np.isnan(whole.xi2[index]) and np.isfinite(whole.xi2[index - 1])
+    scan = _chunked_scan_matches_whole_grid(space, basis, psi, times)
+    assert scan.minimum.bracketed and scan.minimum.t > math.pi
+
+
+@pytest.mark.parametrize("width", CHUNK_WIDTHS)
+def test_chunked_scan_finds_a_plateau_across_a_chunk_edge(monkeypatch, width):
+    # xi^2 rounded to 1e-3 is flat at its minimum: the plateau's samples are
+    # equal, and the first minimum is the plateau's last sample (<= on the
+    # left, < on the right); its bracket is flat, so it is not refined
+    exact = metrics.batch_squeezing
+
+    def rounded(space, states):
+        xi2, *rest = exact(space, states)
+        return (np.round(xi2, 3), *rest)
+
+    monkeypatch.setattr(metrics, "batch_squeezing", rounded)
+    monkeypatch.setattr(metrics, "SCAN_CHUNK", width)
+    space, basis, psi = _lmg_setup()
+    base = np.linspace(0.0, 0.3, 400)
+    xi2 = metrics.trace_from_states(space, base, evolve_batch(psi, basis, base)).xi2
+    key = first_local_minimum(xi2)
+    start = key
+    while xi2[start - 1] == xi2[key]:
+        start -= 1
+    assert key - start >= 2  # a plateau of three samples or more
+    times = base[start - width + 1 :]  # the plateau starts at a chunk's last sample
+    scan = _chunked_scan_matches_whole_grid(space, basis, psi, times)
+    assert scan.xi2[width - 1] == scan.xi2[width] == scan.minimum.xi2
+    assert not minimize_hamiltonian(space, basis, psi, times).minimum.refined
+
+
+def test_scan_stops_within_one_chunk_of_an_early_bracket(monkeypatch):
+    # a first minimum near sample 10 of 300 costs at most one chunk past it
+    columns = []
+    exact = metrics.batch_squeezing
+
+    def spy(space, states):
+        columns.append(states.shape[1])
+        return exact(space, states)
+
+    space, basis, psi = _lmg_setup()
+    times = np.linspace(0.0, 4.9, 300)
+    monkeypatch.setattr(metrics, "batch_squeezing", spy)
+    trace = minimize_hamiltonian(space, basis, psi, times, refine=False)
+    k = int(np.searchsorted(times, trace.minimum.t))
+    assert 8 <= k <= 12
+    assert sum(columns) <= k + 2 + metrics.SCAN_CHUNK < times.size

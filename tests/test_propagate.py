@@ -547,7 +547,8 @@ def test_predicted_time_basis_is_the_inline_dense_eigh(n):
     for axis in ("z", "y"):
         design_ = design(model, axis, "A")
         w, v = np.linalg.eigh(effective_hamiltonian(design_, model, space))
-        _, h_eff, psi = predicted_optimal_time(design_, model, space)
+        psi = coherent_state(space, design_.optimal_initial)
+        _, h_eff = predicted_optimal_time(design_, model, space, psi)
         (block,) = h_eff.blocks
         assert np.array_equal(h_eff.w, w) and np.array_equal(block.v, v)
         times = np.linspace(0.0, 5.0 / (abs(design_.chi_eff) * n), 40)

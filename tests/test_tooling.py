@@ -148,6 +148,7 @@ def test_the_kernel_takes_a_basis_and_factors_nothing():
         ("propagate.py", "evolve"),
         ("propagate.py", "evolve_batch"),
         ("metrics.py", "minimize_hamiltonian"),
+        ("metrics.py", "_scan"),
     ):
         source = (PACKAGE / module).read_text()
         (function,) = [
