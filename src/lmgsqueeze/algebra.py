@@ -1,5 +1,6 @@
-"""Collective spin operators on the symmetric (Dicke) subspace, and the
-Eigenbasis that applies exp(-i t G) for a Hermitian generator G.
+"""Collective spin operators on the symmetric (Dicke) subspace, the
+Eigenbasis that applies exp(-i t G) for a Hermitian generator G, and the
+BandedForm that applies a quadratic form used only once.
 
 For N spin-1/2 particles the symmetric sector carries total spin j = N/2 and
 has dimension N + 1.  The basis is ordered by decreasing magnetic quantum
@@ -10,11 +11,14 @@ y axis eigenbases of ``states.rotate_state``, each built on first use (safe
 under threads: all callers get the one stored copy) and released with the
 space.
 
-Every exp(-i t G) is applied through an Eigenbasis of G (``propagate`` or
-``sample``): free evolution, the x and y pulses that are applied as
-rotations and coherent states; a dense propagator is the kernel applied to
-the identity.  Only the diagonal z
-rotation and the 2^N product-space oracle exponentiate on their own, and
+Every exp(-i t G) whose G is applied more than once goes through an
+Eigenbasis of G (``propagate`` or ``sample``): free evolution, the x and y
+pulses that are applied as rotations and coherent states; a dense
+propagator is the kernel applied to the identity.  A quadratic form that a
+noisy run draws for one segment is applied once, so it is not factored: a
+BandedForm steps it through its bands as a truncated Taylor series, with
+no eigensolve and no exponential.  Only the diagonal z rotation and the
+2^N product-space oracle exponentiate on their own, and
 ``hamiltonian_eig`` is the one checked dense eigensolver.
 The model's chi (Sx^2 + gamma Sy^2), real and Sz-parity conserving, is
 factored as two real blocks (``Eigenbasis.of_quadratic_form``), and so is
@@ -24,6 +28,7 @@ generators and the effective Hamiltonian that sizes schedules
 (``experiments.predicted_optimal_time``) are factored densely.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -285,4 +290,80 @@ class Eigenbasis:
         out = np.empty((amplitudes.shape[0],) + parts[0].shape[1:], dtype=complex)
         for block, part in zip(self.blocks, parts):
             out[block.rows] = part
+        return out
+
+
+# Largest ||H t||_1 of one Taylor substep of BandedForm.propagate.  A larger
+# step takes fewer products in all, but its terms grow (to about 11 at 4)
+# before they cancel, and rounding grows with them: against the eigenbasis
+# at ||H t|| = 50 and N = 40 the error was 3e-15 at 4 and 1.2e-14 at 6.
+TAYLOR_STEP_NORM = 4.0
+
+
+def _taylor_degree(eta: float) -> int:
+    """The least degree m at which the Taylor remainder of exp(A) v,
+    ||A|| <= ``eta``, is below 2^-53 ||v||: the bound is
+    eta^(m+1)/(m+1)! / (1 - eta/(m+2)), the first omitted term times a
+    geometric tail."""
+    m, term = 0, float(eta)  # term = eta^(m+1) / (m+1)!
+    while m + 2 <= eta or term / (1.0 - eta / (m + 2)) > 2.0**-53:
+        m += 1
+        term *= eta / (m + 1)
+    return m
+
+
+class BandedForm:
+    """a Sx^2 + b Sy^2 + c Sz^2 held as its diagonal and its +-2 band, for a
+    Hamiltonian applied once: ``propagate`` steps a truncated Taylor series
+    through the bands, with no eigensolve and no exponential.
+
+    Each coefficient is one value or an (R,) array of one value per column
+    of the (dim, R) blocks it is applied to.  In the basis of ``DickeSpace``
+    the diagonal is (a + b)/2 (j(j+1) - m_k^2) + c m_k^2 and the band
+    <k|H|k+2> = (a - b)/4 u_k u_{k+1}, with u_k = <k|S+|k+1>; the arrays are
+    frozen.
+    """
+
+    def __init__(self, space: DickeSpace, a, b, c):
+        for name, coeff in (("a", a), ("b", b), ("c", c)):
+            if not np.all(np.isfinite(coeff)):
+                raise ValueError(f"coefficient {name} must be finite, got {coeff!r}")
+        j, m = space.j, space.m_values()
+        up = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
+        a, b, c = (np.asarray(coeff, dtype=float) for coeff in (a, b, c))
+        diagonal = np.multiply.outer(j * (j + 1) - m**2, (a + b) / 2.0)
+        diagonal += np.multiply.outer(m**2, c)
+        self.diagonal = _frozen(diagonal)
+        self.band = _frozen(np.multiply.outer(up[:-1] * up[1:], (a - b) / 4.0))
+
+    def propagate(self, amplitudes: np.ndarray, t) -> np.ndarray:
+        """exp(-i H t) applied to an amplitude vector, or to each column of a
+        (dim, R) block with ``t`` one time or an (R,) array of one per column.
+
+        The time is cut into s equal substeps, s the least with
+        ||H t||_1 / s <= TAYLOR_STEP_NORM (the largest over the columns),
+        and each substep applies the Taylor polynomial of the degree that
+        ``_taylor_degree`` gives for ||H t||_1 / s: O(||H t|| dim) work.
+        """
+        diagonal, band = self.diagonal, self.band
+        if np.ndim(amplitudes) == 2 and diagonal.ndim == 1:
+            diagonal, band = diagonal[:, None], band[:, None]
+        t = np.asarray(t, dtype=float)
+        # ||H||_1, the largest absolute column sum, of each column's form
+        sums = np.abs(diagonal)
+        sums[:-2] += np.abs(band)
+        sums[2:] += np.abs(band)
+        size = float(np.max(np.max(sums, axis=0) * np.abs(t)))
+        steps = max(1, math.ceil(size / TAYLOR_STEP_NORM))
+        degree = _taylor_degree(size / steps)
+        scale = -1j * t / steps
+        out = np.array(amplitudes, dtype=complex)
+        for _ in range(steps):
+            term = out
+            for k in range(1, degree + 1):
+                product = diagonal * term  # H @ term, through the bands
+                product[:-2] += band * term[2:]
+                product[2:] += band * term[:-2]
+                term = product * (scale / k)
+                out = out + term
         return out

@@ -31,6 +31,7 @@ from .experiments import (
     sweep_initial_state,
     write_result,
 )
+from .metrics import SCAN_CHUNK, SCAN_SAMPLE_BYTES
 from .pulses import design
 from .states import BlochAngles
 
@@ -79,6 +80,21 @@ _OMITTABLE_KEYS = {
     "sweep-gamma": ("gamma",),
     "scaling": ("n_spins",),
 }
+
+
+def trace_bytes(experiment: str, n_spins: int, grid_points: int) -> int:
+    """Memory an experiment holds at once for its traces on ``grid_points``
+    times at ``n_spins``.  evolve and compare-pulsed sample the whole grid as
+    one block; the other experiments scan it SCAN_CHUNK times at a time and
+    keep SCAN_SAMPLE_BYTES per time, and the initial-state sweep also keeps
+    one (N+1) x grid_points phase table for every point."""
+    block = 16 * (n_spins + 1)
+    if experiment in ("evolve", "compare-pulsed"):
+        return TRACE_BLOCKS * block * grid_points
+    needed = TRACE_BLOCKS * block * min(grid_points, SCAN_CHUNK) + SCAN_SAMPLE_BYTES * grid_points
+    if experiment == "sweep-initial-state":
+        needed += block * grid_points
+    return needed
 
 
 def _fail(path: str, message: str):
@@ -221,7 +237,7 @@ def validate_config(raw: dict) -> dict:
     if cfg["grid_points"] is not None:
         n = max(cfg["n_grid"]) if experiment == "scaling" else cfg["n_spins"]
         require_memory(
-            TRACE_BLOCKS * 16 * cfg["grid_points"] * (n + 1),
+            trace_bytes(experiment, n, cfg["grid_points"]),
             f"traces of grid_points={cfg['grid_points']} at n_spins={n}",
         )
     if experiment == "sweep-initial-state":

@@ -7,11 +7,12 @@ drawn from per-run child streams spawned from one root SeedSequence, and
 each noise channel owns a dedicated stream per run, so inactive channels
 consume nothing and worker partitioning cannot change any draw.  A noise run
 is the nominal pulse schedule with its segments perturbed (stretched free
-evolutions, scaled or tilted pulses, per-run or per-segment Hamiltonians),
-executed by the same ``propagate.run_cycles`` as the noiseless schedule.
-Runs that drew one (atom number, gamma, chi) are stepped together, one
-column each of a block, in blocks fixed by the draws alone, so the worker
-count cannot change any byte either.  The noiseless run is the schedule
+evolutions, scaled or tilted pulses, per-run Hamiltonians factored once,
+or per-segment Hamiltonians applied as ``algebra.BandedForm``s), executed
+by the same ``propagate.run_cycles`` as the noiseless schedule.  Runs that
+drew one (atom number, gamma, chi) are stepped together, one column each
+of a block, in blocks fixed by the draws alone, so the worker count cannot
+change any byte either.  The noiseless run is the schedule
 itself, run by ``propagate.run_schedule``.
 
 Emitted tables (one CSV per table, RFC-4180-style, LF line endings, floats
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .algebra import Eigenbasis, build_space, quadratic_form
+from .algebra import BandedForm, Eigenbasis, build_space, quadratic_form
 from .canonical import LMGModel, from_chi_gamma, model_eigenbasis
 from .errors import ConfigError
 from .metrics import batch_squeezing, default_horizon, fit_loglog_slope, minimize_hamiltonian
@@ -669,9 +670,12 @@ def _noise_block(block: tuple) -> list:
     schedule, initial state, NoiseSpec, runs).  Its runs share one (n_spins,
     gamma, chi) and are stepped as the columns of one array: the nominal
     schedule from the initial state, with each of its segments perturbed as
-    each run draws.  Its x and y pulse pairs run in the toggling frame of
-    that form (``propagate.toggled_cycle``), as in ``run_schedule``, unless
-    the pulses or a per-segment gamma are drawn.
+    each run draws.  Its free segments run under the parity Eigenbasis of
+    that form, and its x and y pulse pairs in the toggling frame
+    (``propagate.toggled_cycle``), as in ``run_schedule``, unless the
+    pulses or a per-segment gamma are drawn.  A per-segment gamma makes
+    each free segment one BandedForm, applied once, whose column r takes
+    the gamma run r drew for it.
 
     Returns, per run: the xi2 value at every cycle boundary (nan where the
     contrast collapses), the realized (n_spins, gamma, chi), the count of
@@ -687,14 +691,13 @@ def _noise_block(block: tuple) -> list:
     n_spins = runs[0].n_spins
     space = nominal if n_spins == nominal.n_spins else build_space(n_spins)
 
-    def free_basis(form):
-        return Eigenbasis.of_quadratic_form(quadratic_form(space, *form))
-
     form = runs[0].free_form()
-    basis = free_basis(form)
+    per_segment_gamma = noise.draws("gamma", "per_segment")
+    if not per_segment_gamma:  # else every free segment draws its own form
+        basis = Eigenbasis.of_quadratic_form(quadratic_form(space, *form))
     segments = sch.segments
     drawn_pulses = noise.relative_sigma > 0.0 and noise.channel in ("pulse_area", "pulse_phase")
-    if not (drawn_pulses or noise.draws("gamma", "per_segment")):
+    if not (drawn_pulses or per_segment_gamma):
         segments = toggled_cycle(space, segments, form)
     psi = coherent_state(space, initial).amplitudes
     clamped = [0] * len(columns)
@@ -714,11 +717,12 @@ def _noise_block(block: tuple) -> list:
                     clamped[r] += 1
                     duration = 0.0
                 durations.append(duration)
-            hamiltonian = seg.hamiltonian or basis
-            if noise.draws("gamma", "per_segment"):
-                (run,) = columns  # such runs are blocks of one
-                hamiltonian = free_basis(run.free_form(run.factor("gamma")))
-            return (FreeSegment(_per_column(durations), hamiltonian),)
+            if per_segment_gamma:
+                # one form per segment, applied once: each run's drawn gamma
+                # sets the coefficients of its column
+                forms = [run.free_form(run.factor("gamma")) for run in columns]
+                return (FreeSegment(_per_column(durations), BandedForm(space, *zip(*forms))),)
+            return (FreeSegment(_per_column(durations), seg.hamiltonian or basis),)
         per_pulse_area = noise.draws("pulse_area", "per_pulse")
         per_pulse_tilt = noise.draws("pulse_phase", "per_pulse")
         angles = [
@@ -748,7 +752,7 @@ def _noise_block(block: tuple) -> list:
         clamped = [count * sch.cycle_count for count in clamped]
     else:
         # realized one cycle at a time, so draws follow segment order and a
-        # per-segment basis lives only as long as its cycle
+        # per-segment form lives only as long as its cycle
         cycles = (realize_cycle() for _ in range(sch.cycle_count))
     block = np.repeat(psi[:, None], len(columns), axis=1)
     _, states = run_cycles(SpinState(block, space), cycles)
@@ -768,15 +772,14 @@ def _noise_outcomes(space, model, sch, initial, noise, n_runs, seed, workers) ->
     """Each noisy run's outcome, as ``_noise_block`` returns it, in run order.
 
     The runs are grouped by their (n_spins, gamma, chi), which fixes the
-    space and the free Eigenbasis they share, and cut into blocks of at most
-    BLOCK_BYTES, so no block depends on the worker count; a per-segment
-    gamma draws a basis per segment and run, so those runs are blocks of one.
+    space and the free Hamiltonian they share (its Eigenbasis, or per
+    segment one BandedForm with a column per run), and cut into blocks of
+    at most BLOCK_BYTES, so no block depends on the worker count.
     """
     runs = [_new_run(noise, model, child) for child in np.random.SeedSequence(seed).spawn(n_runs)]
-    alone = noise.draws("gamma", "per_segment")
     groups = {}
     for index, run in enumerate(runs):
-        groups.setdefault(index if alone else (run.n_spins, run.gamma, run.chi), []).append(index)
+        groups.setdefault((run.n_spins, run.gamma, run.chi), []).append(index)
     blocks = []
     for indices in groups.values():
         dim = runs[indices[0]].n_spins + 1

@@ -22,6 +22,10 @@ REFINE_XTOL = 1e-6
 # initial-state sweep (N = 100, 300 samples) finds its first minima near
 # sample 118; 128 ran it faster than 64 or 192 (2-vCPU x86-64, OpenBLAS 0.3.31).
 SCAN_CHUNK = 128
+# Bytes a scan keeps per time sampled, besides its chunk of states: its
+# per-sample results, their concatenation and the time grid (tracemalloc
+# peak of a scan that samples every time: 159-164 B at N = 4, plus 8 B).
+SCAN_SAMPLE_BYTES = 176
 # golden ratio conjugate 2 / (1 + sqrt(5)), rounded as scipy.optimize rounds it
 _GR = 0.61803399
 _GC = 1.0 - _GR

@@ -3,8 +3,11 @@
 Evolution uses the Hermitian eigendecomposition of each Hamiltonian, held
 in an ``algebra.Eigenbasis`` that the caller builds once and passes in, so
 schedules that reuse the same two Hamiltonians thousands of times pay for
-two factorizations.  The model Hamiltonian, a real quadratic form that
-conserves Sz-parity, is factored as two real blocks of half the size
+two factorizations.  A free segment whose Hamiltonian is applied only once
+(a noisy run's per-segment form) carries an ``algebra.BandedForm``
+instead, stepped through its bands with no factorization.  The model
+Hamiltonian, a real quadratic form that conserves Sz-parity, is factored
+as two real blocks of half the size
 (``canonical.model_eigenbasis``) and applied as real products; any other
 Hamiltonian is factored densely (``Eigenbasis.of``).  Pulses are
 instantaneous unitaries (Rabi limit).  A nominal pulse pair about x or y
@@ -28,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DickeSpace, Eigenbasis, build_space, conjugated_coefficients, quadratic_form
+from .algebra import (
+    BandedForm,
+    DickeSpace,
+    Eigenbasis,
+    build_space,
+    conjugated_coefficients,
+    quadratic_form,
+)
 from .algebra import hamiltonian_eig  # noqa: F401  (re-exported: part of this module's API)
 from .canonical import CouplingMatrix, LMGModel, model_eigenbasis
 from .errors import DimensionMismatch, TooLarge
@@ -63,21 +73,26 @@ def evolve_batch(
 
 @dataclass(frozen=True)
 class FreeSegment:
-    """Free evolution for ``duration`` under an Eigenbasis; None means the model's.
+    """Free evolution for ``duration`` under an Eigenbasis, or under a
+    BandedForm applied once; None means the model's Eigenbasis.
 
     Applied to a block of states (``run_cycles``), ``duration`` may be an
-    (R,) array of one duration per column.
+    (R,) array of one duration per column, and a BandedForm's coefficients
+    one per column too.
     """
 
     duration: float | np.ndarray
-    hamiltonian: Eigenbasis | None = None
+    hamiltonian: Eigenbasis | BandedForm | None = None
 
     def __post_init__(self):
         if not np.all((np.asarray(self.duration) >= 0.0) & np.isfinite(self.duration)):
             raise ValueError(f"segment duration must be finite and >= 0, got {self.duration}")
-        if self.hamiltonian is not None and not isinstance(self.hamiltonian, Eigenbasis):
+        kinds = (Eigenbasis, BandedForm, type(None))
+        if not isinstance(self.hamiltonian, kinds):
             kind = type(self.hamiltonian).__name__
-            raise TypeError(f"segment Hamiltonian must be an Eigenbasis or None, got {kind}")
+            raise TypeError(
+                f"segment Hamiltonian must be an Eigenbasis, a BandedForm or None, got {kind}"
+            )
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import pytest
 import lmgsqueeze
 from lmgsqueeze import algebra, metrics
 from lmgsqueeze.algebra import TRACE_BLOCKS
-from lmgsqueeze.cli import MAX_WORKERS, main, parse_config, run, validate_config
+from lmgsqueeze.cli import MAX_WORKERS, main, parse_config, run, trace_bytes, validate_config
 from lmgsqueeze.errors import ConfigError, TooLarge
 from lmgsqueeze.experiments import sweep_bytes
 
@@ -262,15 +262,34 @@ def test_trace_and_sweep_sizes_count_every_block(monkeypatch):
     assert validate_config(dict(cfg, grid_points=k))["grid_points"] == k
     with pytest.raises(TooLarge):
         validate_config(dict(cfg, grid_points=k + 1))
-    # scaling's largest N sets the size
+    # scaling's largest N sets the size of its chunked scan
+    memory["SC_PHYS_PAGES"] = trace_bytes("scaling", n, k)
+    scaling = dict(cfg, experiment="scaling", grid_points=k)
+    assert validate_config(dict(scaling, n_grid=[10, n]))["n_grid"] == [10, n]
     with pytest.raises(TooLarge):
-        validate_config(dict(cfg, experiment="scaling", n_grid=[10, n + 1], grid_points=k))
+        validate_config(dict(scaling, n_grid=[10, n + 1]))
 
     memory["SC_PHYS_PAGES"] = sweep_bytes(40, 30)
     cfg = dict(cfg, experiment="sweep-initial-state")
     assert validate_config(dict(cfg, theta_points=40, phi_points=30))["theta_points"] == 40
     with pytest.raises(TooLarge):
         validate_config(dict(cfg, theta_points=41, phi_points=30))
+
+
+@pytest.mark.parametrize(
+    "experiment", ["sweep-gamma", "scaling", "sweep-initial-state", "evolve", "compare-pulsed"]
+)
+def test_chunked_scans_are_sized_by_their_chunk(monkeypatch, experiment):
+    # 8 GiB of memory: 10^6 samples at N = 100 fit a scan that holds
+    # SCAN_CHUNK columns of states at a time, not six whole-grid blocks
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2**33}
+    monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
+    cfg = dict(MINIMAL, experiment=experiment, n_spins=100, n_grid=[50, 100], grid_points=10**6)
+    if experiment in ("evolve", "compare-pulsed"):
+        with pytest.raises(TooLarge):
+            validate_config(cfg)
+    else:
+        assert validate_config(cfg)["grid_points"] == 10**6
 
 
 @pytest.mark.parametrize(

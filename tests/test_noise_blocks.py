@@ -152,7 +152,12 @@ def test_noiseless_trace_is_bit_identical_across_channels():
 
 @pytest.mark.parametrize(
     "channel,scope",
-    [("pulse_separation", "per_segment"), ("pulse_phase", "per_run"), ("atom_number", "per_run")],
+    [
+        ("pulse_separation", "per_segment"),
+        ("pulse_phase", "per_run"),
+        ("atom_number", "per_run"),
+        ("gamma", "per_segment"),
+    ],
 )
 def test_worker_count_changes_no_output_byte(tmp_path, monkeypatch, channel, scope):
     model, design_, sch = block_setup()
@@ -168,3 +173,33 @@ def test_worker_count_changes_no_output_byte(tmp_path, monkeypatch, channel, sco
         files = [(tmp_path / str(w) / f"{table}.csv").read_bytes() for w in (1, 2, 3)]
         assert files[1] == files[0] and files[2] == files[0], table
     assert os.listdir(tmp_path / "1") == os.listdir(tmp_path / "3")
+
+
+def test_per_segment_gamma_shares_one_block_and_factors_no_segment(monkeypatch):
+    # each segment's drawn gamma is a column of one banded form: the runs
+    # share a block, and no eigenbasis is factored per segment, so doubling
+    # the cycles factors no more of them
+    model, design_, _ = block_setup()
+    factored, blocks = [], []
+    of_quadratic_form = Eigenbasis.of_quadratic_form.__func__
+
+    def counting(cls, matrix):
+        factored.append(1)
+        return of_quadratic_form(cls, matrix)
+
+    mapped = experiments._map
+
+    def recording(function, tasks, workers):
+        blocks.append([len(task[-1]) for task in tasks])
+        return mapped(function, tasks, workers)
+
+    monkeypatch.setattr(Eigenbasis, "of_quadratic_form", classmethod(counting))
+    monkeypatch.setattr(experiments, "_map", recording)
+    counts = []
+    for cycles in (20, 40):
+        factored.clear()
+        noise = NoiseSpec("gamma", 0.1, "per_segment")
+        noise_monte_carlo(model, design_, noise, n_runs=3, seed=4, total_time=0.4, cycles=cycles)
+        counts.append(len(factored))
+    assert counts[0] == counts[1]
+    assert blocks == [[3], [3]]

@@ -379,6 +379,36 @@ def test_quadratic_form_basis_matches_dense(a, b, c, n, tau):
     assert np.max(np.abs(parity.propagate(eye, t) - dense.propagate(eye, t))) <= 1e-12
 
 
+@settings(max_examples=100)
+@given(a=COEFFICIENT, b=COEFFICIENT, c=COEFFICIENT, n=st.integers(1, 40), size=st.floats(0.0, 50.0))
+@example(a=1.0, b=0.1, c=0.0, n=40, size=50.0)
+@example(a=-2.0, b=0.5, c=1.5, n=1, size=50.0)
+def test_banded_form_matches_the_parity_basis(a, b, c, n, size):
+    # a form applied once is stepped through its bands by a truncated Taylor
+    # series (several substeps once ||H t|| > 4): it agrees with the
+    # eigenbasis of the same form, keeps the norm, and steps each column of
+    # a block with its own coefficients and duration as if it were alone
+    space = build_space(n)
+    ham = quadratic_form(space, a, b, c)
+    norm = np.linalg.norm(ham, 2)
+    t = size / norm if norm > 0.0 else size
+    banded = algebra.BandedForm(space, a, b, c)
+    basis = Eigenbasis.of_quadratic_form(ham)
+    rng = np.random.default_rng(n)
+    amps = rng.normal(size=(space.dim, 3)) + 1j * rng.normal(size=(space.dim, 3))
+    amps /= np.linalg.norm(amps, axis=0)
+    for x in (amps[:, 0], amps):
+        got = banded.propagate(x, t)
+        assert np.max(np.abs(got - basis.propagate(x, t))) <= 1e-12
+        assert np.max(np.abs(np.linalg.norm(got, axis=0) - 1.0)) <= 1e-13
+    forms = [(a, b, c), (b, c, a), (-c, a, b)]
+    durations = t * np.array([1.0, 0.3, 0.0])
+    block = algebra.BandedForm(space, *zip(*forms)).propagate(amps, durations)
+    for r, (form, duration) in enumerate(zip(forms, durations)):
+        alone = algebra.BandedForm(space, *form).propagate(amps[:, r], duration)
+        assert np.max(np.abs(block[:, r] - alone)) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [1, 40, 1000])
 def test_quadratic_form_basis_casimir_oracle(n):
     # a (Sx^2 + Sy^2) = a (S^2 - Sz^2): diagonal, so both parity blocks are

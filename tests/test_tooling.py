@@ -161,9 +161,10 @@ def test_the_kernel_takes_a_basis_and_factors_nothing():
 
 
 def test_exponentials_are_formed_only_in_the_kernel():
-    # every exp(-i t G) is one Eigenbasis kernel: its phase table and its
-    # propagate, the diagonal z phase of rotate_state, and the 2^N
-    # product-space oracle; dense propagators are these applied to np.eye
+    # every exponential of an eigenbasis is formed in the Eigenbasis kernel:
+    # its phase table and its propagate; the others are the diagonal z phase
+    # of rotate_state and the 2^N product-space oracle, and a BandedForm's
+    # Taylor series forms none; dense propagators are these applied to np.eye
     found = {
         (path.name, function)
         for path in sorted(PACKAGE.glob("*.py"))
@@ -176,6 +177,43 @@ def test_exponentials_are_formed_only_in_the_kernel():
         ("propagate.py", "_product_coherent_state"),
         ("propagate.py", "evolve_full_product_space"),
     }
+
+
+def test_banded_forms_serve_only_the_per_segment_noise_forms():
+    # a BandedForm is applied once, so only the forms a noise run draws anew
+    # for each segment use it, and every Hamiltonian applied more than once
+    # keeps its Eigenbasis; the banded kernel, and every function of its
+    # module that it names, forms no eigensolve and no exponential
+    found = [
+        (path.name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for _, line in calls_named(path.read_text(), "BandedForm")
+    ]
+    (block,) = [
+        node
+        for node in ast.parse((PACKAGE / "experiments.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_noise_block"
+    ]
+    assert found
+    assert all(
+        name == "experiments.py" and block.lineno <= line <= block.end_lineno
+        for name, line in found
+    )
+    source = (PACKAGE / "algebra.py").read_text()
+    defs = {
+        node.name: ast.get_source_segment(source, node)
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    reached, pending = set(), ["BandedForm"]
+    while pending:
+        name = pending.pop()
+        reached.add(name)
+        named = {node.id for node in ast.walk(ast.parse(defs[name])) if isinstance(node, ast.Name)}
+        pending += sorted((named & set(defs)) - reached)
+    assert {"_taylor_degree", "_frozen"} <= reached
+    for name in reached:
+        assert calls_named(defs[name], "eigh") == [] and calls_named(defs[name], "exp") == [], name
 
 
 def test_pulses_are_applied_only_by_the_segment_executor():
