@@ -6,26 +6,27 @@ For N spin-1/2 particles the symmetric sector carries total spin j = N/2 and
 has dimension N + 1.  The basis is ordered by decreasing magnetic quantum
 number, so index 0 is |j, j> and index N is |j, -j>.  An operator is a
 plain dense, double-precision complex ``np.ndarray``, frozen (read-only)
-once built.  A DickeSpace holds its operators, their squares and the x and
-y axis eigenbases of ``states.rotate_state``, each built on first use (safe
-under threads: all callers get the one stored copy) and released with the
-space.
+once built.  A DickeSpace holds its operators, their squares and the real
+eigenbasis of Sx through which ``states.rotate_state`` turns about x and y,
+each built on first use (safe under threads: all callers get the one stored
+copy) and released with the space.
 
 Every exp(-i t G) whose G is applied more than once goes through an
-Eigenbasis of G (``propagate`` or ``sample``): free evolution, the x and y
-pulses that are applied as rotations and coherent states; a dense
-propagator is the kernel applied to the identity.  A quadratic form that a
-noisy run draws for one segment is applied once, so it is not factored: a
-BandedForm steps it through its bands as a truncated Taylor series, with
-no eigensolve and no exponential.  Only the diagonal z rotation and the
-2^N product-space oracle exponentiate on their own, and
-``hamiltonian_eig`` is the one checked dense eigensolver.
+Eigenbasis of G (``propagate`` or ``sample``): free evolution, rotations
+about x (and about y, between two diagonal quarter turns about z) and
+coherent states; a dense propagator is the kernel applied to the
+identity.  A quadratic form that a noisy run draws for one segment is
+applied once, so it is not factored: a BandedForm steps it through its
+bands as a truncated Taylor series, with no eigensolve and no exponential.
+Only the diagonal z rotation and the 2^N product-space oracle exponentiate
+on their own, and ``hamiltonian_eig`` is the one checked dense eigensolver.
 The model's chi (Sx^2 + gamma Sy^2), real and Sz-parity conserving, is
 factored as two real blocks (``Eigenbasis.of_quadratic_form``), and so is
 its image under a quarter turn about x or y, under which nominal pulse
-pairs run (``conjugated_coefficients``); the pulse axes, coherent-state
-generators and the effective Hamiltonian that sizes schedules
-(``experiments.predicted_optimal_time``) are factored densely.
+pairs run (``conjugated_coefficients``), and Sx is one real block.  The
+only dense complex bases left are the coherent-state generators and the
+effective Hamiltonian that sizes schedules
+(``experiments.predicted_optimal_time``).
 """
 
 import math
@@ -41,8 +42,8 @@ HERMITICITY_TOL = 1e-10
 HERMITICITY_ROWS = 64  # rows per block of the Hermiticity check: no dense temporary
 # Dense complex matrices kept for one space during compare_pulsed: the Sx, Sy,
 # Sz, Sx^2, Sy^2 and Sz^2 that it holds once used (built thread-safely, freed
-# with it; its x/y pulses run in the toggling frame, so no rotation axis's
-# basis is built), and the v of three callers' bases.
+# with it; its x/y pulses run in the toggling frame, so the Sx basis of
+# rotations is not built), and the v of three callers' bases.
 DENSE_MATRICES_PER_SPACE = 9
 # Dense complex (N+1) x K blocks alive at once while xi^2 is taken at K
 # times (metrics.batch_squeezing): the states, Sx, Sy and Sz applied to them,

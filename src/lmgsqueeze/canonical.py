@@ -24,7 +24,7 @@ from .algebra import (
     quadratic_form,
 )
 from .errors import AsymmetricInput, DimensionMismatch, IsotropicCoupling
-from .states import rotation_about
+from .states import rotation
 
 SYMMETRY_TOL = 1e-9
 ISOTROPY_TOL = 1e-9
@@ -216,39 +216,33 @@ def counter_twist_decomposition(
     return x_twist, z_twist
 
 
-def _rotation_vector(frame: np.ndarray) -> np.ndarray:
-    """Axis times angle, the angle in [0, pi], of a 3x3 rotation matrix.
-
-    Each row of the symmetric matrix k below is a multiple 4 q_i q of the
-    quaternion q = (v, w); Shepperd's method takes the row with the largest
-    diagonal, which is at least 1, so it is well-conditioned at every
-    angle, 0 and pi included.  With w >= 0 the angle is 2 atan2(|v|, w)
-    about v / |v|, neither of which needs q normalized.
-    """
-    trace = np.trace(frame)
-    k = np.empty((4, 4))
-    k[:3, :3] = frame + frame.T + (1.0 - trace) * np.eye(3)
-    skew = frame - frame.T
-    k[:3, 3] = k[3, :3] = skew[2, 1], skew[0, 2], skew[1, 0]
-    k[3, 3] = 1.0 + trace
-    q = k[np.argmax(np.diag(k))]
-    if q[3] < 0.0:
-        q = -q
-    length = np.linalg.norm(q[:3])
-    if length == 0.0:
-        return np.zeros(3)
-    return 2.0 * np.arctan2(length, q[3]) / length * q[:3]
-
-
 def frame_unitary(model: LMGModel, space: DickeSpace) -> np.ndarray:
     """Unitary U with U^dag S_a U = sum_b frame[a, b] S_b.
 
     Transports lab-frame states into the canonical frame: if H_lab is the
     pairwise Hamiltonian on the symmetric sector, then
     H_lab = U^dag (sign * chi (Sx^2 + gamma Sy^2)) U + dropped_constant.
+
+    With frame = Rz(alpha) Ry(beta) Rz(gamma), its z-y-z Euler angles,
+    U = rotation(z, alpha) rotation(y, beta) rotation(z, gamma).  alpha is
+    read from the third column, scaled by sin(beta), and gamma from the
+    upper 2x2 block, which gives alpha + gamma scaled by 1 + cos(beta) and
+    alpha - gamma scaled by 1 - cos(beta); taking the larger scale keeps
+    each angle as accurate as the entries it multiplies, so beta = 0 and
+    beta = pi, where only alpha +- gamma is defined, need no special case.
     """
-    rotvec = _rotation_vector(model.frame)
-    return rotation_about(space, rotvec, float(np.linalg.norm(rotvec)))
+    r = model.frame
+    beta = np.arctan2(np.hypot(r[0, 2], r[1, 2]), r[2, 2])
+    alpha = np.arctan2(r[1, 2], r[0, 2])
+    if r[2, 2] >= 0.0:
+        gamma = np.arctan2(r[1, 0] - r[0, 1], r[0, 0] + r[1, 1]) - alpha
+    else:
+        gamma = alpha + np.arctan2(r[0, 1] + r[1, 0], r[1, 1] - r[0, 0])
+    return (
+        rotation(space, "z", float(alpha))
+        @ rotation(space, "y", float(beta))
+        @ rotation(space, "z", float(gamma))
+    )
 
 
 def pairwise_collective_hamiltonian(

@@ -223,7 +223,8 @@ def validate_config(raw: dict) -> dict:
     if not isinstance(cfg["n_grid"], (list, tuple)) or not cfg["n_grid"]:
         _fail("n_grid", "expected a non-empty array of spin counts")
     cfg["n_grid"] = [
-        _require_number({"n_grid": n}, "n_grid", lo=1, integer=True) for n in cfg["n_grid"]
+        _require_number({f"n_grid[{i}]": n}, f"n_grid[{i}]", lo=1, integer=True)
+        for i, n in enumerate(cfg["n_grid"])
     ]
     if not isinstance(cfg["variants"], (list, tuple)) or not cfg["variants"]:
         _fail("variants", "expected a non-empty array")

@@ -373,14 +373,15 @@ def sweep_gamma(
     grid_points: int = 2000,
 ) -> ExperimentResult:
     """(gamma, xi2_min, t_min) from the fixed initial state |pi/2, pi/2>."""
+    for i, gamma in enumerate(gamma_grid):
+        if not 0.0 <= gamma <= 0.5:
+            raise ConfigError(f"gammas[{i}]: must lie in [0, 0.5], got {gamma}")
     horizon = default_horizon(n_spins) if horizon is None else horizon
     space = build_space(n_spins)
     psi0 = coherent_state(space, BlochAngles(theta=math.pi / 2.0, phi=math.pi / 2.0))
     times = np.linspace(0.0, horizon / (chi * n_spins), grid_points)
     rows = []
     for gamma in gamma_grid:
-        if not 0.0 <= gamma <= 0.5:
-            raise ConfigError(f"gammas: values must lie in [0, 0.5], got {gamma}")
         model = from_chi_gamma(chi, float(gamma), n_spins)
         trace = minimize_hamiltonian(space, model_eigenbasis(model, space), psi0, times)
         rows.append(

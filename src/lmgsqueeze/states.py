@@ -1,10 +1,12 @@
 """Coherent spin states and exact rotations.
 
-Rotations about x and y and coherent-state preparation are applied through
-the Eigenbasis of their Hermitian generator, never by series truncation, so
-unitarity holds to machine precision; a rotation about z is a diagonal
-phase, and a dense rotation matrix is ``rotate_state`` on the identity.
-Global phases are unconstrained throughout.
+Every rotation goes through one kernel, ``rotate_state``: a rotation about
+z is a diagonal phase, one about x goes through the one real Eigenbasis of
+Sx the space holds, and one about y is that x rotation between two quarter
+turns about z.  Coherent states are prepared through the Eigenbasis of
+their generator.  Nothing is a truncated series, so unitarity holds to
+machine precision; a dense rotation matrix is ``rotate_state`` on the
+identity.  Global phases are unconstrained throughout.
 """
 
 import math
@@ -79,15 +81,14 @@ def coherent_state(space: DickeSpace, angles: BlochAngles, generator_eig=None) -
     return SpinState(amplitudes=amps / np.linalg.norm(amps), space=space)
 
 
-def _axis_eig(space: DickeSpace, axis: str) -> Eigenbasis:
-    """Eigenbasis of S_axis, held by the space."""
-    return space.built("eig" + axis, lambda: Eigenbasis.of(collective_operator(space, "S" + axis)))
+def _x_eig(space: DickeSpace) -> Eigenbasis:
+    """Eigenbasis of Sx, held by the space: Sx is real symmetric, so the
+    basis is one real block, applied as real products."""
+    return space.built("eigx", lambda: Eigenbasis.of(collective_operator(space, "Sx").real))
 
 
 def rotation(space: DickeSpace, axis: str, angle: float) -> np.ndarray:
     """exp(-i angle S_axis) as a dense matrix: ``rotate_state`` on the identity."""
-    if axis not in _AXES:
-        raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
     if not np.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
     return rotate_state(SpinState(np.eye(space.dim, dtype=complex), space), axis, angle).amplitudes
@@ -98,26 +99,20 @@ def rotate_state(state: SpinState, axis: str, angle) -> SpinState:
 
     ``state`` may hold a block of states as the columns of a (dim, R) array,
     rotated by one ``angle`` or by an (R,) array of one angle per column.
+    A z rotation is a diagonal phase and an x rotation goes through the
+    real eigenbasis of Sx; a y rotation is that x rotation between two
+    quarter turns about z, exp(-i a Sy) = Rz(pi/2) exp(-i a Sx) Rz(-pi/2).
     """
+    if axis not in _AXES:
+        raise ValueError(f"axis must be one of {_AXES}, got {axis!r}")
+    amps = state.amplitudes
+    m = state.space.m_values()
+    m = m if np.ndim(amps) == 1 else m[:, None]
     if axis == "z":
-        m = state.space.m_values()
-        m = m if np.ndim(state.amplitudes) == 1 else m[:, None]
-        amps = np.exp(-1j * angle * m) * state.amplitudes
+        amps = np.exp(-1j * angle * m) * amps
+    elif axis == "x":
+        amps = _x_eig(state.space).propagate(amps, angle)
     else:
-        amps = _axis_eig(state.space, axis).propagate(state.amplitudes, angle)
+        quarter = np.exp(-0.5j * math.pi * m)  # Rz(pi/2)
+        amps = quarter * _x_eig(state.space).propagate(np.conj(quarter) * amps, angle)
     return SpinState(amplitudes=amps, space=state.space)
-
-
-def rotation_about(space: DickeSpace, axis_vector: np.ndarray, angle: float) -> np.ndarray:
-    """Unitary exp(-i angle n.S) for an arbitrary (not necessarily unit) axis."""
-    n = np.asarray(axis_vector, dtype=float)
-    norm = np.linalg.norm(n)
-    if norm == 0.0:
-        return np.eye(space.dim, dtype=complex)
-    n = n / norm
-    gen = (
-        n[0] * collective_operator(space, "Sx")
-        + n[1] * collective_operator(space, "Sy")
-        + n[2] * collective_operator(space, "Sz")
-    )
-    return Eigenbasis.of(gen).propagate(np.eye(space.dim, dtype=complex), angle)

@@ -13,7 +13,7 @@ from lmgsqueeze.algebra import (
     second_moment_operators,
 )
 from lmgsqueeze.errors import InvalidSize, NotHermitian, TooLarge
-from lmgsqueeze.states import _axis_eig
+from lmgsqueeze.states import _x_eig
 
 SIZES = [1, 2, 6, 20, 100]
 
@@ -143,7 +143,7 @@ def test_operators_are_freed_with_their_space():
     held = [
         collective_operator(space, "Sx"),
         second_moment_operators(space)["yy"],
-        _axis_eig(space, "x").blocks[0].v,
+        _x_eig(space).blocks[0].v,
     ]
     refs = [weakref.ref(mat) for mat in held]
     assert collective_operator(space, "Sx") is held[0]  # kept while the space lives

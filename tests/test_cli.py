@@ -389,6 +389,18 @@ def test_malformed_field_is_refused_by_name(
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize(
+    "n_grid, message",
+    [([10, 0], "n_grid[1]: must be >= 1, got 0"), ([10, 2.5], "n_grid[1]: expected an integer")],
+)
+def test_bad_n_grid_entry_is_refused_by_index(tmp_path, monkeypatch, capsys, n_grid, message):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(MINIMAL, n_grid=n_grid)))
+    assert main(["scaling", "--config", str(path)]) == 2
+    assert f"error[ConfigError]: {message}" in capsys.readouterr().err
+
+
 def test_noise_zero_sigma_identical_columns(tmp_path):
     config = {
         "chi": 1.0,

@@ -236,8 +236,18 @@ def test_sign_flipped_outputs_are_the_mirrored_physical_dynamics(theta, phi):
     ],
 )
 def test_out_of_range_experiment_argument_is_a_config_error(run, field):
-    with pytest.raises(ConfigError, match=f"^{field}: "):
+    # an array field names the bad element, as gammas[i]
+    with pytest.raises(ConfigError, match=f"^{field}(\\[\\d+\\])?: "):
         run()
+
+
+def test_sweep_gamma_checks_every_gamma_before_building_a_space(monkeypatch):
+    def refuse(n_spins):
+        raise AssertionError("a space was built before the grid was checked")
+
+    monkeypatch.setattr(experiments, "build_space", refuse)
+    with pytest.raises(ConfigError, match=r"^gammas\[3\]: must lie in \[0, 0\.5\], got 0\.9$"):
+        sweep_gamma(400, [0.1, 0.2, 0.3, 0.9])
 
 
 def test_sweep_gamma_monotone_and_endpoints():

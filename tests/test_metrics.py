@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
+from scipy.linalg import expm
 
 from lmgsqueeze import metrics
 from lmgsqueeze.algebra import build_space, collective_operator
@@ -20,6 +21,7 @@ from lmgsqueeze.metrics import (
     minimize_hamiltonian,
     minimize_over_time,
     squeezing_parameter,
+    trace_from_states,
 )
 from lmgsqueeze.propagate import Eigenbasis, evolve, evolve_batch
 from lmgsqueeze.states import BlochAngles, SpinState, coherent_state, rotation
@@ -587,3 +589,31 @@ def test_scan_stops_within_one_chunk_of_an_early_bracket(monkeypatch):
     k = int(np.searchsorted(times, trace.minimum.t))
     assert 8 <= k <= 12
     assert sum(columns) <= k + 2 + metrics.SCAN_CHUNK < times.size
+
+
+def linearized_xi2(gamma, chi_n_t):
+    """Holstein-Primakoff xi^2 of |pi/2, pi/2> under chi (Sx^2 + gamma Sy^2).
+
+    For large N the fluctuations (Sx, Sz) about the mean spin along +y
+    evolve linearly, as M = exp(tA) with A = 2 chi j [[0, gamma],
+    [1 - gamma, 0]] (M = 1 + tA at gamma = 0), so xi^2 is the least
+    eigenvalue of M M^T, up to corrections of order 1/N.
+    """
+    m = expm(chi_n_t * np.array([[0.0, gamma], [1.0 - gamma, 0.0]]))  # 2 chi j t = chi N t
+    return np.linalg.eigvalsh(m @ m.T)[0]
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(10, 400), gamma=st.floats(0.0, 0.5))
+@example(n=1000, gamma=0.5)
+def test_xi2_approaches_the_holstein_primakoff_limit(n, gamma):
+    # N |xi^2 / xi^2_lin - 1| <= 2 up to chi N t = 1.5: the largest value,
+    # about 1.42, is at gamma = 1/2 and chi N t = 1.5 for N from 200 to 1000
+    space = build_space(n)
+    psi = coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
+    chi_n_t = np.linspace(0.0, 1.5, 16)
+    times = chi_n_t / n
+    basis = model_eigenbasis(from_chi_gamma(1.0, gamma, n), space)
+    xi2 = trace_from_states(space, times, evolve_batch(psi, basis, times)).xi2
+    linear = np.array([linearized_xi2(gamma, x) for x in chi_n_t])
+    assert np.max(n * np.abs(xi2 / linear - 1.0)) <= 2.0

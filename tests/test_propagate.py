@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from lmgsqueeze import algebra, propagate
 from lmgsqueeze.algebra import build_space, collective_operator, quadratic_form
 from lmgsqueeze.canonical import (
     CouplingMatrix,
+    LMGModel,
     canonicalize,
     frame_unitary,
     from_chi_gamma,
@@ -37,8 +39,6 @@ from lmgsqueeze.states import (
     SpinState,
     coherent_state,
     rotate_state,
-    rotation,
-    rotation_about,
 )
 
 
@@ -479,23 +479,13 @@ def _inline_rotation(space, axis, angle):
 
 @pytest.mark.parametrize("n", [1, 20, 101])
 def test_eigenbasis_kernel_keeps_the_inline_bytes(n):
-    # The seed-0 references depend on the rounding of the coherent states
-    # and pulses, so each must equal, bit for bit, the formula it replaced.
-    # The pulsed reference applies only z pulses (its x and y pulse pairs
-    # run in the toggling frame); x and y pulses reach the outputs only as
-    # drawn noise pulses, such as the tilts of a z pulse.  The dense rotation
-    # matrix is rotate_state applied to the identity; nothing on the
-    # references' paths uses it, so it only agrees.
+    # The seed-0 references depend on the rounding of the coherent states,
+    # so each must equal, bit for bit, the formula it replaced.  The pulsed
+    # reference applies only z pulses (its x and y pulse pairs run in the
+    # toggling frame); x and y pulses reach the outputs only as drawn noise
+    # pulses, such as the tilts of a z pulse, and test_states checks them
+    # against expm.
     space = build_space(n)
-    state = coherent_state(space, BlochAngles(1.1, 0.4))
-    for axis in ("x", "y"):
-        w, v = np.linalg.eigh(collective_operator(space, "S" + axis))
-        for angle in (math.pi / 2, -math.pi / 2, 0.3731, -1.2e-3):
-            inline = v @ (np.exp(-1j * angle * w) * (v.conj().T @ state.amplitudes))
-            assert np.array_equal(rotate_state(state, axis, angle).amplitudes, inline)
-            dense = (v * np.exp(-1j * angle * w)) @ v.conj().T
-            assert np.max(np.abs(rotation(space, axis, angle) - dense)) <= 1e-12
-
     sx, sy = collective_operator(space, "Sx"), collective_operator(space, "Sy")
     for theta in (0.0, math.pi / 2, 17 * math.pi / 32, math.pi):
         for phi in (0.0, 1.5232, 4.76):
@@ -710,11 +700,13 @@ UNIT = st.floats(-1.0, 1.0)
 def test_global_rotation_leaves_xi2_and_dynamics_unchanged(
     n, axis, angle, a, b, c, theta, phi, tau
 ):
-    # U = exp(-i angle n.S) rotates the state and H together: a change of
-    # frame, so xi^2 of U psi is xi^2 of psi, and U psi evolved under
-    # U H U^dag is U applied to psi evolved under H
+    # U = exp(-i angle n.S), the frame unitary of the turn by angle about n,
+    # rotates the state and H together: a change of frame, so xi^2 of U psi
+    # is xi^2 of psi, and U psi evolved under U H U^dag is U applied to psi
+    # evolved under H
     space = build_space(n)
-    u = rotation_about(space, np.array(axis), angle)
+    frame = Rotation.from_rotvec(angle * np.array(axis) / np.linalg.norm(axis)).as_matrix()
+    u = frame_unitary(LMGModel(1.0, 0.1, frame, False, n, 0.0), space)
     form = quadratic_form(space, a, b, c)
     ham = Eigenbasis.of(form)
     t = tau / n

@@ -5,6 +5,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from lmgsqueeze.algebra import build_space, collective_operator
 from lmgsqueeze.states import BlochAngles, SpinState, coherent_state, rotate_state, rotation
@@ -126,6 +129,34 @@ def test_rotation_matrix_is_rotate_state_on_a_block(axis):
     for angle in (math.pi / 2, -0.37):
         rotated = rotate_state(SpinState(block, space), axis, angle).amplitudes
         assert np.max(np.abs(rotation(space, axis, angle) @ block - rotated)) <= 1e-13
+
+
+TURN = st.floats(-2 * math.pi, 2 * math.pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    axis=st.sampled_from(["x", "y", "z"]),
+    angles=st.lists(TURN, min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rotate_state_matches_expm(n, axis, angles, seed):
+    # x rotations through the real Sx basis, y rotations as x rotations
+    # between quarter turns about z, z rotations as phases: each against
+    # scipy's dense exponential, on one vector and on a (dim, R) block
+    # rotated by one angle per column
+    space = build_space(n)
+    rng = np.random.default_rng(seed)
+    shape = (space.dim, len(angles))
+    block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    block /= np.linalg.norm(block, axis=0)
+    generator = collective_operator(space, "S" + axis)
+    want = np.column_stack([expm(-1j * a * generator) @ block[:, k] for k, a in enumerate(angles)])
+    one = rotate_state(SpinState(block[:, 0], space), axis, angles[0]).amplitudes
+    assert np.max(np.abs(one - want[:, 0])) <= 1e-12
+    per_column = rotate_state(SpinState(block, space), axis, np.array(angles)).amplitudes
+    assert np.max(np.abs(per_column - want)) <= 1e-12
 
 
 def test_angle_validation():

@@ -1,9 +1,11 @@
 """The test configuration and the source tree: a failing property test must
 still report the example that broke it under the repo's pytest settings, the
 package must import nothing it does not use, every dense eigensolve must go
-through the one checked entry point, evolution and the minimum search must
-take a factored basis, every exponential must be formed in the
-one propagation kernel, pulses must be applied only by the segment executor,
+through the one checked entry point, dense bases must be only the
+coherent-state generators, the effective Hamiltonian and the one real x
+basis, evolution and the minimum search must take a factored basis, every
+exponential must be formed in the one propagation kernel, pulses must be
+applied only by the segment executor,
 every function the benchmark traces must exist, each benchmark workload
 must reach the spans its traced run expects, the README's library
 example must run, and numpy must be the one runtime dependency."""
@@ -138,6 +140,28 @@ def test_dense_eigensolves_go_through_hamiltonian_eig():
         ("algebra.py", "of_quadratic_form"),
         ("propagate.py", "evolve_full_product_space"),
     }
+
+
+def test_dense_bases_are_only_the_coherent_generators_h_eff_and_the_real_x_basis():
+    # every rotation about x or y goes through the one real basis of Sx (a y
+    # rotation between quarter turns about z), so no complex axis basis and
+    # no eigensolve of n.S is built; the coherent-state generators and the
+    # effective Hamiltonian are the only dense complex bases left
+    from lmgsqueeze.algebra import build_space
+    from lmgsqueeze.states import _x_eig
+
+    found = {
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, _ in calls_named(path.read_text(), "of")
+    }
+    assert found == {
+        ("states.py", "coherent_generator_eig"),
+        ("states.py", "_x_eig"),
+        ("experiments.py", "predicted_optimal_time"),
+    }
+    (block,) = _x_eig(build_space(6)).blocks
+    assert block.v.dtype.kind == "f"  # real
 
 
 def test_the_kernel_takes_a_basis_and_factors_nothing():
