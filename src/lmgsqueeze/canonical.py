@@ -224,7 +224,8 @@ def frame_unitary(model: LMGModel, space: DickeSpace) -> np.ndarray:
     H_lab = U^dag (sign * chi (Sx^2 + gamma Sy^2)) U + dropped_constant.
 
     With frame = Rz(alpha) Ry(beta) Rz(gamma), its z-y-z Euler angles,
-    U = rotation(z, alpha) rotation(y, beta) rotation(z, gamma).  alpha is
+    U = rotation(z, alpha) rotation(y, beta) rotation(z, gamma), the two
+    diagonal z rotations applied as row and column scalings.  alpha is
     read from the third column, scaled by sin(beta), and gamma from the
     upper 2x2 block, which gives alpha + gamma scaled by 1 + cos(beta) and
     alpha - gamma scaled by 1 - cos(beta); taking the larger scale keeps
@@ -238,11 +239,9 @@ def frame_unitary(model: LMGModel, space: DickeSpace) -> np.ndarray:
         gamma = np.arctan2(r[1, 0] - r[0, 1], r[0, 0] + r[1, 1]) - alpha
     else:
         gamma = alpha + np.arctan2(r[0, 1] + r[1, 0], r[1, 1] - r[0, 0])
-    return (
-        rotation(space, "z", float(alpha))
-        @ rotation(space, "y", float(beta))
-        @ rotation(space, "z", float(gamma))
-    )
+    # the z rotations are diagonal: they scale the rows and the columns
+    left, right = (np.diagonal(rotation(space, "z", float(angle))) for angle in (alpha, gamma))
+    return left[:, None] * rotation(space, "y", float(beta)) * right
 
 
 def pairwise_collective_hamiltonian(

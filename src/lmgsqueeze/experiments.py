@@ -2,18 +2,18 @@
 size scaling, and the Gaussian-noise Monte Carlo.
 
 Every experiment returns an ExperimentResult holding named tables plus a
-descriptor, and is bit-reproducible from (parameters, seed): randomness is
-drawn from per-run child streams spawned from one root SeedSequence, and
-each noise channel owns a dedicated stream per run, so inactive channels
-consume nothing and worker partitioning cannot change any draw.  A noise run
-is the nominal pulse schedule with its segments perturbed (stretched free
-evolutions, scaled or tilted pulses, per-run Hamiltonians factored once,
-or per-segment Hamiltonians applied as ``algebra.BandedForm``s), executed
-by the same ``propagate.run_cycles`` as the noiseless schedule.  Runs that
+descriptor, and is bit-reproducible from (parameters, seed): each noise run
+spawns one child seed per channel from its own child of one root
+SeedSequence and draws only from its active channel's, so worker
+partitioning cannot change any draw.  A noise run is the nominal run plus
+the draws of its one channel (a drawn model, stretched free evolutions,
+scaled or tilted pulses, or per-segment Hamiltonians applied as
+``algebra.BandedForm``s), executed by the same ``propagate.run_cycles`` as
+the noiseless run, ``propagate.run_schedule`` of the schedule.  Runs that
 drew one (atom number, gamma, chi) are stepped together, one column each
 of a block, in blocks fixed by the draws alone, so the worker count cannot
-change any byte either.  The noiseless run is the schedule
-itself, run by ``propagate.run_schedule``.
+change any byte either; blocks on the nominal model reuse the noiseless
+run's coherent state and free eigenbasis.
 
 Emitted tables (one CSV per table, RFC-4180-style, LF line endings, floats
 at 17 significant digits):
@@ -43,7 +43,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,10 +100,6 @@ class NoiseSpec:
     @property
     def resolved_scope(self) -> str:
         return self.scope if self.scope is not None else ALLOWED_SCOPES[self.channel][0]
-
-    def draws(self, channel: str, scope: str) -> bool:
-        """Whether runs under this spec draw ``channel`` at ``scope``."""
-        return self.channel == channel and self.relative_sigma > 0.0 and self.resolved_scope == scope
 
 
 @dataclass(frozen=True)
@@ -223,6 +218,9 @@ def evolve_trace(
 def _map(function, tasks: list, workers: int) -> list:
     """``function`` of each task, in order; in ``workers`` processes if more than one."""
     if workers > 1:
+        # imported here, so that a one-process call never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(function, tasks))
     return [function(task) for task in tasks]
@@ -605,36 +603,28 @@ def scaling_study(
 # noise Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _channel_streams(seed_seq) -> dict:
-    children = seed_seq.spawn(len(NOISE_CHANNELS))
-    return {
-        name: np.random.Generator(np.random.PCG64(child))
-        for name, child in zip(NOISE_CHANNELS, children)
-    }
-
-
 @dataclass
 class _Run:
-    """One trajectory: its channel streams, the relative sigma it draws with
-    and the values it draws once."""
+    """One trajectory: the nominal run plus the draws of its one active
+    channel, from that channel's stream.  A per-run draw changes its model
+    (n_spins, gamma, chi) or is kept as its one ``drawn`` value (a separation
+    or area factor, or a tilt)."""
 
-    streams: dict
-    sigma: float
+    noise: NoiseSpec
+    stream: "np.random.Generator"  # a string: numpy loads numpy.random on first use
     n_spins: int
     gamma: float
     chi: float
-    area: float = 1.0
-    tilt: tuple | None = None
-    separation: float = 1.0
+    drawn: float | tuple | None = None
 
-    def factor(self, name: str) -> float:
-        """A relative factor 1 + sigma * N(0, 1) from the stream for ``name``."""
-        return 1.0 + self.sigma * self.streams[name].standard_normal()
-
-    def draw_tilt(self) -> tuple:
-        stream = self.streams["pulse_phase"]
-        delta = self.sigma * (math.pi / 2.0) * stream.standard_normal()
-        return delta, stream.uniform(0.0, 2.0 * math.pi)
+    def draw(self):
+        """One draw of the channel: a relative factor 1 + sigma * N(0, 1),
+        or for pulse_phase a tilt (angle, azimuth)."""
+        sigma = self.noise.relative_sigma
+        if self.noise.channel == "pulse_phase":
+            delta = sigma * (math.pi / 2.0) * self.stream.standard_normal()
+            return delta, self.stream.uniform(0.0, 2.0 * math.pi)
+        return 1.0 + sigma * self.stream.standard_normal()
 
     def free_form(self, gamma_factor: float = 1.0) -> tuple:
         """The (a, b, c) of chi (Sx^2 + gamma Sy^2), gamma scaled by ``gamma_factor``."""
@@ -642,21 +632,20 @@ class _Run:
 
 
 def _new_run(noise: NoiseSpec, model: LMGModel, seed) -> _Run:
-    """A run of ``model`` with its streams spawned from ``seed`` and its
-    per-run draws made."""
-    run = _Run(_channel_streams(seed), noise.relative_sigma, model.n_spins, model.gamma, model.chi)
-    if noise.draws("gamma", "per_run"):
-        run.gamma *= run.factor("gamma")
-    if noise.draws("chi", "per_run"):
-        run.chi *= run.factor("chi")
-    if noise.draws("atom_number", "per_run"):
-        run.n_spins = max(1, int(round(run.n_spins * run.factor("atom_number"))))
-    if noise.draws("pulse_area", "per_run"):
-        run.area = run.factor("pulse_area")
-    if noise.draws("pulse_phase", "per_run"):
-        run.tilt = run.draw_tilt()
-    if noise.draws("pulse_separation", "per_run"):
-        run.separation = run.factor("pulse_separation")
+    """A run of ``model`` with its per-run draw made.  ``seed`` spawns one
+    child per channel, in NOISE_CHANNELS order; only the active channel's
+    child becomes a stream."""
+    child = seed.spawn(len(NOISE_CHANNELS))[NOISE_CHANNELS.index(noise.channel)]
+    stream = np.random.Generator(np.random.PCG64(child))
+    run = _Run(noise, stream, model.n_spins, model.gamma, model.chi)
+    if noise.relative_sigma > 0.0 and noise.resolved_scope == "per_run":
+        value = run.draw()
+        if noise.channel == "atom_number":
+            run.n_spins = max(1, int(round(run.n_spins * value)))
+        elif noise.channel in ("gamma", "chi"):
+            setattr(run, noise.channel, getattr(run, noise.channel) * value)
+        else:
+            run.drawn = value
     return run
 
 
@@ -667,12 +656,14 @@ def _per_column(values: list):
 
 
 def _noise_block(block: tuple) -> list:
-    """Simulate the (possibly noisy) trajectories of a block (space,
-    schedule, initial state, NoiseSpec, runs).  Its runs share one (n_spins,
-    gamma, chi) and are stepped as the columns of one array: the nominal
-    schedule from the initial state, with each of its segments perturbed as
-    each run draws.  Its free segments run under the parity Eigenbasis of
-    that form, and its x and y pulse pairs in the toggling frame
+    """Simulate the (possibly noisy) trajectories of a block (space, nominal
+    state, nominal basis, schedule, initial angles, runs).  Its runs share
+    one (n_spins, gamma, chi) and are stepped as the columns of one array:
+    the nominal schedule, with the kind of segment the active channel acts
+    on perturbed as each run draws, and every other segment as it is.  The
+    state, or the parity Eigenbasis of the free form, is None when the
+    block's N, or its form, is not the nominal one, and is then built here.
+    x and y pulse pairs run in the toggling frame
     (``propagate.toggled_cycle``), as in ``run_schedule``, unless the
     pulses or a per-segment gamma are drawn.  A per-segment gamma makes
     each free segment one BandedForm, applied once, whose column r takes
@@ -680,66 +671,67 @@ def _noise_block(block: tuple) -> list:
 
     Returns, per run: the xi2 value at every cycle boundary (nan where the
     contrast collapses), the realized (n_spins, gamma, chi), the count of
-    clamped negative durations and the norm error.  A drawn atom number gets
-    a space of its own, dropped with the block.
+    clamped negative durations and the norm error.  Runs that follow one
+    trajectory are stepped and scored once, as one column.  A drawn atom
+    number gets a space of its own, dropped with the block.
     """
-    nominal, sch, initial, noise, runs = block
-    repeated = noise.relative_sigma == 0.0 or noise.resolved_scope == "per_run"
-    # runs that drew the same values, and draw nothing per segment or pulse,
+    space, psi0, basis, sch, initial, runs = block
+    run, noise = runs[0], runs[0].noise
+    per_segment = noise.relative_sigma > 0.0 and noise.resolved_scope != "per_run"
+    # the kind of segment the channel perturbs; a per-run gamma, chi or atom
+    # number changes the model instead, and sigma = 0 perturbs nothing
+    kind = None
+    if per_segment or run.drawn is not None:
+        kind = PulseSegment if noise.channel in ("pulse_area", "pulse_phase") else FreeSegment
+    banded = per_segment and noise.channel == "gamma"
+    # runs that drew the same value, and draw nothing per segment or pulse,
     # follow one trajectory: it is stepped once, as one column
-    same = len({(run.area, run.tilt, run.separation) for run in runs}) == 1
-    columns = runs[:1] if repeated and same else runs
-    n_spins = runs[0].n_spins
-    space = nominal if n_spins == nominal.n_spins else build_space(n_spins)
-
-    form = runs[0].free_form()
-    per_segment_gamma = noise.draws("gamma", "per_segment")
-    if not per_segment_gamma:  # else every free segment draws its own form
+    same = not per_segment and len({r.drawn for r in runs}) == 1
+    columns = runs[:1] if same else runs
+    if run.n_spins != space.n_spins:
+        space = build_space(run.n_spins)
+    if psi0 is None:
+        psi0 = coherent_state(space, initial)
+    form = run.free_form()
+    if basis is None and not banded:  # else every free segment draws its own form
         basis = Eigenbasis.of_quadratic_form(quadratic_form(space, *form))
     segments = sch.segments
-    drawn_pulses = noise.relative_sigma > 0.0 and noise.channel in ("pulse_area", "pulse_phase")
-    if not (drawn_pulses or per_segment_gamma):
+    if kind is not PulseSegment and not banded:
         segments = toggled_cycle(space, segments, form)
-    psi = coherent_state(space, initial).amplitudes
+    segments = [
+        FreeSegment(seg.duration, seg.hamiltonian or basis) if isinstance(seg, FreeSegment) else seg
+        for seg in segments
+    ]
     clamped = [0] * len(columns)
 
     def realize(seg) -> tuple:
-        """The segments that realize one nominal segment in every run."""
-        if isinstance(seg, FreeSegment):
+        """The segments that realize one nominal segment in every column."""
+        if kind is None or not isinstance(seg, kind):
+            return (seg,)
+        values = [r.draw() if per_segment else r.drawn for r in columns]
+        if banded:
+            # one form per segment, applied once: each run's drawn gamma
+            # sets the coefficients of its column
+            forms = [r.free_form(value) for r, value in zip(columns, values)]
+            return (FreeSegment(seg.duration, BandedForm(space, *zip(*forms))),)
+        if kind is FreeSegment:  # a drawn separation or chi scales the duration
             durations = []
-            for r, run in enumerate(columns):
-                factor = run.separation
-                if noise.draws("pulse_separation", "per_segment"):
-                    factor = run.factor("pulse_separation")
-                if noise.draws("chi", "per_segment"):
-                    factor *= run.factor("chi")
-                duration = seg.duration * factor
+            for c, value in enumerate(values):
+                duration = seg.duration * value
                 if duration < 0.0:
-                    clamped[r] += 1
+                    clamped[c] += 1
                     duration = 0.0
                 durations.append(duration)
-            if per_segment_gamma:
-                # one form per segment, applied once: each run's drawn gamma
-                # sets the coefficients of its column
-                forms = [run.free_form(run.factor("gamma")) for run in columns]
-                return (FreeSegment(_per_column(durations), BandedForm(space, *zip(*forms))),)
-            return (FreeSegment(_per_column(durations), seg.hamiltonian or basis),)
-        per_pulse_area = noise.draws("pulse_area", "per_pulse")
-        per_pulse_tilt = noise.draws("pulse_phase", "per_pulse")
-        angles = [
-            seg.angle * (run.factor("pulse_area") if per_pulse_area else run.area)
-            for run in columns
-        ]
-        tilts = [run.draw_tilt() if per_pulse_tilt else run.tilt for run in columns]
-        if tilts[0] is None:
-            return (PulseSegment(seg.axis, _per_column(angles)),)
-        delta = _per_column([tilt[0] for tilt in tilts])
-        beta = _per_column([tilt[1] for tilt in tilts])
+            return (FreeSegment(_per_column(durations), seg.hamiltonian),)
+        if noise.channel == "pulse_area":
+            return (PulseSegment(seg.axis, _per_column([seg.angle * value for value in values])),)
+        delta = _per_column([value[0] for value in values])
+        beta = _per_column([value[1] for value in values])
         tilt_axis = {"z": "y", "y": "x", "x": "z"}[seg.axis]
         return (
             PulseSegment(seg.axis, -beta),
             PulseSegment(tilt_axis, -delta),
-            PulseSegment(seg.axis, _per_column(angles)),
+            seg,
             PulseSegment(tilt_axis, delta),
             PulseSegment(seg.axis, beta),
         )
@@ -747,7 +739,7 @@ def _noise_block(block: tuple) -> list:
     def realize_cycle() -> tuple:
         return tuple(out for seg in segments for out in realize(seg))
 
-    if repeated:
+    if not per_segment:
         # nothing is drawn per segment or pulse: every cycle is the same
         cycles = (realize_cycle(),) * sch.cycle_count
         clamped = [count * sch.cycle_count for count in clamped]
@@ -755,38 +747,43 @@ def _noise_block(block: tuple) -> list:
         # realized one cycle at a time, so draws follow segment order and a
         # per-segment form lives only as long as its cycle
         cycles = (realize_cycle() for _ in range(sch.cycle_count))
-    block = np.repeat(psi[:, None], len(columns), axis=1)
-    _, states = run_cycles(SpinState(block, space), cycles)
+    amps = np.repeat(psi0.amplitudes[:, None], len(columns), axis=1)
+    _, states = run_cycles(SpinState(amps, space), cycles)
 
-    outcomes = []
-    for r, run in enumerate(runs):
-        c = r if len(columns) > 1 else 0
-        run_states = states[:, c]
+    scored = []
+    for c in range(len(columns)):
         # the noise perturbs parameters, never the state: evolution stays unitary
-        norm_error = abs(float(np.linalg.norm(run_states[:, -1])) - 1.0)
-        xi2, _, _, _ = batch_squeezing(space, run_states)
-        outcomes.append((xi2, (n_spins, run.gamma, run.chi), clamped[c], norm_error))
-    return outcomes
+        norm_error = abs(float(np.linalg.norm(states[:, c, -1])) - 1.0)
+        xi2, _, _, _ = batch_squeezing(space, states[:, c])
+        scored.append((xi2, (run.n_spins, run.gamma, run.chi), clamped[c], norm_error))
+    return scored * len(runs) if same else scored
 
 
-def _noise_outcomes(space, model, sch, initial, noise, n_runs, seed, workers) -> list:
+def _noise_outcomes(
+    space, model, sch, initial, noise, n_runs, seed, workers, psi0=None, basis=None
+) -> list:
     """Each noisy run's outcome, as ``_noise_block`` returns it, in run order.
 
     The runs are grouped by their (n_spins, gamma, chi), which fixes the
     space and the free Hamiltonian they share (its Eigenbasis, or per
     segment one BandedForm with a column per run), and cut into blocks of
-    at most BLOCK_BYTES, so no block depends on the worker count.
+    at most BLOCK_BYTES, so no block depends on the worker count.  Blocks
+    on the nominal N take ``psi0``, the coherent state at ``initial``, and
+    blocks on the nominal form take ``basis``, its parity Eigenbasis, when
+    the caller holds them.
     """
     runs = [_new_run(noise, model, child) for child in np.random.SeedSequence(seed).spawn(n_runs)]
     groups = {}
     for index, run in enumerate(runs):
         groups.setdefault((run.n_spins, run.gamma, run.chi), []).append(index)
-    blocks = []
-    for indices in groups.values():
-        dim = runs[indices[0]].n_spins + 1
-        width = max(1, BLOCK_BYTES // (16 * dim * (sch.cycle_count + 1)))
-        blocks += [indices[i : i + width] for i in range(0, len(indices), width)]
-    tasks = [(space, sch, initial, noise, [runs[i] for i in block]) for block in blocks]
+    tasks, blocks = [], []
+    for key, indices in groups.items():
+        width = max(1, BLOCK_BYTES // (16 * (key[0] + 1) * (sch.cycle_count + 1)))
+        state = psi0 if key[0] == model.n_spins else None
+        nominal = basis if key == (model.n_spins, model.gamma, model.chi) else None
+        for i in range(0, len(indices), width):
+            blocks.append(indices[i : i + width])
+            tasks.append((space, state, nominal, sch, initial, [runs[j] for j in blocks[-1]]))
     outcomes = [None] * n_runs
     for block, block_outcomes in zip(blocks, _map(_noise_block, tasks, workers)):
         for index, outcome in zip(block, block_outcomes):
@@ -819,10 +816,11 @@ def noise_monte_carlo(
         total_time = 1.2 * predicted_optimal_time(design_, model, space, psi0)[0]
     sch = schedule(design_, model, total_time, max_step=max_step, cycles=cycles)
     scope = noise.resolved_scope
-    ref = run_schedule(psi0, sch, model)
+    basis = model_eigenbasis(model, space)
+    ref = run_schedule(psi0, sch, model, model_basis=basis)
     ref_min = float(np.nanmin(ref.xi2))
     outcomes = _noise_outcomes(
-        space, model, sch, design_.optimal_initial, noise, n_runs, seed, workers
+        space, model, sch, design_.optimal_initial, noise, n_runs, seed, workers, psi0, basis
     )
 
     chi_n = model.chi * model.n_spins

@@ -1,6 +1,8 @@
-"""The noise Monte Carlo steps its runs in blocks, one column per run.  Each
-run must come out as if it had been stepped alone, segment by segment, and
-no output may depend on which runs share a block or on the worker count."""
+"""The noise Monte Carlo steps its runs in blocks, one column per run, or
+one column for runs that follow one trajectory.  Each run must come out as
+if it had been stepped alone, segment by segment, no output may depend on
+which runs share a block or on the worker count, and a block recomputes
+nothing the nominal run already holds."""
 
 import math
 import os
@@ -25,7 +27,11 @@ def step_alone(model, sch, initial, noise, seed_seq, sigma):
     """One run drawn and stepped on its own, one segment at a time, as the
     Monte Carlo did before runs were blocked: (xi2 trace, (n_spins, gamma,
     chi), clamped segments)."""
-    streams = experiments._channel_streams(seed_seq)
+    # one stream per channel, spawned in ALLOWED_SCOPES order
+    streams = {
+        name: np.random.Generator(np.random.PCG64(child))
+        for name, child in zip(ALLOWED_SCOPES, seed_seq.spawn(len(ALLOWED_SCOPES)))
+    }
     channel, scope = noise.channel, noise.resolved_scope
     gamma, chi, n_spins = model.gamma, model.chi, model.n_spins
 
@@ -203,3 +209,61 @@ def test_per_segment_gamma_shares_one_block_and_factors_no_segment(monkeypatch):
         counts.append(len(factored))
     assert counts[0] == counts[1]
     assert blocks == [[3], [3]]
+
+
+def test_runs_on_one_trajectory_are_scored_once(monkeypatch):
+    # atom-number runs that drew one N follow one trajectory: the block steps
+    # it as one column and takes its xi2 once, not once per run
+    model, design_, _ = block_setup()
+    stepped, scored = [], []
+    stepping, scoring = experiments.run_cycles, experiments.batch_squeezing
+
+    def counting_steps(state, cycles):
+        stepped.append(state.amplitudes.shape[1])
+        return stepping(state, cycles)
+
+    def counting_scores(space, states):
+        scored.append(states.shape)
+        return scoring(space, states)
+
+    monkeypatch.setattr(experiments, "run_cycles", counting_steps)
+    monkeypatch.setattr(experiments, "batch_squeezing", counting_scores)
+    noise = NoiseSpec("atom_number", 0.1)
+    n_runs = 12
+    result = noise_monte_carlo(model, design_, noise, n_runs, seed=5, total_time=0.4, cycles=20)
+    n_drawn = {row[1] for row in result.tables["runs"].rows}
+    assert sum(stepped) == len(n_drawn) < n_runs
+    assert len(scored) == sum(stepped)
+
+
+def test_blocks_reuse_the_nominal_state_and_basis(monkeypatch):
+    # blocks on the nominal (N, gamma, chi) take the coherent state and the
+    # free parity basis that the noiseless reference runs on: each is built
+    # once per Monte Carlo, however many blocks there are
+    model, design_, sch = block_setup()
+    monkeypatch.setattr(experiments, "BLOCK_BYTES", 2 * 16 * (N_BLOCK + 1) * (sch.cycle_count + 1))
+    states, factored, blocks = [], [], []
+    prepare = experiments.coherent_state
+    of_quadratic_form = Eigenbasis.of_quadratic_form.__func__
+    mapped = experiments._map
+
+    def counting_states(space, angles, *args):
+        states.append(angles)
+        return prepare(space, angles, *args)
+
+    def counting_bases(cls, matrix):
+        factored.append(1)
+        return of_quadratic_form(cls, matrix)
+
+    def recording(function, tasks, workers):
+        blocks.append(len(tasks))
+        return mapped(function, tasks, workers)
+
+    monkeypatch.setattr(experiments, "coherent_state", counting_states)
+    monkeypatch.setattr(Eigenbasis, "of_quadratic_form", classmethod(counting_bases))
+    monkeypatch.setattr(experiments, "_map", recording)
+    noise = NoiseSpec("pulse_separation", 0.1)
+    noise_monte_carlo(model, design_, noise, n_runs=6, seed=7, total_time=0.4, cycles=20)
+    assert blocks == [3]
+    assert states == [design_.optimal_initial]
+    assert len(factored) == 1

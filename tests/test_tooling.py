@@ -8,7 +8,8 @@ exponential must be formed in the one propagation kernel, pulses must be
 applied only by the segment executor,
 every function the benchmark traces must exist, each benchmark workload
 must reach the spans its traced run expects, the README's library
-example must run, and numpy must be the one runtime dependency."""
+example must run, numpy must be the one runtime dependency, and a CLI run
+must load neither scipy, nor the process pool, nor numpy.random."""
 
 import ast
 import importlib
@@ -360,6 +361,25 @@ def test_a_cli_run_leaves_scipy_unimported(tmp_path):
         "import lmgsqueeze, lmgsqueeze.cli\n"
         "assert lmgsqueeze.cli.main(['design', '--chi', '1', '--gamma', '0.1']) == 0\n"
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    result = run_python(script, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
+def test_a_cli_run_leaves_multiprocessing_unimported(tmp_path):
+    # only a call with more than one worker starts processes, so only it
+    # pays for importing the process pool; only a noise run draws, so only
+    # it loads numpy.random (about 4 MB of peak RSS)
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['lmgsqueeze', 'design', '--chi', '1', '--gamma', '0.1']\n"
+        "try:\n"
+        "    runpy.run_module('lmgsqueeze', run_name='__main__')\n"
+        "except SystemExit as exit:\n"
+        "    assert not exit.code, exit.code\n"
+        "unused = {'multiprocessing', 'concurrent.futures.process', 'numpy.random'}\n"
+        "print(sorted(unused & set(sys.modules)))\n"
     )
     result = run_python(script, tmp_path)
     assert result.returncode == 0, result.stderr
