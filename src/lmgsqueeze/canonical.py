@@ -239,8 +239,9 @@ def frame_unitary(model: LMGModel, space: DickeSpace) -> np.ndarray:
         gamma = np.arctan2(r[1, 0] - r[0, 1], r[0, 0] + r[1, 1]) - alpha
     else:
         gamma = alpha + np.arctan2(r[0, 1] + r[1, 0], r[1, 1] - r[0, 0])
-    # the z rotations are diagonal: they scale the rows and the columns
-    left, right = (np.diagonal(rotation(space, "z", float(angle))) for angle in (alpha, gamma))
+    # the z rotations are diagonal, rotations of ones: they scale rows and columns
+    ones = np.ones(space.dim, dtype=complex)
+    left, right = (rotation(space, "z", float(angle), of=ones) for angle in (alpha, gamma))
     return left[:, None] * rotation(space, "y", float(beta)) * right
 
 

@@ -84,12 +84,12 @@ _OMITTABLE_KEYS = {
 
 def trace_bytes(experiment: str, n_spins: int, grid_points: int) -> int:
     """Memory an experiment holds at once for its traces on ``grid_points``
-    times at ``n_spins``.  evolve and compare-pulsed sample the whole grid as
-    one block; the other experiments scan it SCAN_CHUNK times at a time and
-    keep SCAN_SAMPLE_BYTES per time, and the initial-state sweep also keeps
-    one (N+1) x grid_points phase table for every point."""
+    times at ``n_spins``.  evolve samples the whole grid as one block; the
+    sweeps and scaling scan it SCAN_CHUNK times at a time and keep
+    SCAN_SAMPLE_BYTES per time, and the initial-state sweep also keeps one
+    (N+1) x grid_points phase table for every point."""
     block = 16 * (n_spins + 1)
-    if experiment in ("evolve", "compare-pulsed"):
+    if experiment == "evolve":
         return TRACE_BLOCKS * block * grid_points
     needed = TRACE_BLOCKS * block * min(grid_points, SCAN_CHUNK) + SCAN_SAMPLE_BYTES * grid_points
     if experiment == "sweep-initial-state":
@@ -233,9 +233,11 @@ def validate_config(raw: dict) -> dict:
         _fail("variants", f"expected an array of names, got {cfg['variants']}")
     cfg["n_runs"] = _require_number(cfg, "n_runs", lo=1, integer=True)
 
-    # refuse, before anything is allocated, a trace or sweep grid whose
-    # arrays would not fit in physical memory
-    if cfg["grid_points"] is not None:
+    # refuse, before anything is allocated, a trace or sweep grid whose arrays
+    # would not fit in physical memory; only these experiments read grid_points
+    # (compare-pulsed samples its z cycle grid, which pulses.schedule sizes)
+    grid_readers = ("evolve", "sweep-initial-state", "sweep-gamma", "scaling")
+    if cfg["grid_points"] is not None and experiment in grid_readers:
         n = max(cfg["n_grid"]) if experiment == "scaling" else cfg["n_spins"]
         require_memory(
             trace_bytes(experiment, n, cfg["grid_points"]),

@@ -8,12 +8,12 @@ SeedSequence and draws only from its active channel's, so worker
 partitioning cannot change any draw.  A noise run is the nominal run plus
 the draws of its one channel (a drawn model, stretched free evolutions,
 scaled or tilted pulses, or per-segment Hamiltonians applied as
-``algebra.BandedForm``s), executed by the same ``propagate.run_cycles`` as
-the noiseless run, ``propagate.run_schedule`` of the schedule.  Runs that
-drew one (atom number, gamma, chi) are stepped together, one column each
-of a block, in blocks fixed by the draws alone, so the worker count cannot
-change any byte either; blocks on the nominal model reuse the noiseless
-run's coherent state and free eigenbasis.
+``algebra.BandedForm``s), executed by ``propagate.run_cycles`` as the
+noiseless run is.  Runs that drew one (atom number, gamma, chi) are stepped
+together, one column each of a block, in blocks fixed by the draws alone,
+so the worker count cannot change any byte either; blocks on the nominal
+model start from the noiseless run's coherent state and perturb the one
+cycle (``propagate.realized_cycle``) that the Monte Carlo realized for it.
 
 Emitted tables (one CSV per table, RFC-4180-style, LF line endings, floats
 at 17 significant digits):
@@ -52,7 +52,7 @@ from .algebra import BandedForm, Eigenbasis, build_space, quadratic_form
 from .canonical import LMGModel, from_chi_gamma, model_eigenbasis
 from .errors import ConfigError
 from .metrics import batch_squeezing, default_horizon, fit_loglog_slope, minimize_hamiltonian
-from .propagate import FreeSegment, PulseSegment, run_cycles, run_schedule, toggled_cycle
+from .propagate import FreeSegment, PulseSegment, realized_cycle, run_cycles, run_schedule
 from .pulses import PulseDesign, design, effective_hamiltonian, schedule
 from .states import BlochAngles, SpinState, coherent_generator_eig, coherent_state
 
@@ -655,53 +655,50 @@ def _per_column(values: list):
     return values[0] if all(value == values[0] for value in values) else np.array(values)
 
 
+def _perturbation(noise: NoiseSpec) -> tuple:
+    """(kind, banded): the kind of segment the channel perturbs, None at
+    sigma = 0 or where a per-run draw changes the model, and whether each
+    free segment is one BandedForm (a per-segment gamma).  Runs that perturb
+    pulses or band their free segments keep their pulses as rotations."""
+    model_draw = noise.channel in ("gamma", "chi", "atom_number")
+    if noise.relative_sigma == 0.0 or (model_draw and noise.resolved_scope == "per_run"):
+        return None, False
+    kind = PulseSegment if noise.channel in ("pulse_area", "pulse_phase") else FreeSegment
+    return kind, noise.channel == "gamma"
+
+
 def _noise_block(block: tuple) -> list:
     """Simulate the (possibly noisy) trajectories of a block (space, nominal
-    state, nominal basis, schedule, initial angles, runs).  Its runs share
+    state, nominal cycle, schedule, initial angles, runs).  Its runs share
     one (n_spins, gamma, chi) and are stepped as the columns of one array:
-    the nominal schedule, with the kind of segment the active channel acts
-    on perturbed as each run draws, and every other segment as it is.  The
-    state, or the parity Eigenbasis of the free form, is None when the
-    block's N, or its form, is not the nominal one, and is then built here.
-    x and y pulse pairs run in the toggling frame
-    (``propagate.toggled_cycle``), as in ``run_schedule``, unless the
-    pulses or a per-segment gamma are drawn.  A per-segment gamma makes
-    each free segment one BandedForm, applied once, whose column r takes
-    the gamma run r drew for it.
+    the cycle, with the kind of segment the active channel acts on
+    (``_perturbation``) perturbed as each run draws, and every other segment
+    as it is.  The cycle is None when the block drew its N or its form, and
+    the state when it drew its N: the block builds them, and realizes its
+    own cycle with x and y pulse pairs toggled, since such a run draws no
+    pulse.  A per-segment gamma makes each free segment one BandedForm,
+    applied once, whose column r takes the gamma run r drew for it.
 
     Returns, per run: the xi2 value at every cycle boundary (nan where the
     contrast collapses), the realized (n_spins, gamma, chi), the count of
-    clamped negative durations and the norm error.  Runs that follow one
-    trajectory are stepped and scored once, as one column.  A drawn atom
-    number gets a space of its own, dropped with the block.
+    clamped negative durations and the norm error.  Runs of a channel that
+    perturbs no segment follow one trajectory, stepped and scored once, as
+    one column.  A drawn atom number gets a space of its own, dropped with
+    the block.
     """
-    space, psi0, basis, sch, initial, runs = block
+    space, psi0, cycle, sch, initial, runs = block
     run, noise = runs[0], runs[0].noise
+    kind, banded = _perturbation(noise)
     per_segment = noise.relative_sigma > 0.0 and noise.resolved_scope != "per_run"
-    # the kind of segment the channel perturbs; a per-run gamma, chi or atom
-    # number changes the model instead, and sigma = 0 perturbs nothing
-    kind = None
-    if per_segment or run.drawn is not None:
-        kind = PulseSegment if noise.channel in ("pulse_area", "pulse_phase") else FreeSegment
-    banded = per_segment and noise.channel == "gamma"
-    # runs that drew the same value, and draw nothing per segment or pulse,
-    # follow one trajectory: it is stepped once, as one column
-    same = not per_segment and len({r.drawn for r in runs}) == 1
-    columns = runs[:1] if same else runs
-    if run.n_spins != space.n_spins:
-        space = build_space(run.n_spins)
-    if psi0 is None:
-        psi0 = coherent_state(space, initial)
-    form = run.free_form()
-    if basis is None and not banded:  # else every free segment draws its own form
+    # runs that perturb no segment follow one trajectory, stepped as one column
+    columns = runs[:1] if kind is None else runs
+    if cycle is None:  # the block drew its N or its form
+        if psi0 is None:
+            space = build_space(run.n_spins)
+            psi0 = coherent_state(space, initial)
+        form = run.free_form()
         basis = Eigenbasis.of_quadratic_form(quadratic_form(space, *form))
-    segments = sch.segments
-    if kind is not PulseSegment and not banded:
-        segments = toggled_cycle(space, segments, form)
-    segments = [
-        FreeSegment(seg.duration, seg.hamiltonian or basis) if isinstance(seg, FreeSegment) else seg
-        for seg in segments
-    ]
+        cycle = realized_cycle(space, sch.segments, form, basis)
     clamped = [0] * len(columns)
 
     def realize(seg) -> tuple:
@@ -737,7 +734,7 @@ def _noise_block(block: tuple) -> list:
         )
 
     def realize_cycle() -> tuple:
-        return tuple(out for seg in segments for out in realize(seg))
+        return tuple(out for seg in cycle for out in realize(seg))
 
     if not per_segment:
         # nothing is drawn per segment or pulse: every cycle is the same
@@ -756,12 +753,10 @@ def _noise_block(block: tuple) -> list:
         norm_error = abs(float(np.linalg.norm(states[:, c, -1])) - 1.0)
         xi2, _, _, _ = batch_squeezing(space, states[:, c])
         scored.append((xi2, (run.n_spins, run.gamma, run.chi), clamped[c], norm_error))
-    return scored * len(runs) if same else scored
+    return scored * len(runs) if kind is None else scored
 
 
-def _noise_outcomes(
-    space, model, sch, initial, noise, n_runs, seed, workers, psi0=None, basis=None
-) -> list:
+def _noise_outcomes(space, model, sch, initial, noise, n_runs, seed, workers, psi0, cycle) -> list:
     """Each noisy run's outcome, as ``_noise_block`` returns it, in run order.
 
     The runs are grouped by their (n_spins, gamma, chi), which fixes the
@@ -769,8 +764,8 @@ def _noise_outcomes(
     segment one BandedForm with a column per run), and cut into blocks of
     at most BLOCK_BYTES, so no block depends on the worker count.  Blocks
     on the nominal N take ``psi0``, the coherent state at ``initial``, and
-    blocks on the nominal form take ``basis``, its parity Eigenbasis, when
-    the caller holds them.
+    blocks on the nominal (N, gamma, chi) take ``cycle``, the nominal cycle
+    their runs perturb.
     """
     runs = [_new_run(noise, model, child) for child in np.random.SeedSequence(seed).spawn(n_runs)]
     groups = {}
@@ -780,7 +775,7 @@ def _noise_outcomes(
     for key, indices in groups.items():
         width = max(1, BLOCK_BYTES // (16 * (key[0] + 1) * (sch.cycle_count + 1)))
         state = psi0 if key[0] == model.n_spins else None
-        nominal = basis if key == (model.n_spins, model.gamma, model.chi) else None
+        nominal = cycle if key == (model.n_spins, model.gamma, model.chi) else None
         for i in range(0, len(indices), width):
             blocks.append(indices[i : i + width])
             tasks.append((space, state, nominal, sch, initial, [runs[j] for j in blocks[-1]]))
@@ -815,12 +810,18 @@ def noise_monte_carlo(
     if total_time is None:
         total_time = 1.2 * predicted_optimal_time(design_, model, space, psi0)[0]
     sch = schedule(design_, model, total_time, max_step=max_step, cycles=cycles)
-    scope = noise.resolved_scope
+    # one realized nominal cycle serves the noiseless run and every block on
+    # the nominal model; runs that keep their pulses take it untoggled
     basis = model_eigenbasis(model, space)
-    ref = run_schedule(psi0, sch, model, model_basis=basis)
-    ref_min = float(np.nanmin(ref.xi2))
+    cycle = realized_cycle(space, sch.segments, model.coefficients, basis)
+    _, states = run_cycles(psi0, (cycle,) * sch.cycle_count)
+    ref_min = float(np.nanmin(batch_squeezing(space, states)[0]))
+    del states  # not held while the runs are stepped
+    kind, banded = _perturbation(noise)
+    if kind is PulseSegment or banded:
+        cycle = realized_cycle(space, sch.segments, None, basis)
     outcomes = _noise_outcomes(
-        space, model, sch, design_.optimal_initial, noise, n_runs, seed, workers, psi0, basis
+        space, model, sch, design_.optimal_initial, noise, n_runs, seed, workers, psi0, cycle
     )
 
     chi_n = model.chi * model.n_spins
@@ -835,18 +836,8 @@ def noise_monte_carlo(
         total_clamped += clamped
         worst_norm_error = max(worst_norm_error, norm_error)
         best = int(np.nanargmin(xi2))
-        run_rows.append(
-            (
-                run_index,
-                realized[0],
-                realized[1],
-                realized[2],
-                float(xi2[best]),
-                float(nominal_times[best]),
-                float(nominal_times[best]) * chi_n,
-                clamped,
-            )
-        )
+        t_best = float(nominal_times[best])
+        run_rows.append((run_index, *realized, float(xi2[best]), t_best, t_best * chi_n, clamped))
     stack = np.vstack(traces)
     stats_rows = tuple(
         (
@@ -875,7 +866,7 @@ def noise_monte_carlo(
                 "branch": design_.branch,
                 "channel": noise.channel,
                 "relative_sigma": noise.relative_sigma,
-                "scope": scope,
+                "scope": noise.resolved_scope,
                 "n_runs": n_runs,
                 "max_step": max_step,
                 "total_time": total_time,

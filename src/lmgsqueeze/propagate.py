@@ -13,9 +13,10 @@ Hamiltonian is factored densely (``Eigenbasis.of``).  Pulses are
 instantaneous unitaries (Rabi limit).  A nominal pulse pair about x or y
 around free evolution under the model is run in the toggling frame
 (``toggled_cycle``): it is free evolution under the conjugated quadratic
-form, factored by parity once per schedule, so ``run_schedule``,
-``schedule_unitary`` and the noise runs apply no x or y rotation for it;
-z pulses (diagonal phases) and drawn pulse errors are applied as rotations.
+form, factored by parity once per realized cycle.  ``realized_cycle`` alone
+makes a cycle as it is run, pairs toggled and free Hamiltonians filled in
+with a basis: ``run_schedule``, ``schedule_unitary`` and the noise Monte
+Carlo step it; z pulses and drawn pulse errors are applied as rotations.
 ``run_cycles`` is the one executor that applies segments to states: pulse
 schedules (one trajectory) and blocks of noisy trajectories (perturbed
 copies of a schedule's segments, held as the columns of one array) run
@@ -166,16 +167,16 @@ def toggled_cycle(space: DickeSpace, segments, coefficients: tuple) -> tuple:
     return tuple(out)
 
 
-def _nominal_cycle(
-    schedule: PulseSchedule, model: LMGModel, space: DickeSpace, model_basis=None
-) -> tuple:
-    """The schedule's cycle as it is run: ``toggled_cycle``, with the model's
-    basis (``model_basis``, else factored) in place of each free segment's
-    Hamiltonian left as None."""
-    basis = model_basis or model_eigenbasis(model, space)
+def realized_cycle(space: DickeSpace, segments, coefficients: tuple | None, basis) -> tuple:
+    """``segments`` as they are run: each nominal x or y pulse pair in the
+    toggling frame of the form with ``coefficients`` (``toggled_cycle``;
+    None keeps every pulse a rotation), and ``basis`` in place of each free
+    segment's Hamiltonian left as None."""
+    if coefficients is not None:
+        segments = toggled_cycle(space, segments, coefficients)
     return tuple(
         FreeSegment(seg.duration, seg.hamiltonian or basis) if isinstance(seg, FreeSegment) else seg
-        for seg in toggled_cycle(space, schedule.segments, model.coefficients)
+        for seg in segments
     )
 
 
@@ -240,7 +241,8 @@ def run_schedule(
     space = state.space
     if space.n_spins != model.n_spins:
         raise DimensionMismatch(f"state has N={space.n_spins}, model has N={model.n_spins}")
-    cycle = _nominal_cycle(schedule, model, space, model_basis)
+    basis = model_basis or model_eigenbasis(model, space)
+    cycle = realized_cycle(space, schedule.segments, model.coefficients, basis)
     times, states = run_cycles(state, (cycle,) * schedule.cycle_count)
 
     from .metrics import trace_from_states
@@ -250,7 +252,8 @@ def run_schedule(
 
 def schedule_unitary(schedule: PulseSchedule, model: LMGModel, space: DickeSpace) -> np.ndarray:
     """Dense unitary for a single cycle of the schedule."""
-    cycle = _nominal_cycle(schedule, model, space)
+    basis = model_eigenbasis(model, space)
+    cycle = realized_cycle(space, schedule.segments, model.coefficients, basis)
     return _apply_cycle(space, cycle, np.eye(space.dim, dtype=complex))
 
 

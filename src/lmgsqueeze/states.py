@@ -87,11 +87,14 @@ def _x_eig(space: DickeSpace) -> Eigenbasis:
     return space.built("eigx", lambda: Eigenbasis.of(collective_operator(space, "Sx").real))
 
 
-def rotation(space: DickeSpace, axis: str, angle: float) -> np.ndarray:
-    """exp(-i angle S_axis) as a dense matrix: ``rotate_state`` on the identity."""
+def rotation(space: DickeSpace, axis: str, angle: float, of=None) -> np.ndarray:
+    """exp(-i angle S_axis) as a dense matrix, ``rotate_state`` on the
+    identity; given ``of``, those amplitudes rotated instead (of ones, a z
+    rotation's diagonal)."""
     if not np.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
-    return rotate_state(SpinState(np.eye(space.dim, dtype=complex), space), axis, angle).amplitudes
+    of = np.eye(space.dim, dtype=complex) if of is None else of
+    return rotate_state(SpinState(of, space), axis, angle).amplitudes
 
 
 def rotate_state(state: SpinState, axis: str, angle) -> SpinState:

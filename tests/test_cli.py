@@ -276,20 +276,29 @@ def test_trace_and_sweep_sizes_count_every_block(monkeypatch):
         validate_config(dict(cfg, theta_points=41, phi_points=30))
 
 
-@pytest.mark.parametrize(
-    "experiment", ["sweep-gamma", "scaling", "sweep-initial-state", "evolve", "compare-pulsed"]
-)
+@pytest.mark.parametrize("experiment", ["sweep-gamma", "scaling", "sweep-initial-state", "evolve"])
 def test_chunked_scans_are_sized_by_their_chunk(monkeypatch, experiment):
     # 8 GiB of memory: 10^6 samples at N = 100 fit a scan that holds
     # SCAN_CHUNK columns of states at a time, not six whole-grid blocks
     memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2**33}
     monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
     cfg = dict(MINIMAL, experiment=experiment, n_spins=100, n_grid=[50, 100], grid_points=10**6)
-    if experiment in ("evolve", "compare-pulsed"):
+    if experiment == "evolve":
         with pytest.raises(TooLarge):
             validate_config(cfg)
     else:
         assert validate_config(cfg)["grid_points"] == 10**6
+
+
+@pytest.mark.parametrize("experiment", ["compare-pulsed", "noise", "design"])
+def test_a_grid_the_experiment_never_reads_is_not_sized(monkeypatch, experiment):
+    # compare-pulsed samples its z cycle grid, sized with its schedule, and
+    # noise and design build no trace grid: 8 GiB refuses no grid_points
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2**33}
+    monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
+    cfg = dict(MINIMAL, experiment=experiment, n_spins=100, channel="chi", relative_sigma=0.1)
+    for grid_points in (10**6, 10**10):
+        assert validate_config(dict(cfg, grid_points=grid_points))["grid_points"] == grid_points
 
 
 @pytest.mark.parametrize(

@@ -325,7 +325,7 @@ def test_noise_runs_take_y_pairs_in_the_toggling_frame(monkeypatch, channel, sco
     toggled = noise_monte_carlo(*args, **kwargs)
     drawn = channel in ("pulse_area", "pulse_phase") or (channel, scope) == ("gamma", "per_segment")
     assert ("y" in axes) == (sigma > 0.0 and drawn)
-    monkeypatch.setattr(experiments, "toggled_cycle", lambda space, segments, form: segments)
+    monkeypatch.setattr(propagate, "toggled_cycle", lambda space, segments, form: segments)
     stepped = noise_monte_carlo(*args, **kwargs)
     for name in ("runs", "trace_stats"):
         rows = np.array(toggled.tables[name].rows, dtype=float)

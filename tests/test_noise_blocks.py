@@ -12,10 +12,17 @@ import pytest
 
 from lmgsqueeze import experiments
 from lmgsqueeze.algebra import build_space, second_moment_operators
-from lmgsqueeze.canonical import from_chi_gamma
+from lmgsqueeze.canonical import from_chi_gamma, model_eigenbasis
 from lmgsqueeze.experiments import ALLOWED_SCOPES, NoiseSpec, noise_monte_carlo, write_result
 from lmgsqueeze.metrics import batch_squeezing
-from lmgsqueeze.propagate import Eigenbasis, FreeSegment, PulseSegment, run_cycles, run_schedule
+from lmgsqueeze.propagate import (
+    Eigenbasis,
+    FreeSegment,
+    PulseSegment,
+    realized_cycle,
+    run_cycles,
+    run_schedule,
+)
 from lmgsqueeze.pulses import design, schedule
 from lmgsqueeze.states import coherent_state
 
@@ -124,9 +131,14 @@ def test_blocks_match_each_run_stepped_alone(channel, scope, sigma):
     n_runs, seed = 5, 11
     space = build_space(N_BLOCK)
     initial = design_.optimal_initial
-    outcomes = experiments._noise_outcomes(space, model, sch, initial, noise, n_runs, seed, 1)
+    psi0 = coherent_state(space, initial)
+    # a z design toggles no pulse: every channel's nominal blocks step this cycle
+    cycle = realized_cycle(space, sch.segments, model.coefficients, model_eigenbasis(model, space))
+    outcomes = experiments._noise_outcomes(
+        space, model, sch, initial, noise, n_runs, seed, 1, psi0, cycle
+    )
     # the noiseless reference is the schedule run on its own
-    noiseless = run_schedule(coherent_state(space, initial), sch, model).xi2
+    noiseless = run_schedule(psi0, sch, model).xi2
     want_ref = step_alone(model, sch, initial, noise, np.random.SeedSequence(0), 0.0)
     np.testing.assert_allclose(noiseless, want_ref[0], rtol=1e-12, atol=0.0)
     wanted = [
@@ -219,7 +231,7 @@ def test_runs_on_one_trajectory_are_scored_once(monkeypatch):
     stepping, scoring = experiments.run_cycles, experiments.batch_squeezing
 
     def counting_steps(state, cycles):
-        stepped.append(state.amplitudes.shape[1])
+        stepped.append(state.amplitudes.shape)
         return stepping(state, cycles)
 
     def counting_scores(space, states):
@@ -232,15 +244,23 @@ def test_runs_on_one_trajectory_are_scored_once(monkeypatch):
     n_runs = 12
     result = noise_monte_carlo(model, design_, noise, n_runs, seed=5, total_time=0.4, cycles=20)
     n_drawn = {row[1] for row in result.tables["runs"].rows}
-    assert sum(stepped) == len(n_drawn) < n_runs
-    assert len(scored) == sum(stepped)
+    # the noiseless run steps one vector first, then each block a (dim, R) array
+    noiseless, *blocks = stepped
+    columns = sum(shape[1] for shape in blocks)
+    assert len(noiseless) == 1
+    assert columns == len(n_drawn) < n_runs
+    # each stepped column, and the noiseless run, is scored once
+    assert len(scored) == columns + 1
 
 
-def test_blocks_reuse_the_nominal_state_and_basis(monkeypatch):
+@pytest.mark.parametrize("channel", ["pulse_separation", "pulse_area"])
+@pytest.mark.parametrize("axis", ["z", "y"])
+def test_blocks_reuse_the_nominal_state_and_basis(monkeypatch, axis, channel):
     # blocks on the nominal (N, gamma, chi) take the coherent state and the
-    # free parity basis that the noiseless reference runs on: each is built
-    # once per Monte Carlo, however many blocks there are
-    model, design_, sch = block_setup()
+    # realized cycle that the noiseless reference runs on: the state, the
+    # free parity basis and, for the y design, the toggled parity basis are
+    # each built once per Monte Carlo, however many blocks there are
+    model, design_, sch = block_setup(axis)
     monkeypatch.setattr(experiments, "BLOCK_BYTES", 2 * 16 * (N_BLOCK + 1) * (sch.cycle_count + 1))
     states, factored, blocks = [], [], []
     prepare = experiments.coherent_state
@@ -262,8 +282,8 @@ def test_blocks_reuse_the_nominal_state_and_basis(monkeypatch):
     monkeypatch.setattr(experiments, "coherent_state", counting_states)
     monkeypatch.setattr(Eigenbasis, "of_quadratic_form", classmethod(counting_bases))
     monkeypatch.setattr(experiments, "_map", recording)
-    noise = NoiseSpec("pulse_separation", 0.1)
+    noise = NoiseSpec(channel, 0.1)
     noise_monte_carlo(model, design_, noise, n_runs=6, seed=7, total_time=0.4, cycles=20)
     assert blocks == [3]
     assert states == [design_.optimal_initial]
-    assert len(factored) == 1
+    assert len(factored) == {"z": 1, "y": 2}[axis]

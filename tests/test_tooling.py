@@ -5,7 +5,8 @@ through the one checked entry point, dense bases must be only the
 coherent-state generators, the effective Hamiltonian and the one real x
 basis, evolution and the minimum search must take a factored basis, every
 exponential must be formed in the one propagation kernel, pulses must be
-applied only by the segment executor,
+applied only by the segment executor, pulse pairs must be toggled only by
+the one cycle realizer,
 every function the benchmark traces must exist, each benchmark workload
 must reach the spans its traced run expects, the README's library
 example must run, numpy must be the one runtime dependency, and a CLI run
@@ -251,6 +252,17 @@ def test_pulses_are_applied_only_by_the_segment_executor():
         for function, _ in calls_named(path.read_text(), "rotate_state")
     }
     assert found == {("propagate.py", "_apply_cycle"), ("states.py", "rotation")}
+
+
+def test_cycles_are_toggled_only_by_the_cycle_realizer():
+    # one function makes a cycle as it is run: the noise runs step the cycle
+    # it realized for them and re-derive no toggling frame of their own
+    found = {
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, _ in calls_named(path.read_text(), "toggled_cycle")
+    }
+    assert found == {("propagate.py", "realized_cycle")}
 
 
 def test_benchmark_traced_names_exist():
