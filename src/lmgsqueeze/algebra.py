@@ -6,10 +6,11 @@ For N spin-1/2 particles the symmetric sector carries total spin j = N/2 and
 has dimension N + 1.  The basis is ordered by decreasing magnetic quantum
 number, so index 0 is |j, j> and index N is |j, -j>.  An operator is a
 plain dense, double-precision complex ``np.ndarray``, frozen (read-only)
-once built.  A DickeSpace holds its operators, their squares and the real
-eigenbasis of Sx through which ``states.rotate_state`` turns about x and y,
-each built on first use (safe under threads: all callers get the one stored
-copy) and released with the space.
+once built; the squares Sx^2, Sy^2 and Sz^2 are real.  A DickeSpace holds
+the Sx and Sy it has used, the real squares and the real eigenbasis of Sx
+through which ``states.rotate_state`` turns about x and y, each built on
+first use (safe under threads: all callers get the one stored copy) and
+released with the space.
 
 Every exp(-i t G) whose G is applied more than once goes through an
 Eigenbasis of G (``propagate`` or ``sample``): free evolution, rotations
@@ -24,8 +25,8 @@ The model's chi (Sx^2 + gamma Sy^2), real and Sz-parity conserving, is
 factored as two real blocks (``Eigenbasis.of_quadratic_form``), and so is
 its image under a quarter turn about x or y, under which nominal pulse
 pairs run (``conjugated_coefficients``), and Sx is one real block.  The
-only dense complex bases left are the coherent-state generators and the
-effective Hamiltonian that sizes schedules
+only dense complex bases left are the azimuth-0 coherent-state generator
+and the effective Hamiltonian that sizes schedules
 (``experiments.predicted_optimal_time``).
 """
 
@@ -40,11 +41,11 @@ from .errors import InvalidSize, NotHermitian, TooLarge
 LABELS = ("Sx", "Sy", "Sz", "S+", "S-", "S2")
 HERMITICITY_TOL = 1e-10
 HERMITICITY_ROWS = 64  # rows per block of the Hermiticity check: no dense temporary
-# Dense complex matrices kept for one space during compare_pulsed: the Sx, Sy,
-# Sz, Sx^2, Sy^2 and Sz^2 that it holds once used (built thread-safely, freed
-# with it; its x/y pulses run in the toggling frame, so the Sx basis of
-# rotations is not built), and the v of three callers' bases.
-DENSE_MATRICES_PER_SPACE = 9
+# Bytes per dim^2 alive for one space during compare_pulsed: the complex Sx,
+# Sy and real squares it holds once used (freed with it; its x/y pulses run in
+# the toggling frame, so no Sx basis is built), and the complex v of two
+# effective-Hamiltonian bases plus the matrix being factored.
+DENSE_BYTES_PER_DIM2 = 2 * 16 + 3 * 8 + 3 * 16
 # Dense complex (N+1) x K blocks alive at once while xi^2 is taken at K
 # times (metrics.batch_squeezing): the states, Sx, Sy and Sz applied to them,
 # their conjugate and one product (tracemalloc peak: 6.1 blocks).
@@ -84,7 +85,7 @@ def build_space(n_spins: int) -> DickeSpace:
     if int(n_spins) != n_spins or n_spins < 1:
         raise InvalidSize(f"n_spins must be a positive integer, got {n_spins!r}")
     n = int(n_spins)
-    require_memory(DENSE_MATRICES_PER_SPACE * 16 * (n + 1) ** 2, f"dense operators at n_spins={n}")
+    require_memory(DENSE_BYTES_PER_DIM2 * (n + 1) ** 2, f"dense operators at n_spins={n}")
     return DickeSpace(n_spins=n, dim=n + 1, j=n / 2.0)
 
 
@@ -140,10 +141,12 @@ def quadratic_form(space: DickeSpace, a: float, b: float, c: float) -> np.ndarra
         if not np.isfinite(coeff):
             raise ValueError(f"coefficient {name} must be finite, got {coeff!r}")
     mats = second_moment_operators(space)
+    # byte for byte the complex sum: a*(x + 0j) is a*x + (a*0 + 0*x)j, and
+    # 0*x = +0 as Sx^2 has no negative entry, so every imaginary part is +0
     out = a * mats["xx"]
     out += b * mats["yy"]
     out += c * mats["zz"]  # kept at c = 0: it fixes the signs of zeros
-    return _frozen(out)
+    return _frozen(out.astype(complex))
 
 
 def conjugated_coefficients(axis: str, coefficients: tuple) -> tuple:
@@ -161,13 +164,18 @@ def conjugated_coefficients(axis: str, coefficients: tuple) -> tuple:
 
 
 def second_moment_operators(space: DickeSpace) -> dict[str, np.ndarray]:
-    """The squares Sx^2, Sy^2, Sz^2 the space holds, keyed "xx", "yy", "zz"."""
+    """The real squares Sx^2, Sy^2, Sz^2 the space holds, keyed "xx", "yy",
+    "zz": the real parts of the dense complex products, whose bits reach h_eff."""
+
+    def real(square):
+        assert not np.any(square.imag) and not np.any(np.signbit(square.imag))
+        return _frozen(square.real.copy())
 
     def build():
         sx = collective_operator(space, "Sx")
         sy = collective_operator(space, "Sy")
-        sz = collective_operator(space, "Sz")
-        return {"xx": _frozen(sx @ sx), "yy": _frozen(sy @ sy), "zz": _frozen(sz @ sz)}
+        sz = _operator_matrix(space, "Sz")
+        return {"xx": real(sx @ sx), "yy": real(sy @ sy), "zz": real(sz @ sz)}
 
     return space.built("moments", build)
 

@@ -54,7 +54,7 @@ from .errors import ConfigError
 from .metrics import batch_squeezing, default_horizon, fit_loglog_slope, minimize_hamiltonian
 from .propagate import FreeSegment, PulseSegment, realized_cycle, run_cycles, run_schedule
 from .pulses import PulseDesign, design, effective_hamiltonian, schedule
-from .states import BlochAngles, SpinState, coherent_generator_eig, coherent_state
+from .states import BlochAngles, SpinState, coherent_generator_eig, coherent_state, rotation
 
 # Each channel and its scopes, the default first; the key order fixes the
 # order in which the per-run channel streams are spawned.
@@ -230,21 +230,15 @@ def _map(function, tasks: list, workers: int) -> list:
 # initial-state sweep
 # ---------------------------------------------------------------------------
 
-def _coherent_states(space, angles) -> tuple:
-    """The coherent states at ``angles``; states sharing an azimuth share
-    one factored coherent-state generator."""
-    azimuths = dict.fromkeys(a.phi for a in angles)
-    generators = {phi: coherent_generator_eig(space, phi) for phi in azimuths}
-    return tuple(coherent_state(space, a, generators[a.phi]) for a in angles)
-
-
 def _sweep_column(task):
     """First minima down one phi column of the initial-state grid, one per
-    theta; the column shares one coherent-state generator eigendecomposition,
-    and the whole grid one phase table of the model's basis."""
-    space, basis, phases, phi, thetas, times = task
+    theta, from the azimuth-0 coherent state of each theta (one 1-D array
+    each) turned by phi about z; the whole grid shares one phase table of
+    the model's basis."""
+    space, basis, phases, phi, states, times = task
     outcomes = []
-    for psi0 in _coherent_states(space, [BlochAngles(theta=theta, phi=phi) for theta in thetas]):
+    for amps in states:
+        psi0 = SpinState(rotation(space, "z", phi, of=amps), space)
         trace = minimize_hamiltonian(
             space, basis, psi0, times, refine=False, allow_unbracketed=True, phases=phases
         )
@@ -303,8 +297,9 @@ def sweep_initial_state(
     state up to a global phase.  One point per orbit is computed, the one
     with the smallest (phi index, theta index), so phi < pi; the others copy
     its row.  The argmin scans only computed points, so a tie goes to the
-    phi < pi twin.  Every point is sampled through one phase table of the
-    model's parity basis, built once for the time grid.
+    phi < pi twin.  Every point starts from the azimuth-0 coherent state of
+    its theta, prepared once, turned by its phi about z, and is sampled
+    through one phase table of the model's parity basis.
     """
     for name, points in (("theta_points", theta_points), ("phi_points", phi_points)):
         if points < 2:
@@ -321,7 +316,12 @@ def sweep_initial_state(
     for k, i in rep:
         if rep[k, i] == (k, i):
             own.setdefault(k, []).append(i)
-    tasks = [(space, basis, phases, phis[k], thetas[rows], times) for k, rows in own.items()]
+    generator = coherent_generator_eig(space)
+    start = [coherent_state(space, BlochAngles(th, 0.0), generator).amplitudes for th in thetas]
+    del generator
+    tasks = [
+        (space, basis, phases, phis[k], [start[i] for i in rows], times) for k, rows in own.items()
+    ]
     columns = _map(_sweep_column, tasks, workers)
     outcomes = {(k, i): o for k, column in zip(own, columns) for i, o in zip(own[k], column)}
 
@@ -458,9 +458,12 @@ def compare_pulsed(
 
     design_z = design(model, "z", branch)
     design_y = design(model, "y", branch)
-    psi_z, psi_y, psi_lmg = _coherent_states(
-        space, (design_z.optimal_initial, design_y.optimal_initial, lmg_initial)
+    generator = coherent_generator_eig(space)
+    psi_z, psi_y, psi_lmg = (
+        coherent_state(space, angles, generator)
+        for angles in (design_z.optimal_initial, design_y.optimal_initial, lmg_initial)
     )
+    del generator  # not held while the effective Hamiltonians are factored
     t_pred_z, h_ref = predicted_optimal_time(design_z, model, space, psi_z)
     t_pred_y, _ = predicted_optimal_time(design_y, model, space, psi_y)
     schedule_z = schedule(design_z, model, 1.2 * t_pred_z, max_step=max_step)
@@ -768,6 +771,7 @@ def _noise_outcomes(space, model, sch, initial, noise, n_runs, seed, workers, ps
     their runs perturb.
     """
     runs = [_new_run(noise, model, child) for child in np.random.SeedSequence(seed).spawn(n_runs)]
+    build_space(max(run.n_spins for run in runs))  # refuse an oversized drawn N before any block
     groups = {}
     for index, run in enumerate(runs):
         groups.setdefault((run.n_spins, run.gamma, run.chi), []).append(index)

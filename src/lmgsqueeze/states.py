@@ -3,10 +3,10 @@
 Every rotation goes through one kernel, ``rotate_state``: a rotation about
 z is a diagonal phase, one about x goes through the one real Eigenbasis of
 Sx the space holds, and one about y is that x rotation between two quarter
-turns about z.  Coherent states are prepared through the Eigenbasis of
-their generator.  Nothing is a truncated series, so unitarity holds to
-machine precision; a dense rotation matrix is ``rotate_state`` on the
-identity.  Global phases are unconstrained throughout.
+turns about z.  A coherent state turns |j, j> through the Eigenbasis of
+the azimuth-0 generator -Sy, then about z.  Nothing is a truncated series,
+so unitarity holds to machine precision; a dense rotation matrix is
+``rotate_state`` on the identity.  Global phases are unconstrained throughout.
 """
 
 import math
@@ -59,26 +59,32 @@ class SpinState:
         return complex(np.vdot(self.amplitudes, operator @ self.amplitudes))
 
 
-def coherent_generator_eig(space: DickeSpace, phi: float) -> Eigenbasis:
-    """Eigenbasis of the coherent-state generator sin(phi) Sx - cos(phi) Sy."""
+def coherent_generator_eig(space: DickeSpace) -> Eigenbasis:
+    """Eigenbasis of the azimuth-0 coherent-state generator -Sy; not kept by
+    the space, so callers that prepare many states hold it and drop it."""
     sx = collective_operator(space, "Sx")
     sy = collective_operator(space, "Sy")
-    return Eigenbasis.of(math.sin(phi) * sx - math.cos(phi) * sy)
+    # sin(0) Sx - cos(0) Sy, not -Sy: the signs of its zeros reach eigh
+    return Eigenbasis.of(math.sin(0.0) * sx - math.cos(0.0) * sy)
 
 
 def coherent_state(space: DickeSpace, angles: BlochAngles, generator_eig=None) -> SpinState:
-    """Coherent spin state exp(i theta (Sx sin phi - Sy cos phi)) |j, j>.
+    """Coherent spin state Rz(phi) exp(-i theta Sy) |j, j>.
 
     The mean spin points along ``angles.direction()`` with length N/2.
-    ``generator_eig`` is ``coherent_generator_eig(space, angles.phi)`` when
-    the caller already holds it (states sharing one azimuth share it).
+    Since sin phi Sx - cos phi Sy = Rz(phi) (-Sy) Rz(phi)^H, this is
+    exp(i theta (Sx sin phi - Sy cos phi)) |j, j> up to the global phase
+    e^{i phi j}, of which xi^2 and every output column are free.
+    ``generator_eig`` is ``coherent_generator_eig(space)`` when the caller
+    already holds it.
     """
     if generator_eig is None:
-        generator_eig = coherent_generator_eig(space, angles.phi)
+        generator_eig = coherent_generator_eig(space)
     top = np.zeros(space.dim, dtype=complex)
     top[0] = 1.0  # |j, j>
     amps = generator_eig.propagate(top, -angles.theta)
-    return SpinState(amplitudes=amps / np.linalg.norm(amps), space=space)
+    amps = rotation(space, "z", angles.phi, of=amps / np.linalg.norm(amps))
+    return SpinState(amplitudes=amps, space=space)
 
 
 def _x_eig(space: DickeSpace) -> Eigenbasis:

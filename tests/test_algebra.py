@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmgsqueeze import algebra
 from lmgsqueeze.algebra import (
@@ -43,11 +45,11 @@ def test_build_space_refuses_sizes_beyond_memory():
 
 
 def test_build_space_counts_every_matrix_a_run_keeps(monkeypatch):
-    # compare_pulsed keeps 9 dense (N+1)^2 matrices, 6 in the space and one
-    # in each of three eigenbases: memory for 8 of them admits N/2 but must
-    # refuse N
+    # compare_pulsed keeps 104 bytes per (N+1)^2: the complex Sx and Sy and
+    # the real squares in the space, and three complex matrices of its
+    # effective-Hamiltonian bases: memory for 96 admits N/2 but must refuse N
     n = 100
-    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 8 * 16 * (n + 1) ** 2}
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 96 * (n + 1) ** 2}
     monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
     with pytest.raises(TooLarge):
         build_space(n)
@@ -107,6 +109,27 @@ def test_quadratic_form_matches_products():
     direct = s["Sx"] @ s["Sx"] + gamma * (s["Sy"] @ s["Sy"])
     assert np.max(np.abs(form - direct)) < 1e-12
     assert np.max(np.abs(form - form.conj().T)) < 1e-12
+
+
+COEFFICIENT = st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-1e3, 1e3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 101])
+@settings(max_examples=40, deadline=None)
+@given(a=COEFFICIENT, b=COEFFICIENT, c=COEFFICIENT)
+def test_quadratic_form_keeps_the_dense_complex_bytes(n, a, b, c):
+    # the real squares summed in real arithmetic give, byte for byte, the
+    # form summed from the complex squares, signs of zeros included; no
+    # dense Sz is kept
+    oracle_space, space = build_space(n), build_space(n)
+    sx, sy = collective_operator(oracle_space, "Sx"), collective_operator(oracle_space, "Sy")
+    sz = np.diag(oracle_space.m_values()).astype(complex)
+    dense = a * (sx @ sx)
+    dense += b * (sy @ sy)
+    dense += c * (sz @ sz)
+    assert quadratic_form(space, a, b, c).tobytes() == dense.tobytes()
+    assert all(square.dtype == np.float64 for square in second_moment_operators(space).values())
+    assert "Sz" not in space._built
 
 
 def test_quadratic_form_casimir_identity():

@@ -148,6 +148,21 @@ def test_sweep_computes_one_point_per_orbit(monkeypatch, grids, expected):
     assert len(computed) == expected
 
 
+def test_sweep_factors_one_coherent_generator(monkeypatch):
+    # every grid point starts from the azimuth-0 state of its theta, turned
+    # by its phi about z: one generator for the whole grid, none per column
+    factored = []
+    factor = experiments.coherent_generator_eig
+
+    def counting(space, *args):
+        factored.append(args)
+        return factor(space, *args)
+
+    monkeypatch.setattr(experiments, "coherent_generator_eig", counting)
+    sweep_initial_state(from_chi_gamma(1.0, 0.2, 4), theta_points=33, phi_points=33, grid_points=20)
+    assert factored == [()]
+
+
 def matched_orbit_representatives(thetas: np.ndarray, phis: np.ndarray) -> dict:
     """For each grid point (phi index k, theta index i), the (k', i') whose
     result it shares: the smallest of its images under the pi rotations about
@@ -310,6 +325,22 @@ def test_compare_pulsed_runs_y_pulses_in_the_toggling_frame(monkeypatch):
     (space,) = spaces
     assert "eigy" not in space._built and "eigx" not in space._built
     assert axes and set(axes) == {"z"}
+
+
+def test_compare_pulsed_factors_one_coherent_generator(monkeypatch):
+    # the three initial states turn through one azimuth-0 generator, so the
+    # complex dense factorizations are it and the two effective Hamiltonians
+    factored = []
+    of = Eigenbasis.of.__func__
+
+    def counting(cls, hamiltonian):
+        if np.iscomplexobj(hamiltonian):
+            factored.append(1)
+        return of(cls, hamiltonian)
+
+    monkeypatch.setattr(Eigenbasis, "of", classmethod(counting))
+    compare_pulsed(from_chi_gamma(1.0, 0.1, 12))
+    assert len(factored) == 3
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.1])

@@ -13,6 +13,7 @@ import pytest
 from lmgsqueeze import experiments
 from lmgsqueeze.algebra import build_space, second_moment_operators
 from lmgsqueeze.canonical import from_chi_gamma, model_eigenbasis
+from lmgsqueeze.errors import TooLarge
 from lmgsqueeze.experiments import ALLOWED_SCOPES, NoiseSpec, noise_monte_carlo, write_result
 from lmgsqueeze.metrics import batch_squeezing
 from lmgsqueeze.propagate import (
@@ -287,3 +288,27 @@ def test_blocks_reuse_the_nominal_state_and_basis(monkeypatch, axis, channel):
     assert blocks == [3]
     assert states == [design_.optimal_initial]
     assert len(factored) == {"z": 1, "y": 2}[axis]
+
+
+def test_an_oversized_drawn_atom_number_is_refused_before_any_block(monkeypatch):
+    # every run is drawn before any block is stepped, so the largest drawn N
+    # is refused before any work is done for the others
+    stepped = []
+    step_block = experiments._noise_block
+
+    def refusing(n_spins):
+        if n_spins > 40:
+            raise TooLarge(f"n_spins={n_spins}")
+        return build_space(n_spins)
+
+    def counting(block):
+        stepped.append(1)
+        return step_block(block)
+
+    monkeypatch.setattr(experiments, "build_space", refusing)
+    monkeypatch.setattr(experiments, "_noise_block", counting)
+    model = from_chi_gamma(1.0, 0.1, 20)
+    noise = NoiseSpec("atom_number", 0.5)
+    with pytest.raises(TooLarge, match="n_spins=46"):
+        noise_monte_carlo(model, design(model, "z", "A"), noise, n_runs=30, seed=3)
+    assert stepped == []

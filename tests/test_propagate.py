@@ -480,19 +480,23 @@ def _inline_rotation(space, axis, angle):
 @pytest.mark.parametrize("n", [1, 20, 101])
 def test_eigenbasis_kernel_keeps_the_inline_bytes(n):
     # The seed-0 references depend on the rounding of the coherent states,
-    # so each must equal, bit for bit, the formula it replaced.  The pulsed
+    # so each must equal, bit for bit, the formula it replaced: at azimuth 0
+    # (the states that size schedules) the generator exponential, and at any
+    # other azimuth the z phase exp(-i phi m) on that state.  The pulsed
     # reference applies only z pulses (its x and y pulse pairs run in the
     # toggling frame); x and y pulses reach the outputs only as drawn noise
     # pulses, such as the tilts of a z pulse, and test_states checks them
     # against expm.
     space = build_space(n)
     sx, sy = collective_operator(space, "Sx"), collective_operator(space, "Sy")
+    w, v = np.linalg.eigh(math.sin(0.0) * sx - math.cos(0.0) * sy)
     for theta in (0.0, math.pi / 2, 17 * math.pi / 32, math.pi):
+        inline = v @ (np.exp(1j * theta * w) * np.conj(v[0, :]))
+        inline = inline / np.linalg.norm(inline)
         for phi in (0.0, 1.5232, 4.76):
-            w, v = np.linalg.eigh(math.sin(phi) * sx - math.cos(phi) * sy)
-            inline = v @ (np.exp(1j * theta * w) * np.conj(v[0, :]))
             coherent = coherent_state(space, BlochAngles(theta, phi)).amplitudes
-            assert np.array_equal(coherent, inline / np.linalg.norm(inline))
+            expected = inline if phi == 0.0 else np.exp(-1j * phi * space.m_values()) * inline
+            assert np.array_equal(coherent, expected)
 
     # The model's Hamiltonian is factored as its two real parity blocks,
     # which round differently from the dense formula but agree with it.

@@ -180,8 +180,49 @@ def test_coherent_state_with_supplied_generator_eig():
     space = build_space(9)
     for theta, phi in ((0.0, 0.0), (0.7, 1.9), (math.pi, 5.0)):
         angles = BlochAngles(theta, phi)
-        supplied = coherent_state(space, angles, coherent_generator_eig(space, phi))
+        supplied = coherent_state(space, angles, coherent_generator_eig(space))
         assert np.array_equal(supplied.amplitudes, coherent_state(space, angles).amplitudes)
+
+
+def generator_exponential(space, thetas, phi):
+    """exp(i theta (sin phi Sx - cos phi Sy)) |j, j> for each of ``thetas``,
+    as columns, through a dense eigensolve of the generator at its own
+    azimuth."""
+    sx, sy = collective_operator(space, "Sx"), collective_operator(space, "Sy")
+    w, v = np.linalg.eigh(math.sin(phi) * sx - math.cos(phi) * sy)
+    return v @ (np.exp(1j * np.multiply.outer(w, thetas)) * np.conj(v[0, :])[:, None])
+
+
+def assert_equal_up_to_one_phase(state, oracle):
+    overlap = np.vdot(oracle, state)
+    assert np.max(np.abs(state - overlap / abs(overlap) * oracle)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    theta=st.floats(0.0, math.pi),
+    phi=st.floats(0.0, 2 * math.pi, exclude_max=True),
+)
+def test_coherent_state_is_the_generator_exponential(n, theta, phi):
+    # the azimuth is a z phase on the azimuth-0 state, which equals the
+    # exponential of the generator at that azimuth up to a global phase
+    space = build_space(n)
+    state = coherent_state(space, BlochAngles(theta, phi)).amplitudes
+    assert_equal_up_to_one_phase(state, generator_exponential(space, [theta], phi)[:, 0])
+
+
+def test_large_coherent_state_is_the_generator_exponential():
+    from lmgsqueeze.states import coherent_generator_eig
+
+    space = build_space(1000)
+    generator = coherent_generator_eig(space)
+    thetas = (0.0, math.pi / 2, math.pi)
+    for phi in (0.0, math.pi / 2, 4.76):
+        oracles = generator_exponential(space, thetas, phi)
+        for theta, oracle in zip(thetas, oracles.T):
+            state = coherent_state(space, BlochAngles(theta, phi), generator).amplitudes
+            assert_equal_up_to_one_phase(state, oracle)
 
 
 def test_first_use_from_many_threads_matches_serial():

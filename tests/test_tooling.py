@@ -2,8 +2,9 @@
 still report the example that broke it under the repo's pytest settings, the
 package must import nothing it does not use, every dense eigensolve must go
 through the one checked entry point, dense bases must be only the
-coherent-state generators, the effective Hamiltonian and the one real x
-basis, evolution and the minimum search must take a factored basis, every
+coherent-state generator, the effective Hamiltonian and the one real x
+basis, that generator must be factored only where a space's states are
+prepared, evolution and the minimum search must take a factored basis, every
 exponential must be formed in the one propagation kernel, pulses must be
 applied only by the segment executor, pulse pairs must be toggled only by
 the one cycle realizer,
@@ -147,8 +148,8 @@ def test_dense_eigensolves_go_through_hamiltonian_eig():
 def test_dense_bases_are_only_the_coherent_generators_h_eff_and_the_real_x_basis():
     # every rotation about x or y goes through the one real basis of Sx (a y
     # rotation between quarter turns about z), so no complex axis basis and
-    # no eigensolve of n.S is built; the coherent-state generators and the
-    # effective Hamiltonian are the only dense complex bases left
+    # no eigensolve of n.S is built; the azimuth-0 coherent-state generator
+    # and the effective Hamiltonian are the only dense complex bases left
     from lmgsqueeze.algebra import build_space
     from lmgsqueeze.states import _x_eig
 
@@ -164,6 +165,22 @@ def test_dense_bases_are_only_the_coherent_generators_h_eff_and_the_real_x_basis
     }
     (block,) = _x_eig(build_space(6)).blocks
     assert block.v.dtype.kind == "f"  # real
+
+
+def test_one_coherent_generator_is_factored_per_space_and_caller():
+    # every azimuth is a z phase on the azimuth-0 state, so the generator is
+    # factored only by coherent_state's default and by the two experiments
+    # that hand one to all of their states; none is factored per azimuth
+    found = {
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, _ in calls_named(path.read_text(), "coherent_generator_eig")
+    }
+    assert found == {
+        ("states.py", "coherent_state"),
+        ("experiments.py", "sweep_initial_state"),
+        ("experiments.py", "compare_pulsed"),
+    }
 
 
 def test_the_kernel_takes_a_basis_and_factors_nothing():
