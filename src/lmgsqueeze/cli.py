@@ -217,7 +217,7 @@ def validate_config(raw: dict) -> dict:
         if not isinstance(cfg["gammas"], (list, tuple)) or not cfg["gammas"]:
             _fail("gammas", "expected a non-empty array of gamma values")
         cfg["gammas"] = [
-            _require_number({f"gammas[{i}]": g}, f"gammas[{i}]", lo=0.0, hi=0.5)
+            _require_number({f"gammas[{i}]": g}, f"gammas[{i}]")
             for i, g in enumerate(cfg["gammas"])
         ]
     if not isinstance(cfg["n_grid"], (list, tuple)) or not cfg["n_grid"]:
@@ -231,7 +231,7 @@ def validate_config(raw: dict) -> dict:
     cfg["variants"] = list(cfg["variants"])
     if not all(isinstance(v, str) for v in cfg["variants"]):
         _fail("variants", f"expected an array of names, got {cfg['variants']}")
-    cfg["n_runs"] = _require_number(cfg, "n_runs", lo=1, integer=True)
+    cfg["n_runs"] = _require_number(cfg, "n_runs", integer=True)
 
     # refuse, before anything is allocated, a trace or sweep grid whose arrays
     # would not fit in physical memory; only these experiments read grid_points

@@ -216,7 +216,8 @@ def evolve_trace(
 
 
 def _map(function, tasks: list, workers: int) -> list:
-    """``function`` of each task, in order; in ``workers`` processes if more than one."""
+    """``function`` of each task, in order; in one process per task, up to ``workers``."""
+    workers = min(workers, len(tasks))
     if workers > 1:
         # imported here, so that a one-process call never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -652,12 +653,6 @@ def _new_run(noise: NoiseSpec, model: LMGModel, seed) -> _Run:
     return run
 
 
-def _per_column(values: list):
-    """One value when every column of a block takes it, else an array of one
-    per column."""
-    return values[0] if all(value == values[0] for value in values) else np.array(values)
-
-
 def _perturbation(noise: NoiseSpec) -> tuple:
     """(kind, banded): the kind of segment the channel perturbs, None at
     sigma = 0 or where a per-run draw changes the model, and whether each
@@ -702,31 +697,26 @@ def _noise_block(block: tuple) -> list:
         form = run.free_form()
         basis = Eigenbasis.of_quadratic_form(quadratic_form(space, *form))
         cycle = realized_cycle(space, sch.segments, form, basis)
-    clamped = [0] * len(columns)
+    clamped = np.zeros(len(columns), dtype=int)
 
     def realize(seg) -> tuple:
         """The segments that realize one nominal segment in every column."""
         if kind is None or not isinstance(seg, kind):
             return (seg,)
-        values = [r.draw() if per_segment else r.drawn for r in columns]
+        values = np.array([r.draw() if per_segment else r.drawn for r in columns])
         if banded:
             # one form per segment, applied once: each run's drawn gamma
             # sets the coefficients of its column
             forms = [r.free_form(value) for r, value in zip(columns, values)]
             return (FreeSegment(seg.duration, BandedForm(space, *zip(*forms))),)
         if kind is FreeSegment:  # a drawn separation or chi scales the duration
-            durations = []
-            for c, value in enumerate(values):
-                duration = seg.duration * value
-                if duration < 0.0:
-                    clamped[c] += 1
-                    duration = 0.0
-                durations.append(duration)
-            return (FreeSegment(_per_column(durations), seg.hamiltonian),)
+            durations = seg.duration * values
+            negative = durations < 0.0
+            clamped[negative] += 1
+            return (FreeSegment(np.where(negative, 0.0, durations), seg.hamiltonian),)
         if noise.channel == "pulse_area":
-            return (PulseSegment(seg.axis, _per_column([seg.angle * value for value in values])),)
-        delta = _per_column([value[0] for value in values])
-        beta = _per_column([value[1] for value in values])
+            return (PulseSegment(seg.axis, seg.angle * values),)
+        delta, beta = values.T
         tilt_axis = {"z": "y", "y": "x", "x": "z"}[seg.axis]
         return (
             PulseSegment(seg.axis, -beta),
@@ -742,20 +732,20 @@ def _noise_block(block: tuple) -> list:
     if not per_segment:
         # nothing is drawn per segment or pulse: every cycle is the same
         cycles = (realize_cycle(),) * sch.cycle_count
-        clamped = [count * sch.cycle_count for count in clamped]
+        clamped = clamped * sch.cycle_count
     else:
         # realized one cycle at a time, so draws follow segment order and a
         # per-segment form lives only as long as its cycle
         cycles = (realize_cycle() for _ in range(sch.cycle_count))
     amps = np.repeat(psi0.amplitudes[:, None], len(columns), axis=1)
-    _, states = run_cycles(SpinState(amps, space), cycles)
+    states = run_cycles(SpinState(amps, space), cycles)
 
     scored = []
     for c in range(len(columns)):
         # the noise perturbs parameters, never the state: evolution stays unitary
         norm_error = abs(float(np.linalg.norm(states[:, c, -1])) - 1.0)
         xi2, _, _, _ = batch_squeezing(space, states[:, c])
-        scored.append((xi2, (run.n_spins, run.gamma, run.chi), clamped[c], norm_error))
+        scored.append((xi2, (run.n_spins, run.gamma, run.chi), int(clamped[c]), norm_error))
     return scored * len(runs) if kind is None else scored
 
 
@@ -805,7 +795,7 @@ def noise_monte_carlo(
 
     Schedule timing is fixed by the nominal design; the noise perturbs the
     realized dynamics (the experimenter does not know the true parameters).
-    xi2 minima are taken over cycle-boundary samples.
+    xi2 minima are taken over the cycle boundaries, at the schedule's times.
     """
     if n_runs < 1:
         raise ConfigError(f"n_runs: must be >= 1, got {n_runs}")
@@ -818,7 +808,7 @@ def noise_monte_carlo(
     # the nominal model; runs that keep their pulses take it untoggled
     basis = model_eigenbasis(model, space)
     cycle = realized_cycle(space, sch.segments, model.coefficients, basis)
-    _, states = run_cycles(psi0, (cycle,) * sch.cycle_count)
+    states = run_cycles(psi0, (cycle,) * sch.cycle_count)
     ref_min = float(np.nanmin(batch_squeezing(space, states)[0]))
     del states  # not held while the runs are stepped
     kind, banded = _perturbation(noise)
@@ -829,32 +819,26 @@ def noise_monte_carlo(
     )
 
     chi_n = model.chi * model.n_spins
-    nominal_times = np.arange(sch.cycle_count + 1) * sch.cycle_time
-
-    run_rows = []
-    traces = []
-    total_clamped = 0
-    worst_norm_error = 0.0
-    for run_index, (xi2, realized, clamped, norm_error) in enumerate(outcomes):
-        traces.append(xi2)
-        total_clamped += clamped
-        worst_norm_error = max(worst_norm_error, norm_error)
-        best = int(np.nanargmin(xi2))
-        t_best = float(nominal_times[best])
-        run_rows.append((run_index, *realized, float(xi2[best]), t_best, t_best * chi_n, clamped))
-    stack = np.vstack(traces)
-    stats_rows = tuple(
-        (
-            k,
-            float(nominal_times[k]),
-            float(nominal_times[k]) * chi_n,
-            float(np.nanmedian(stack[:, k])),
-            float(np.nanmin(stack[:, k])),
-            float(np.nanmax(stack[:, k])),
-        )
-        for k in range(stack.shape[1])
+    times = sch.times
+    traces, realized, clamped, norm_errors = zip(*outcomes)
+    xi2 = np.vstack(traces)
+    best = np.nanargmin(xi2, axis=1)
+    minima = xi2[np.arange(n_runs), best]
+    total_clamped = sum(clamped)
+    run_rows = tuple(
+        (r, *realized[r], minima[r], times[best[r]], times[best[r]] * chi_n, clamped[r])
+        for r in range(n_runs)
     )
-    minima = np.array([row[4] for row in run_rows])
+    stats_rows = tuple(
+        zip(
+            range(len(times)),
+            times,
+            times * chi_n,
+            [np.nanmedian(column) for column in xi2.T],
+            np.nanmin(xi2, axis=0),
+            np.nanmax(xi2, axis=0),
+        )
+    )
     median_min = float(np.median(minima))
     median_db = 10.0 * math.log10(median_min)
     ref_db = 10.0 * math.log10(ref_min)
@@ -885,7 +869,7 @@ def noise_monte_carlo(
                 "angle ~ N(0, (sigma*pi/2)^2), azimuth uniform in the "
                 "perpendicular plane",
                 "clamped_segments": total_clamped,
-                "max_norm_error": worst_norm_error,
+                "max_norm_error": max(0.0, *norm_errors),
             },
         )
     )

@@ -17,10 +17,11 @@ form, factored by parity once per realized cycle.  ``realized_cycle`` alone
 makes a cycle as it is run, pairs toggled and free Hamiltonians filled in
 with a basis: ``run_schedule``, ``schedule_unitary`` and the noise Monte
 Carlo step it; z pulses and drawn pulse errors are applied as rotations.
-``run_cycles`` is the one executor that applies segments to states: pulse
+``run_cycles`` is the one executor: segments in, states out.  Pulse
 schedules (one trajectory) and blocks of noisy trajectories (perturbed
 copies of a schedule's segments, held as the columns of one array) run
-through it, one product per segment for the whole block.  A cycle's dense
+through it, one product per segment for the whole block; the schedule owns
+the cycle-boundary times (``PulseSchedule.times``).  A cycle's dense
 unitary is ``_apply_cycle`` on the identity; a cycle repeated at least dim
 times is applied as it.  A small-N full product-space evolver is provided
 as an independent oracle for the symmetric-sector reduction.
@@ -110,7 +111,7 @@ class PulseSchedule:
     """One cycle of segments, applied ``cycle_count`` times.
 
     Segments are listed in application order.  The total duration is
-    cycle_count * (t1 + t2).
+    cycle_count * (t1 + t2); ``times`` is every run's one time axis.
     """
 
     segments: tuple
@@ -121,6 +122,14 @@ class PulseSchedule:
     @property
     def cycle_time(self) -> float:
         return self.t1 + self.t2
+
+    @property
+    def times(self) -> np.ndarray:
+        """Elapsed time at each of the cycle_count + 1 cycle boundaries: the
+        free durations added one by one in run order, not k * cycle_time."""
+        durations = [seg.duration for seg in self.segments if isinstance(seg, FreeSegment)]
+        sums = np.add.accumulate([0.0] + durations * self.cycle_count)
+        return sums[:: len(durations)] if durations else np.zeros(self.cycle_count + 1)
 
 
 def _is_nominal_pair(segments) -> bool:
@@ -191,7 +200,7 @@ def _apply_cycle(space: DickeSpace, cycle, amps: np.ndarray) -> np.ndarray:
     return amps
 
 
-def run_cycles(state: SpinState, cycles) -> tuple[np.ndarray, np.ndarray]:
+def run_cycles(state: SpinState, cycles) -> np.ndarray:
     """Apply each cycle (a tuple of segments whose free Hamiltonians are
     Eigenbases) to ``state`` in turn.
 
@@ -202,14 +211,12 @@ def run_cycles(state: SpinState, cycles) -> tuple[np.ndarray, np.ndarray]:
     least dim times, and that cycle takes one value for every column, its
     unitary is built once and applied as one product per cycle.
 
-    Returns the elapsed time (per column where durations are) and the
-    amplitudes, stacked along a last axis, at every cycle boundary, starting
-    with the initial state.
+    Returns the amplitudes at every cycle boundary, starting with the
+    initial state, stacked along a last axis; their times are the
+    schedule's (``PulseSchedule.times``).
     """
     space = state.space
     amps = state.amplitudes
-    elapsed = 0.0
-    times = [elapsed]
     snapshots = [amps]
     unitary = None
     if isinstance(cycles, Sequence) and len(cycles) >= space.dim:
@@ -219,12 +226,8 @@ def run_cycles(state: SpinState, cycles) -> tuple[np.ndarray, np.ndarray]:
             unitary = _apply_cycle(space, first, np.eye(space.dim, dtype=complex))
     for segments in cycles:
         amps = _apply_cycle(space, segments, amps) if unitary is None else unitary @ amps
-        for seg in segments:
-            if isinstance(seg, FreeSegment):
-                elapsed = elapsed + seg.duration
-        times.append(elapsed)
         snapshots.append(amps)
-    return np.stack(np.broadcast_arrays(*times)), np.stack(snapshots, axis=-1)
+    return np.stack(snapshots, axis=-1)
 
 
 def run_schedule(
@@ -233,7 +236,7 @@ def run_schedule(
     model: LMGModel,
     model_basis: Eigenbasis | None = None,
 ):
-    """Apply the schedule, sampling the squeezing trace at every cycle boundary.
+    """Apply the schedule, sampling the squeezing trace at its cycle boundaries (``times``).
 
     ``model_basis``: the Eigenbasis of the model's Hamiltonian, when the
     caller holds it; else ``model_eigenbasis`` factors it.
@@ -243,11 +246,11 @@ def run_schedule(
         raise DimensionMismatch(f"state has N={space.n_spins}, model has N={model.n_spins}")
     basis = model_basis or model_eigenbasis(model, space)
     cycle = realized_cycle(space, schedule.segments, model.coefficients, basis)
-    times, states = run_cycles(state, (cycle,) * schedule.cycle_count)
+    states = run_cycles(state, (cycle,) * schedule.cycle_count)
 
     from .metrics import trace_from_states
 
-    return trace_from_states(space, times, states)
+    return trace_from_states(space, schedule.times, states)
 
 
 def schedule_unitary(schedule: PulseSchedule, model: LMGModel, space: DickeSpace) -> np.ndarray:

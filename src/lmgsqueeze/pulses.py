@@ -20,6 +20,7 @@ all, for any gamma in [0, 1/2).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,10 +135,12 @@ def schedule(
     """
     if not 0.0 < total_time < math.inf:
         raise ValueError(f"total_time must be finite and > 0, got {total_time}")
+    if not 0.0 < max_step < math.inf:
+        raise ValueError(f"max_step must be finite and > 0, got {max_step}")
     if cycles is None:
-        if max_step <= 0.0:
-            raise ValueError(f"max_step must be > 0, got {max_step}")
         cycles = max(1, math.ceil(total_time * model.n_spins * model.chi / max_step))
+    elif not isinstance(cycles, numbers.Integral) or cycles < 1:
+        raise ValueError(f"cycles must be an integer >= 1, got {cycles!r}")
     cycles = int(cycles)
     require_memory(
         TRACE_BLOCKS * 16 * (cycles + 1) * (model.n_spins + 1),

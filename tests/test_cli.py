@@ -308,6 +308,9 @@ def test_a_grid_the_experiment_never_reads_is_not_sized(monkeypatch, experiment)
         {"variants": ["OAT", "OAT"]},
         {"theta_points": 10**5, "phi_points": 10**5},
         {"theta_points": 1, "phi_points": 1},
+        # sweep_gamma owns the gamma range and noise_monte_carlo the run count
+        {"gammas": [0.9]},
+        {"n_runs": 0},
     ],
 )
 def test_keys_of_other_experiments_do_not_fail_a_run(tmp_path, monkeypatch, unused):

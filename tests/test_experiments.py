@@ -452,6 +452,48 @@ def test_sweep_workers_do_not_change_results():
     assert serial.tables["argmin"].rows == parallel.tables["argmin"].rows
 
 
+def test_map_starts_no_more_processes_than_tasks(monkeypatch):
+    # a process pool forks all of its workers at its first submit
+    import concurrent.futures
+
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, function, tasks):
+            return map(function, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    assert experiments._map(abs, [1, -2, 3], 64) == [1, 2, 3]
+    assert pools == [3]
+    # one task runs in this process
+    assert experiments._map(abs, [-1], 8) == [1]
+    assert pools == [3]
+
+
+def test_noise_tables_share_the_compare_pulsed_time_axis():
+    # both sample the one z schedule at its boundary times, so the noise
+    # statistics line up with the pulsed trace row by row, to the bit
+    model = from_chi_gamma(1.0, 0.1, 20)
+    pulsed = compare_pulsed(model, max_step=0.05).tables["traces"].rows
+    pulsed_z = [row[2:4] for row in pulsed if row[0] == "pulsed_z"]
+    noise = NoiseSpec("pulse_separation", 0.0)
+    result = noise_monte_carlo(model, design(model, "z", "A"), noise, n_runs=2, seed=0)
+    stats = [row[1:3] for row in result.tables["trace_stats"].rows]
+    assert len(stats) == 114
+    assert np.array(stats).tobytes() == np.array(pulsed_z).tobytes()
+    t_min = {row[5:7] for row in result.tables["runs"].rows}
+    assert t_min <= set(pulsed_z)
+
+
 def test_compare_pulsed_tat_limit_traces_coincide():
     result = compare_pulsed(small_model(0.5))
     traces = {}

@@ -111,7 +111,7 @@ def step_alone(model, sch, initial, noise, seed_seq, sigma):
     else:
         cycles = (realize_cycle() for _ in range(sch.cycle_count))
     # a generator of cycles is always stepped segment by segment
-    _, states = run_cycles(coherent_state(space, initial), cycles)
+    states = run_cycles(coherent_state(space, initial), cycles)
     xi2, _, _, _ = batch_squeezing(space, states)
     return xi2, (n_spins, gamma, chi), clamped
 

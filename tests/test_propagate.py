@@ -613,15 +613,14 @@ def test_repeated_cycle_unitary_matches_stepping(monkeypatch, columns):
     per_cycle = sum(isinstance(seg, PulseSegment) for seg in cycle)
     for count in (space.dim - 2, space.dim - 1, space.dim, space.dim + 9):
         pulses.clear()
-        times, states = run_cycles(state, (cycle,) * count)
+        states = run_cycles(state, (cycle,) * count)
         # the unitary is built by stepping one cycle of the identity
         switched = len(pulses) == per_cycle
         assert len(pulses) == (per_cycle if switched else count * per_cycle)
         # an iterator of cycles is always stepped segment by segment
-        step_times, stepped = run_cycles(state, iter((cycle,) * count))
+        stepped = run_cycles(state, iter((cycle,) * count))
         assert switched == (count >= space.dim)
         assert states.shape == stepped.shape == state.amplitudes.shape + (count + 1,)
-        assert np.array_equal(times, step_times)
         assert np.max(np.abs(states - stepped)) < 1e-12
 
 
@@ -638,12 +637,11 @@ def test_block_columns_match_vectors_stepped_alone(axis):
         return PulseSegment(seg.axis, seg.angle * factor)
 
     cycles = [tuple(per_column(seg) for seg in cycle)] * 4
-    times, states = run_cycles(SpinState(block, space), cycles)
-    assert times.shape == (5, 3) and states.shape == (space.dim, 3, 5)
+    states = run_cycles(SpinState(block, space), cycles)
+    assert states.shape == (space.dim, 3, 5)
     for r in range(3):
         alone = [tuple(per_column(seg, r) for seg in cycle)] * 4
-        t_alone, s_alone = run_cycles(SpinState(block[:, r], space), alone)
-        assert np.array_equal(times[:, r], t_alone)
+        s_alone = run_cycles(SpinState(block[:, r], space), alone)
         assert np.max(np.abs(states[:, r] - s_alone)) < 1e-12
 
 
@@ -681,7 +679,7 @@ def test_schedule_unitary_is_one_stepped_cycle(axis, tilt):
         for seg in sched.segments
     )
     psi = coherent_state(space, BlochAngles(1.3, 0.6))
-    _, states = run_cycles(psi, (cycle,))
+    states = run_cycles(psi, (cycle,))
     unitary = schedule_unitary(sched, model, space)
     assert np.max(np.abs(unitary @ psi.amplitudes - states[:, 1])) <= 1e-12
 
@@ -739,6 +737,33 @@ def assert_traces_agree(trace, reference, space):
     assert np.max(np.abs(trace.min_variance_axis - reference.min_variance_axis)) <= 1e-12
 
 
+def running_sum(sched):
+    """Elapsed time at each cycle boundary: each free duration added in turn."""
+    elapsed, times = 0.0, [0.0]
+    for _ in range(sched.cycle_count):
+        for seg in sched.segments:
+            if isinstance(seg, FreeSegment):
+                elapsed = elapsed + seg.duration
+        times.append(elapsed)
+    return np.array(times)
+
+
+@pytest.mark.parametrize("axis,gamma", [("z", 0.1), ("y", 0.1), ("z", 0.5)])
+def test_schedule_times_are_the_running_sum_of_free_durations(axis, gamma):
+    # gamma = 1/2 is the no-pulse schedule, one free segment per cycle
+    model = from_chi_gamma(1.0, gamma, 100)
+    sched = schedule(design(model, axis, "A"), model, total_time=0.1, max_step=0.05)
+    assert sched.cycle_count == 200
+    assert sched.times.tobytes() == running_sum(sched).tobytes()
+    psi = coherent_state(build_space(100), BlochAngles(1.2, 0.3))
+    assert run_schedule(psi, sched, model).t.tobytes() == sched.times.tobytes()
+
+
+def test_pulse_only_schedule_times_are_zeros():
+    sched = PulseSchedule((PulseSegment("z", 0.3), PulseSegment("x", 0.2)), 4, 0.0, 0.0)
+    assert sched.times.tobytes() == running_sum(sched).tobytes() == np.zeros(5).tobytes()
+
+
 @pytest.mark.parametrize("n", [12, 40])
 def test_run_schedule_toggles_y_pairs_like_stepped_pulses(n):
     space = build_space(n)
@@ -752,9 +777,8 @@ def test_run_schedule_toggles_y_pairs_like_stepped_pulses(n):
     psi = coherent_state(space, design(model, "y", "A").optimal_initial)
     trace = run_schedule(psi, sched, model)
     cycle = stepped(sched.segments, model_eigenbasis(model, space))
-    times, states = run_cycles(psi, (cycle,) * sched.cycle_count)
-    reference = trace_from_states(space, times, states)
-    assert np.array_equal(trace.t, reference.t)
+    states = run_cycles(psi, (cycle,) * sched.cycle_count)
+    reference = trace_from_states(space, sched.times, states)
     assert_traces_agree(trace, reference, space)
 
 
@@ -789,8 +813,8 @@ def test_x_pair_cycle_toggles_like_stepped_pulses(sign):
     cycle = stepped(segments, model_eigenbasis(model, space))
     psi = coherent_state(space, BlochAngles(1.1, 0.4))
     trace = run_schedule(psi, sched, model)
-    times, states = run_cycles(psi, (cycle,) * sched.cycle_count)
-    reference = trace_from_states(space, times, states)
+    states = run_cycles(psi, (cycle,) * sched.cycle_count)
+    reference = trace_from_states(space, sched.times, states)
     assert_traces_agree(trace, reference, space)
-    _, unitary = run_cycles(SpinState(np.eye(space.dim, dtype=complex), space), (cycle,))
+    unitary = run_cycles(SpinState(np.eye(space.dim, dtype=complex), space), (cycle,))
     assert np.max(np.abs(schedule_unitary(sched, model, space) - unitary[..., 1])) <= 1e-12

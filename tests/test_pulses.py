@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmgsqueeze import algebra
+from lmgsqueeze import algebra, pulses
 from lmgsqueeze.algebra import (
     TRACE_BLOCKS,
     Eigenbasis,
@@ -15,6 +15,7 @@ from lmgsqueeze.algebra import (
 )
 from lmgsqueeze.canonical import from_chi_gamma, realize_hamiltonian
 from lmgsqueeze.errors import TooLarge, XAxisImpossible
+from lmgsqueeze.experiments import NoiseSpec, noise_monte_carlo
 from lmgsqueeze.metrics import minimize_hamiltonian
 from lmgsqueeze.propagate import run_schedule
 from lmgsqueeze.pulses import (
@@ -41,11 +42,30 @@ def test_design_closed_forms_at_tenth():
     assert z_b.effective_form == "2Sx2+Sy2"
 
 
-@pytest.mark.parametrize("max_step", [0.0, -0.05])
+@pytest.mark.parametrize("max_step", [0.0, -0.05, math.nan, math.inf])
 def test_schedule_refuses_a_step_bound_that_is_not_positive(max_step):
+    # nan and inf would size the schedule by a failed or a one-cycle ceil
     model = from_chi_gamma(1.0, 0.1, 10)
     with pytest.raises(ValueError, match="max_step"):
         schedule(design(model, "z", "A"), model, 0.1, max_step=max_step)
+
+
+@pytest.mark.parametrize("cycles", [0, -3, 2.5, 3.0, math.nan])
+def test_schedule_refuses_a_cycle_count_that_is_not_a_positive_integer(monkeypatch, cycles):
+    # refused before the memory check, which must not see it
+    model = from_chi_gamma(1.0, 0.1, 10)
+    design_ = design(model, "z", "A")
+
+    def unreached(*args):
+        raise AssertionError("memory checked before the cycle count")
+
+    monkeypatch.setattr(pulses, "require_memory", unreached)
+    with pytest.raises(ValueError, match=r"^cycles must be an integer >= 1"):
+        schedule(design_, model, 1.0, cycles=cycles)
+    monkeypatch.undo()
+    noise = NoiseSpec("pulse_area", 0.1)
+    with pytest.raises(ValueError, match=r"^cycles must be an integer >= 1"):
+        noise_monte_carlo(model, design_, noise, 2, seed=0, total_time=1.0, cycles=cycles)
 
 
 def test_oat_limit_recovers_known_ratio():
