@@ -46,10 +46,6 @@ HERMITICITY_ROWS = 64  # rows per block of the Hermiticity check: no dense tempo
 # the toggling frame, so no Sx basis is built), and the complex v of two
 # effective-Hamiltonian bases plus the matrix being factored.
 DENSE_BYTES_PER_DIM2 = 2 * 16 + 3 * 8 + 3 * 16
-# Dense complex (N+1) x K blocks alive at once while xi^2 is taken at K
-# times (metrics.batch_squeezing): the states, Sx, Sy and Sz applied to them,
-# their conjugate and one product (tracemalloc peak: 6.1 blocks).
-TRACE_BLOCKS = 6
 
 
 @dataclass(frozen=True)
@@ -79,12 +75,18 @@ class DickeSpace:
         return (DickeSpace, (self.n_spins, self.dim, self.j))
 
 
+def spin_count(n_spins, error: type = InvalidSize, name: str = "n_spins") -> int:
+    """``n_spins`` as an int; ``error`` naming ``name`` unless it is an integer
+    >= 1 (x % 1 is nan for inf and nan, so no int() call can overflow)."""
+    if not (n_spins % 1 == 0 and n_spins >= 1):
+        raise error(f"{name}: must be a positive integer, got {n_spins!r}")
+    return int(n_spins)
+
+
 def build_space(n_spins: int) -> DickeSpace:
     """The Dicke space of ``n_spins``; TooLarge when the dense operators
     kept for it would not fit in physical memory."""
-    if int(n_spins) != n_spins or n_spins < 1:
-        raise InvalidSize(f"n_spins must be a positive integer, got {n_spins!r}")
-    n = int(n_spins)
+    n = spin_count(n_spins)
     require_memory(DENSE_BYTES_PER_DIM2 * (n + 1) ** 2, f"dense operators at n_spins={n}")
     return DickeSpace(n_spins=n, dim=n + 1, j=n / 2.0)
 

@@ -22,6 +22,7 @@ from .algebra import (
     collective_operator,
     hamiltonian_eig,
     quadratic_form,
+    spin_count,
 )
 from .errors import AsymmetricInput, DimensionMismatch, IsotropicCoupling
 from .states import rotation
@@ -119,6 +120,7 @@ def canonicalize(coupling: CouplingMatrix, n_spins: int) -> LMGModel:
     gamma = (chi_y - chi_z) / (chi_x - chi_z).  Raw gamma > 1/2 triggers the
     x-z axis swap, mapping gamma -> 1 - gamma and flipping the sign.
     """
+    n = spin_count(n_spins)
     mat = coupling.chi
     scale = float(np.max(np.abs(mat)))
     if np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL * max(scale, 1.0):
@@ -132,7 +134,6 @@ def canonicalize(coupling: CouplingMatrix, n_spins: int) -> LMGModel:
             "coupling is isotropic (H proportional to S^2); no squeezing axis"
         )
 
-    n = int(n_spins)
     space_j = n / 2.0
     casimir = space_j * (space_j + 1.0)
     chi = float(chi_x - chi_z)
@@ -163,7 +164,7 @@ def from_chi_gamma(chi: float, gamma: float, n_spins: int) -> LMGModel:
         raise ValueError(f"chi must be a positive finite number, got {chi!r}")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
-    n = int(n_spins)
+    n = spin_count(n_spins)
     space_j = n / 2.0
     if gamma > 0.5:
         return LMGModel(

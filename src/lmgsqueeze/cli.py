@@ -1,5 +1,7 @@
 """Command-line front end: config parsing, experiment dispatch, data emission.
 
+The CLI parses and types values; the experiments own every size and worker
+limit, and refuse a value before they allocate or spawn anything for it.
 Configs are JSON (a single self-describing file); command-line flags override
 config values.  A previously written descriptor.json is itself a valid
 config: re-running it reproduces the original outputs byte for byte.
@@ -16,7 +18,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import TRACE_BLOCKS, require_memory
 from .canonical import CouplingMatrix, canonicalize, from_chi_gamma
 from .errors import ConfigError, LmgError
 from .experiments import (
@@ -26,12 +27,10 @@ from .experiments import (
     evolve_trace,
     noise_monte_carlo,
     scaling_study,
-    sweep_bytes,
     sweep_gamma,
     sweep_initial_state,
     write_result,
 )
-from .metrics import SCAN_CHUNK, SCAN_SAMPLE_BYTES
 from .pulses import design
 from .states import BlochAngles
 
@@ -44,8 +43,6 @@ EXPERIMENTS = (
     "noise",
 )
 INSPECT_COMMANDS = ("canonicalize", "design")
-# Each worker is a process, and a process pool may start all of them at once.
-MAX_WORKERS = 64
 
 _DEFAULTS = {
     "seed": 0,
@@ -80,21 +77,6 @@ _OMITTABLE_KEYS = {
     "sweep-gamma": ("gamma",),
     "scaling": ("n_spins",),
 }
-
-
-def trace_bytes(experiment: str, n_spins: int, grid_points: int) -> int:
-    """Memory an experiment holds at once for its traces on ``grid_points``
-    times at ``n_spins``.  evolve samples the whole grid as one block; the
-    sweeps and scaling scan it SCAN_CHUNK times at a time and keep
-    SCAN_SAMPLE_BYTES per time, and the initial-state sweep also keeps one
-    (N+1) x grid_points phase table for every point."""
-    block = 16 * (n_spins + 1)
-    if experiment == "evolve":
-        return TRACE_BLOCKS * block * grid_points
-    needed = TRACE_BLOCKS * block * min(grid_points, SCAN_CHUNK) + SCAN_SAMPLE_BYTES * grid_points
-    if experiment == "sweep-initial-state":
-        needed += block * grid_points
-    return needed
 
 
 def _fail(path: str, message: str):
@@ -184,7 +166,7 @@ def validate_config(raw: dict) -> dict:
 
     cfg["n_spins"] = _require_number(cfg, "n_spins", lo=1, integer=True)
     cfg["seed"] = _require_number(cfg, "seed", lo=0, integer=True)
-    cfg["workers"] = _require_number(cfg, "workers", lo=1, hi=MAX_WORKERS, integer=True)
+    cfg["workers"] = _require_number(cfg, "workers", integer=True)
 
     initial = cfg.get("initial")
     if isinstance(initial, (list, tuple)) and len(initial) == 2:
@@ -208,11 +190,8 @@ def validate_config(raw: dict) -> dict:
     cfg["max_step"] = _require_number(cfg, "max_step", positive=True)
     cfg["cycles"] = _require_number(cfg, "cycles", lo=1, allow_none=True, integer=True)
     cfg["total_time"] = _require_number(cfg, "total_time", allow_none=True, positive=True)
-    # counts, so that the sweep-grid size below is never a product of two
-    # negatives; sweep_initial_state owns its >= 2 rule, which no other
-    # experiment reads
-    cfg["theta_points"] = _require_number(cfg, "theta_points", lo=0, integer=True)
-    cfg["phi_points"] = _require_number(cfg, "phi_points", lo=0, integer=True)
+    cfg["theta_points"] = _require_number(cfg, "theta_points", integer=True)
+    cfg["phi_points"] = _require_number(cfg, "phi_points", integer=True)
     if cfg.get("gammas") is not None:
         if not isinstance(cfg["gammas"], (list, tuple)) or not cfg["gammas"]:
             _fail("gammas", "expected a non-empty array of gamma values")
@@ -232,20 +211,6 @@ def validate_config(raw: dict) -> dict:
     if not all(isinstance(v, str) for v in cfg["variants"]):
         _fail("variants", f"expected an array of names, got {cfg['variants']}")
     cfg["n_runs"] = _require_number(cfg, "n_runs", integer=True)
-
-    # refuse, before anything is allocated, a trace or sweep grid whose arrays
-    # would not fit in physical memory; only these experiments read grid_points
-    # (compare-pulsed samples its z cycle grid, which pulses.schedule sizes)
-    grid_readers = ("evolve", "sweep-initial-state", "sweep-gamma", "scaling")
-    if cfg["grid_points"] is not None and experiment in grid_readers:
-        n = max(cfg["n_grid"]) if experiment == "scaling" else cfg["n_spins"]
-        require_memory(
-            trace_bytes(experiment, n, cfg["grid_points"]),
-            f"traces of grid_points={cfg['grid_points']} at n_spins={n}",
-        )
-    if experiment == "sweep-initial-state":
-        grid = (cfg["theta_points"], cfg["phi_points"])
-        require_memory(sweep_bytes(*grid), f"the objects of a {grid[0]} x {grid[1]} sweep grid")
 
     if experiment == "noise":
         if cfg.get("channel") is None:

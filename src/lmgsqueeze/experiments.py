@@ -48,10 +48,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .algebra import BandedForm, Eigenbasis, build_space, quadratic_form
+from .algebra import BandedForm, Eigenbasis, build_space, quadratic_form, require_memory
+from .algebra import spin_count
 from .canonical import LMGModel, from_chi_gamma, model_eigenbasis
 from .errors import ConfigError
 from .metrics import batch_squeezing, default_horizon, fit_loglog_slope, minimize_hamiltonian
+from .metrics import require_trace_memory
 from .propagate import FreeSegment, PulseSegment, realized_cycle, run_cycles, run_schedule
 from .pulses import PulseDesign, design, effective_hamiltonian, schedule
 from .states import BlochAngles, SpinState, coherent_generator_eig, coherent_state, rotation
@@ -173,6 +175,7 @@ def evolve_trace(
     grid_points: int = 2000,
 ) -> ExperimentResult:
     """Squeezing trace and first minimum for one model and initial state."""
+    require_trace_memory(model.n_spins, grid_points, every_sample=True)
     horizon = default_horizon(model.n_spins) if horizon is None else horizon
     space = build_space(model.n_spins)
     psi0 = coherent_state(space, initial)
@@ -213,6 +216,16 @@ def evolve_trace(
         ),
     )
     return result
+
+
+# Each worker is a process, and a process pool may start all of them at once.
+MAX_WORKERS = 64
+
+
+def _require_workers(workers: int) -> None:
+    """Refuse a worker count outside [1, MAX_WORKERS], before anything is built."""
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ConfigError(f"workers: must lie in [1, {MAX_WORKERS}], got {workers}")
 
 
 def _map(function, tasks: list, workers: int) -> list:
@@ -302,9 +315,14 @@ def sweep_initial_state(
     its theta, prepared once, turned by its phi about z, and is sampled
     through one phase table of the model's parity basis.
     """
+    _require_workers(workers)
     for name, points in (("theta_points", theta_points), ("phi_points", phi_points)):
         if points < 2:
             raise ConfigError(f"{name}: must be >= 2, got {points}")
+    grid = f"a {theta_points} x {phi_points} sweep grid"
+    require_memory(sweep_bytes(theta_points, phi_points), f"the objects of {grid}")
+    # its scans share one phase table: N+1 phases per time
+    require_trace_memory(model.n_spins, grid_points, False, sample_bytes=16 * (model.n_spins + 1))
     horizon = default_horizon(model.n_spins) if horizon is None else horizon
     thetas = np.linspace(0.0, math.pi, theta_points)
     phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
@@ -375,6 +393,7 @@ def sweep_gamma(
     for i, gamma in enumerate(gamma_grid):
         if not 0.0 <= gamma <= 0.5:
             raise ConfigError(f"gammas[{i}]: must lie in [0, 0.5], got {gamma}")
+    require_trace_memory(n_spins, grid_points, every_sample=False)
     horizon = default_horizon(n_spins) if horizon is None else horizon
     space = build_space(n_spins)
     psi0 = coherent_state(space, BlochAngles(theta=math.pi / 2.0, phi=math.pi / 2.0))
@@ -544,19 +563,20 @@ def scaling_study(
     constant fraction of xi2_min.  The default 5.0 reproduces the single-size
     bound 0.05 at N = 100.
     """
-    if len({int(n) for n in n_grid}) < 2:
-        raise ConfigError(f"n_grid: a slope needs at least two distinct N, got {list(n_grid)}")
+    n_grid = [spin_count(n, ConfigError, f"n_grid[{i}]") for i, n in enumerate(n_grid)]
+    if len(set(n_grid)) < 2:
+        raise ConfigError(f"n_grid: a slope needs at least two distinct N, got {n_grid}")
     known = ("OAT", "TAT", "LMG", "pulsed")
     for variant in variants:
         if variant not in known:
             raise ConfigError(f"variants: unknown variant {variant!r}")
     if len(set(variants)) < len(variants):
         raise ConfigError(f"variants: each variant may appear once, got {list(variants)}")
+    require_trace_memory(max(n_grid), grid_points, every_sample=False)
     initial = BlochAngles(theta=math.pi / 2.0, phi=math.pi / 2.0)
     rows = []
     minima = {v: [] for v in variants}
     for n in n_grid:
-        n = int(n)
         space = build_space(n)
         psi0 = coherent_state(space, initial)
         times = np.linspace(0.0, default_horizon(n) / (chi * n), grid_points)
@@ -577,7 +597,7 @@ def scaling_study(
             minima[variant].append(minimum.xi2)
 
     slope_rows = tuple(
-        (variant, fit_loglog_slope([int(n) for n in n_grid], minima[variant]))
+        (variant, fit_loglog_slope(n_grid, minima[variant]))
         for variant in variants
     )
     result = ExperimentResult(
@@ -586,7 +606,7 @@ def scaling_study(
             {
                 "gamma": gamma,
                 "chi": chi,
-                "n_grid": [int(n) for n in n_grid],
+                "n_grid": n_grid,
                 "variants": list(variants),
                 "axis": axis,
                 "branch": branch,
@@ -761,7 +781,9 @@ def _noise_outcomes(space, model, sch, initial, noise, n_runs, seed, workers, ps
     their runs perturb.
     """
     runs = [_new_run(noise, model, child) for child in np.random.SeedSequence(seed).spawn(n_runs)]
-    build_space(max(run.n_spins for run in runs))  # refuse an oversized drawn N before any block
+    n_max = max(run.n_spins for run in runs)  # refuse an oversized drawn N before any block
+    build_space(n_max)
+    require_trace_memory(n_max, sch.cycle_count + 1, every_sample=True)
     groups = {}
     for index, run in enumerate(runs):
         groups.setdefault((run.n_spins, run.gamma, run.chi), []).append(index)
@@ -797,6 +819,7 @@ def noise_monte_carlo(
     realized dynamics (the experimenter does not know the true parameters).
     xi2 minima are taken over the cycle boundaries, at the schedule's times.
     """
+    _require_workers(workers)
     if n_runs < 1:
         raise ConfigError(f"n_runs: must be >= 1, got {n_runs}")
     space = build_space(model.n_spins)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import DickeSpace, Eigenbasis, build_space, collective_operator
+from .algebra import DickeSpace, Eigenbasis, build_space, collective_operator, require_memory
 from .canonical import LMGModel, model_eigenbasis
 from .errors import MeanSpinVanished, NoMinimumFound
 from .propagate import evolve, evolve_batch
@@ -26,6 +26,10 @@ SCAN_CHUNK = 128
 # per-sample results, their concatenation and the time grid (tracemalloc
 # peak of a scan that samples every time: 159-164 B at N = 4, plus 8 B).
 SCAN_SAMPLE_BYTES = 176
+# Dense complex (N+1) x K blocks alive at once while xi^2 is taken at K
+# times (batch_squeezing): the states, Sx, Sy and Sz applied to them, their
+# conjugate and one product (tracemalloc peak: 6.1 blocks).
+TRACE_BLOCKS = 6
 # golden ratio conjugate 2 / (1 + sqrt(5)), rounded as scipy.optimize rounds it
 _GR = 0.61803399
 _GC = 1.0 - _GR
@@ -200,6 +204,17 @@ def trace_from_states(
     )
 
 
+def require_trace_memory(n_spins: int, samples, every_sample: bool, sample_bytes: int = 0):
+    """TooLarge when xi^2 at ``samples`` times (inf allowed) at ``n_spins``
+    would not fit in physical memory: TRACE_BLOCKS blocks of every state
+    with ``every_sample``, else of one SCAN_CHUNK chunk plus
+    SCAN_SAMPLE_BYTES per time; the caller keeps ``sample_bytes`` per time."""
+    block = TRACE_BLOCKS * 16 * (n_spins + 1)
+    held = 0 if every_sample else block * min(samples, SCAN_CHUNK)
+    per_sample = (block if every_sample else SCAN_SAMPLE_BYTES) + sample_bytes
+    require_memory(held + per_sample * samples, f"traces of {samples} times at n_spins={n_spins}")
+
+
 def default_horizon(n_spins: int) -> float:
     """Dimensionless scan horizon that brackets the first minimum for any
     gamma in [0, 1/2]; the slowest case (gamma = 0) grows like (N/2)^(1/3)."""
@@ -342,6 +357,7 @@ def minimize_over_time(
     """
     if grid_points < 100:
         raise ValueError(f"grid_points must be >= 100, got {grid_points}")
+    require_trace_memory(model.n_spins, grid_points, every_sample=False)
     horizon = default_horizon(model.n_spins) if horizon is None else horizon
     space = build_space(model.n_spins)
     times = np.linspace(0.0, horizon / (model.chi * model.n_spins), grid_points)

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import TRACE_BLOCKS, DickeSpace, quadratic_form, require_memory
-from .algebra import conjugated_coefficients
+from .algebra import DickeSpace, conjugated_coefficients, quadratic_form
 from .canonical import LMGModel
 from .errors import XAxisImpossible
+from .metrics import require_trace_memory
 from .propagate import FreeSegment, PulseSegment, PulseSchedule
 from .states import BlochAngles
 
@@ -138,14 +138,13 @@ def schedule(
     if not 0.0 < max_step < math.inf:
         raise ValueError(f"max_step must be finite and > 0, got {max_step}")
     if cycles is None:
-        cycles = max(1, math.ceil(total_time * model.n_spins * model.chi / max_step))
+        # sized unrounded when it overflows to inf, which ceil cannot round
+        count = total_time * model.n_spins * model.chi / max_step
+        cycles = max(1, math.ceil(count)) if math.isfinite(count) else count
     elif not isinstance(cycles, numbers.Integral) or cycles < 1:
         raise ValueError(f"cycles must be an integer >= 1, got {cycles!r}")
+    require_trace_memory(model.n_spins, cycles + 1, every_sample=True)
     cycles = int(cycles)
-    require_memory(
-        TRACE_BLOCKS * 16 * (cycles + 1) * (model.n_spins + 1),
-        f"traces of {cycles} cycles at n_spins={model.n_spins}",
-    )
     cycle_time = total_time / cycles
     if design_.no_pulse:
         return PulseSchedule(

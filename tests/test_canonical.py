@@ -16,7 +16,23 @@ from lmgsqueeze.canonical import (
     pairwise_collective_hamiltonian,
     realize_hamiltonian,
 )
-from lmgsqueeze.errors import AsymmetricInput, DimensionMismatch, IsotropicCoupling
+from lmgsqueeze.errors import AsymmetricInput, DimensionMismatch, InvalidSize, IsotropicCoupling
+
+
+@pytest.mark.parametrize("n_spins", [2.5, 0, -3, np.nan, np.inf])
+def test_models_refuse_a_spin_count_that_is_not_a_positive_integer(n_spins):
+    # the rule of build_space, not a truncation: 2.5 would build N = 2
+    with pytest.raises(InvalidSize, match=r"^n_spins: must be a positive integer"):
+        from_chi_gamma(1.0, 0.1, n_spins)
+    with pytest.raises(InvalidSize, match=r"^n_spins: must be a positive integer"):
+        canonicalize(CouplingMatrix(chi=np.diag([1.0, 0.25, 0.0])), n_spins)
+
+
+def test_models_take_an_integral_spin_count_as_an_int():
+    for n_spins in (10, 10.0, np.int64(10)):
+        model = from_chi_gamma(1.0, 0.1, n_spins)
+        assert type(model.n_spins) is int and model.n_spins == 10
+        assert canonicalize(CouplingMatrix(chi=np.diag([1.0, 0.25, 0.0])), n_spins).n_spins == 10
 
 
 def test_diagonal_example():

@@ -9,11 +9,20 @@ import sys
 import pytest
 
 import lmgsqueeze
-from lmgsqueeze import algebra, metrics
-from lmgsqueeze.algebra import TRACE_BLOCKS
-from lmgsqueeze.cli import MAX_WORKERS, main, parse_config, run, trace_bytes, validate_config
+from lmgsqueeze import algebra, experiments, metrics
+from lmgsqueeze.canonical import from_chi_gamma
+from lmgsqueeze.cli import main, parse_config, run, validate_config
 from lmgsqueeze.errors import ConfigError, TooLarge
-from lmgsqueeze.experiments import sweep_bytes
+from lmgsqueeze.experiments import (
+    MAX_WORKERS,
+    evolve_trace,
+    scaling_study,
+    sweep_bytes,
+    sweep_gamma,
+    sweep_initial_state,
+)
+from lmgsqueeze.metrics import SCAN_CHUNK, SCAN_SAMPLE_BYTES, TRACE_BLOCKS
+from lmgsqueeze.states import BlochAngles
 
 MINIMAL = {"chi": 1.0, "gamma": 0.1, "n_spins": 100, "experiment": "compare-pulsed"}
 
@@ -108,13 +117,19 @@ def test_non_finite_and_non_positive_values_name_field(raw, field):
     assert str(err.value).startswith(f"{field}: ")
 
 
-def test_workers_above_maximum_refused():
+def test_workers_above_maximum_refused(tmp_path, monkeypatch, capsys):
+    # the sweep owns the bound; a 2 x 2 grid is one orbit, one task, so 64
+    # workers start no process
+    monkeypatch.chdir(tmp_path)
     assert MAX_WORKERS == 64
-    assert validate_config(dict(MINIMAL, workers=64))["workers"] == 64
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(MINIMAL, n_spins=4, theta_points=2, phi_points=2)))
+    sweep = ["sweep-initial-state", "--config", str(path)]
+    assert main([*sweep, "--workers", "64", "--out", "ok"]) == 0
     for workers in (65, 10**6):
-        with pytest.raises(ConfigError) as err:
-            validate_config(dict(MINIMAL, workers=workers))
-        assert str(err.value).startswith("workers: ")
+        assert main([*sweep, "--workers", str(workers), "--out", "big"]) == 2
+        assert "error[ConfigError]: workers: " in capsys.readouterr().err
+    assert not (tmp_path / "big").exists()
 
 
 @pytest.mark.parametrize("gammas", [[False], [0.6], ["0.1"], [math.nan]])
@@ -258,36 +273,50 @@ def test_trace_and_sweep_sizes_count_every_block(monkeypatch):
     n, k = 100, 1000
     memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": TRACE_BLOCKS * 16 * k * (n + 1)}
     monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
-    cfg = dict(MINIMAL, experiment="evolve", n_spins=n)
-    assert validate_config(dict(cfg, grid_points=k))["grid_points"] == k
+    model, initial = from_chi_gamma(1.0, 0.1, n), BlochAngles(math.pi / 2.0, math.pi / 2.0)
+    assert len(evolve_trace(model, initial, grid_points=k).tables["trace"].rows) == k
     with pytest.raises(TooLarge):
-        validate_config(dict(cfg, grid_points=k + 1))
+        evolve_trace(model, initial, grid_points=k + 1)
     # scaling's largest N sets the size of its chunked scan
-    memory["SC_PHYS_PAGES"] = trace_bytes("scaling", n, k)
-    scaling = dict(cfg, experiment="scaling", grid_points=k)
-    assert validate_config(dict(scaling, n_grid=[10, n]))["n_grid"] == [10, n]
+    memory["SC_PHYS_PAGES"] = TRACE_BLOCKS * 16 * SCAN_CHUNK * (n + 1) + SCAN_SAMPLE_BYTES * k
+    scaling = scaling_study(0.1, [10, n], variants=["LMG"], grid_points=k)
+    assert scaling.descriptor["parameters"]["n_grid"] == [10, n]
     with pytest.raises(TooLarge):
-        validate_config(dict(scaling, n_grid=[10, n + 1]))
+        scaling_study(0.1, [10, n + 1], variants=["LMG"], grid_points=k)
 
+    # the sweep grid at N = 2, whose traces and space fit in what it takes
     memory["SC_PHYS_PAGES"] = sweep_bytes(40, 30)
-    cfg = dict(cfg, experiment="sweep-initial-state")
-    assert validate_config(dict(cfg, theta_points=40, phi_points=30))["theta_points"] == 40
-    with pytest.raises(TooLarge):
-        validate_config(dict(cfg, theta_points=41, phi_points=30))
+    small = from_chi_gamma(1.0, 0.1, 2)
+    sweep = sweep_initial_state(small, theta_points=40, phi_points=30, grid_points=100)
+    assert len(sweep.tables["grid"].rows) == 40 * 30
+    with pytest.raises(TooLarge, match="41 x 30 sweep grid"):
+        sweep_initial_state(small, theta_points=41, phi_points=30, grid_points=100)
 
 
 @pytest.mark.parametrize("experiment", ["sweep-gamma", "scaling", "sweep-initial-state", "evolve"])
 def test_chunked_scans_are_sized_by_their_chunk(monkeypatch, experiment):
     # 8 GiB of memory: 10^6 samples at N = 100 fit a scan that holds
-    # SCAN_CHUNK columns of states at a time, not six whole-grid blocks
+    # SCAN_CHUNK columns of states at a time, not six whole-grid blocks; an
+    # admitted grid goes on to build its space, where the run stops here
     memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2**33}
     monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
-    cfg = dict(MINIMAL, experiment=experiment, n_spins=100, n_grid=[50, 100], grid_points=10**6)
-    if experiment == "evolve":
-        with pytest.raises(TooLarge):
-            validate_config(cfg)
-    else:
-        assert validate_config(cfg)["grid_points"] == 10**6
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(n_spins):
+        raise Admitted
+
+    monkeypatch.setattr(experiments, "build_space", admitted)
+    model, k = from_chi_gamma(1.0, 0.1, 100), 10**6
+    call = {
+        "evolve": lambda: evolve_trace(model, BlochAngles(0.0, 0.0), grid_points=k),
+        "sweep-gamma": lambda: sweep_gamma(100, [0.1], grid_points=k),
+        "scaling": lambda: scaling_study(0.1, [50, 100], grid_points=k),
+        "sweep-initial-state": lambda: sweep_initial_state(model, grid_points=k),
+    }[experiment]
+    with pytest.raises(TooLarge if experiment == "evolve" else Admitted):
+        call()
 
 
 @pytest.mark.parametrize("experiment", ["compare-pulsed", "noise", "design"])
@@ -351,8 +380,8 @@ def test_a_model_key_the_experiment_sets_per_point_may_be_left_out(
         # sweep_initial_state owns this rule, not the config check every run makes
         ({"theta_points": 1}, "theta_points: must be >= 2"),
         ({"phi_points": 1}, "phi_points: must be >= 2"),
-        # a grid of negative counts is malformed, not too large
-        ({"theta_points": -(10**5), "phi_points": -(10**5)}, "theta_points: must be >= 0"),
+        # a grid of negative counts meets that rule before its size is taken
+        ({"theta_points": -(10**5), "phi_points": -(10**5)}, "theta_points: must be >= 2"),
     ],
 )
 def test_sweep_needs_two_points_per_axis(tmp_path, monkeypatch, capsys, grid, message):

@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -523,6 +524,21 @@ def test_scaling_study_small():
 @pytest.mark.parametrize("n_grid", [[20], [20, 20], [20, 20.0]])
 def test_scaling_rejects_fewer_than_two_distinct_sizes(n_grid):
     with pytest.raises(ConfigError, match="n_grid"):
+        scaling_study(0.1, n_grid, variants=("OAT",))
+
+
+@pytest.mark.parametrize(
+    "n_grid, field",
+    [
+        ([8.5, 12], "n_grid[0]"),
+        ([8, 0], "n_grid[1]"),
+        ([8, -4], "n_grid[1]"),
+        ([math.inf, 8], "n_grid[0]"),
+    ],
+)
+def test_scaling_refuses_a_size_that_is_not_a_positive_integer(n_grid, field):
+    # not truncated: 8.5 would run and record N = 8
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: must be a positive integer"):
         scaling_study(0.1, n_grid, variants=("OAT",))
 
 

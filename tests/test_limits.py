@@ -1,0 +1,110 @@
+"""Each library entry point refuses, before it allocates or spawns, the
+traces, grids and workers it would need: memory equal to a trace's bound is
+admitted and one byte less is refused, and a worker count outside
+[1, MAX_WORKERS] is refused before any space is built."""
+
+import math
+
+import pytest
+
+from lmgsqueeze import algebra, experiments
+from lmgsqueeze.canonical import from_chi_gamma
+from lmgsqueeze.errors import ConfigError, TooLarge
+from lmgsqueeze.experiments import (
+    MAX_WORKERS,
+    NoiseSpec,
+    evolve_trace,
+    noise_monte_carlo,
+    scaling_study,
+    sweep_gamma,
+    sweep_initial_state,
+)
+from lmgsqueeze.metrics import SCAN_CHUNK, SCAN_SAMPLE_BYTES, TRACE_BLOCKS, minimize_over_time
+from lmgsqueeze.pulses import design
+from lmgsqueeze.states import BlochAngles
+
+N, K = 4, 200  # more samples than one scan chunk
+INITIAL = BlochAngles(math.pi / 2.0, math.pi / 2.0)
+
+
+def every_sample_bytes(n, k):
+    return TRACE_BLOCKS * 16 * (n + 1) * k
+
+
+def chunked_bytes(n, k):
+    return TRACE_BLOCKS * 16 * (n + 1) * min(k, SCAN_CHUNK) + SCAN_SAMPLE_BYTES * k
+
+
+MODEL = from_chi_gamma(1.0, 0.1, N)
+ENTRY_POINTS = {
+    "evolve_trace": (
+        lambda: evolve_trace(MODEL, INITIAL, grid_points=K),
+        every_sample_bytes(N, K),
+    ),
+    "sweep_gamma": (
+        lambda: sweep_gamma(N, [0.0, 0.1], grid_points=K),
+        chunked_bytes(N, K),
+    ),
+    "minimize_over_time": (
+        lambda: minimize_over_time(MODEL, INITIAL, grid_points=K),
+        chunked_bytes(N, K),
+    ),
+    # sized at its largest N, before the loop reaches it
+    "scaling_study": (
+        lambda: scaling_study(0.1, [N + 2, N], variants=["LMG"], grid_points=K),
+        chunked_bytes(N + 2, K),
+    ),
+    # its scans also share one phase table of N+1 complex phases per time
+    "sweep_initial_state": (
+        lambda: sweep_initial_state(MODEL, theta_points=3, phi_points=4, grid_points=K),
+        chunked_bytes(N, K) + 16 * (N + 1) * K,
+    ),
+}
+
+
+def set_memory(monkeypatch, available):
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": available}
+    monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_refuse_one_byte_less_than_their_traces(monkeypatch, entry):
+    call, needed = ENTRY_POINTS[entry]
+    set_memory(monkeypatch, needed)
+    call()
+    set_memory(monkeypatch, needed - 1)
+    with pytest.raises(TooLarge, match="traces of"):
+        call()
+
+
+def test_noise_sizes_the_trace_of_its_largest_drawn_atom_number(monkeypatch):
+    # seed 2 draws N = 8, 19, 27, 16, 15, 28 around the nominal 20: the run
+    # at N = 28 holds a longer trace than the nominal schedule, which fits
+    model = from_chi_gamma(1.0, 0.1, 20)
+    noise = NoiseSpec("atom_number", 0.5)
+    cycles = 4000
+    assert every_sample_bytes(20, cycles + 1) < every_sample_bytes(28, cycles + 1)
+
+    def run():
+        return noise_monte_carlo(model, design(model, "z"), noise, 6, seed=2, cycles=cycles)
+
+    set_memory(monkeypatch, every_sample_bytes(28, cycles + 1))
+    drawn = [row[1] for row in run().tables["runs"].rows]
+    assert max(drawn) == 28
+    set_memory(monkeypatch, every_sample_bytes(28, cycles + 1) - 1)
+    with pytest.raises(TooLarge, match="n_spins=28"):
+        run()
+
+
+@pytest.mark.parametrize("workers", [0, -3, MAX_WORKERS + 1])
+def test_worker_counts_out_of_range_are_refused_before_any_space(monkeypatch, workers):
+    def unreached(n_spins):
+        raise AssertionError("space built before the worker count was checked")
+
+    monkeypatch.setattr(experiments, "build_space", unreached)
+    model = from_chi_gamma(1.0, 0.1, 10)
+    with pytest.raises(ConfigError, match=r"^workers: "):
+        sweep_initial_state(model, theta_points=3, phi_points=4, workers=workers)
+    noise = NoiseSpec("chi", 0.1)
+    with pytest.raises(ConfigError, match=r"^workers: "):
+        noise_monte_carlo(model, design(model, "z"), noise, 2, seed=0, workers=workers)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from lmgsqueeze import algebra, pulses
 from lmgsqueeze.algebra import (
-    TRACE_BLOCKS,
     Eigenbasis,
     build_space,
     conjugated_coefficients,
@@ -16,7 +15,7 @@ from lmgsqueeze.algebra import (
 from lmgsqueeze.canonical import from_chi_gamma, realize_hamiltonian
 from lmgsqueeze.errors import TooLarge, XAxisImpossible
 from lmgsqueeze.experiments import NoiseSpec, noise_monte_carlo
-from lmgsqueeze.metrics import minimize_hamiltonian
+from lmgsqueeze.metrics import TRACE_BLOCKS, minimize_hamiltonian
 from lmgsqueeze.propagate import run_schedule
 from lmgsqueeze.pulses import (
     compare_axes,
@@ -59,7 +58,7 @@ def test_schedule_refuses_a_cycle_count_that_is_not_a_positive_integer(monkeypat
     def unreached(*args):
         raise AssertionError("memory checked before the cycle count")
 
-    monkeypatch.setattr(pulses, "require_memory", unreached)
+    monkeypatch.setattr(pulses, "require_trace_memory", unreached)
     with pytest.raises(ValueError, match=r"^cycles must be an integer >= 1"):
         schedule(design_, model, 1.0, cycles=cycles)
     monkeypatch.undo()
@@ -256,6 +255,14 @@ def test_design_validation():
         design(model, "z", "C")
     with pytest.raises(ValueError):
         schedule(design(model, "z", "A"), model, total_time=0.0)
+
+
+def test_schedule_refuses_a_step_count_too_large_to_round():
+    # N chi T / max_step overflows to inf, which ceil cannot round: the count
+    # is sized before it is rounded
+    model = from_chi_gamma(1.0, 0.1, 10)
+    with pytest.raises(TooLarge, match="traces of inf times"):
+        schedule(design(model, "z", "A"), model, 1.0, max_step=5e-324)
 
 
 def test_schedule_refuses_cycle_counts_beyond_memory(monkeypatch):

@@ -7,7 +7,8 @@ basis, that generator must be factored only where a space's states are
 prepared, evolution and the minimum search must take a factored basis, every
 exponential must be formed in the one propagation kernel, pulses must be
 applied only by the segment executor, pulse pairs must be toggled only by
-the one cycle realizer,
+the one cycle realizer, memory must be checked only where it is allocated,
+and every grid size and worker count refused before a space is built,
 every function the benchmark traces must exist, each benchmark workload
 must reach the spans its traced run expects, the README's library
 example must run, numpy must be the one runtime dependency, and a CLI run
@@ -280,6 +281,85 @@ def test_cycles_are_toggled_only_by_the_cycle_realizer():
         for function, _ in calls_named(path.read_text(), "toggled_cycle")
     }
     assert found == {("propagate.py", "realized_cycle")}
+
+
+def test_memory_is_checked_only_where_it_is_allocated():
+    # one owner per size limit: a space's dense operators, a trace of xi^2
+    # samples, and the objects of the initial-state sweep's grid; the CLI
+    # parses values and sizes nothing
+    found = {
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, _ in calls_named(path.read_text(), "require_memory")
+    }
+    assert found == {
+        ("algebra.py", "build_space"),
+        ("metrics.py", "require_trace_memory"),
+        ("experiments.py", "sweep_initial_state"),
+    }
+    cli = (PACKAGE / "cli.py").read_text()
+    for name in ("require_memory", "require_trace_memory", "sweep_bytes"):
+        assert calls_named(cli, name) == [], name
+
+
+def test_every_grid_and_worker_parameter_is_refused_before_a_space_is_built(monkeypatch):
+    # every public function of experiments and metrics that takes grid_points
+    # or workers is found by its signature, so a new one cannot skip the rule
+    import inspect
+
+    from lmgsqueeze import experiments, metrics
+    from lmgsqueeze.canonical import from_chi_gamma
+    from lmgsqueeze.errors import ConfigError, TooLarge
+    from lmgsqueeze.pulses import design
+    from lmgsqueeze.states import BlochAngles
+
+    model = from_chi_gamma(1.0, 0.1, 10)
+    arguments = {
+        "model": model,
+        "initial": BlochAngles(0.0, 0.0),
+        "n_spins": 10,
+        "gamma_grid": [0.1],
+        "gamma": 0.1,
+        "n_grid": [10, 20],
+        "design_": design(model, "z"),
+        "noise": experiments.NoiseSpec("chi", 0.1),
+        "n_runs": 2,
+        "seed": 0,
+    }
+
+    def unreached(n_spins):
+        raise AssertionError("a space was built before the sizes were checked")
+
+    for module in (experiments, metrics):
+        monkeypatch.setattr(module, "build_space", unreached)
+    checked = {"grid_points": set(), "workers": set()}
+    for module in (experiments, metrics):
+        for name, function in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(function):
+                continue
+            parameters = inspect.signature(function).parameters
+            if function.__module__ != module.__name__ or not set(checked) & set(parameters):
+                continue
+            names = [p for p, v in parameters.items() if v.default is inspect.Parameter.empty]
+            assert set(names) <= set(arguments), f"{name}: give sample values for {names}"
+            required = {p: arguments[p] for p in names}
+            if "grid_points" in parameters:
+                with pytest.raises(TooLarge):
+                    function(**required, grid_points=10**15)
+                checked["grid_points"].add(name)
+            if "workers" in parameters:
+                for workers in (0, experiments.MAX_WORKERS + 1):
+                    with pytest.raises(ConfigError, match=r"^workers: "):
+                        function(**required, workers=workers)
+                checked["workers"].add(name)
+    assert checked["grid_points"] >= {
+        "evolve_trace",
+        "sweep_initial_state",
+        "sweep_gamma",
+        "scaling_study",
+        "minimize_over_time",
+    }
+    assert checked["workers"] >= {"sweep_initial_state", "noise_monte_carlo"}
 
 
 def test_benchmark_traced_names_exist():
