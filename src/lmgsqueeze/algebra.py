@@ -6,11 +6,12 @@ For N spin-1/2 particles the symmetric sector carries total spin j = N/2 and
 has dimension N + 1.  The basis is ordered by decreasing magnetic quantum
 number, so index 0 is |j, j> and index N is |j, -j>.  An operator is a
 plain dense, double-precision complex ``np.ndarray``, frozen (read-only)
-once built; the squares Sx^2, Sy^2 and Sz^2 are real.  A DickeSpace holds
-the Sx and Sy it has used, the real squares and the real eigenbasis of Sx
-through which ``states.rotate_state`` turns about x and y, each built on
-first use (safe under threads: all callers get the one stored copy) and
-released with the space.
+once built; the squares Sx^2 and Sy^2 are real, and Sz^2 is diagonal
+(m^2), so a quadratic form adds it on the diagonal and none is kept.  A
+DickeSpace holds the Sx and Sy it has used, the real squares and the real
+eigenbasis of Sx through which ``states.rotate_state`` turns about x and y,
+each built on first use (safe under threads: all callers get the one
+stored copy) and released with the space.
 
 Every exp(-i t G) whose G is applied more than once goes through an
 Eigenbasis of G (``propagate`` or ``sample``): free evolution, rotations
@@ -24,10 +25,11 @@ on their own, and ``hamiltonian_eig`` is the one checked dense eigensolver.
 The model's chi (Sx^2 + gamma Sy^2), real and Sz-parity conserving, is
 factored as two real blocks (``Eigenbasis.of_quadratic_form``), and so is
 its image under a quarter turn about x or y, under which nominal pulse
-pairs run (``conjugated_coefficients``), and Sx is one real block.  The
-only dense complex bases left are the azimuth-0 coherent-state generator
-and the effective Hamiltonian that sizes schedules
-(``experiments.predicted_optimal_time``).
+pairs run (``conjugated_coefficients``), and Sx is one real block.  Such a
+basis skips a block whose input rows are all zero, so one parity half of
+a cycle's unitary is built at one block's cost.  The only dense complex
+bases left are the azimuth-0 coherent-state generator and the effective
+Hamiltonian that sizes schedules (``experiments.predicted_optimal_time``).
 """
 
 import math
@@ -41,11 +43,17 @@ from .errors import InvalidSize, NotHermitian, TooLarge
 LABELS = ("Sx", "Sy", "Sz", "S+", "S-", "S2")
 HERMITICITY_TOL = 1e-10
 HERMITICITY_ROWS = 64  # rows per block of the Hermiticity check: no dense temporary
-# Bytes per dim^2 alive for one space during compare_pulsed: the complex Sx,
-# Sy and real squares it holds once used (freed with it; its x/y pulses run in
-# the toggling frame, so no Sx basis is built), and the complex v of two
-# effective-Hamiltonian bases plus the matrix being factored.
-DENSE_BYTES_PER_DIM2 = 2 * 16 + 3 * 8 + 3 * 16
+PARITY_ROWS = (slice(0, None, 2), slice(1, None, 2))  # the even and the odd Sz-parity rows
+# Bytes per dim^2 alive for one space at compare_pulsed's peak, the eigh of
+# its second effective Hamiltonian: the complex Sx, Sy and the real Sx^2, Sy^2
+# the space holds once used (freed with it; its x/y pulses run in the toggling
+# frame, so no Sx basis is built); the complex v of two effective-Hamiltonian
+# bases plus the matrix being factored; and what numpy's complex eigh holds
+# beside its input: its own copy of the matrix and zheevd's work and rwork.
+# That counts 144; one more complex dim^2 covers the freed temporaries that
+# malloc keeps resident.  Measured peak RSS over the RSS after imports, on
+# 2 vCPU with glibc malloc: 153 B per dim^2 between N = 600 and N = 1000.
+DENSE_BYTES_PER_DIM2 = 2 * 16 + 2 * 8 + 3 * 16 + 3 * 16 + 16
 
 
 @dataclass(frozen=True)
@@ -138,16 +146,31 @@ def _operator_matrix(space: DickeSpace, label: str) -> np.ndarray:
 
 
 def quadratic_form(space: DickeSpace, a: float, b: float, c: float) -> np.ndarray:
-    """Return the Hermitian quadratic form a*Sx^2 + b*Sy^2 + c*Sz^2."""
+    """Return the Hermitian quadratic form a*Sx^2 + b*Sy^2 + c*Sz^2.
+
+    Byte for byte the sum of the dense complex squares, signs of zeros
+    included.  Sz^2 is diagonal with entries m^2 exactly, so c*m^2 is added
+    on the diagonal alone: off it the dense square adds c*(+-0), which
+    changes only a -0 entry, and a*Sx^2 + b*Sy^2 has none when ``a`` has no
+    sign bit.  Every form the package builds from a model (chi > 0) has such
+    an ``a``.  For a < 0 or a = -0.0 (a noise run's drawn chi can be
+    negative) the signs of the zeros follow those of the dense product, so
+    that corner forms it.
+    """
     for name, coeff in (("a", a), ("b", b), ("c", c)):
         if not np.isfinite(coeff):
             raise ValueError(f"coefficient {name} must be finite, got {coeff!r}")
     mats = second_moment_operators(space)
-    # byte for byte the complex sum: a*(x + 0j) is a*x + (a*0 + 0*x)j, and
-    # 0*x = +0 as Sx^2 has no negative entry, so every imaginary part is +0
+    # a*(x + 0j) is a*x + (a*0 + 0*x)j, and 0*x = +0 as Sx^2 has no negative
+    # entry, so every imaginary part of the complex sum is +0
     out = a * mats["xx"]
     out += b * mats["yy"]
-    out += c * mats["zz"]  # kept at c = 0: it fixes the signs of zeros
+    m = space.m_values()
+    if np.signbit(a):
+        sz = np.diag(m).astype(complex)
+        out += c * (sz @ sz).real
+    else:
+        out.flat[:: space.dim + 1] += c * m**2
     return _frozen(out.astype(complex))
 
 
@@ -166,8 +189,9 @@ def conjugated_coefficients(axis: str, coefficients: tuple) -> tuple:
 
 
 def second_moment_operators(space: DickeSpace) -> dict[str, np.ndarray]:
-    """The real squares Sx^2, Sy^2, Sz^2 the space holds, keyed "xx", "yy",
-    "zz": the real parts of the dense complex products, whose bits reach h_eff."""
+    """The real squares Sx^2 and Sy^2 the space holds, keyed "xx" and "yy":
+    the real parts of the dense complex products, whose bits reach h_eff.
+    Sz^2 is diagonal (m^2), so none is kept."""
 
     def real(square):
         assert not np.any(square.imag) and not np.any(np.signbit(square.imag))
@@ -176,8 +200,7 @@ def second_moment_operators(space: DickeSpace) -> dict[str, np.ndarray]:
     def build():
         sx = collective_operator(space, "Sx")
         sy = collective_operator(space, "Sy")
-        sz = _operator_matrix(space, "Sz")
-        return {"xx": real(sx @ sx), "yy": real(sy @ sy), "zz": real(sz @ sz)}
+        return {"xx": real(sx @ sx), "yy": real(sy @ sy)}
 
     return space.built("moments", build)
 
@@ -264,12 +287,13 @@ class Eigenbasis:
         if np.any(bands[1] != bands[2]):
             raise ValueError("quadratic form is not symmetric")
         real = mat.real
-        w_even, v_even = np.linalg.eigh(real[0::2, 0::2])
-        w_odd, v_odd = np.linalg.eigh(real[1::2, 1::2])
+        even, odd = PARITY_ROWS
+        w_even, v_even = np.linalg.eigh(real[even, even])
+        w_odd, v_odd = np.linalg.eigh(real[odd, odd])
         half = w_even.size
         blocks = (
-            Block(slice(0, None, 2), slice(0, half), v_even),
-            Block(slice(1, None, 2), slice(half, None), v_odd),
+            Block(even, slice(0, half), v_even),
+            Block(odd, slice(half, None), v_odd),
         )
         return cls(np.concatenate([w_even, w_odd]), blocks)
 
@@ -288,20 +312,26 @@ class Eigenbasis:
     def sample(self, amplitudes: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """v (phases * (v^H @ amplitudes)), block by block.  On one amplitude
         vector, the table ``phases = self.phases(times)`` gives exp(-i G t)
-        applied at every time, as the columns of a (dim, len(times)) array."""
-        parts = []
+        applied at every time, as the columns of a (dim, len(times)) array.
+        A parity block whose input rows are all zero gives zero rows, with
+        no product (one parity half of a cycle's unitary is built so)."""
+        if len(self.blocks) == 1:  # one block spans every row
+            return self._apply_block(self.blocks[0], amplitudes, phases)
+        lift = (1,) * (phases.ndim - amplitudes.ndim)  # a vector's coefficients as a column
+        tail = np.broadcast_shapes(amplitudes.shape[1:] + lift, phases.shape[1:])
+        out = np.empty((amplitudes.shape[0],) + tail, dtype=complex)
         for block in self.blocks:
-            # v^H a as conj(v.T conj(a)): v.T is a view, no copy of v is formed
-            coeffs = np.conj(_matmul(block.v.T, np.conj(amplitudes[block.rows])))
-            if coeffs.ndim < phases.ndim:
-                coeffs = coeffs[:, None]
-            parts.append(_matmul(block.v, phases[block.cols] * coeffs))
-        if len(parts) == 1:  # one block spans every row
-            return parts[0]
-        out = np.empty((amplitudes.shape[0],) + parts[0].shape[1:], dtype=complex)
-        for block, part in zip(self.blocks, parts):
-            out[block.rows] = part
+            rows = amplitudes[block.rows]
+            out[block.rows] = self._apply_block(block, rows, phases) if np.any(rows) else 0.0
         return out
+
+    @staticmethod
+    def _apply_block(block: Block, amplitudes: np.ndarray, phases: np.ndarray) -> np.ndarray:
+        # v^H a as conj(v.T conj(a)): v.T is a view, no copy of v is formed
+        coeffs = np.conj(_matmul(block.v.T, np.conj(amplitudes)))
+        if coeffs.ndim < phases.ndim:
+            coeffs = coeffs[:, None]
+        return _matmul(block.v, phases[block.cols] * coeffs)
 
 
 # Largest ||H t||_1 of one Taylor substep of BandedForm.propagate.  A larger

@@ -45,11 +45,13 @@ def test_build_space_refuses_sizes_beyond_memory():
 
 
 def test_build_space_counts_every_matrix_a_run_keeps(monkeypatch):
-    # compare_pulsed keeps 104 bytes per (N+1)^2: the complex Sx and Sy and
-    # the real squares in the space, and three complex matrices of its
-    # effective-Hamiltonian bases: memory for 96 admits N/2 but must refuse N
+    # compare_pulsed peaks at 160 bytes per (N+1)^2: the complex Sx and Sy
+    # and the real Sx^2 and Sy^2 in the space, three complex matrices of its
+    # effective-Hamiltonian bases, the copy, work and rwork of the complex
+    # eigh and the freed temporaries malloc keeps: memory for 153, the
+    # measured peak, admits N/2 but must refuse N
     n = 100
-    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 96 * (n + 1) ** 2}
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 153 * (n + 1) ** 2}
     monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
     with pytest.raises(TooLarge):
         build_space(n)
@@ -111,6 +113,16 @@ def test_quadratic_form_matches_products():
     assert np.max(np.abs(form - form.conj().T)) < 1e-12
 
 
+def dense_form(space, a, b, c):
+    """a Sx^2 + b Sy^2 + c Sz^2 summed from the dense complex squares."""
+    sx, sy = collective_operator(space, "Sx"), collective_operator(space, "Sy")
+    sz = np.diag(space.m_values()).astype(complex)
+    dense = a * (sx @ sx)
+    dense += b * (sy @ sy)
+    dense += c * (sz @ sz)
+    return dense
+
+
 COEFFICIENT = st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-1e3, 1e3))
 
 
@@ -121,15 +133,40 @@ def test_quadratic_form_keeps_the_dense_complex_bytes(n, a, b, c):
     # the real squares summed in real arithmetic give, byte for byte, the
     # form summed from the complex squares, signs of zeros included; no
     # dense Sz is kept
-    oracle_space, space = build_space(n), build_space(n)
-    sx, sy = collective_operator(oracle_space, "Sx"), collective_operator(oracle_space, "Sy")
-    sz = np.diag(oracle_space.m_values()).astype(complex)
-    dense = a * (sx @ sx)
-    dense += b * (sy @ sy)
-    dense += c * (sz @ sz)
+    dense = dense_form(build_space(n), a, b, c)
+    space = build_space(n)
     assert quadratic_form(space, a, b, c).tobytes() == dense.tobytes()
     assert all(square.dtype == np.float64 for square in second_moment_operators(space).values())
     assert "Sz" not in space._built
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_package_forms_add_sz2_on_the_diagonal_with_the_dense_bytes(monkeypatch, n):
+    # every form the package builds (the model, its toggled images, h_eff,
+    # the counter-twist terms, a noise run's drawn form) has a with no sign
+    # bit, so Sz^2 is added on the diagonal alone, byte for byte the dense sum
+    from lmgsqueeze import canonical, experiments, propagate, pulses
+
+    made = []
+
+    def recording(space, a, b, c):
+        made.append((space, a, b, c))
+        return quadratic_form(space, a, b, c)
+
+    for module in (canonical, experiments, propagate, pulses):
+        monkeypatch.setattr(module, "quadratic_form", recording)
+    for gamma in (0.0, 0.1, 0.3, 0.8):
+        model = canonical.from_chi_gamma(0.7, gamma, n)
+        experiments.compare_pulsed(model)
+        canonical.counter_twist_decomposition(model, build_space(n))
+    noise = experiments.NoiseSpec("gamma", 0.2, "per_run")
+    model = canonical.from_chi_gamma(1.0, 0.1, n)
+    experiments.noise_monte_carlo(model, pulses.design(model, "y", "A"), noise, 3, 5, cycles=4)
+    assert len(made) > 20
+    for space, a, b, c in made:
+        assert not np.signbit(a)
+        form = quadratic_form(space, a, b, c)
+        assert form.tobytes() == dense_form(build_space(space.n_spins), a, b, c).tobytes()
 
 
 def test_quadratic_form_casimir_identity():

@@ -277,7 +277,9 @@ def test_trace_and_sweep_sizes_count_every_block(monkeypatch):
     assert len(evolve_trace(model, initial, grid_points=k).tables["trace"].rows) == k
     with pytest.raises(TooLarge):
         evolve_trace(model, initial, grid_points=k + 1)
-    # scaling's largest N sets the size of its chunked scan
+    # scaling's largest N sets the size of its chunked scan; at N = 60 the
+    # space (algebra.DENSE_BYTES_PER_DIM2 per (N+1)^2) fits in that memory too
+    n = 60
     memory["SC_PHYS_PAGES"] = TRACE_BLOCKS * 16 * SCAN_CHUNK * (n + 1) + SCAN_SAMPLE_BYTES * k
     scaling = scaling_study(0.1, [10, n], variants=["LMG"], grid_points=k)
     assert scaling.descriptor["parameters"]["n_grid"] == [10, n]

@@ -119,8 +119,9 @@ def step_alone(model, sch, initial, noise, seed_seq, sigma):
 def block_setup(axis="z"):
     model = from_chi_gamma(1.0, 0.1, N_BLOCK)
     design_ = design(model, axis, "A")
-    # 20 cycles: runs whose cycle is the same in every column take the
-    # one-cycle unitary at dim 13, larger drawn atom numbers still step
+    # 20 cycles: runs whose cycle keeps parity with one value in every column
+    # (no noise, a drawn gamma, chi or N) take the two half unitaries, 20
+    # being past the crossover below N = 168; the others step segment by segment
     return model, design_, schedule(design_, model, 0.4, cycles=20)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -28,18 +29,15 @@ from lmgsqueeze.propagate import (
     evolve,
     evolve_batch,
     evolve_full_product_space,
+    half_unitary_crossover,
+    realized_cycle,
     run_cycles,
     run_schedule,
     schedule_unitary,
     toggled_cycle,
 )
 from lmgsqueeze.pulses import design, effective_hamiltonian, schedule
-from lmgsqueeze.states import (
-    BlochAngles,
-    SpinState,
-    coherent_state,
-    rotate_state,
-)
+from lmgsqueeze.states import BlochAngles, SpinState, coherent_state
 
 
 def test_zero_hamiltonian_and_zero_time():
@@ -561,6 +559,32 @@ def test_sample_applies_the_stored_v_as_its_adjoint_bit_for_bit(dim):
             assert np.array_equal(basis.sample(amplitudes, phases), expected)
 
 
+@pytest.mark.parametrize("n", [12, 13, 100])
+def test_a_zero_parity_half_is_skipped_with_the_product_bytes(monkeypatch, n):
+    # a parity block whose input rows are all zero (-0 included) is not
+    # multiplied; its rows come out as the zeros the products would give
+    space = build_space(n)
+    basis = model_eigenbasis(from_chi_gamma(1.0, 0.1, n), space)
+    psi = coherent_state(space, BlochAngles(1.2, 0.4)).amplitudes
+    _, block, _ = block_and_cycle(n, "z")
+    products = []
+    matmul = algebra._matmul
+    monkeypatch.setattr(algebra, "_matmul", lambda *args: products.append(1) or matmul(*args))
+    for rows, other in itertools.permutations((slice(0, None, 2), slice(1, None, 2))):
+        for amplitudes in (psi.copy(), block.copy()):
+            amplitudes[rows] = 0.0
+            amplitudes[rows][::3] = -0.0
+            phases = basis.phases([0.1, 0.3, 0.7])  # one time per column of a block
+            products.clear()
+            expected = inline_sample(basis, amplitudes, phases)
+            assert len(products) == 4
+            products.clear()
+            got = basis.sample(amplitudes, phases)
+            assert len(products) == 2  # one block's two products
+            assert got.tobytes() == expected.tobytes()
+            assert not np.any(got[rows]) and np.array_equal(got[other], expected[other])
+
+
 @pytest.mark.parametrize("n", [20, 101])
 def test_predicted_time_basis_is_the_inline_dense_eigh(n):
     # Schedules are sized by the golden-refined first minimum of the
@@ -599,29 +623,110 @@ def block_and_cycle(n, axis):
     return space, block, cycle
 
 
+def realized_block_and_cycle(n, axis):
+    """Three coherent states as the columns of a block, and one schedule
+    cycle as run_schedule realizes it: parity bases, y pairs toggled."""
+    space = build_space(n)
+    model = from_chi_gamma(1.0, 0.1, n)
+    sched = schedule(design(model, axis, "A"), model, total_time=0.3, cycles=1)
+    basis = model_eigenbasis(model, space)
+    cycle = realized_cycle(space, sched.segments, model.coefficients, basis)
+    _, block, _ = block_and_cycle(n, axis)
+    return space, block, cycle
+
+
+def spy(monkeypatch, name, calls):
+    """Count the calls of the propagate module's function ``name``."""
+    original = getattr(propagate, name)
+
+    def counting(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(propagate, name, counting)
+
+
 @pytest.mark.parametrize("columns", [1, 3])
 def test_repeated_cycle_unitary_matches_stepping(monkeypatch, columns):
-    space, block, cycle = block_and_cycle(12, "y")
-    state = SpinState(block[:, 0] if columns == 1 else block, space)
-    pulses = []
+    # a cycle that keeps parity, repeated from the crossover on, is applied
+    # as its two half unitaries, each built by one cycle of segments on that
+    # half's identity columns: one rotate_state call per pulse per half
+    calls = []
+    spy(monkeypatch, "rotate_state", calls)
+    spy(monkeypatch, "_half_unitaries", calls)
+    for n, axis in itertools.product((12, 13, 40), ("z", "y")):
+        space, block, cycle = realized_block_and_cycle(n, axis)
+        state = SpinState(block[:, 0] if columns == 1 else block, space)
+        per_cycle = sum(isinstance(seg, PulseSegment) for seg in cycle)
+        assert per_cycle == (2 if axis == "z" else 0)  # the y pairs are toggled
+        crossover = half_unitary_crossover(space.dim // 2)
+        for count in (crossover - 1, crossover, crossover + 7):
+            calls.clear()
+            states = run_cycles(state, (cycle,) * count)
+            switched = calls.count("_half_unitaries") == 1
+            assert switched == (count >= crossover)
+            pulses = 2 * per_cycle if switched else count * per_cycle
+            assert calls.count("rotate_state") == pulses
+            # an iterator of cycles is always stepped segment by segment
+            stepped = run_cycles(state, iter((cycle,) * count))
+            assert states.shape == stepped.shape == state.amplitudes.shape + (count + 1,)
+            assert np.max(np.abs(states - stepped)) < 1e-12
 
-    def counting(state, axis, angle):
-        pulses.append(axis)
-        return rotate_state(state, axis, angle)
 
-    monkeypatch.setattr(propagate, "rotate_state", counting)
-    per_cycle = sum(isinstance(seg, PulseSegment) for seg in cycle)
-    for count in (space.dim - 2, space.dim - 1, space.dim, space.dim + 9):
-        pulses.clear()
+def test_half_unitary_crossover_grows_with_the_half():
+    # one cycle never pays for a build; compare-pulsed at N = 1000 (239 z
+    # and 333 y cycles at the benchmark's seed 0) is past the crossover
+    values = [half_unitary_crossover(half) for half in range(1, 2000)]
+    assert values == sorted(values) and values[0] == 2
+    assert half_unitary_crossover(1001 // 2) < 239
+
+
+def test_cycles_that_mix_parity_are_stepped(monkeypatch):
+    # untoggled y pulses, a tilted pulse, one value per column, a dense or
+    # a banded free Hamiltonian: every such cycle is stepped segment by
+    # segment, however often it repeats
+    n = 12
+    space = build_space(n)
+    model = from_chi_gamma(1.0, 0.1, n)
+    basis = model_eigenbasis(model, space)
+    y_segments = schedule(design(model, "y", "A"), model, total_time=0.3, cycles=1).segments
+    z_cycle = realized_block_and_cycle(n, "z")[2]
+    dense = Eigenbasis.of(realize_hamiltonian(model, space))
+    mixing = {
+        "untoggled y": realized_cycle(space, y_segments, None, basis),
+        "tilted": tilted(z_cycle),
+        "per column": tuple(
+            FreeSegment(np.full(3, seg.duration), seg.hamiltonian)
+            if isinstance(seg, FreeSegment)
+            else seg
+            for seg in z_cycle
+        ),
+        "dense basis": tuple(
+            FreeSegment(seg.duration, dense) if isinstance(seg, FreeSegment) else seg
+            for seg in z_cycle
+        ),
+        "banded": tuple(
+            FreeSegment(seg.duration, algebra.BandedForm(space, *model.coefficients))
+            if isinstance(seg, FreeSegment)
+            else seg
+            for seg in z_cycle
+        ),
+    }
+    _, block, _ = block_and_cycle(n, "z")
+    state = SpinState(block, space)
+    count = 3 * half_unitary_crossover(space.dim // 2)
+    assert propagate._keeps_parity(z_cycle)
+    calls = []
+    spy(monkeypatch, "rotate_state", calls)
+    spy(monkeypatch, "_half_unitaries", calls)
+    for name, cycle in mixing.items():
+        assert not propagate._keeps_parity(cycle), name
+        calls.clear()
         states = run_cycles(state, (cycle,) * count)
-        # the unitary is built by stepping one cycle of the identity
-        switched = len(pulses) == per_cycle
-        assert len(pulses) == (per_cycle if switched else count * per_cycle)
-        # an iterator of cycles is always stepped segment by segment
+        per_cycle = sum(isinstance(seg, PulseSegment) for seg in cycle)
+        assert calls == ["rotate_state"] * (count * per_cycle), name
         stepped = run_cycles(state, iter((cycle,) * count))
-        assert switched == (count >= space.dim)
-        assert states.shape == stepped.shape == state.amplitudes.shape + (count + 1,)
-        assert np.max(np.abs(states - stepped)) < 1e-12
+        assert np.max(np.abs(states - stepped)) < 1e-12, name
 
 
 @pytest.mark.parametrize("axis", ["z", "y"])

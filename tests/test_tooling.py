@@ -7,7 +7,9 @@ basis, that generator must be factored only where a space's states are
 prepared, evolution and the minimum search must take a factored basis, every
 exponential must be formed in the one propagation kernel, pulses must be
 applied only by the segment executor, pulse pairs must be toggled only by
-the one cycle realizer, memory must be checked only where it is allocated,
+the one cycle realizer, a dim^2 identity must be formed only for a dense
+matrix that is itself the result, memory must be checked only where it is
+allocated,
 and every grid size and worker count refused before a space is built,
 every function the benchmark traces must exist, each benchmark workload
 must reach the spans its traced run expects, the README's library
@@ -270,6 +272,46 @@ def test_pulses_are_applied_only_by_the_segment_executor():
         for function, _ in calls_named(path.read_text(), "rotate_state")
     }
     assert found == {("propagate.py", "_apply_cycle"), ("states.py", "rotation")}
+
+
+def test_dense_identities_are_formed_only_for_dense_propagators():
+    # a dim^2 identity is formed only where a dense matrix is the result:
+    # the one-cycle unitary, a rotation matrix and the S^2 operator; the
+    # schedule executor builds each parity half from a (dim/2)^2 identity
+    sample = "def f(space):\n    return np.eye(space.dim, dtype=complex), np.eye(3)\n"
+    assert dim_identities(sample) == [("f", 2)]
+    found = {
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, _ in dim_identities(path.read_text())
+    }
+    assert found == {
+        ("propagate.py", "schedule_unitary"),
+        ("states.py", "rotation"),
+        ("algebra.py", "_operator_matrix"),
+    }
+
+
+def dim_identities(source: str) -> list:
+    """(enclosing function, line) of each ``eye`` call whose first argument
+    is ``<name>.dim``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == "eye"
+            and node.args
+            and getattr(node.args[0], "attr", None) == "dim"
+        ):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
 
 
 def test_cycles_are_toggled_only_by_the_cycle_realizer():
