@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSize, NotHermitian, TooLarge
+from .errors import ConfigError, InvalidSize, NotHermitian, TooLarge
 
 LABELS = ("Sx", "Sy", "Sz", "S+", "S-", "S2")
 HERMITICITY_TOL = 1e-10
@@ -83,18 +83,20 @@ class DickeSpace:
         return (DickeSpace, (self.n_spins, self.dim, self.j))
 
 
-def spin_count(n_spins, error: type = InvalidSize, name: str = "n_spins") -> int:
-    """``n_spins`` as an int; ``error`` naming ``name`` unless it is an integer
-    >= 1 (x % 1 is nan for inf and nan, so no int() call can overflow)."""
-    if not (n_spins % 1 == 0 and n_spins >= 1):
-        raise error(f"{name}: must be a positive integer, got {n_spins!r}")
-    return int(n_spins)
+def require_count(value, name: str, least: int = 1, error: type = ConfigError) -> int:
+    """``value`` as an int, not truncated; ``error`` naming ``name`` unless it is
+    an integer >= ``least`` (x % 1 is nan for inf and nan: int() cannot overflow)."""
+    if not value % 1 == 0:
+        raise error(f"{name}: must be an integer, got {value!r}")
+    if not value >= least:
+        raise error(f"{name}: must be >= {least}, got {value!r}")
+    return int(value)
 
 
 def build_space(n_spins: int) -> DickeSpace:
     """The Dicke space of ``n_spins``; TooLarge when the dense operators
     kept for it would not fit in physical memory."""
-    n = spin_count(n_spins)
+    n = require_count(n_spins, "n_spins", error=InvalidSize)
     require_memory(DENSE_BYTES_PER_DIM2 * (n + 1) ** 2, f"dense operators at n_spins={n}")
     return DickeSpace(n_spins=n, dim=n + 1, j=n / 2.0)
 

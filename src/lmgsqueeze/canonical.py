@@ -22,9 +22,9 @@ from .algebra import (
     collective_operator,
     hamiltonian_eig,
     quadratic_form,
-    spin_count,
+    require_count,
 )
-from .errors import AsymmetricInput, DimensionMismatch, IsotropicCoupling
+from .errors import AsymmetricInput, ConfigError, DimensionMismatch, InvalidSize, IsotropicCoupling
 from .states import rotation
 
 SYMMETRY_TOL = 1e-9
@@ -120,7 +120,7 @@ def canonicalize(coupling: CouplingMatrix, n_spins: int) -> LMGModel:
     gamma = (chi_y - chi_z) / (chi_x - chi_z).  Raw gamma > 1/2 triggers the
     x-z axis swap, mapping gamma -> 1 - gamma and flipping the sign.
     """
-    n = spin_count(n_spins)
+    n = require_count(n_spins, "n_spins", error=InvalidSize)
     mat = coupling.chi
     scale = float(np.max(np.abs(mat)))
     if np.max(np.abs(mat - mat.T)) > SYMMETRY_TOL * max(scale, 1.0):
@@ -160,11 +160,11 @@ def canonicalize(coupling: CouplingMatrix, n_spins: int) -> LMGModel:
 
 def from_chi_gamma(chi: float, gamma: float, n_spins: int) -> LMGModel:
     """Build a model directly from (chi, gamma), remapping gamma in (1/2, 1]."""
-    if not np.isfinite(chi) or chi <= 0.0:
-        raise ValueError(f"chi must be a positive finite number, got {chi!r}")
+    if not 0.0 < chi < np.inf:
+        raise ConfigError(f"chi: must be a positive finite number, got {chi!r}")
     if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
-    n = spin_count(n_spins)
+        raise ConfigError(f"gamma: must lie in [0, 1], got {gamma!r}")
+    n = require_count(n_spins, "n_spins", error=InvalidSize)
     space_j = n / 2.0
     if gamma > 0.5:
         return LMGModel(

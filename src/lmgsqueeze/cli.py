@@ -1,7 +1,8 @@
 """Command-line front end: config parsing, experiment dispatch, data emission.
 
-The CLI parses and types values; the experiments own every size and worker
-limit, and refuse a value before they allocate or spawn anything for it.
+The CLI parses and types values; every value rule (a range, a size, a worker
+count) belongs to the library function that reads the value, which refuses it
+by name, so a value that a command never reads fails no run.
 Configs are JSON (a single self-describing file); command-line flags override
 config values.  A previously written descriptor.json is itself a valid
 config: re-running it reproduces the original outputs byte for byte.
@@ -83,7 +84,7 @@ def _fail(path: str, message: str):
     raise ConfigError(f"{path}: {message}")
 
 
-def _require_number(cfg, key, lo=None, hi=None, allow_none=False, integer=False, positive=False):
+def _require_number(cfg, key, allow_none=False, integer=False):
     value = cfg.get(key)
     if value is None:
         if allow_none:
@@ -95,13 +96,15 @@ def _require_number(cfg, key, lo=None, hi=None, allow_none=False, integer=False,
         _fail(key, f"must be finite, got {value!r}")
     if integer and int(value) != value:
         _fail(key, f"expected an integer, got {value!r}")
-    if positive and value <= 0:
-        _fail(key, f"must be > 0, got {value}")
-    if lo is not None and value < lo:
-        _fail(key, f"must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        _fail(key, f"must be <= {hi}, got {value}")
     return int(value) if integer else float(value)
+
+
+def _require_numbers(cfg, key, integer=False) -> list:
+    values = cfg.get(key)
+    if not isinstance(values, (list, tuple)):
+        _fail(key, f"expected an array of numbers, got {values!r}")
+    items = {f"{key}[{i}]": v for i, v in enumerate(values)}
+    return [_require_number(items, k, integer=integer) for k in items]
 
 
 def _read_config(text: str | bytes) -> dict:
@@ -153,19 +156,15 @@ def validate_config(raw: dict) -> dict:
     if not has_coupling and not has_direct:
         raise ConfigError("coupling, chi/gamma: one of them is required")
     if has_coupling:
-        coupling = cfg["coupling"]
-        if not isinstance(coupling, (list, tuple)) or len(coupling) != 9:
+        cfg["coupling"] = _require_numbers(cfg, "coupling")
+        if len(cfg["coupling"]) != 9:
             _fail("coupling", "expected a 9-element row-major array")
-        cfg["coupling"] = [
-            _require_number({f"coupling[{i}]": x}, f"coupling[{i}]")
-            for i, x in enumerate(coupling)
-        ]
     else:
-        _require_number(cfg, "chi", positive=True)
-        _require_number(cfg, "gamma", lo=0.0, hi=1.0)
+        _require_number(cfg, "chi")
+        _require_number(cfg, "gamma")
 
-    cfg["n_spins"] = _require_number(cfg, "n_spins", lo=1, integer=True)
-    cfg["seed"] = _require_number(cfg, "seed", lo=0, integer=True)
+    cfg["n_spins"] = _require_number(cfg, "n_spins", integer=True)
+    cfg["seed"] = _require_number(cfg, "seed", integer=True)
     cfg["workers"] = _require_number(cfg, "workers", integer=True)
 
     initial = cfg.get("initial")
@@ -173,51 +172,28 @@ def validate_config(raw: dict) -> dict:
         initial = {"theta": initial[0], "phi": initial[1]}
     if not isinstance(initial, dict) or set(initial) != {"theta", "phi"}:
         _fail("initial", 'expected {"theta": ..., "phi": ...} or a [theta, phi] pair')
-    theta = _require_number(
-        {"initial.theta": initial["theta"]}, "initial.theta", lo=0.0, hi=math.pi
-    )
-    phi = _require_number({"initial.phi": initial["phi"]}, "initial.phi", lo=0.0)
-    if phi >= 2.0 * math.pi:
-        _fail("initial.phi", f"must be < 2*pi, got {phi}")
-    cfg["initial"] = {"theta": theta, "phi": phi}
+    cfg["initial"] = {
+        angle: _require_number({f"initial.{angle}": initial[angle]}, f"initial.{angle}")
+        for angle in ("theta", "phi")
+    }
 
-    cfg["horizon"] = _require_number(cfg, "horizon", allow_none=True, positive=True)
-    cfg["grid_points"] = _require_number(cfg, "grid_points", lo=100, allow_none=True, integer=True)
-    if cfg["axis"] not in ("x", "y", "z"):
-        _fail("axis", f"must be one of x, y, z, got {cfg['axis']!r}")
-    if cfg["branch"] not in ("A", "B"):
-        _fail("branch", f"must be A or B, got {cfg['branch']!r}")
-    cfg["max_step"] = _require_number(cfg, "max_step", positive=True)
-    cfg["cycles"] = _require_number(cfg, "cycles", lo=1, allow_none=True, integer=True)
-    cfg["total_time"] = _require_number(cfg, "total_time", allow_none=True, positive=True)
+    cfg["horizon"] = _require_number(cfg, "horizon", allow_none=True)
+    cfg["grid_points"] = _require_number(cfg, "grid_points", allow_none=True, integer=True)
+    cfg["max_step"] = _require_number(cfg, "max_step")
+    cfg["cycles"] = _require_number(cfg, "cycles", allow_none=True, integer=True)
+    cfg["total_time"] = _require_number(cfg, "total_time", allow_none=True)
     cfg["theta_points"] = _require_number(cfg, "theta_points", integer=True)
     cfg["phi_points"] = _require_number(cfg, "phi_points", integer=True)
-    if cfg.get("gammas") is not None:
-        if not isinstance(cfg["gammas"], (list, tuple)) or not cfg["gammas"]:
-            _fail("gammas", "expected a non-empty array of gamma values")
-        cfg["gammas"] = [
-            _require_number({f"gammas[{i}]": g}, f"gammas[{i}]")
-            for i, g in enumerate(cfg["gammas"])
-        ]
-    if not isinstance(cfg["n_grid"], (list, tuple)) or not cfg["n_grid"]:
-        _fail("n_grid", "expected a non-empty array of spin counts")
-    cfg["n_grid"] = [
-        _require_number({f"n_grid[{i}]": n}, f"n_grid[{i}]", lo=1, integer=True)
-        for i, n in enumerate(cfg["n_grid"])
-    ]
-    if not isinstance(cfg["variants"], (list, tuple)) or not cfg["variants"]:
-        _fail("variants", "expected a non-empty array")
-    cfg["variants"] = list(cfg["variants"])
-    if not all(isinstance(v, str) for v in cfg["variants"]):
-        _fail("variants", f"expected an array of names, got {cfg['variants']}")
+    if cfg["gammas"] is not None:
+        cfg["gammas"] = _require_numbers(cfg, "gammas")
+    cfg["n_grid"] = _require_numbers(cfg, "n_grid", integer=True)
+    variants = cfg["variants"]
+    if not isinstance(variants, (list, tuple)) or not all(isinstance(v, str) for v in variants):
+        _fail("variants", f"expected an array of names, got {variants!r}")
+    cfg["variants"] = list(variants)
     cfg["n_runs"] = _require_number(cfg, "n_runs", integer=True)
-
     if experiment == "noise":
-        if cfg.get("channel") is None:
-            _fail("channel", "missing required field for the noise experiment")
         cfg["relative_sigma"] = _require_number(cfg, "relative_sigma")
-        # the NoiseSpec constructor validates channel, scope, and sigma
-        NoiseSpec(cfg["channel"], cfg["relative_sigma"], cfg.get("scope"))
 
     if cfg.get("output_dir") is not None and not isinstance(cfg["output_dir"], str):
         _fail("output_dir", "expected a path string")
@@ -231,6 +207,13 @@ def build_model(cfg: dict):
     return from_chi_gamma(cfg["chi"], cfg["gamma"], cfg["n_spins"])
 
 
+def _initial(cfg: dict) -> BlochAngles:
+    try:
+        return BlochAngles(**cfg["initial"])
+    except ConfigError as exc:
+        raise ConfigError(f"initial.{exc}") from exc
+
+
 def _summary(experiment: str, parts: dict, out_dir) -> str:
     body = " ".join(f"{k}={_fmt(v)}" for k, v in parts.items())
     return f"{experiment} {body} out={out_dir}"
@@ -240,7 +223,6 @@ def run(cfg: dict) -> int:
     """Dispatch a validated config, write outputs, print a one-line summary."""
     experiment = cfg["experiment"]
     model = build_model(cfg)
-    initial = BlochAngles(theta=cfg["initial"]["theta"], phi=cfg["initial"]["phi"])
 
     if experiment == "canonicalize":
         print(
@@ -267,7 +249,7 @@ def run(cfg: dict) -> int:
     grid = {} if cfg["grid_points"] is None else {"grid_points": cfg["grid_points"]}
 
     if experiment == "evolve":
-        result = evolve_trace(model, initial, horizon=cfg.get("horizon"), **grid)
+        result = evolve_trace(model, _initial(cfg), horizon=cfg.get("horizon"), **grid)
         row = result.tables["minimum"].rows[0]
         parts = {"xi2_min": row[2], "t_min": row[0]}
     elif experiment == "sweep-initial-state":
@@ -282,7 +264,8 @@ def run(cfg: dict) -> int:
         theta0, phi0, xi2_min = result.tables["argmin"].rows[0]
         parts = {"theta0": theta0, "phi0": phi0, "xi2_min": xi2_min}
     elif experiment == "sweep-gamma":
-        gammas = cfg.get("gammas") or [round(0.05 * i, 10) for i in range(11)]
+        default = [round(0.05 * i, 10) for i in range(11)]
+        gammas = default if cfg["gammas"] is None else cfg["gammas"]
         result = sweep_gamma(
             cfg["n_spins"], gammas, chi=model.chi, horizon=cfg.get("horizon"), **grid
         )
@@ -290,7 +273,7 @@ def run(cfg: dict) -> int:
         parts = {"gamma_best": best[0], "xi2_min": best[1], "t_min": best[2]}
     elif experiment == "compare-pulsed":
         result = compare_pulsed(
-            model, branch=cfg["branch"], max_step=cfg["max_step"], lmg_initial=initial
+            model, branch=cfg["branch"], max_step=cfg["max_step"], lmg_initial=_initial(cfg)
         )
         minima = {row[0]: row for row in result.tables["minima"].rows}
         parts = {

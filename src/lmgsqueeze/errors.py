@@ -5,10 +5,6 @@ class LmgError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidSize(LmgError):
-    """Requested spin count cannot form a Dicke space."""
-
-
 class AsymmetricInput(LmgError):
     """Coupling matrix is not symmetric within tolerance."""
 
@@ -41,5 +37,10 @@ class XAxisImpossible(LmgError):
     """No positive pulse-timing ratio exists for x-axis pulse sequences."""
 
 
-class ConfigError(LmgError):
-    """Invalid run configuration."""
+class ConfigError(LmgError, ValueError):
+    """A value refused by the function that reads it; the message starts with
+    its config key.  A ValueError too, for callers that catch ValueError."""
+
+
+class InvalidSize(ConfigError):
+    """Requested spin count cannot form a Dicke space (the CLI exits 2)."""

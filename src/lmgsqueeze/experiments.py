@@ -48,12 +48,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .algebra import BandedForm, Eigenbasis, build_space, quadratic_form, require_memory
-from .algebra import spin_count
+from .algebra import BandedForm, Eigenbasis, build_space, quadratic_form, require_count
+from .algebra import require_memory
 from .canonical import LMGModel, from_chi_gamma, model_eigenbasis
 from .errors import ConfigError
-from .metrics import batch_squeezing, default_horizon, fit_loglog_slope, minimize_hamiltonian
-from .metrics import require_trace_memory
+from .metrics import batch_squeezing, fit_loglog_slope, minimize_hamiltonian
+from .metrics import require_trace_memory, scan_times
 from .propagate import FreeSegment, PulseSegment, realized_cycle, run_cycles, run_schedule
 from .pulses import PulseDesign, design, effective_hamiltonian, schedule
 from .states import BlochAngles, SpinState, coherent_generator_eig, coherent_state, rotation
@@ -176,10 +176,9 @@ def evolve_trace(
 ) -> ExperimentResult:
     """Squeezing trace and first minimum for one model and initial state."""
     require_trace_memory(model.n_spins, grid_points, every_sample=True)
-    horizon = default_horizon(model.n_spins) if horizon is None else horizon
+    horizon, times = scan_times(model.chi, model.n_spins, horizon, grid_points)
     space = build_space(model.n_spins)
     psi0 = coherent_state(space, initial)
-    times = np.linspace(0.0, horizon / (model.chi * model.n_spins), grid_points)
     basis = model_eigenbasis(model, space)
     trace = minimize_hamiltonian(
         space, basis, psi0, times, allow_unbracketed=True, every_sample=True
@@ -316,17 +315,15 @@ def sweep_initial_state(
     through one phase table of the model's parity basis.
     """
     _require_workers(workers)
-    for name, points in (("theta_points", theta_points), ("phi_points", phi_points)):
-        if points < 2:
-            raise ConfigError(f"{name}: must be >= 2, got {points}")
+    theta_points = require_count(theta_points, "theta_points", least=2)
+    phi_points = require_count(phi_points, "phi_points", least=2)
     grid = f"a {theta_points} x {phi_points} sweep grid"
     require_memory(sweep_bytes(theta_points, phi_points), f"the objects of {grid}")
     # its scans share one phase table: N+1 phases per time
     require_trace_memory(model.n_spins, grid_points, False, sample_bytes=16 * (model.n_spins + 1))
-    horizon = default_horizon(model.n_spins) if horizon is None else horizon
+    horizon, times = scan_times(model.chi, model.n_spins, horizon, grid_points)
     thetas = np.linspace(0.0, math.pi, theta_points)
     phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
-    times = np.linspace(0.0, horizon / (model.chi * model.n_spins), grid_points)
     space = build_space(model.n_spins)
     basis = model_eigenbasis(model, space)
     phases = basis.phases(times)
@@ -390,17 +387,18 @@ def sweep_gamma(
     grid_points: int = 2000,
 ) -> ExperimentResult:
     """(gamma, xi2_min, t_min) from the fixed initial state |pi/2, pi/2>."""
+    if len(gamma_grid) == 0:
+        raise ConfigError("gammas: expected at least one gamma value")
     for i, gamma in enumerate(gamma_grid):
         if not 0.0 <= gamma <= 0.5:
             raise ConfigError(f"gammas[{i}]: must lie in [0, 0.5], got {gamma}")
+    models = [from_chi_gamma(chi, float(gamma), n_spins) for gamma in gamma_grid]
     require_trace_memory(n_spins, grid_points, every_sample=False)
-    horizon = default_horizon(n_spins) if horizon is None else horizon
+    horizon, times = scan_times(chi, n_spins, horizon, grid_points)
     space = build_space(n_spins)
     psi0 = coherent_state(space, BlochAngles(theta=math.pi / 2.0, phi=math.pi / 2.0))
-    times = np.linspace(0.0, horizon / (chi * n_spins), grid_points)
     rows = []
-    for gamma in gamma_grid:
-        model = from_chi_gamma(chi, float(gamma), n_spins)
+    for gamma, model in zip(gamma_grid, models):
         trace = minimize_hamiltonian(space, model_eigenbasis(model, space), psi0, times)
         rows.append(
             (
@@ -453,8 +451,8 @@ def predicted_optimal_time(
     golden-refined time to its last bits, as recorded with the dense basis.
     """
     h_eff = Eigenbasis.of(effective_hamiltonian(design_, model, space))
-    horizon = prediction_horizon(model.n_spins) / (abs(design_.chi_eff) * model.n_spins)
-    times = np.linspace(0.0, horizon, 2000)
+    n = model.n_spins
+    _, times = scan_times(abs(design_.chi_eff), n, prediction_horizon(n), 2000)
     return minimize_hamiltonian(space, h_eff, psi0, times).minimum.t, h_eff
 
 
@@ -563,15 +561,15 @@ def scaling_study(
     constant fraction of xi2_min.  The default 5.0 reproduces the single-size
     bound 0.05 at N = 100.
     """
-    n_grid = [spin_count(n, ConfigError, f"n_grid[{i}]") for i, n in enumerate(n_grid)]
+    n_grid = [require_count(n, f"n_grid[{i}]") for i, n in enumerate(n_grid)]
     if len(set(n_grid)) < 2:
         raise ConfigError(f"n_grid: a slope needs at least two distinct N, got {n_grid}")
     known = ("OAT", "TAT", "LMG", "pulsed")
     for variant in variants:
         if variant not in known:
             raise ConfigError(f"variants: unknown variant {variant!r}")
-    if len(set(variants)) < len(variants):
-        raise ConfigError(f"variants: each variant may appear once, got {list(variants)}")
+    if not variants or len(set(variants)) < len(variants):
+        raise ConfigError(f"variants: expected distinct variants, got {list(variants)}")
     require_trace_memory(max(n_grid), grid_points, every_sample=False)
     initial = BlochAngles(theta=math.pi / 2.0, phi=math.pi / 2.0)
     rows = []
@@ -579,7 +577,6 @@ def scaling_study(
     for n in n_grid:
         space = build_space(n)
         psi0 = coherent_state(space, initial)
-        times = np.linspace(0.0, default_horizon(n) / (chi * n), grid_points)
         for variant in variants:
             if variant == "pulsed":
                 model = from_chi_gamma(chi, gamma, n)
@@ -591,6 +588,7 @@ def scaling_study(
             else:
                 g = {"OAT": 0.0, "TAT": 0.5, "LMG": gamma}[variant]
                 model = from_chi_gamma(chi, g, n)
+                _, times = scan_times(chi, n, None, grid_points)
                 basis = model_eigenbasis(model, space)
                 minimum = minimize_hamiltonian(space, basis, psi0, times).minimum
             rows.append((variant, n, minimum.xi2, minimum.t, minimum.t * chi * n))
@@ -820,8 +818,8 @@ def noise_monte_carlo(
     xi2 minima are taken over the cycle boundaries, at the schedule's times.
     """
     _require_workers(workers)
-    if n_runs < 1:
-        raise ConfigError(f"n_runs: must be >= 1, got {n_runs}")
+    n_runs = require_count(n_runs, "n_runs")
+    seed = require_count(seed, "seed", least=0)
     space = build_space(model.n_spins)
     psi0 = coherent_state(space, design_.optimal_initial)
     if total_time is None:

@@ -10,9 +10,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import DickeSpace, Eigenbasis, build_space, collective_operator, require_memory
+from .algebra import DickeSpace, Eigenbasis, build_space, collective_operator, require_count
+from .algebra import require_memory
 from .canonical import LMGModel, model_eigenbasis
-from .errors import MeanSpinVanished, NoMinimumFound
+from .errors import ConfigError, MeanSpinVanished, NoMinimumFound
 from .propagate import evolve, evolve_batch
 from .states import BlochAngles, SpinState, coherent_state
 
@@ -221,6 +222,19 @@ def default_horizon(n_spins: int) -> float:
     return max(8.0, 1.0 + 2.2 * (n_spins / 2.0) ** (1.0 / 3.0))
 
 
+def scan_times(rate: float, n_spins: int, horizon: float | None, grid_points: int) -> tuple:
+    """(horizon, times): every scan grid, ``grid_points`` uniform t in
+    [0, horizon/(rate N)] for the dimensionless ``horizon`` (None means
+    default_horizon(N)).  It checks the SCAN_SAMPLE_BYTES per time any scan
+    holds; callers check their states (require_trace_memory) before."""
+    horizon = default_horizon(n_spins) if horizon is None else horizon
+    if not 0.0 < horizon < np.inf:
+        raise ConfigError(f"horizon: must be finite and > 0, got {horizon!r}")
+    grid_points = require_count(grid_points, "grid_points", least=100)
+    require_memory(SCAN_SAMPLE_BYTES * grid_points, f"a scan grid of {grid_points} times")
+    return horizon, np.linspace(0.0, horizon / (rate * n_spins), grid_points)
+
+
 def _golden(func, xa: float, xb: float, xc: float, tol: float):
     """Golden-section search for a minimum of ``func`` inside xa < xb < xc.
 
@@ -352,15 +366,12 @@ def minimize_over_time(
     """Locate the first squeezing minimum of the model from a coherent state.
 
     ``horizon`` is dimensionless: the scan covers t in [0, horizon/(chi N)]
-    on ``grid_points`` uniform samples; None means default_horizon(N).
+    on ``grid_points`` uniform samples (scan_times).
     Raises NoMinimumFound if xi^2 never turns upward within the horizon.
     """
-    if grid_points < 100:
-        raise ValueError(f"grid_points must be >= 100, got {grid_points}")
     require_trace_memory(model.n_spins, grid_points, every_sample=False)
-    horizon = default_horizon(model.n_spins) if horizon is None else horizon
+    _, times = scan_times(model.chi, model.n_spins, horizon, grid_points)
     space = build_space(model.n_spins)
-    times = np.linspace(0.0, horizon / (model.chi * model.n_spins), grid_points)
     psi0 = coherent_state(space, initial)
     return minimize_hamiltonian(space, model_eigenbasis(model, space), psi0, times, refine)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import DickeSpace, conjugated_coefficients, quadratic_form
 from .canonical import LMGModel
-from .errors import XAxisImpossible
+from .errors import ConfigError, XAxisImpossible
 from .metrics import require_trace_memory
 from .propagate import FreeSegment, PulseSegment, PulseSchedule
 from .states import BlochAngles
@@ -83,9 +83,9 @@ def design(model: LMGModel, axis: str, branch: str = "A") -> PulseDesign:
     timing ratio is non-positive for every gamma in [0, 1/2).
     """
     if axis not in ("x", "y", "z"):
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
+        raise ConfigError(f"axis: must be one of x, y, z, got {axis!r}")
     if branch not in ("A", "B"):
-        raise ValueError(f"branch must be A or B, got {branch!r}")
+        raise ConfigError(f"branch: must be A or B, got {branch!r}")
     gamma = model.gamma
     chi = model.chi
     if gamma == 0.5:
@@ -134,15 +134,15 @@ def schedule(
     not fit in physical memory raises TooLarge.
     """
     if not 0.0 < total_time < math.inf:
-        raise ValueError(f"total_time must be finite and > 0, got {total_time}")
+        raise ConfigError(f"total_time: must be finite and > 0, got {total_time}")
     if not 0.0 < max_step < math.inf:
-        raise ValueError(f"max_step must be finite and > 0, got {max_step}")
+        raise ConfigError(f"max_step: must be finite and > 0, got {max_step}")
     if cycles is None:
         # sized unrounded when it overflows to inf, which ceil cannot round
         count = total_time * model.n_spins * model.chi / max_step
         cycles = max(1, math.ceil(count)) if math.isfinite(count) else count
     elif not isinstance(cycles, numbers.Integral) or cycles < 1:
-        raise ValueError(f"cycles must be an integer >= 1, got {cycles!r}")
+        raise ConfigError(f"cycles: must be an integer >= 1, got {cycles!r}")
     require_trace_memory(model.n_spins, cycles + 1, every_sample=True)
     cycles = int(cycles)
     cycle_time = total_time / cycles

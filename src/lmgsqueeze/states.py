@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DickeSpace, Eigenbasis, collective_operator
+from .errors import ConfigError
 
 _AXES = ("x", "y", "z")
 
@@ -28,9 +29,9 @@ class BlochAngles:
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
+            raise ConfigError(f"theta: must lie in [0, pi], got {self.theta}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
+            raise ConfigError(f"phi: must lie in [0, 2*pi), got {self.phi}")
 
     def direction(self) -> np.ndarray:
         """Cartesian unit vector (sin t cos p, sin t sin p, cos t)."""

@@ -11,7 +11,7 @@ import pytest
 import lmgsqueeze
 from lmgsqueeze import algebra, experiments, metrics
 from lmgsqueeze.canonical import from_chi_gamma
-from lmgsqueeze.cli import main, parse_config, run, validate_config
+from lmgsqueeze.cli import EXPERIMENTS, INSPECT_COMMANDS, main, parse_config, run, validate_config
 from lmgsqueeze.errors import ConfigError, TooLarge
 from lmgsqueeze.experiments import (
     MAX_WORKERS,
@@ -78,16 +78,20 @@ def test_missing_model_rejected():
         validate_config({"n_spins": 10, "experiment": "evolve"})
 
 
-def test_range_violations_name_field():
-    with pytest.raises(ConfigError) as err:
-        validate_config(dict(MINIMAL, gamma=1.5))
-    assert "gamma" in str(err.value)
-    with pytest.raises(ConfigError) as err:
-        validate_config(dict(MINIMAL, initial={"theta": 4.0, "phi": 0.0}))
-    assert "theta" in str(err.value)
-    with pytest.raises(ConfigError) as err:
-        validate_config(dict(MINIMAL, n_spins=0))
-    assert "n_spins" in str(err.value)
+def test_range_violations_name_field(tmp_path, monkeypatch, capsys):
+    # the config check only types these; the model and the initial angles
+    # that evolve builds refuse them by name
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    for bad, field in (
+        ({"gamma": 1.5}, "gamma"),
+        ({"initial": {"theta": 4.0, "phi": 0.0}}, "initial.theta"),
+        ({"n_spins": 0}, "n_spins"),
+    ):
+        path.write_text(json.dumps(dict(MINIMAL, **bad)))
+        assert main(["evolve", "--config", str(path), "--out", "out"]) == 2
+        assert f"]: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 NOISE = dict(MINIMAL, experiment="noise", channel="pulse_separation", relative_sigma=0.1)
@@ -99,14 +103,14 @@ COUPLED = {"experiment": "evolve", "n_spins": 10}
     [
         (dict(NOISE, relative_sigma="abc"), "relative_sigma"),
         (dict(NOISE, relative_sigma=math.nan), "relative_sigma"),
-        (dict(NOISE, total_time=0), "total_time"),
+        (dict(NOISE, total_time=-math.inf), "total_time"),
         (dict(NOISE, total_time=math.inf), "total_time"),
         (dict(COUPLED, coupling=[1, 0, 0, 0, "x", 0, 0, 0, 0]), "coupling[4]"),
         (dict(COUPLED, coupling=[1, 0, 0, 0, math.nan, 0, 0, 0, 0]), "coupling[4]"),
         (dict(MINIMAL, chi=math.nan), "chi"),
         (dict(MINIMAL, n_spins=math.inf), "n_spins"),
         (dict(MINIMAL, horizon=math.inf), "horizon"),
-        (dict(MINIMAL, horizon=0), "horizon"),
+        (dict(MINIMAL, horizon=-math.inf), "horizon"),
         (dict(MINIMAL, max_step=math.inf), "max_step"),
         (dict(MINIMAL, initial={"theta": math.nan, "phi": 0.0}), "initial.theta"),
     ],
@@ -638,3 +642,75 @@ def test_outputs_do_not_depend_on_the_scan_chunk_width(tmp_path, monkeypatch, co
     assert narrow["descriptor.json"] == wide["descriptor.json"]
     for name in wide:
         assert narrow[name] == wide[name] or _rows_agree(narrow[name], wide[name]), name
+
+
+# A small config every command runs, and per key one well-typed value that
+# breaks the key's rule, with the commands that read the key: the library
+# function that reads a value owns its rule, so those commands refuse it by
+# name and every other command runs.
+SMALL = dict(
+    chi=1.0,
+    gamma=0.1,
+    n_spins=4,
+    grid_points=100,
+    theta_points=3,
+    phi_points=2,
+    gammas=[0.1, 0.3],
+    n_grid=[4, 6],
+    channel="chi",
+    relative_sigma=0.1,
+    n_runs=2,
+)
+ALL = frozenset(EXPERIMENTS + INSPECT_COMMANDS)
+TRACED = {"evolve", "sweep-initial-state", "sweep-gamma"}
+PULSED = {"compare-pulsed", "scaling", "noise"}
+BAD_VALUES = [
+    # every command builds the model
+    ("chi", {"chi": -1.0}, ALL),
+    ("gamma", {"gamma": 1.5}, ALL),
+    ("n_spins", {"n_spins": 0}, ALL),
+    ("initial.theta", {"initial": {"theta": 4.0, "phi": 0.0}}, {"evolve", "compare-pulsed"}),
+    ("initial.phi", {"initial": [1.0, 7.0]}, {"evolve", "compare-pulsed"}),
+    ("axis", {"axis": "w"}, {"design", "noise", "scaling"}),
+    ("branch", {"branch": "C"}, {"design", "noise", "scaling", "compare-pulsed"}),
+    ("max_step", {"max_step": -1.0}, PULSED),
+    ("cycles", {"cycles": 0}, {"noise"}),
+    ("total_time", {"total_time": -3.0}, {"noise"}),
+    ("horizon", {"horizon": -1.0}, TRACED),
+    ("grid_points", {"grid_points": 50}, TRACED | {"scaling"}),
+    ("seed", {"seed": -1}, {"noise"}),
+    ("gammas", {"gammas": []}, {"sweep-gamma"}),
+    ("gammas[0]", {"gammas": [0.9]}, {"sweep-gamma"}),
+    ("variants", {"variants": []}, {"scaling"}),
+    ("n_grid[1]", {"n_grid": [4, 0]}, {"scaling"}),
+    ("theta_points", {"theta_points": 1}, {"sweep-initial-state"}),
+    ("n_runs", {"n_runs": 0}, {"noise"}),
+    ("workers", {"workers": 0}, {"sweep-initial-state", "noise"}),
+    ("relative_sigma", {"relative_sigma": -0.1}, {"noise"}),
+    ("channel", {"channel": "laser"}, {"noise"}),
+]
+
+
+@pytest.mark.parametrize("field, bad, readers", BAD_VALUES, ids=[row[0] for row in BAD_VALUES])
+def test_a_value_is_refused_only_by_the_commands_that_read_it(
+    tmp_path, monkeypatch, capsys, field, bad, readers
+):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(SMALL, **bad)))
+    for command in sorted(ALL):
+        out = f"out-{command}"
+        code = main([command, "--config", str(path), "--out", out])
+        err = capsys.readouterr().err
+        if command in readers:
+            assert code == 2 and f": {field}: " in err, (command, err)
+            assert not (tmp_path / out).exists(), command
+        else:
+            assert code == 0, (command, err)
+
+
+@pytest.mark.parametrize("field, bad, readers", BAD_VALUES, ids=[row[0] for row in BAD_VALUES])
+def test_the_config_check_holds_no_value_rule(field, bad, readers):
+    # well typed, so the config check passes it on to whatever reads it
+    for experiment in sorted(ALL):
+        validate_config(dict(SMALL, experiment=experiment, **bad))

@@ -19,7 +19,6 @@ from lmgsqueeze.experiments import (
     ALLOWED_SCOPES,
     NoiseSpec,
     compare_pulsed,
-    default_horizon,
     evolve_trace,
     noise_monte_carlo,
     predicted_optimal_time,
@@ -29,7 +28,7 @@ from lmgsqueeze.experiments import (
     sweep_initial_state,
     write_result,
 )
-from lmgsqueeze.metrics import minimize_hamiltonian
+from lmgsqueeze.metrics import default_horizon, minimize_hamiltonian
 from lmgsqueeze.pulses import design, effective_hamiltonian, schedule
 from lmgsqueeze.propagate import Eigenbasis, FreeSegment, run_schedule
 from lmgsqueeze.states import BlochAngles, coherent_state
@@ -107,7 +106,7 @@ def test_sweep_rows_match_direct_minimization(gamma, n, theta_points, phi_points
     # every row, computed or copied from a pi-rotated twin, is the first
     # minimum from its own initial state
     model = from_chi_gamma(1.0, gamma, n)
-    grid_points = 60
+    grid_points = 100
     result = sweep_initial_state(
         model, theta_points=theta_points, phi_points=phi_points, grid_points=grid_points
     )
@@ -145,7 +144,7 @@ def test_sweep_computes_one_point_per_orbit(monkeypatch, grids, expected):
         return sweep_column(task)
 
     monkeypatch.setattr(experiments, "_sweep_column", counting)
-    sweep_initial_state(from_chi_gamma(1.0, 0.2, 4), grid_points=20, **grids)
+    sweep_initial_state(from_chi_gamma(1.0, 0.2, 4), grid_points=100, **grids)
     assert len(computed) == expected
 
 
@@ -160,7 +159,7 @@ def test_sweep_factors_one_coherent_generator(monkeypatch):
         return factor(space, *args)
 
     monkeypatch.setattr(experiments, "coherent_generator_eig", counting)
-    sweep_initial_state(from_chi_gamma(1.0, 0.2, 4), theta_points=33, phi_points=33, grid_points=20)
+    sweep_initial_state(from_chi_gamma(1.0, 0.2, 4), theta_points=33, phi_points=33, grid_points=100)
     assert factored == [()]
 
 
@@ -204,12 +203,12 @@ def test_orbit_index_maps_match_float_matching(theta_points, phi_points):
 
 def test_long_thin_sweep_memory_is_linear_in_its_points():
     model = from_chi_gamma(1.0, 0.2, 2)
-    sweep_initial_state(model, theta_points=2, phi_points=4, grid_points=20)
+    sweep_initial_state(model, theta_points=2, phi_points=4, grid_points=100)
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sweep_initial_state(model, theta_points=2, phi_points=2000, grid_points=20)
+        sweep_initial_state(model, theta_points=2, phi_points=2000, grid_points=100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -538,7 +537,7 @@ def test_scaling_rejects_fewer_than_two_distinct_sizes(n_grid):
 )
 def test_scaling_refuses_a_size_that_is_not_a_positive_integer(n_grid, field):
     # not truncated: 8.5 would run and record N = 8
-    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: must be a positive integer"):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: must be (an integer|>= 1),"):
         scaling_study(0.1, n_grid, variants=("OAT",))
 
 

@@ -1,7 +1,9 @@
 """Each library entry point refuses, before it allocates or spawns, the
 traces, grids and workers it would need: memory equal to a trace's bound is
 admitted and one byte less is refused, and a worker count outside
-[1, MAX_WORKERS] is refused before any space is built."""
+[1, MAX_WORKERS] is refused before any space is built.  Every other value
+rule has one owner too, the function that reads the value: it raises a
+ConfigError (also a ValueError) whose message starts with the value's key."""
 
 import math
 
@@ -20,7 +22,8 @@ from lmgsqueeze.experiments import (
     sweep_initial_state,
 )
 from lmgsqueeze.metrics import SCAN_CHUNK, SCAN_SAMPLE_BYTES, TRACE_BLOCKS, minimize_over_time
-from lmgsqueeze.pulses import design
+from lmgsqueeze.metrics import scan_times
+from lmgsqueeze.pulses import design, schedule
 from lmgsqueeze.states import BlochAngles
 
 N, K = 4, 200  # more samples than one scan chunk
@@ -108,3 +111,51 @@ def test_worker_counts_out_of_range_are_refused_before_any_space(monkeypatch, wo
     noise = NoiseSpec("chi", 0.1)
     with pytest.raises(ConfigError, match=r"^workers: "):
         noise_monte_carlo(model, design(model, "z"), noise, 2, seed=0, workers=workers)
+
+
+DESIGN = design(MODEL, "z")
+OWNERS = {
+    "chi": lambda: from_chi_gamma(-1.0, 0.1, N),
+    "gamma": lambda: from_chi_gamma(1.0, 1.5, N),
+    "n_spins": lambda: from_chi_gamma(1.0, 0.1, 0),
+    "theta": lambda: BlochAngles(4.0, 0.0),
+    "phi": lambda: BlochAngles(1.0, 7.0),
+    "axis": lambda: design(MODEL, "w"),
+    "branch": lambda: design(MODEL, "z", "C"),
+    "max_step": lambda: schedule(DESIGN, MODEL, 1.0, max_step=-1.0),
+    "cycles": lambda: schedule(DESIGN, MODEL, 1.0, cycles=0),
+    "total_time": lambda: schedule(DESIGN, MODEL, -3.0),
+    "horizon": lambda: scan_times(1.0, N, -1.0, 100),
+    "grid_points": lambda: scan_times(1.0, N, None, 50),
+    "seed": lambda: noise_monte_carlo(MODEL, DESIGN, NoiseSpec("chi", 0.1), 2, seed=-1),
+    "gammas": lambda: sweep_gamma(N, []),
+    "variants": lambda: scaling_study(0.1, [N, N + 2], variants=[]),
+    # counts are integers by one rule, not truncated inside numpy
+    "theta_points": lambda: sweep_initial_state(MODEL, theta_points=2.5),
+    "n_runs": lambda: noise_monte_carlo(MODEL, DESIGN, NoiseSpec("chi", 0.1), 2.5, seed=0),
+}
+
+
+@pytest.mark.parametrize("field", sorted(OWNERS))
+def test_each_value_is_refused_by_its_owner_by_name(monkeypatch, field):
+    def unreached(n_spins):
+        raise AssertionError("a space was built before the value was refused")
+
+    monkeypatch.setattr(experiments, "build_space", unreached)
+    with pytest.raises(ConfigError, match=rf"^{field}: ") as err:
+        OWNERS[field]()
+    # library callers that catch ValueError keep working
+    assert isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("grid_points", [150.5, 50])
+def test_every_trace_refuses_a_grid_that_is_not_a_count_of_at_least_100(grid_points):
+    for call in (
+        lambda: evolve_trace(MODEL, INITIAL, grid_points=grid_points),
+        lambda: sweep_gamma(N, [0.1], grid_points=grid_points),
+        lambda: minimize_over_time(MODEL, INITIAL, grid_points=grid_points),
+        lambda: scaling_study(0.1, [N, N + 2], variants=["LMG"], grid_points=grid_points),
+        lambda: sweep_initial_state(MODEL, theta_points=3, phi_points=2, grid_points=grid_points),
+    ):
+        with pytest.raises(ConfigError, match=r"^grid_points: "):
+            call()

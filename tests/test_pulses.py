@@ -59,11 +59,11 @@ def test_schedule_refuses_a_cycle_count_that_is_not_a_positive_integer(monkeypat
         raise AssertionError("memory checked before the cycle count")
 
     monkeypatch.setattr(pulses, "require_trace_memory", unreached)
-    with pytest.raises(ValueError, match=r"^cycles must be an integer >= 1"):
+    with pytest.raises(ValueError, match=r"^cycles: must be an integer >= 1"):
         schedule(design_, model, 1.0, cycles=cycles)
     monkeypatch.undo()
     noise = NoiseSpec("pulse_area", 0.1)
-    with pytest.raises(ValueError, match=r"^cycles must be an integer >= 1"):
+    with pytest.raises(ValueError, match=r"^cycles: must be an integer >= 1"):
         noise_monte_carlo(model, design_, noise, 2, seed=0, total_time=1.0, cycles=cycles)
 
 

@@ -9,8 +9,9 @@ exponential must be formed in the one propagation kernel, pulses must be
 applied only by the segment executor, pulse pairs must be toggled only by
 the one cycle realizer, a dim^2 identity must be formed only for a dense
 matrix that is itself the result, memory must be checked only where it is
-allocated,
-and every grid size and worker count refused before a space is built,
+allocated, every scan grid built by the one scan_times, every grid size
+and worker count refused before a space is built, the CLI's number check
+must hold no range rule,
 every function the benchmark traces must exist, each benchmark workload
 must reach the spans its traced run expects, the README's library
 example must run, numpy must be the one runtime dependency, and a CLI run
@@ -327,8 +328,8 @@ def test_cycles_are_toggled_only_by_the_cycle_realizer():
 
 def test_memory_is_checked_only_where_it_is_allocated():
     # one owner per size limit: a space's dense operators, a trace of xi^2
-    # samples, and the objects of the initial-state sweep's grid; the CLI
-    # parses values and sizes nothing
+    # samples, a scan's time grid, and the objects of the initial-state
+    # sweep's grid; the CLI parses values and sizes nothing
     found = {
         (path.name, function)
         for path in sorted(PACKAGE.glob("*.py"))
@@ -337,11 +338,33 @@ def test_memory_is_checked_only_where_it_is_allocated():
     assert found == {
         ("algebra.py", "build_space"),
         ("metrics.py", "require_trace_memory"),
+        ("metrics.py", "scan_times"),
         ("experiments.py", "sweep_initial_state"),
     }
     cli = (PACKAGE / "cli.py").read_text()
     for name in ("require_memory", "require_trace_memory", "sweep_bytes"):
         assert calls_named(cli, name) == [], name
+
+
+def test_every_scan_grid_is_built_by_scan_times():
+    # one owner for the scan grid and its horizon, so no hand-built grid
+    # can skip the horizon and grid_points rules or the memory check
+    found = {
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, _ in calls_named(path.read_text(), "default_horizon")
+    }
+    assert found == {("metrics.py", "scan_times")}
+
+
+def test_the_cli_number_check_holds_no_range_rule():
+    # every range belongs to the library function that reads the value
+    import inspect
+
+    from lmgsqueeze import cli
+
+    parameters = set(inspect.signature(cli._require_number).parameters)
+    assert parameters.isdisjoint({"lo", "hi", "positive"}), parameters
 
 
 def test_every_grid_and_worker_parameter_is_refused_before_a_space_is_built(monkeypatch):
@@ -367,6 +390,8 @@ def test_every_grid_and_worker_parameter_is_refused_before_a_space_is_built(monk
         "noise": experiments.NoiseSpec("chi", 0.1),
         "n_runs": 2,
         "seed": 0,
+        "rate": 1.0,
+        "horizon": None,
     }
 
     def unreached(n_spins):
@@ -382,7 +407,12 @@ def test_every_grid_and_worker_parameter_is_refused_before_a_space_is_built(monk
             parameters = inspect.signature(function).parameters
             if function.__module__ != module.__name__ or not set(checked) & set(parameters):
                 continue
-            names = [p for p, v in parameters.items() if v.default is inspect.Parameter.empty]
+            # a required grid_points (scan_times) takes the value under test
+            names = [
+                p
+                for p, v in parameters.items()
+                if v.default is inspect.Parameter.empty and p not in checked
+            ]
             assert set(names) <= set(arguments), f"{name}: give sample values for {names}"
             required = {p: arguments[p] for p in names}
             if "grid_points" in parameters:
@@ -400,6 +430,7 @@ def test_every_grid_and_worker_parameter_is_refused_before_a_space_is_built(monk
         "sweep_gamma",
         "scaling_study",
         "minimize_over_time",
+        "scan_times",
     }
     assert checked["workers"] >= {"sweep_initial_state", "noise_monte_carlo"}
 
