@@ -55,7 +55,7 @@ from .errors import ConfigError
 from .metrics import batch_squeezing, fit_loglog_slope, minimize_hamiltonian
 from .metrics import require_trace_memory, scan_times
 from .propagate import FreeSegment, PulseSegment, realized_cycle, run_cycles, run_schedule
-from .pulses import PulseDesign, design, effective_hamiltonian, schedule
+from .pulses import PulseDesign, design, effective_hamiltonian, require_timing, schedule
 from .states import BlochAngles, SpinState, coherent_generator_eig, coherent_state, rotation
 
 # Each channel and its scopes, the default first; the key order fixes the
@@ -471,11 +471,12 @@ def compare_pulsed(
     """
     if lmg_initial is None:
         lmg_initial = BlochAngles(theta=math.pi / 2.0, phi=math.pi / 2.0)
+    require_timing(max_step)
+    design_z = design(model, "z", branch)
+    design_y = design(model, "y", branch)
     space = build_space(model.n_spins)
     chi_n = model.chi * model.n_spins
 
-    design_z = design(model, "z", branch)
-    design_y = design(model, "y", branch)
     generator = coherent_generator_eig(space)
     psi_z, psi_y, psi_lmg = (
         coherent_state(space, angles, generator)
@@ -571,6 +572,11 @@ def scaling_study(
     if not variants or len(set(variants)) < len(variants):
         raise ConfigError(f"variants: expected distinct variants, got {list(variants)}")
     require_trace_memory(max(n_grid), grid_points, every_sample=False)
+    if "pulsed" in variants:
+        # refused before the first scan: the design (one for every N) and the
+        # cycle bound, whose smallest value is at the largest N
+        design_ = design(from_chi_gamma(chi, gamma, n_grid[0]), axis, branch)
+        require_timing(pulsed_step_product / max(n_grid))
     initial = BlochAngles(theta=math.pi / 2.0, phi=math.pi / 2.0)
     rows = []
     minima = {v: [] for v in variants}
@@ -580,7 +586,6 @@ def scaling_study(
         for variant in variants:
             if variant == "pulsed":
                 model = from_chi_gamma(chi, gamma, n)
-                design_ = design(model, axis, branch)
                 psi_eff = coherent_state(space, design_.optimal_initial)
                 t_pred, _ = predicted_optimal_time(design_, model, space, psi_eff)
                 sch = schedule(design_, model, 1.2 * t_pred, max_step=pulsed_step_product / n)
@@ -820,6 +825,7 @@ def noise_monte_carlo(
     _require_workers(workers)
     n_runs = require_count(n_runs, "n_runs")
     seed = require_count(seed, "seed", least=0)
+    require_timing(max_step, total_time, cycles)
     space = build_space(model.n_spins)
     psi0 = coherent_state(space, design_.optimal_initial)
     if total_time is None:

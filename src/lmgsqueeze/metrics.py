@@ -4,6 +4,15 @@ The minimal variance over directions perpendicular to the mean spin is the
 smallest eigenvalue of the 2x2 symmetrized covariance in that plane, so no
 angular search is needed; the brute-force angular scan survives only in the
 tests as an independent oracle.
+
+The moments behind that covariance come from three bands of each state,
+|psi_k|^2, conj(psi_k) psi_{k+1} and conj(psi_k) psi_{k+2}, each summed
+along the state's own row with a fixed weight vector: no operator is
+applied, and a column's bits do not depend on the batch it came in.  The
+one exception is the golden-section objective of minimize_hamiltonian,
+which keeps dense Sx and Sy products (_operator_moments), because the
+recorded seed-0 benchmark reference pins the refined time that sizes
+every schedule to those bits.
 """
 
 from dataclasses import dataclass, replace
@@ -28,9 +37,14 @@ SCAN_CHUNK = 128
 # peak of a scan that samples every time: 159-164 B at N = 4, plus 8 B).
 SCAN_SAMPLE_BYTES = 176
 # Dense complex (N+1) x K blocks alive at once while xi^2 is taken at K
-# times (batch_squeezing): the states, Sx, Sy and Sz applied to them, their
-# conjugate and one product (tracemalloc peak: 6.1 blocks).
-TRACE_BLOCKS = 6
+# times (batch_squeezing): the states, their contiguous rows, the half
+# block |psi|^2, one band and either its conjugated factor or its weighted
+# copy (4.5).  tracemalloc peak at N = 1000, K = 128 and 300: 4.53-4.57
+# blocks, numpy's iterator buffers included.  With SCAN_SAMPLE_BYTES per
+# time, 5 blocks bound the peak of every scan measured from N = 4 to 1000
+# and K = 200 to 2000, chunked or whole (whole at N = 4, K = 200: 2 KB
+# short, its fixed buffers).
+TRACE_BLOCKS = 5
 # golden ratio conjugate 2 / (1 + sqrt(5)), rounded as scipy.optimize rounds it
 _GR = 0.61803399
 _GC = 1.0 - _GR
@@ -77,8 +91,62 @@ class SqueezingTrace:
         return tuple(SqueezingSample(float(t), float(x), m, float(c), a) for t, x, m, c, a in rows)
 
 
+def _moment_weights(space: DickeSpace) -> tuple:
+    """Weights that reduce the three bands of a state to its moments, kept
+    by the space: j(j+1) - m^2, m and m^2 on |psi_k|^2; u_k and
+    u_k (m_k + m_{k+1})/2 on conj(psi_k) psi_{k+1}; u_k u_{k+1} on
+    conj(psi_k) psi_{k+2}, with u_k = <k|S+|k+1>."""
+
+    def build():
+        j, m = space.j, space.m_values()
+        up = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
+        return j * (j + 1) - m**2, m, m**2, up, up * (m[:-1] + m[1:]) / 2.0, up[:-1] * up[1:]
+
+    return space.built("moment_weights", build)
+
+
 def _batch_moments(space: DickeSpace, states: np.ndarray):
-    """First moments (3, K) and symmetrized second moments (3, 3, K)."""
+    """First moments (3, K) and symmetrized second moments (3, 3, K).
+
+    <S+> = <Sx> + i<Sy>, <S+^2> = <Sx^2 - Sy^2> + 2i<SxSy>_sym and
+    <S+Sz + SzS+>/2 = <SxSz>_sym + i<SySz>_sym are sums over the bands
+    above the diagonal; <Sx^2 + Sy^2> = <S^2 - Sz^2>, <Sz> and <Sz^2> are
+    sums over |psi_k|^2.  Each state is one contiguous row, summed on its
+    own (np.sum, not a matrix-vector product, whose rounding follows K).
+    """
+    rest, m, m_sq, up, up_mid, up_up = _moment_weights(space)
+    rows = np.ascontiguousarray(states.T)
+    prob = rows.real**2 + rows.imag**2
+    # one band at a time, so at most TRACE_BLOCKS blocks are held; no
+    # product in place, which numpy rounds differently on a strided column
+    two = rows[:, :-2].conj() * rows[:, 2:]
+    plus_sq = np.sum(up_up * two, axis=1)
+    del two
+    one = rows[:, :-1].conj() * rows[:, 1:]
+    del rows
+    plus = np.sum(up * one, axis=1)
+    plus_z = np.sum(up_mid * one, axis=1)
+    perp = np.sum(rest * prob, axis=1)
+    mean = np.stack((plus.real, plus.imag, np.sum(m * prob, axis=1)))
+    second = np.empty((3, 3, prob.shape[0]))
+    second[0, 0] = 0.5 * (perp + plus_sq.real)
+    second[1, 1] = 0.5 * (perp - plus_sq.real)
+    second[2, 2] = np.sum(m_sq * prob, axis=1)
+    second[0, 1] = second[1, 0] = 0.5 * plus_sq.imag
+    second[0, 2] = second[2, 0] = plus_z.real
+    second[1, 2] = second[2, 1] = plus_z.imag
+    return mean, second
+
+
+def _operator_moments(space: DickeSpace, states: np.ndarray):
+    """The moments of _batch_moments from dense products with Sx and Sy,
+    whose bits BLAS rounds with the column count.
+
+    Only minimize_hamiltonian's golden-section objective takes them: the
+    recorded seed-0 benchmark reference pins the refined time that sizes
+    schedules (experiments.predicted_optimal_time) to these bits.  Delete
+    this kernel when that reference is re-recorded (ROADMAP item 1).
+    """
     applied = [collective_operator(space, lbl) @ states for lbl in ("Sx", "Sy")]
     applied.append(space.m_values()[:, None] * states)  # Sz is diagonal
     conj = states.conj()
@@ -109,18 +177,24 @@ def _perpendicular_frame(directions: np.ndarray):
 
 
 def batch_squeezing(space: DickeSpace, states: np.ndarray):
-    """Vectorized xi^2, contrast, mean spin, and minimal-variance axis.
+    """Vectorized xi^2, contrast, mean spin, and minimal-variance axis of
+    each column of ``states`` (see _squeezing)."""
+    return _squeezing(space, *_batch_moments(space, states))
+
+
+def _squeezing(space: DickeSpace, mean: np.ndarray, second: np.ndarray):
+    """xi^2, contrast, mean spin, and minimal-variance axis from the first
+    moments (3, K) and symmetrized second moments (3, 3, K).
 
     Columns whose contrast falls below CONTRAST_EPS get xi2 = nan (the mean
     spin direction, hence the perpendicular plane, is undefined there).
     """
     n = space.n_spins
-    mean, second = _batch_moments(space, states)
     length = np.linalg.norm(mean, axis=0)
     contrast = length / (n / 2.0)
     valid = contrast >= CONTRAST_EPS
 
-    k = states.shape[1]
+    k = mean.shape[1]
     xi2 = np.full(k, np.nan)
     axes = np.full((3, k), np.nan)
     if np.any(valid):
@@ -208,11 +282,12 @@ def trace_from_states(
 def require_trace_memory(n_spins: int, samples, every_sample: bool, sample_bytes: int = 0):
     """TooLarge when xi^2 at ``samples`` times (inf allowed) at ``n_spins``
     would not fit in physical memory: TRACE_BLOCKS blocks of every state
-    with ``every_sample``, else of one SCAN_CHUNK chunk plus
-    SCAN_SAMPLE_BYTES per time; the caller keeps ``sample_bytes`` per time."""
+    with ``every_sample``, else of one SCAN_CHUNK chunk, plus
+    SCAN_SAMPLE_BYTES per time either way; the caller keeps
+    ``sample_bytes`` per time."""
     block = TRACE_BLOCKS * 16 * (n_spins + 1)
-    held = 0 if every_sample else block * min(samples, SCAN_CHUNK)
-    per_sample = (block if every_sample else SCAN_SAMPLE_BYTES) + sample_bytes
+    held = block * (samples if every_sample else min(samples, SCAN_CHUNK))
+    per_sample = SCAN_SAMPLE_BYTES + sample_bytes
     require_memory(held + per_sample * samples, f"traces of {samples} times at n_spins={n_spins}")
 
 
@@ -346,7 +421,8 @@ def minimize_hamiltonian(
     k = int(np.searchsorted(times, trace.minimum.t))
 
     def objective(t: float) -> float:
-        xi2, _, _, _ = batch_squeezing(space, evolve(initial, basis, t).amplitudes[:, None])
+        state = evolve(initial, basis, t).amplitudes[:, None]
+        xi2, _, _, _ = _squeezing(space, *_operator_moments(space, state))
         return float(xi2[0]) if np.isfinite(xi2[0]) else np.inf
 
     found = _golden(objective, times[k - 1], times[k], times[k + 1], REFINE_XTOL)

@@ -115,6 +115,19 @@ def design(model: LMGModel, axis: str, branch: str = "A") -> PulseDesign:
     return PulseDesign("y", "B", (2.0 - gamma) / (1.0 + gamma), chi_eff, "Sx2+2Sy2")
 
 
+def require_timing(max_step: float, total_time: float | None = None, cycles=None) -> None:
+    """ConfigError naming the key unless ``max_step`` and a given
+    ``total_time`` are finite and > 0 and a given ``cycles`` is an integer
+    >= 1: the rules of ``schedule``, which callers that size a schedule
+    only after an eigensolve apply before they build a space."""
+    if total_time is not None and not 0.0 < total_time < math.inf:
+        raise ConfigError(f"total_time: must be finite and > 0, got {total_time}")
+    if not 0.0 < max_step < math.inf:
+        raise ConfigError(f"max_step: must be finite and > 0, got {max_step}")
+    if cycles is not None and (not isinstance(cycles, numbers.Integral) or cycles < 1):
+        raise ConfigError(f"cycles: must be an integer >= 1, got {cycles!r}")
+
+
 def schedule(
     design_: PulseDesign,
     model: LMGModel,
@@ -133,16 +146,11 @@ def schedule(
     the state at every cycle boundary, so a cycle count whose trace would
     not fit in physical memory raises TooLarge.
     """
-    if not 0.0 < total_time < math.inf:
-        raise ConfigError(f"total_time: must be finite and > 0, got {total_time}")
-    if not 0.0 < max_step < math.inf:
-        raise ConfigError(f"max_step: must be finite and > 0, got {max_step}")
+    require_timing(max_step, total_time, cycles)
     if cycles is None:
         # sized unrounded when it overflows to inf, which ceil cannot round
         count = total_time * model.n_spins * model.chi / max_step
         cycles = max(1, math.ceil(count)) if math.isfinite(count) else count
-    elif not isinstance(cycles, numbers.Integral) or cycles < 1:
-        raise ConfigError(f"cycles: must be an integer >= 1, got {cycles!r}")
     require_trace_memory(model.n_spins, cycles + 1, every_sample=True)
     cycles = int(cycles)
     cycle_time = total_time / cycles

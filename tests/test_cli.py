@@ -273,9 +273,10 @@ def test_oversized_trace_or_sweep_grid_exits_before_allocating(tmp_path, experim
 
 
 def test_trace_and_sweep_sizes_count_every_block(monkeypatch):
-    # memory for exactly the blocks of 1000 trace samples at N = 100
+    # memory for exactly the blocks and sample bytes of 1000 trace samples at N = 100
     n, k = 100, 1000
-    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": TRACE_BLOCKS * 16 * k * (n + 1)}
+    every_sample = TRACE_BLOCKS * 16 * k * (n + 1) + SCAN_SAMPLE_BYTES * k
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": every_sample}
     monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
     model, initial = from_chi_gamma(1.0, 0.1, n), BlochAngles(math.pi / 2.0, math.pi / 2.0)
     assert len(evolve_trace(model, initial, grid_points=k).tables["trace"].rows) == k
@@ -301,10 +302,11 @@ def test_trace_and_sweep_sizes_count_every_block(monkeypatch):
 
 @pytest.mark.parametrize("experiment", ["sweep-gamma", "scaling", "sweep-initial-state", "evolve"])
 def test_chunked_scans_are_sized_by_their_chunk(monkeypatch, experiment):
-    # 8 GiB of memory: 10^6 samples at N = 100 fit a scan that holds
-    # SCAN_CHUNK columns of states at a time, not six whole-grid blocks; an
-    # admitted grid goes on to build its space, where the run stops here
-    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2**33}
+    # 4 GiB of memory: 10^6 samples at N = 100 fit a scan that holds
+    # SCAN_CHUNK columns of states at a time, not TRACE_BLOCKS whole-grid
+    # blocks; an admitted grid goes on to build its space, where the run
+    # stops here
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2**32}
     monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
 
     class Admitted(Exception):

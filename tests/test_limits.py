@@ -3,7 +3,9 @@ traces, grids and workers it would need: memory equal to a trace's bound is
 admitted and one byte less is refused, and a worker count outside
 [1, MAX_WORKERS] is refused before any space is built.  Every other value
 rule has one owner too, the function that reads the value: it raises a
-ConfigError (also a ValueError) whose message starts with the value's key."""
+ConfigError (also a ValueError) whose message starts with the value's key.
+Experiments that size a schedule only after an eigensolve apply the
+schedule's rules (pulses.require_timing) before they build a space."""
 
 import math
 
@@ -15,6 +17,7 @@ from lmgsqueeze.errors import ConfigError, TooLarge
 from lmgsqueeze.experiments import (
     MAX_WORKERS,
     NoiseSpec,
+    compare_pulsed,
     evolve_trace,
     noise_monte_carlo,
     scaling_study,
@@ -31,7 +34,7 @@ INITIAL = BlochAngles(math.pi / 2.0, math.pi / 2.0)
 
 
 def every_sample_bytes(n, k):
-    return TRACE_BLOCKS * 16 * (n + 1) * k
+    return TRACE_BLOCKS * 16 * (n + 1) * k + SCAN_SAMPLE_BYTES * k
 
 
 def chunked_bytes(n, k):
@@ -146,6 +149,39 @@ def test_each_value_is_refused_by_its_owner_by_name(monkeypatch, field):
         OWNERS[field]()
     # library callers that catch ValueError keep working
     assert isinstance(err.value, ValueError)
+
+
+def noise_run(**timing):
+    return noise_monte_carlo(MODEL, DESIGN, NoiseSpec("chi", 0.1), 2, seed=0, **timing)
+
+
+def pulsed_scaling(**options):
+    return scaling_study(0.1, [N, N + 2], variants=["LMG", "pulsed"], **options)
+
+
+# experiments that size a schedule only after an eigensolve and a scan
+SCHEDULE_VALUES = {
+    "compare_pulsed-max_step": ("max_step", lambda: compare_pulsed(MODEL, max_step=-1.0)),
+    "noise-max_step": ("max_step", lambda: noise_run(max_step=math.inf)),
+    "noise-cycles": ("cycles", lambda: noise_run(cycles=0)),
+    "noise-cycles-float": ("cycles", lambda: noise_run(cycles=3.0)),
+    "noise-total_time": ("total_time", lambda: noise_run(total_time=-3.0)),
+    "scaling-max_step": ("max_step", lambda: pulsed_scaling(pulsed_step_product=math.nan)),
+    "scaling-axis": ("axis", lambda: pulsed_scaling(axis="w")),
+    "scaling-branch": ("branch", lambda: pulsed_scaling(branch="C")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEDULE_VALUES))
+def test_schedule_values_are_refused_before_a_space_is_built(monkeypatch, case):
+    field, call = SCHEDULE_VALUES[case]
+
+    def unreached(n_spins):
+        raise AssertionError("a space was built before the schedule values were refused")
+
+    monkeypatch.setattr(experiments, "build_space", unreached)
+    with pytest.raises(ConfigError, match=rf"^{field}: "):
+        call()
 
 
 @pytest.mark.parametrize("grid_points", [150.5, 50])

@@ -15,6 +15,7 @@ from lmgsqueeze.experiments import evolve_trace
 from lmgsqueeze.metrics import (
     REFINE_XTOL,
     _batch_moments,
+    _operator_moments,
     batch_squeezing,
     first_local_minimum,
     fit_loglog_slope,
@@ -379,13 +380,62 @@ def _batch_moments_pairwise(space, states):
 
 @pytest.mark.parametrize("n", [3, 100])
 def test_batch_moments_equal_the_pairwise_conjugates_bit_for_bit(n):
-    # these moments size schedules through predicted_optimal_time
+    # the golden search's moments size schedules through predicted_optimal_time
     space = build_space(n)
     basis = Eigenbasis.of(realize_hamiltonian(from_chi_gamma(1.0, 0.1, n), space))
     psi = coherent_state(space, BlochAngles(1.1, 0.4))
     states = evolve_batch(psi, basis, np.linspace(0.0, 2.0 / n, 37))
-    for got, expected in zip(_batch_moments(space, states), _batch_moments_pairwise(space, states)):
+    moments = _operator_moments(space, states)
+    for got, expected in zip(moments, _batch_moments_pairwise(space, states)):
         assert np.array_equal(got, expected)
+
+
+def _state_columns(n, kinds, seed):
+    """One normalized column per entry of ``kinds``: a random state, a Dicke
+    state |j, m> with a random phase, or a pole |j, +-j>."""
+    rng = np.random.default_rng(seed)
+    states = np.zeros((n + 1, len(kinds)), dtype=complex)
+    for c, kind in enumerate(kinds):
+        if kind == "random":
+            states[:, c] = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            states[:, c] /= np.linalg.norm(states[:, c])
+        else:
+            index = rng.integers(n + 1) if kind == "dicke" else rng.choice([0, n])
+            states[index, c] = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    return states
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    kinds=st.lists(st.sampled_from(["random", "dicke", "pole"]), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_moments_equal_the_operator_products(n, kinds, seed):
+    space = build_space(n)
+    states = _state_columns(n, kinds, seed)
+    j = n / 2.0
+    for got, expected in zip(_batch_moments(space, states), _operator_moments(space, states)):
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-13 * j * (j + 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 120), width=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+@example(n=100, width=300, seed=0)
+@example(n=1, width=2, seed=0)  # rows of one band entry: numpy may iterate down the column
+def test_each_column_keeps_its_bits_at_every_batch_width(n, width, seed):
+    # the moments reduce each state's row on its own, so no chunk width,
+    # block width or writer layout can move a column's last digits
+    space = build_space(n)
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(["random", "dicke", "pole"], size=width, p=[0.8, 0.1, 0.1])
+    states = _state_columns(n, list(kinds), seed)
+    batch = batch_squeezing(space, states)
+    for c in range(width):
+        alone = batch_squeezing(space, states[:, c : c + 1])
+        for together, single in zip(batch, alone):
+            assert np.array_equal(together[..., c : c + 1], single, equal_nan=True)
 
 
 def _first_local_minimum_loop(values):
@@ -450,7 +500,8 @@ def _xi2_objective(space, basis, psi):
     """minimize_hamiltonian's golden-search objective: xi^2 of one state."""
 
     def objective(t):
-        xi2 = metrics.batch_squeezing(space, evolve(psi, basis, t).amplitudes[:, None])[0]
+        state = evolve(psi, basis, t).amplitudes[:, None]
+        xi2 = metrics._squeezing(space, *metrics._operator_moments(space, state))[0]
         return float(xi2[0]) if np.isfinite(xi2[0]) else np.inf
 
     return objective
@@ -551,13 +602,13 @@ def test_chunked_scan_finds_a_plateau_across_a_chunk_edge(monkeypatch, width):
     # xi^2 rounded to 1e-3 is flat at its minimum: the plateau's samples are
     # equal, and the first minimum is the plateau's last sample (<= on the
     # left, < on the right); its bracket is flat, so it is not refined
-    exact = metrics.batch_squeezing
+    exact = metrics._squeezing
 
-    def rounded(space, states):
-        xi2, *rest = exact(space, states)
+    def rounded(space, mean, second):
+        xi2, *rest = exact(space, mean, second)
         return (np.round(xi2, 3), *rest)
 
-    monkeypatch.setattr(metrics, "batch_squeezing", rounded)
+    monkeypatch.setattr(metrics, "_squeezing", rounded)
     monkeypatch.setattr(metrics, "SCAN_CHUNK", width)
     space, basis, psi = _lmg_setup()
     base = np.linspace(0.0, 0.3, 400)

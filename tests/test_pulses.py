@@ -15,7 +15,7 @@ from lmgsqueeze.algebra import (
 from lmgsqueeze.canonical import from_chi_gamma, realize_hamiltonian
 from lmgsqueeze.errors import TooLarge, XAxisImpossible
 from lmgsqueeze.experiments import NoiseSpec, noise_monte_carlo
-from lmgsqueeze.metrics import TRACE_BLOCKS, minimize_hamiltonian
+from lmgsqueeze.metrics import SCAN_SAMPLE_BYTES, TRACE_BLOCKS, minimize_hamiltonian
 from lmgsqueeze.propagate import run_schedule
 from lmgsqueeze.pulses import (
     compare_axes,
@@ -273,7 +273,8 @@ def test_schedule_refuses_cycle_counts_beyond_memory(monkeypatch):
     with pytest.raises(TooLarge):
         schedule(design_, model, 1.0, cycles=10**15)
     cycles = 900_593
-    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": TRACE_BLOCKS * 16 * (cycles + 1) * 101}
+    needed = (TRACE_BLOCKS * 16 * 101 + SCAN_SAMPLE_BYTES) * (cycles + 1)
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": needed}
     monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
     assert schedule(design_, model, 1.0, cycles=cycles).cycle_count == cycles
     with pytest.raises(TooLarge):

@@ -6,13 +6,14 @@ coherent-state generator, the effective Hamiltonian and the one real x
 basis, that generator must be factored only where a space's states are
 prepared, evolution and the minimum search must take a factored basis, every
 exponential must be formed in the one propagation kernel, pulses must be
-applied only by the segment executor, pulse pairs must be toggled only by
-the one cycle realizer, a dim^2 identity must be formed only for a dense
-matrix that is itself the result, memory must be checked only where it is
-allocated, every scan grid built by the one scan_times, every grid size
-and worker count refused before a space is built, the CLI's number check
-must hold no range rule,
-every function the benchmark traces must exist, each benchmark workload
+applied only by the segment executor, moments of a batch of states must
+come from its bands (dense Sx and Sy products only in the golden-section
+objective), pulse pairs must be toggled only by the one cycle realizer, a
+dim^2 identity must be formed only for a dense matrix that is itself the
+result, memory must be checked only where it is allocated, every scan grid
+built by the one scan_times, every grid size and worker count refused before
+a space is built, the CLI's number check must hold no range rule, every
+function the benchmark traces must exist, each benchmark workload
 must reach the spans its traced run expects, the README's library
 example must run, numpy must be the one runtime dependency, and a CLI run
 must load neither scipy, nor the process pool, nor numpy.random."""
@@ -313,6 +314,31 @@ def dim_identities(source: str) -> list:
 
     visit(ast.parse(source), None)
     return found
+
+
+def test_moments_come_from_bands_except_in_the_golden_objective():
+    # every batch of states is reduced through its three bands; the dense
+    # Sx and Sy products survive only in the golden-section objective, whose
+    # bits the recorded refined times follow, and nowhere else in metrics
+    source = (PACKAGE / "metrics.py").read_text()
+    found = {
+        (path.name, function, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, line in calls_named(path.read_text(), "_operator_moments")
+    }
+    (search,) = [
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == "minimize_hamiltonian"
+    ]
+    assert [(name, function) for name, function, _ in found] == [("metrics.py", "objective")]
+    assert all(search.lineno <= line <= search.end_lineno for _, _, line in found)
+    assert {function for function, _ in calls_named(source, "collective_operator")} == {
+        "_operator_moments"
+    }
+    assert {function for function, _ in calls_named(source, "_batch_moments")} == {
+        "batch_squeezing"
+    }
 
 
 def test_cycles_are_toggled_only_by_the_cycle_realizer():
