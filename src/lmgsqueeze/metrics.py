@@ -13,6 +13,12 @@ one exception is the golden-section objective of minimize_hamiltonian,
 which keeps dense Sx and Sy products (_operator_moments), because the
 recorded seed-0 benchmark reference pins the refined time that sizes
 every schedule to those bits.
+
+The perpendicular frame and the projections on it are written in explicit
+components (_cross, _dot): a1 b2 - a2 b1 for each cross product, x, y, z
+summed in turn for each dot product and norm.  That is the arithmetic of
+np.cross, np.sum and np.linalg.norm on (3, K) columns, so the bits are
+theirs, which that refined time needs, without their per-call overhead.
 """
 
 from dataclasses import dataclass, replace
@@ -27,6 +33,7 @@ from .propagate import evolve, evolve_batch
 from .states import BlochAngles, SpinState, coherent_state
 
 CONTRAST_EPS = 1e-6
+_AXES = np.eye(3)  # columns e_x, e_y, e_z
 REFINE_XTOL = 1e-6
 # Samples per chunk of a minimum search's time scan (see _scan).  The
 # initial-state sweep (N = 100, 300 samples) finds its first minima near
@@ -41,10 +48,14 @@ SCAN_SAMPLE_BYTES = 176
 # block |psi|^2, one band and either its conjugated factor or its weighted
 # copy (4.5).  tracemalloc peak at N = 1000, K = 128 and 300: 4.53-4.57
 # blocks, numpy's iterator buffers included.  With SCAN_SAMPLE_BYTES per
-# time, 5 blocks bound the peak of every scan measured from N = 4 to 1000
-# and K = 200 to 2000, chunked or whole (whole at N = 4, K = 200: 2 KB
-# short, its fixed buffers).
+# time and TRACE_FIXED_BYTES, 5 blocks bound the peak of every scan
+# measured from N = 2 to 1000 and K = 100 to 2000, chunked or whole.
 TRACE_BLOCKS = 5
+# Bytes a scan holds whatever its size: the K = 0 intercept of whole-grid
+# scans at N = 1 and 2 is about 5.6 KB (tracemalloc), which the blocks and
+# per-time bytes of a tiny scan do not cover (N = 2, K = 100: 44,316 B
+# against 41,600 B).
+TRACE_FIXED_BYTES = 8192
 # golden ratio conjugate 2 / (1 + sqrt(5)), rounded as scipy.optimize rounds it
 _GR = 0.61803399
 _GC = 1.0 - _GR
@@ -165,15 +176,28 @@ def _operator_moments(space: DickeSpace, states: np.ndarray):
     return mean, second
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise dot product of (3, K) arrays, summed x, y, z in turn as
+    np.sum(a * b, axis=0) and np.linalg.norm(a, axis=0) sum it."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise a x b of (3, K) arrays, each component a1 b2 - a2 b1 as
+    np.cross computes it."""
+    return np.array(
+        (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+    )
+
+
 def _perpendicular_frame(directions: np.ndarray):
-    """Orthonormal pair (n1, n2) perpendicular to each unit column vector."""
-    k = directions.shape[1]
-    ref = np.zeros((3, k))
-    ref[np.argmin(np.abs(directions), axis=0), np.arange(k)] = 1.0
-    n1 = np.cross(ref.T, directions.T).T
-    n1 /= np.linalg.norm(n1, axis=0)
-    n2 = np.cross(directions.T, n1.T).T
-    return n1, n2
+    """Orthonormal pair (n1, n2) perpendicular to each unit column vector d:
+    n1 along e x d for the axis e of d's smallest |component| (the first on
+    a tie), n2 = d x n1."""
+    ref = _AXES[:, np.argmin(np.abs(directions), axis=0)]
+    n1 = _cross(ref, directions)
+    n1 /= np.sqrt(_dot(n1, n1))
+    return n1, _cross(directions, n1)
 
 
 def batch_squeezing(space: DickeSpace, states: np.ndarray):
@@ -187,45 +211,49 @@ def _squeezing(space: DickeSpace, mean: np.ndarray, second: np.ndarray):
     moments (3, K) and symmetrized second moments (3, 3, K).
 
     Columns whose contrast falls below CONTRAST_EPS get xi2 = nan (the mean
-    spin direction, hence the perpendicular plane, is undefined there).
+    spin direction, hence the perpendicular plane, is undefined there); the
+    others are copied out only when there are such columns.
     """
     n = space.n_spins
-    length = np.linalg.norm(mean, axis=0)
+    length = np.sqrt(_dot(mean, mean))
     contrast = length / (n / 2.0)
     valid = contrast >= CONTRAST_EPS
-
-    k = mean.shape[1]
-    xi2 = np.full(k, np.nan)
-    axes = np.full((3, k), np.nan)
-    if np.any(valid):
-        dirs = mean[:, valid] / length[valid]
-        n1, n2 = _perpendicular_frame(dirs)
-        sec = second[:, :, valid]
-        mn = mean[:, valid]
-
-        def cov(u, v):
-            quad = np.einsum("ik,ijk,jk->k", u, sec, v)
-            return quad - np.sum(u * mn, axis=0) * np.sum(v * mn, axis=0)
-
-        c11 = cov(n1, n1)
-        c22 = cov(n2, n2)
-        c12 = cov(n1, n2)
-        half_tr = 0.5 * (c11 + c22)
-        radius = np.sqrt((0.5 * (c11 - c22)) ** 2 + c12**2)
-        lam = half_tr - radius
-        xi2[valid] = 4.0 * lam / n
-
-        # eigenvector of [[c11, c12], [c12, c22]] for the smaller eigenvalue;
-        # fall back to n1 when the plane is degenerate (isotropic variance)
-        vx = np.where(radius > 1e-12 * np.maximum(half_tr, 1.0), c12, 0.0)
-        vy = np.where(radius > 1e-12 * np.maximum(half_tr, 1.0), lam - c11, 0.0)
-        vnorm = np.hypot(vx, vy)
-        degenerate = vnorm < 1e-30
-        vx = np.where(degenerate, 1.0, vx)
-        vy = np.where(degenerate, 0.0, vy)
-        vnorm = np.where(degenerate, 1.0, vnorm)
-        axes[:, valid] = n1 * (vx / vnorm) + n2 * (vy / vnorm)
+    if valid.all():
+        xi2, axes = _plane_minimum(n, mean, second, length)
+        return xi2, contrast, mean, axes
+    xi2 = np.full(mean.shape[1], np.nan)
+    axes = np.full(mean.shape, np.nan)
+    if valid.any():
+        xi2[valid], axes[:, valid] = _plane_minimum(
+            n, mean[:, valid], second[:, :, valid], length[valid]
+        )
     return xi2, contrast, mean, axes
+
+
+def _plane_minimum(n: int, mean: np.ndarray, second: np.ndarray, length: np.ndarray):
+    """(xi^2, minimal-variance axis) of columns whose mean spin has
+    ``length`` >= CONTRAST_EPS N/2: the smaller eigenvalue and its
+    eigenvector of the 2x2 covariance in the plane perpendicular to it."""
+    n1, n2 = _perpendicular_frame(mean / length)
+    along1, along2 = _dot(n1, mean), _dot(n2, mean)  # zero up to rounding
+    c11 = np.einsum("ik,ijk,jk->k", n1, second, n1) - along1 * along1
+    c22 = np.einsum("ik,ijk,jk->k", n2, second, n2) - along2 * along2
+    c12 = np.einsum("ik,ijk,jk->k", n1, second, n2) - along1 * along2
+    half_tr = 0.5 * (c11 + c22)
+    radius = np.sqrt((0.5 * (c11 - c22)) ** 2 + c12**2)
+    lam = half_tr - radius
+
+    # eigenvector of [[c11, c12], [c12, c22]] for the smaller eigenvalue;
+    # fall back to n1 when the plane is degenerate (isotropic variance)
+    split = radius > 1e-12 * np.maximum(half_tr, 1.0)
+    vx = np.where(split, c12, 0.0)
+    vy = np.where(split, lam - c11, 0.0)
+    vnorm = np.hypot(vx, vy)
+    degenerate = vnorm < 1e-30
+    vx = np.where(degenerate, 1.0, vx)
+    vy = np.where(degenerate, 0.0, vy)
+    vnorm = np.where(degenerate, 1.0, vnorm)
+    return 4.0 * lam / n, n1 * (vx / vnorm) + n2 * (vy / vnorm)
 
 
 def squeezing_parameter(state: SpinState, t: float = 0.0) -> SqueezingSample:
@@ -283,12 +311,13 @@ def require_trace_memory(n_spins: int, samples, every_sample: bool, sample_bytes
     """TooLarge when xi^2 at ``samples`` times (inf allowed) at ``n_spins``
     would not fit in physical memory: TRACE_BLOCKS blocks of every state
     with ``every_sample``, else of one SCAN_CHUNK chunk, plus
-    SCAN_SAMPLE_BYTES per time either way; the caller keeps
-    ``sample_bytes`` per time."""
+    SCAN_SAMPLE_BYTES per time and TRACE_FIXED_BYTES either way; the caller
+    keeps ``sample_bytes`` per time."""
     block = TRACE_BLOCKS * 16 * (n_spins + 1)
     held = block * (samples if every_sample else min(samples, SCAN_CHUNK))
     per_sample = SCAN_SAMPLE_BYTES + sample_bytes
-    require_memory(held + per_sample * samples, f"traces of {samples} times at n_spins={n_spins}")
+    needed = TRACE_FIXED_BYTES + held + per_sample * samples
+    require_memory(needed, f"traces of {samples} times at n_spins={n_spins}")
 
 
 def default_horizon(n_spins: int) -> float:

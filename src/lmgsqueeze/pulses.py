@@ -20,12 +20,11 @@ all, for any gamma in [0, 1/2).
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DickeSpace, conjugated_coefficients, quadratic_form
+from .algebra import DickeSpace, conjugated_coefficients, quadratic_form, require_count
 from .canonical import LMGModel
 from .errors import ConfigError, XAxisImpossible
 from .metrics import require_trace_memory
@@ -118,14 +117,15 @@ def design(model: LMGModel, axis: str, branch: str = "A") -> PulseDesign:
 def require_timing(max_step: float, total_time: float | None = None, cycles=None) -> None:
     """ConfigError naming the key unless ``max_step`` and a given
     ``total_time`` are finite and > 0 and a given ``cycles`` is an integer
-    >= 1: the rules of ``schedule``, which callers that size a schedule
-    only after an eigensolve apply before they build a space."""
+    >= 1 by algebra.require_count (3.0 counts as 3): the rules of
+    ``schedule``, which callers that size a schedule only after an
+    eigensolve apply before they build a space."""
     if total_time is not None and not 0.0 < total_time < math.inf:
         raise ConfigError(f"total_time: must be finite and > 0, got {total_time}")
     if not 0.0 < max_step < math.inf:
         raise ConfigError(f"max_step: must be finite and > 0, got {max_step}")
-    if cycles is not None and (not isinstance(cycles, numbers.Integral) or cycles < 1):
-        raise ConfigError(f"cycles: must be an integer >= 1, got {cycles!r}")
+    if cycles is not None:
+        require_count(cycles, "cycles")
 
 
 def schedule(

@@ -21,7 +21,7 @@ from lmgsqueeze.experiments import (
     sweep_gamma,
     sweep_initial_state,
 )
-from lmgsqueeze.metrics import SCAN_CHUNK, SCAN_SAMPLE_BYTES, TRACE_BLOCKS
+from lmgsqueeze.metrics import SCAN_CHUNK, SCAN_SAMPLE_BYTES, TRACE_BLOCKS, TRACE_FIXED_BYTES
 from lmgsqueeze.states import BlochAngles
 
 MINIMAL = {"chi": 1.0, "gamma": 0.1, "n_spins": 100, "experiment": "compare-pulsed"}
@@ -275,7 +275,7 @@ def test_oversized_trace_or_sweep_grid_exits_before_allocating(tmp_path, experim
 def test_trace_and_sweep_sizes_count_every_block(monkeypatch):
     # memory for exactly the blocks and sample bytes of 1000 trace samples at N = 100
     n, k = 100, 1000
-    every_sample = TRACE_BLOCKS * 16 * k * (n + 1) + SCAN_SAMPLE_BYTES * k
+    every_sample = TRACE_FIXED_BYTES + TRACE_BLOCKS * 16 * k * (n + 1) + SCAN_SAMPLE_BYTES * k
     memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": every_sample}
     monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
     model, initial = from_chi_gamma(1.0, 0.1, n), BlochAngles(math.pi / 2.0, math.pi / 2.0)
@@ -285,7 +285,9 @@ def test_trace_and_sweep_sizes_count_every_block(monkeypatch):
     # scaling's largest N sets the size of its chunked scan; at N = 60 the
     # space (algebra.DENSE_BYTES_PER_DIM2 per (N+1)^2) fits in that memory too
     n = 60
-    memory["SC_PHYS_PAGES"] = TRACE_BLOCKS * 16 * SCAN_CHUNK * (n + 1) + SCAN_SAMPLE_BYTES * k
+    memory["SC_PHYS_PAGES"] = (
+        TRACE_FIXED_BYTES + TRACE_BLOCKS * 16 * SCAN_CHUNK * (n + 1) + SCAN_SAMPLE_BYTES * k
+    )
     scaling = scaling_study(0.1, [10, n], variants=["LMG"], grid_points=k)
     assert scaling.descriptor["parameters"]["n_grid"] == [10, n]
     with pytest.raises(TooLarge):

@@ -1,18 +1,22 @@
 """Each library entry point refuses, before it allocates or spawns, the
 traces, grids and workers it would need: memory equal to a trace's bound is
-admitted and one byte less is refused, and a worker count outside
+admitted and one byte less is refused, a scan's measured peak stays within
+that bound, and a worker count outside
 [1, MAX_WORKERS] is refused before any space is built.  Every other value
 rule has one owner too, the function that reads the value: it raises a
 ConfigError (also a ValueError) whose message starts with the value's key.
 Experiments that size a schedule only after an eigensolve apply the
 schedule's rules (pulses.require_timing) before they build a space."""
 
+import gc
 import math
+import tracemalloc
 
 import pytest
 
-from lmgsqueeze import algebra, experiments
-from lmgsqueeze.canonical import from_chi_gamma
+from lmgsqueeze import algebra, experiments, metrics
+from lmgsqueeze.algebra import build_space
+from lmgsqueeze.canonical import from_chi_gamma, model_eigenbasis
 from lmgsqueeze.errors import ConfigError, TooLarge
 from lmgsqueeze.experiments import (
     MAX_WORKERS,
@@ -24,21 +28,23 @@ from lmgsqueeze.experiments import (
     sweep_gamma,
     sweep_initial_state,
 )
-from lmgsqueeze.metrics import SCAN_CHUNK, SCAN_SAMPLE_BYTES, TRACE_BLOCKS, minimize_over_time
+from lmgsqueeze.metrics import SCAN_CHUNK, SCAN_SAMPLE_BYTES, TRACE_BLOCKS, TRACE_FIXED_BYTES
+from lmgsqueeze.metrics import minimize_hamiltonian, minimize_over_time
 from lmgsqueeze.metrics import scan_times
 from lmgsqueeze.pulses import design, schedule
-from lmgsqueeze.states import BlochAngles
+from lmgsqueeze.states import BlochAngles, coherent_state
 
 N, K = 4, 200  # more samples than one scan chunk
 INITIAL = BlochAngles(math.pi / 2.0, math.pi / 2.0)
 
 
 def every_sample_bytes(n, k):
-    return TRACE_BLOCKS * 16 * (n + 1) * k + SCAN_SAMPLE_BYTES * k
+    return TRACE_FIXED_BYTES + TRACE_BLOCKS * 16 * (n + 1) * k + SCAN_SAMPLE_BYTES * k
 
 
 def chunked_bytes(n, k):
-    return TRACE_BLOCKS * 16 * (n + 1) * min(k, SCAN_CHUNK) + SCAN_SAMPLE_BYTES * k
+    held = TRACE_BLOCKS * 16 * (n + 1) * min(k, SCAN_CHUNK)
+    return TRACE_FIXED_BYTES + held + SCAN_SAMPLE_BYTES * k
 
 
 MODEL = from_chi_gamma(1.0, 0.1, N)
@@ -81,6 +87,38 @@ def test_entry_points_refuse_one_byte_less_than_their_traces(monkeypatch, entry)
     set_memory(monkeypatch, needed - 1)
     with pytest.raises(TooLarge, match="traces of"):
         call()
+
+
+@pytest.mark.parametrize("n, k", [(2, 100), (N, K), (20, 500)])
+@pytest.mark.parametrize("every_sample", [True, False])
+def test_a_scan_peaks_within_its_trace_bound(monkeypatch, n, k, every_sample):
+    # tracemalloc peak of one scan against the bytes require_trace_memory
+    # asks for; a tiny scan's fixed buffers are TRACE_FIXED_BYTES (without
+    # them N = 2, K = 100 needs 2.7 KB more than its blocks and sample bytes)
+    model = from_chi_gamma(1.0, 0.1, n)
+    space = build_space(n)
+    basis = model_eigenbasis(model, space)
+    psi0 = coherent_state(space, INITIAL)
+    _, times = scan_times(model.chi, n, None, k)
+
+    def scan():
+        options = dict(refine=False, allow_unbracketed=True, every_sample=every_sample)
+        minimize_hamiltonian(space, basis, psi0, times, **options)
+
+    scan()  # the space's moment weights are built once, outside the peak
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        scan()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    asked = []
+    monkeypatch.setattr(metrics, "require_memory", lambda needed, what: asked.append(needed))
+    metrics.require_trace_memory(n, k, every_sample)
+    assert asked == [(every_sample_bytes if every_sample else chunked_bytes)(n, k)]
+    assert peak <= asked[0]
 
 
 def test_noise_sizes_the_trace_of_its_largest_drawn_atom_number(monkeypatch):
@@ -164,7 +202,7 @@ SCHEDULE_VALUES = {
     "compare_pulsed-max_step": ("max_step", lambda: compare_pulsed(MODEL, max_step=-1.0)),
     "noise-max_step": ("max_step", lambda: noise_run(max_step=math.inf)),
     "noise-cycles": ("cycles", lambda: noise_run(cycles=0)),
-    "noise-cycles-float": ("cycles", lambda: noise_run(cycles=3.0)),
+    "noise-cycles-float": ("cycles", lambda: noise_run(cycles=2.5)),
     "noise-total_time": ("total_time", lambda: noise_run(total_time=-3.0)),
     "scaling-max_step": ("max_step", lambda: pulsed_scaling(pulsed_step_product=math.nan)),
     "scaling-axis": ("axis", lambda: pulsed_scaling(axis="w")),

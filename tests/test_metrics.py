@@ -438,6 +438,95 @@ def test_each_column_keeps_its_bits_at_every_batch_width(n, width, seed):
             assert np.array_equal(together[..., c : c + 1], single, equal_nan=True)
 
 
+def _cross_product_squeezing(n, mean, second):
+    """The xi^2 kernel before its explicit components: np.cross frames,
+    np.linalg.norm lengths, boolean-mask copies and np.sum projections."""
+    length = np.linalg.norm(mean, axis=0)
+    contrast = length / (n / 2.0)
+    valid = contrast >= metrics.CONTRAST_EPS
+    k = mean.shape[1]
+    xi2 = np.full(k, np.nan)
+    axes = np.full((3, k), np.nan)
+    if np.any(valid):
+        dirs = mean[:, valid] / length[valid]
+        ref = np.zeros((3, dirs.shape[1]))
+        ref[np.argmin(np.abs(dirs), axis=0), np.arange(dirs.shape[1])] = 1.0
+        n1 = np.cross(ref.T, dirs.T).T
+        n1 /= np.linalg.norm(n1, axis=0)
+        n2 = np.cross(dirs.T, n1.T).T
+        sec = second[:, :, valid]
+        mn = mean[:, valid]
+
+        def cov(u, v):
+            quad = np.einsum("ik,ijk,jk->k", u, sec, v)
+            return quad - np.sum(u * mn, axis=0) * np.sum(v * mn, axis=0)
+
+        c11 = cov(n1, n1)
+        c22 = cov(n2, n2)
+        c12 = cov(n1, n2)
+        half_tr = 0.5 * (c11 + c22)
+        radius = np.sqrt((0.5 * (c11 - c22)) ** 2 + c12**2)
+        lam = half_tr - radius
+        xi2[valid] = 4.0 * lam / n
+        vx = np.where(radius > 1e-12 * np.maximum(half_tr, 1.0), c12, 0.0)
+        vy = np.where(radius > 1e-12 * np.maximum(half_tr, 1.0), lam - c11, 0.0)
+        vnorm = np.hypot(vx, vy)
+        degenerate = vnorm < 1e-30
+        vx = np.where(degenerate, 1.0, vx)
+        vy = np.where(degenerate, 0.0, vy)
+        vnorm = np.where(degenerate, 1.0, vnorm)
+        axes[:, valid] = n1 * (vx / vnorm) + n2 * (vy / vnorm)
+    return xi2, contrast, mean, axes
+
+
+_MOMENT_KINDS = ("plain", "faint", "isotropic", "tied")
+
+
+def _moment_columns(n, kinds, seed):
+    """First and symmetrized second moments, one column per entry of
+    ``kinds``: a random mean spin, one whose contrast is below or just above
+    CONTRAST_EPS, one with an isotropic perpendicular covariance, or one
+    whose |components| tie (zeros among them)."""
+    rng = np.random.default_rng(seed)
+    k = len(kinds)
+    mean = rng.normal(size=(3, k)) * (n / 4.0)
+    spread = rng.normal(size=(3, 3, k))
+    second = np.einsum("iak,jak->ijk", spread, spread) * n + np.einsum("ik,jk->ijk", mean, mean)
+    for c, kind in enumerate(kinds):
+        if kind == "faint":
+            contrast = rng.uniform(0.0, 2.0 * metrics.CONTRAST_EPS)
+            mean[:, c] *= contrast * (n / 2.0) / np.linalg.norm(mean[:, c])
+        elif kind == "isotropic":
+            second[:, :, c] = rng.uniform(0.0, n) * np.eye(3) + np.outer(mean[:, c], mean[:, c])
+        elif kind == "tied":
+            mean[:, c] = rng.choice([-1.0, 0.0, 1.0], size=3) * rng.uniform(0.1, n / 2.0)
+            if not mean[:, c].any():
+                mean[rng.integers(3), c] = n / 2.0
+    return mean, second
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 1000),
+    mix=st.sets(st.sampled_from(_MOMENT_KINDS), min_size=1),
+    width=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=100, mix={"plain"}, width=128, seed=0)  # every column valid: no mask copies
+@example(n=4, mix={"faint"}, width=2, seed=4)  # no column valid
+@example(n=24, mix={"isotropic", "tied"}, width=300, seed=1)
+def test_squeezing_kernel_keeps_the_bits_of_the_cross_product_kernel(n, mix, width, seed):
+    # the golden objective's refined time sizes every schedule, so the
+    # explicit-component kernel must return np.cross's bits, signed zeros too
+    rng = np.random.default_rng(seed)
+    kinds = list(rng.choice(sorted(mix), size=width))
+    mean, second = _moment_columns(n, kinds, seed)
+    got = metrics._squeezing(build_space(n), mean, second)
+    for new, old in zip(got, _cross_product_squeezing(n, mean, second)):
+        assert np.array_equal(new, old, equal_nan=True)
+        assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
 def _first_local_minimum_loop(values):
     """The element-by-element scan that first_local_minimum replaced."""
     v = np.asarray(values)

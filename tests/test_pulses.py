@@ -15,7 +15,8 @@ from lmgsqueeze.algebra import (
 from lmgsqueeze.canonical import from_chi_gamma, realize_hamiltonian
 from lmgsqueeze.errors import TooLarge, XAxisImpossible
 from lmgsqueeze.experiments import NoiseSpec, noise_monte_carlo
-from lmgsqueeze.metrics import SCAN_SAMPLE_BYTES, TRACE_BLOCKS, minimize_hamiltonian
+from lmgsqueeze.metrics import SCAN_SAMPLE_BYTES, TRACE_BLOCKS, TRACE_FIXED_BYTES
+from lmgsqueeze.metrics import minimize_hamiltonian
 from lmgsqueeze.propagate import run_schedule
 from lmgsqueeze.pulses import (
     compare_axes,
@@ -49,9 +50,11 @@ def test_schedule_refuses_a_step_bound_that_is_not_positive(max_step):
         schedule(design(model, "z", "A"), model, 0.1, max_step=max_step)
 
 
-@pytest.mark.parametrize("cycles", [0, -3, 2.5, 3.0, math.nan])
+@pytest.mark.parametrize("cycles", [0, -3, 2.5, math.nan])
 def test_schedule_refuses_a_cycle_count_that_is_not_a_positive_integer(monkeypatch, cycles):
-    # refused before the memory check, which must not see it
+    # refused before the memory check, which must not see it, by the count
+    # rule of every integer value (algebra.require_count); nan % 1 is nan
+    rule = "an integer" if cycles % 1 else ">= 1"
     model = from_chi_gamma(1.0, 0.1, 10)
     design_ = design(model, "z", "A")
 
@@ -59,12 +62,28 @@ def test_schedule_refuses_a_cycle_count_that_is_not_a_positive_integer(monkeypat
         raise AssertionError("memory checked before the cycle count")
 
     monkeypatch.setattr(pulses, "require_trace_memory", unreached)
-    with pytest.raises(ValueError, match=r"^cycles: must be an integer >= 1"):
+    with pytest.raises(ValueError, match=rf"^cycles: must be {rule}, got"):
         schedule(design_, model, 1.0, cycles=cycles)
     monkeypatch.undo()
     noise = NoiseSpec("pulse_area", 0.1)
-    with pytest.raises(ValueError, match=r"^cycles: must be an integer >= 1"):
+    with pytest.raises(ValueError, match=rf"^cycles: must be {rule}, got"):
         noise_monte_carlo(model, design_, noise, 2, seed=0, total_time=1.0, cycles=cycles)
+
+
+def test_a_whole_float_cycle_count_runs_that_many_cycles():
+    # one count rule for cycles as for n_runs: 3.0 is the integer 3
+    model = from_chi_gamma(1.0, 0.1, 10)
+    design_ = design(model, "z", "A")
+    whole = schedule(design_, model, 1.0, cycles=3.0)
+    assert whole == schedule(design_, model, 1.0, cycles=3)
+    assert type(whole.cycle_count) is int
+    noise = NoiseSpec("pulse_area", 0.1)
+    runs = [
+        noise_monte_carlo(model, design_, noise, 2, seed=0, total_time=1.0, cycles=count)
+        for count in (3.0, 3)
+    ]
+    assert runs[0].descriptor == runs[1].descriptor
+    assert runs[0].descriptor["parameters"]["cycles"] == 3
 
 
 def test_oat_limit_recovers_known_ratio():
@@ -273,7 +292,7 @@ def test_schedule_refuses_cycle_counts_beyond_memory(monkeypatch):
     with pytest.raises(TooLarge):
         schedule(design_, model, 1.0, cycles=10**15)
     cycles = 900_593
-    needed = (TRACE_BLOCKS * 16 * 101 + SCAN_SAMPLE_BYTES) * (cycles + 1)
+    needed = TRACE_FIXED_BYTES + (TRACE_BLOCKS * 16 * 101 + SCAN_SAMPLE_BYTES) * (cycles + 1)
     memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": needed}
     monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
     assert schedule(design_, model, 1.0, cycles=cycles).cycle_count == cycles

@@ -341,6 +341,17 @@ def test_moments_come_from_bands_except_in_the_golden_objective():
     }
 
 
+def test_one_squeezing_kernel_serves_the_batches_and_the_golden_objective():
+    # every xi^2 goes through metrics._squeezing: batch_squeezing for the
+    # band moments and the golden objective for its operator moments
+    found = [
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, _ in calls_named(path.read_text(), "_squeezing")
+    ]
+    assert sorted(found) == [("metrics.py", "batch_squeezing"), ("metrics.py", "objective")]
+
+
 def test_cycles_are_toggled_only_by_the_cycle_realizer():
     # one function makes a cycle as it is run: the noise runs step the cycle
     # it realized for them and re-derive no toggling frame of their own
