@@ -8,10 +8,12 @@ number, so index 0 is |j, j> and index N is |j, -j>.  An operator is a
 plain dense, double-precision complex ``np.ndarray``, frozen (read-only)
 once built; the squares Sx^2 and Sy^2 are real, and Sz^2 is diagonal
 (m^2), so a quadratic form adds it on the diagonal and none is kept.  A
-DickeSpace holds the Sx and Sy it has used, the real squares and the real
-eigenbasis of Sx through which ``states.rotate_state`` turns about x and y,
-each built on first use (safe under threads: all callers get the one
-stored copy) and released with the space.
+DickeSpace keeps only real objects: the squares, the moment weights of
+``metrics`` and the real eigenbasis of Sx through which
+``states.rotate_state`` turns about x and y, each built on first use (safe
+under threads: all callers get the one stored copy) and released with the
+space.  ``collective_operator`` builds a fresh matrix on every call, which
+its caller drops once used, so no dense complex operator outlives its use.
 
 Every exp(-i t G) whose G is applied more than once goes through an
 Eigenbasis of G (``propagate`` or ``sample``): free evolution, rotations
@@ -44,16 +46,22 @@ LABELS = ("Sx", "Sy", "Sz", "S+", "S-", "S2")
 HERMITICITY_TOL = 1e-10
 HERMITICITY_ROWS = 64  # rows per block of the Hermiticity check: no dense temporary
 PARITY_ROWS = (slice(0, None, 2), slice(1, None, 2))  # the even and the odd Sz-parity rows
-# Bytes per dim^2 alive for one space at compare_pulsed's peak, the eigh of
-# its second effective Hamiltonian: the complex Sx, Sy and the real Sx^2, Sy^2
-# the space holds once used (freed with it; its x/y pulses run in the toggling
-# frame, so no Sx basis is built); the complex v of two effective-Hamiltonian
-# bases plus the matrix being factored; and what numpy's complex eigh holds
-# beside its input: its own copy of the matrix and zheevd's work and rwork.
-# That counts 144; one more complex dim^2 covers the freed temporaries that
-# malloc keeps resident.  Measured peak RSS over the RSS after imports, on
-# 2 vCPU with glibc malloc: 153 B per dim^2 between N = 600 and N = 1000.
-DENSE_BYTES_PER_DIM2 = 2 * 16 + 2 * 8 + 3 * 16 + 3 * 16 + 16
+# Bytes per dim^2 alive for one space at the peak of a run on it.  In
+# compare_pulsed that is the eigh of an effective Hamiltonian (one at a
+# time: the y design's basis is dropped before the z design's is
+# factored): the real Sx^2, Sy^2 the space holds (it keeps no dense Sx or
+# Sy, and its x/y pulses run in the toggling frame, so no Sx basis is
+# built); the matrix being factored and the complex v that eigh returns;
+# and what numpy's complex eigh holds beside them: its own copy of the
+# matrix and zheevd's work and rwork.  That counts 96; one more complex
+# dim^2 covers the freed temporaries that malloc keeps resident.  Measured
+# peak RSS over the RSS after imports, on 2 vCPU with glibc malloc, at
+# N = 1000 (growth between N = 600 and 1000): compare_pulsed 104 (98); the
+# noise Monte Carlo on the nominal N, which keeps the model's basis and
+# cycle beside what its effective-Hamiltonian eigh left resident, 110.5
+# (98-99); the initial-state sweep 86 (82).  A noise run that draws its atom
+# number holds two spaces, which experiments._noise_outcomes sizes.
+DENSE_BYTES_PER_DIM2 = 2 * 8 + 2 * 16 + 3 * 16 + 16
 
 
 @dataclass(frozen=True)
@@ -122,10 +130,12 @@ def collective_operator(space: DickeSpace, label: str) -> np.ndarray:
 
     <j, m+-1 | S+- | j, m> = sqrt(j(j+1) - m(m+-1)); Sx = (S+ + S-)/2,
     Sy = (S+ - S-)/(2i), Sz diagonal with entries m, S2 = j(j+1) * identity.
+    Built afresh on every call; the space keeps no copy, so a dense
+    complex dim^2 lives only while its caller uses it.
     """
     if label not in LABELS:
         raise ValueError(f"unknown operator label {label!r}, expected one of {LABELS}")
-    return space.built(label, lambda: _frozen(_operator_matrix(space, label)))
+    return _frozen(_operator_matrix(space, label))
 
 
 def _operator_matrix(space: DickeSpace, label: str) -> np.ndarray:
@@ -195,14 +205,14 @@ def second_moment_operators(space: DickeSpace) -> dict[str, np.ndarray]:
     the real parts of the dense complex products, whose bits reach h_eff.
     Sz^2 is diagonal (m^2), so none is kept."""
 
-    def real(square):
+    def real_square(label):
+        op = collective_operator(space, label)  # its own copy, dropped on return
+        square = op @ op
         assert not np.any(square.imag) and not np.any(np.signbit(square.imag))
         return _frozen(square.real.copy())
 
     def build():
-        sx = collective_operator(space, "Sx")
-        sy = collective_operator(space, "Sy")
-        return {"xx": real(sx @ sx), "yy": real(sy @ sy)}
+        return {"xx": real_square("Sx"), "yy": real_square("Sy")}
 
     return space.built("moments", build)
 

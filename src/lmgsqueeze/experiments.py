@@ -49,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import BandedForm, Eigenbasis, build_space, quadratic_form, require_count
-from .algebra import require_memory
+from .algebra import DENSE_BYTES_PER_DIM2, require_memory
 from .canonical import LMGModel, from_chi_gamma, model_eigenbasis
 from .errors import ConfigError
 from .metrics import batch_squeezing, fit_loglog_slope, minimize_hamiltonian
@@ -325,6 +325,11 @@ def sweep_initial_state(
     thetas = np.linspace(0.0, math.pi, theta_points)
     phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
     space = build_space(model.n_spins)
+    # the generator first, and dropped before the model is factored: no
+    # dense complex basis is alive beside the model's
+    generator = coherent_generator_eig(space)
+    start = [coherent_state(space, BlochAngles(th, 0.0), generator).amplitudes for th in thetas]
+    del generator
     basis = model_eigenbasis(model, space)
     phases = basis.phases(times)
     rep = _orbit_representatives(theta_points, phi_points)
@@ -332,9 +337,6 @@ def sweep_initial_state(
     for k, i in rep:
         if rep[k, i] == (k, i):
             own.setdefault(k, []).append(i)
-    generator = coherent_generator_eig(space)
-    start = [coherent_state(space, BlochAngles(th, 0.0), generator).amplitudes for th in thetas]
-    del generator
     tasks = [
         (space, basis, phases, phis[k], [start[i] for i in rows], times) for k, rows in own.items()
     ]
@@ -483,8 +485,10 @@ def compare_pulsed(
         for angles in (design_z.optimal_initial, design_y.optimal_initial, lmg_initial)
     )
     del generator  # not held while the effective Hamiltonians are factored
+    # y first, keeping only its time: the z basis, kept for the reference
+    # trace, is then the one effective-Hamiltonian basis ever alive
+    t_pred_y = predicted_optimal_time(design_y, model, space, psi_y)[0]
     t_pred_z, h_ref = predicted_optimal_time(design_z, model, space, psi_z)
-    t_pred_y, _ = predicted_optimal_time(design_y, model, space, psi_y)
     schedule_z = schedule(design_z, model, 1.2 * t_pred_z, max_step=max_step)
     schedule_y = schedule(design_y, model, 1.2 * t_pred_y, max_step=max_step)
 
@@ -587,7 +591,7 @@ def scaling_study(
             if variant == "pulsed":
                 model = from_chi_gamma(chi, gamma, n)
                 psi_eff = coherent_state(space, design_.optimal_initial)
-                t_pred, _ = predicted_optimal_time(design_, model, space, psi_eff)
+                t_pred = predicted_optimal_time(design_, model, space, psi_eff)[0]
                 sch = schedule(design_, model, 1.2 * t_pred, max_step=pulsed_step_product / n)
                 minimum = run_schedule(psi_eff, sch, model).minimum
             else:
@@ -786,6 +790,17 @@ def _noise_outcomes(space, model, sch, initial, noise, n_runs, seed, workers, ps
     runs = [_new_run(noise, model, child) for child in np.random.SeedSequence(seed).spawn(n_runs)]
     n_max = max(run.n_spins for run in runs)  # refuse an oversized drawn N before any block
     build_space(n_max)
+    drawn = [run.n_spins for run in runs if run.n_spins != model.n_spins]
+    if drawn:
+        # a block on a drawn N builds and factors in a space of its own while
+        # the nominal space, its basis and its cycle stay alive: both count
+        # (measured at N = 1000 with draws near it: 158 B per dim^2 of the
+        # nominal space, growing by 163 between N = 600 and 1000)
+        n = max(drawn)
+        require_memory(
+            DENSE_BYTES_PER_DIM2 * ((model.n_spins + 1) ** 2 + (n + 1) ** 2),
+            f"dense operators at n_spins={model.n_spins} and a drawn n_spins={n}",
+        )
     require_trace_memory(n_max, sch.cycle_count + 1, every_sample=True)
     groups = {}
     for index, run in enumerate(runs):

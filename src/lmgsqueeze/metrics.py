@@ -40,16 +40,18 @@ REFINE_XTOL = 1e-6
 # sample 118; 128 ran it faster than 64 or 192 (2-vCPU x86-64, OpenBLAS 0.3.31).
 SCAN_CHUNK = 128
 # Bytes a scan keeps per time sampled, besides its chunk of states: its
-# per-sample results, their concatenation and the time grid (tracemalloc
-# peak of a scan that samples every time: 159-164 B at N = 4, plus 8 B).
-SCAN_SAMPLE_BYTES = 176
+# per-sample results, their concatenation, the time grid and the (K,)
+# temporaries of xi^2.  Measured where they weigh most beside the states,
+# a whole-grid scan at N = 1 (tracemalloc peak less its blocks and
+# TRACE_FIXED_BYTES): 199-211 B per time at K = 200-2000.
+SCAN_SAMPLE_BYTES = 216
 # Dense complex (N+1) x K blocks alive at once while xi^2 is taken at K
 # times (batch_squeezing): the states, their contiguous rows, the half
 # block |psi|^2, one band and either its conjugated factor or its weighted
 # copy (4.5).  tracemalloc peak at N = 1000, K = 128 and 300: 4.53-4.57
 # blocks, numpy's iterator buffers included.  With SCAN_SAMPLE_BYTES per
 # time and TRACE_FIXED_BYTES, 5 blocks bound the peak of every scan
-# measured from N = 2 to 1000 and K = 100 to 2000, chunked or whole.
+# measured from N = 1 to 1000 and K = 100 to 2000, chunked or whole.
 TRACE_BLOCKS = 5
 # Bytes a scan holds whatever its size: the K = 0 intercept of whole-grid
 # scans at N = 1 and 2 is about 5.6 KB (tracemalloc), which the blocks and
@@ -149,16 +151,17 @@ def _batch_moments(space: DickeSpace, states: np.ndarray):
     return mean, second
 
 
-def _operator_moments(space: DickeSpace, states: np.ndarray):
-    """The moments of _batch_moments from dense products with Sx and Sy,
-    whose bits BLAS rounds with the column count.
+def _operator_moments(space: DickeSpace, states: np.ndarray, sx_sy: tuple):
+    """The moments of _batch_moments from dense products with ``sx_sy``, the
+    dense (Sx, Sy) of the space, whose bits BLAS rounds with the column
+    count.
 
     Only minimize_hamiltonian's golden-section objective takes them: the
     recorded seed-0 benchmark reference pins the refined time that sizes
     schedules (experiments.predicted_optimal_time) to these bits.  Delete
     this kernel when that reference is re-recorded (ROADMAP item 1).
     """
-    applied = [collective_operator(space, lbl) @ states for lbl in ("Sx", "Sy")]
+    applied = [op @ states for op in sx_sy]
     applied.append(space.m_values()[:, None] * states)  # Sz is diagonal
     conj = states.conj()
     mean = np.empty((3, states.shape[1]))
@@ -388,15 +391,21 @@ def _scan(
     with its width, so rows that are written keep the one-product bits.
     """
     width = times.size if every_sample else SCAN_CHUNK
-    parts = []
+    parts, before = [], np.empty(0)  # before: the last two samples before the chunk
     for start in range(0, times.size, width):
         cols = slice(start, start + width)
         chunk_phases = None if phases is None else phases[:, cols]
         states = evolve_batch(initial, basis, times[cols], chunk_phases)
-        parts.append(trace_from_states(space, times[cols], states))
-        k = first_local_minimum(np.concatenate([p.xi2 for p in parts]))
+        part = trace_from_states(space, times[cols], states)
+        parts.append(part)
+        # no earlier sample that has both neighbours is a minimum, so the
+        # candidates lie in the chunk and the two samples before it
+        window = np.concatenate([before, part.xi2])
+        hit = first_local_minimum(window)
+        k = None if hit is None else start - before.size + hit
         if k is not None:
             break
+        before = window[-2:]
     end = times.size if every_sample or k is None else k + 2
     t, xi2, contrast, mean, axes = (
         np.concatenate([getattr(p, f) for p in parts], axis=-1)[..., :end]
@@ -448,10 +457,13 @@ def minimize_hamiltonian(
     if not refine:
         return trace
     k = int(np.searchsorted(times, trace.minimum.t))
+    # one dense (Sx, Sy) per refinement, not per objective call, dropped
+    # with it: the space keeps no dense complex operator
+    sx_sy = collective_operator(space, "Sx"), collective_operator(space, "Sy")
 
     def objective(t: float) -> float:
         state = evolve(initial, basis, t).amplitudes[:, None]
-        xi2, _, _, _ = _squeezing(space, *_operator_moments(space, state))
+        xi2, _, _, _ = _squeezing(space, *_operator_moments(space, state, sx_sy))
         return float(xi2[0]) if np.isfinite(xi2[0]) else np.inf
 
     found = _golden(objective, times[k - 1], times[k], times[k + 1], REFINE_XTOL)

@@ -63,10 +63,11 @@ class SpinState:
 def coherent_generator_eig(space: DickeSpace) -> Eigenbasis:
     """Eigenbasis of the azimuth-0 coherent-state generator -Sy; not kept by
     the space, so callers that prepare many states hold it and drop it."""
-    sx = collective_operator(space, "Sx")
-    sy = collective_operator(space, "Sy")
-    # sin(0) Sx - cos(0) Sy, not -Sy: the signs of its zeros reach eigh
-    return Eigenbasis.of(math.sin(0.0) * sx - math.cos(0.0) * sy)
+    # sin(0) Sx - cos(0) Sy, not -Sy: the signs of its zeros reach eigh;
+    # Sx and Sy are dropped as soon as they are used, before eigh runs
+    generator = math.sin(0.0) * collective_operator(space, "Sx")
+    generator -= math.cos(0.0) * collective_operator(space, "Sy")
+    return Eigenbasis.of(generator)
 
 
 def coherent_state(space: DickeSpace, angles: BlochAngles, generator_eig=None) -> SpinState:
@@ -91,7 +92,8 @@ def coherent_state(space: DickeSpace, angles: BlochAngles, generator_eig=None) -
 def _x_eig(space: DickeSpace) -> Eigenbasis:
     """Eigenbasis of Sx, held by the space: Sx is real symmetric, so the
     basis is one real block, applied as real products."""
-    return space.built("eigx", lambda: Eigenbasis.of(collective_operator(space, "Sx").real))
+    # a copy of the real part, so the complex Sx is freed before eigh runs
+    return space.built("eigx", lambda: Eigenbasis.of(collective_operator(space, "Sx").real.copy()))
 
 
 def rotation(space: DickeSpace, axis: str, angle: float, of=None) -> np.ndarray:

@@ -45,13 +45,13 @@ def test_build_space_refuses_sizes_beyond_memory():
 
 
 def test_build_space_counts_every_matrix_a_run_keeps(monkeypatch):
-    # compare_pulsed peaks at 160 bytes per (N+1)^2: the complex Sx and Sy
-    # and the real Sx^2 and Sy^2 in the space, three complex matrices of its
-    # effective-Hamiltonian bases, the copy, work and rwork of the complex
-    # eigh and the freed temporaries malloc keeps: memory for 153, the
-    # measured peak, admits N/2 but must refuse N
+    # a run on one space peaks at up to 110.5 bytes per (N+1)^2 at N = 1000
+    # (the noise Monte Carlo; compare_pulsed 104): the real Sx^2 and Sy^2 in
+    # the space, the effective Hamiltonian being factored and the v of its
+    # basis, the copy, work and rwork of the complex eigh and the freed
+    # temporaries malloc keeps: memory for 111 admits N/2 but must refuse N
     n = 100
-    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 153 * (n + 1) ** 2}
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 111 * (n + 1) ** 2}
     monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
     with pytest.raises(TooLarge):
         build_space(n)
@@ -200,13 +200,12 @@ def test_quadratic_form_rejects_nonfinite():
 
 def test_operators_are_freed_with_their_space():
     space = build_space(30)
-    held = [
-        collective_operator(space, "Sx"),
-        second_moment_operators(space)["yy"],
-        _x_eig(space).blocks[0].v,
-    ]
+    sx = collective_operator(space, "Sx")
+    again = collective_operator(space, "Sx")
+    assert np.array_equal(again, sx) and again is not sx  # built afresh, kept by no one
+    held = [second_moment_operators(space)["yy"], _x_eig(space).blocks[0].v]
     refs = [weakref.ref(mat) for mat in held]
-    assert collective_operator(space, "Sx") is held[0]  # kept while the space lives
+    assert second_moment_operators(space)["yy"] is held[0]  # kept while the space lives
     del space, held
     gc.collect()
     assert all(ref() is None for ref in refs)

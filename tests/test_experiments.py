@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lmgsqueeze import experiments, propagate
+from lmgsqueeze import algebra, experiments, propagate
 from lmgsqueeze.algebra import build_space
 from lmgsqueeze.canonical import from_chi_gamma, model_eigenbasis, realize_hamiltonian
 from lmgsqueeze.errors import ConfigError
@@ -161,6 +161,32 @@ def test_sweep_factors_one_coherent_generator(monkeypatch):
     monkeypatch.setattr(experiments, "coherent_generator_eig", counting)
     sweep_initial_state(from_chi_gamma(1.0, 0.2, 4), theta_points=33, phi_points=33, grid_points=100)
     assert factored == [()]
+
+
+def test_sweep_factors_its_generator_before_the_model(monkeypatch):
+    # the generator's dense complex eigh runs before the model basis, its
+    # squares and its phase table exist, so it starts from the generator
+    # alone: one complex (N+1)^2
+    n = 200
+    entries = []
+    eig = algebra.hamiltonian_eig
+
+    def measured(hamiltonian):
+        if np.iscomplexobj(hamiltonian):
+            entries.append(tracemalloc.get_traced_memory()[0] - base)
+        return eig(hamiltonian)
+
+    monkeypatch.setattr(algebra, "hamiltonian_eig", measured)
+    model = from_chi_gamma(1.0, 0.1, n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sweep_initial_state(model, theta_points=2, phi_points=2, grid_points=100)
+    finally:
+        tracemalloc.stop()
+    assert len(entries) == 1
+    assert entries[0] <= 1.1 * 16 * (n + 1) ** 2
 
 
 def matched_orbit_representatives(thetas: np.ndarray, phis: np.ndarray) -> dict:
@@ -325,6 +351,69 @@ def test_compare_pulsed_runs_y_pulses_in_the_toggling_frame(monkeypatch):
     (space,) = spaces
     assert "eigy" not in space._built and "eigx" not in space._built
     assert axes and set(axes) == {"z"}
+
+
+def test_compare_pulsed_enters_each_dense_eigh_holding_two_matrices_at_most(monkeypatch):
+    # no dense Sx or Sy is kept and one effective-Hamiltonian basis at most
+    # is alive: each dense eigh (the coherent generator, then the y and the
+    # z h_eff) starts from the matrix it factors and the space's two real
+    # squares, two complex (N+1)^2 in all
+    n = 200
+    entries = []
+    eig = algebra.hamiltonian_eig
+
+    def measured(hamiltonian):
+        entries.append(tracemalloc.get_traced_memory()[0] - base)
+        return eig(hamiltonian)
+
+    monkeypatch.setattr(algebra, "hamiltonian_eig", measured)
+    model = from_chi_gamma(1.0, 0.1, n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        compare_pulsed(model)
+    finally:
+        tracemalloc.stop()
+    assert len(entries) == 3
+    assert max(entries) <= 2.1 * 16 * (n + 1) ** 2
+
+
+def kept_arrays(value):
+    """Every array inside an object a space keeps."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from kept_arrays(item)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from kept_arrays(item)
+    elif hasattr(value, "__dict__"):
+        yield from kept_arrays(vars(value))
+
+
+def test_spaces_keep_no_complex_array(monkeypatch):
+    # what a space keeps is real: the squares, the moment weights and the
+    # x basis (built here by the y pulses that pulse-area runs keep); dense
+    # complex operators and bases are held by their callers only while they
+    # use them
+    spaces = []
+
+    def recording_space(n_spins):
+        spaces.append(build_space(n_spins))
+        return spaces[-1]
+
+    monkeypatch.setattr(experiments, "build_space", recording_space)
+    model = from_chi_gamma(1.0, 0.1, 20)
+    compare_pulsed(model)
+    runs = (("y", "pulse_area", "per_pulse"), ("z", "atom_number", "per_run"))
+    for axis, channel, scope in runs:
+        noise = NoiseSpec(channel, 0.2, scope)
+        noise_monte_carlo(model, design(model, axis), noise, 4, seed=1, cycles=40)
+    assert len(spaces) > 3 and any("eigx" in space._built for space in spaces)
+    for space in spaces:
+        assert not any(np.iscomplexobj(array) for array in kept_arrays(space._built))
 
 
 def test_compare_pulsed_factors_one_coherent_generator(monkeypatch):

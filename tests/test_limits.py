@@ -89,7 +89,7 @@ def test_entry_points_refuse_one_byte_less_than_their_traces(monkeypatch, entry)
         call()
 
 
-@pytest.mark.parametrize("n, k", [(2, 100), (N, K), (20, 500)])
+@pytest.mark.parametrize("n, k", [(1, 100), (1, 500), (1, 2000), (2, 100), (N, K), (20, 500)])
 @pytest.mark.parametrize("every_sample", [True, False])
 def test_a_scan_peaks_within_its_trace_bound(monkeypatch, n, k, every_sample):
     # tracemalloc peak of one scan against the bytes require_trace_memory

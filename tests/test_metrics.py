@@ -364,6 +364,11 @@ def test_trace_samples_match_batch_values():
         assert np.array_equal(sample.min_variance_axis, axes[:, i])
 
 
+def _spin_pair(space):
+    """The dense (Sx, Sy) that _operator_moments applies."""
+    return collective_operator(space, "Sx"), collective_operator(space, "Sy")
+
+
 def _batch_moments_pairwise(space, states):
     """The moments as they were taken before each applied block was
     conjugated once: one conjugate per (a, b) pair."""
@@ -385,7 +390,7 @@ def test_batch_moments_equal_the_pairwise_conjugates_bit_for_bit(n):
     basis = Eigenbasis.of(realize_hamiltonian(from_chi_gamma(1.0, 0.1, n), space))
     psi = coherent_state(space, BlochAngles(1.1, 0.4))
     states = evolve_batch(psi, basis, np.linspace(0.0, 2.0 / n, 37))
-    moments = _operator_moments(space, states)
+    moments = _operator_moments(space, states, _spin_pair(space))
     for got, expected in zip(moments, _batch_moments_pairwise(space, states)):
         assert np.array_equal(got, expected)
 
@@ -415,7 +420,8 @@ def test_band_moments_equal_the_operator_products(n, kinds, seed):
     space = build_space(n)
     states = _state_columns(n, kinds, seed)
     j = n / 2.0
-    for got, expected in zip(_batch_moments(space, states), _operator_moments(space, states)):
+    pair = _spin_pair(space)
+    for got, expected in zip(_batch_moments(space, states), _operator_moments(space, states, pair)):
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-13 * j * (j + 1)
 
@@ -587,10 +593,11 @@ def test_one_axis_twisting_minimum_scales_as_n_to_minus_two_thirds():
 
 def _xi2_objective(space, basis, psi):
     """minimize_hamiltonian's golden-search objective: xi^2 of one state."""
+    sx_sy = _spin_pair(space)
 
     def objective(t):
         state = evolve(psi, basis, t).amplitudes[:, None]
-        xi2 = metrics._squeezing(space, *metrics._operator_moments(space, state))[0]
+        xi2 = metrics._squeezing(space, *metrics._operator_moments(space, state, sx_sy))[0]
         return float(xi2[0]) if np.isfinite(xi2[0]) else np.inf
 
     return objective

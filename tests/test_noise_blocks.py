@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from lmgsqueeze import experiments
+from lmgsqueeze import algebra, experiments
 from lmgsqueeze.algebra import build_space, second_moment_operators
 from lmgsqueeze.canonical import from_chi_gamma, model_eigenbasis
 from lmgsqueeze.errors import TooLarge
@@ -313,3 +313,32 @@ def test_an_oversized_drawn_atom_number_is_refused_before_any_block(monkeypatch)
     with pytest.raises(TooLarge, match="n_spins=46"):
         noise_monte_carlo(model, design(model, "z", "A"), noise, n_runs=30, seed=3)
     assert stepped == []
+
+
+def test_a_drawn_atom_number_is_sized_beside_the_nominal_space(monkeypatch):
+    # a block on a drawn N builds and factors a space of its own while the
+    # nominal space, its basis and its cycle stay alive: memory for both
+    # spaces runs, and one byte less is refused before any block
+    stepped = []
+    step_block = experiments._noise_block
+
+    def counting(block):
+        stepped.append(1)
+        return step_block(block)
+
+    model = from_chi_gamma(1.0, 0.1, 20)
+    noise = NoiseSpec("atom_number", 0.2, "per_run")
+    children = np.random.SeedSequence(3).spawn(4)
+    runs = [experiments._new_run(noise, model, child) for child in children]
+    drawn = max(run.n_spins for run in runs if run.n_spins != model.n_spins)
+    both = algebra.DENSE_BYTES_PER_DIM2 * ((model.n_spins + 1) ** 2 + (drawn + 1) ** 2)
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": both - 1}
+    monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
+    monkeypatch.setattr(experiments, "_noise_block", counting)
+    design_ = design(model, "z", "A")
+    with pytest.raises(TooLarge, match=f"a drawn n_spins={drawn}"):
+        noise_monte_carlo(model, design_, noise, n_runs=4, seed=3, total_time=0.4, cycles=20)
+    assert stepped == []
+    memory["SC_PHYS_PAGES"] = both
+    result = noise_monte_carlo(model, design_, noise, n_runs=4, seed=3, total_time=0.4, cycles=20)
+    assert stepped and drawn in [row[1] for row in result.tables["runs"].rows]

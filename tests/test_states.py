@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from lmgsqueeze.algebra import build_space, collective_operator
-from lmgsqueeze.states import BlochAngles, SpinState, coherent_state, rotate_state, rotation
+from lmgsqueeze.algebra import build_space, collective_operator, second_moment_operators
+from lmgsqueeze.states import BlochAngles, SpinState, _x_eig, coherent_state, rotate_state
+from lmgsqueeze.states import rotation
 
 
 def mean_spin(state):
@@ -232,7 +233,8 @@ def test_first_use_from_many_threads_matches_serial():
     def work(space):
         state = SpinState(psi, space)
         ops = [collective_operator(space, lbl) for lbl in ("Sx", "Sy", "Sz")]
-        return ops + [rotate_state(state, axis, 0.7).amplitudes for axis in ("x", "y")]
+        kept = [second_moment_operators(space)["xx"], _x_eig(space).blocks[0].v]
+        return kept + ops + [rotate_state(state, axis, 0.7).amplitudes for axis in ("x", "y")]
 
     serial = work(build_space(n))
     space = build_space(n)
@@ -253,7 +255,7 @@ def test_first_use_from_many_threads_matches_serial():
     for result in results:
         for got, want in zip(result, serial, strict=True):
             assert np.array_equal(got, want)
-        # every thread receives the one copy the space keeps
-        for got, kept in zip(result, results[0][:3]):
+        # every thread receives the one copy of each object the space keeps
+        for got, kept in zip(result, results[0][:2]):
             assert got is kept
     assert results[0][0] is not serial[0]

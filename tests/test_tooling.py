@@ -8,9 +8,10 @@ prepared, evolution and the minimum search must take a factored basis, every
 exponential must be formed in the one propagation kernel, pulses must be
 applied only by the segment executor, moments of a batch of states must
 come from its bands (dense Sx and Sy products only in the golden-section
-objective), pulse pairs must be toggled only by the one cycle realizer, a
-dim^2 identity must be formed only for a dense matrix that is itself the
-result, memory must be checked only where it is allocated, every scan grid
+objective), a space must keep no dense complex operator (every caller of
+collective_operator named), pulse pairs must be toggled only by the one
+cycle realizer, a dim^2 identity must be formed only for a dense matrix
+that is itself the result, memory must be checked only where it is allocated, every scan grid
 built by the one scan_times, every grid size and worker count refused before
 a space is built, the CLI's number check must hold no range rule, every
 function the benchmark traces must exist, each benchmark workload
@@ -334,10 +335,35 @@ def test_moments_come_from_bands_except_in_the_golden_objective():
     assert [(name, function) for name, function, _ in found] == [("metrics.py", "objective")]
     assert all(search.lineno <= line <= search.end_lineno for _, _, line in found)
     assert {function for function, _ in calls_named(source, "collective_operator")} == {
-        "_operator_moments"
+        "minimize_hamiltonian"
     }
     assert {function for function, _ in calls_named(source, "_batch_moments")} == {
         "batch_squeezing"
+    }
+
+
+def test_no_space_keeps_a_dense_complex_operator():
+    # collective_operator builds a fresh matrix on every call and the space
+    # keeps none; each caller holds its copy only while it uses it, so a new
+    # cache or a new holder of dense Sx/Sy shows up here
+    tree = ast.parse((PACKAGE / "algebra.py").read_text())
+    (function,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "collective_operator"
+    ]
+    assert calls_named(ast.unparse(function), "built") == []
+    found = {
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, _ in calls_named(path.read_text(), "collective_operator")
+    }
+    assert found == {
+        ("algebra.py", "real_square"),
+        ("canonical.py", "pairwise_collective_hamiltonian"),
+        ("metrics.py", "minimize_hamiltonian"),
+        ("states.py", "coherent_generator_eig"),
+        ("states.py", "_x_eig"),
     }
 
 
@@ -364,9 +390,10 @@ def test_cycles_are_toggled_only_by_the_cycle_realizer():
 
 
 def test_memory_is_checked_only_where_it_is_allocated():
-    # one owner per size limit: a space's dense operators, a trace of xi^2
-    # samples, a scan's time grid, and the objects of the initial-state
-    # sweep's grid; the CLI parses values and sizes nothing
+    # one owner per size limit: a space's dense operators, the two spaces a
+    # noise run that draws its atom number holds, a trace of xi^2 samples, a
+    # scan's time grid, and the objects of the initial-state sweep's grid;
+    # the CLI parses values and sizes nothing
     found = {
         (path.name, function)
         for path in sorted(PACKAGE.glob("*.py"))
@@ -377,6 +404,7 @@ def test_memory_is_checked_only_where_it_is_allocated():
         ("metrics.py", "require_trace_memory"),
         ("metrics.py", "scan_times"),
         ("experiments.py", "sweep_initial_state"),
+        ("experiments.py", "_noise_outcomes"),
     }
     cli = (PACKAGE / "cli.py").read_text()
     for name in ("require_memory", "require_trace_memory", "sweep_bytes"):
