@@ -9,7 +9,6 @@ from .canonical import (
     CouplingMatrix,
     LMGModel,
     canonicalize,
-    counter_twist_decomposition,
     from_chi_gamma,
     frame_unitary,
     realize_hamiltonian,
@@ -38,10 +37,9 @@ from .propagate import (
     PulseSchedule,
     PulseSegment,
     evolve,
-    evolve_full_product_space,
     run_schedule,
 )
-from .pulses import PulseDesign, compare_axes, design, effective_hamiltonian, schedule
+from .pulses import PulseDesign, design, effective_hamiltonian, schedule
 from .states import BlochAngles, SpinState, coherent_state, rotation
 
 __all__ = [
@@ -71,12 +69,9 @@ __all__ = [
     "canonicalize",
     "coherent_state",
     "collective_operator",
-    "compare_axes",
-    "counter_twist_decomposition",
     "design",
     "effective_hamiltonian",
     "evolve",
-    "evolve_full_product_space",
     "frame_unitary",
     "from_chi_gamma",
     "minimize_over_time",

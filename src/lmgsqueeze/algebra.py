@@ -22,8 +22,8 @@ coherent states; a dense propagator is the kernel applied to the
 identity.  A quadratic form that a noisy run draws for one segment is
 applied once, so it is not factored: a BandedForm steps it through its
 bands as a truncated Taylor series, with no eigensolve and no exponential.
-Only the diagonal z rotation and the 2^N product-space oracle exponentiate
-on their own, and ``hamiltonian_eig`` is the one checked dense eigensolver.
+Only the diagonal z rotation exponentiates on its own, and
+``hamiltonian_eig`` is the one checked dense eigensolver.
 The model's chi (Sx^2 + gamma Sy^2), real and Sz-parity conserving, is
 factored as two real blocks (``Eigenbasis.of_quadratic_form``), and so is
 its image under a quarter turn about x or y, under which nominal pulse
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidSize, NotHermitian, TooLarge
 
-LABELS = ("Sx", "Sy", "Sz", "S+", "S-", "S2")
+LABELS = ("Sx", "Sy", "Sz")
 HERMITICITY_TOL = 1e-10
 HERMITICITY_ROWS = 64  # rows per block of the Hermiticity check: no dense temporary
 PARITY_ROWS = (slice(0, None, 2), slice(1, None, 2))  # the even and the odd Sz-parity rows
@@ -129,7 +129,7 @@ def collective_operator(space: DickeSpace, label: str) -> np.ndarray:
     """Collective spin operator with standard angular-momentum matrix elements.
 
     <j, m+-1 | S+- | j, m> = sqrt(j(j+1) - m(m+-1)); Sx = (S+ + S-)/2,
-    Sy = (S+ - S-)/(2i), Sz diagonal with entries m, S2 = j(j+1) * identity.
+    Sy = (S+ - S-)/(2i), Sz diagonal with entries m.
     Built afresh on every call; the space keeps no copy, so a dense
     complex dim^2 lives only while its caller uses it.
     """
@@ -143,15 +143,9 @@ def _operator_matrix(space: DickeSpace, label: str) -> np.ndarray:
     m = space.m_values()
     if label == "Sz":
         return np.diag(m).astype(complex)
-    if label == "S2":
-        return j * (j + 1) * np.eye(space.dim, dtype=complex)
     # S+ raises m, which moves one index up in the descending-m ordering.
     up = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
     splus = np.diag(up, k=1).astype(complex)
-    if label == "S+":
-        return splus
-    if label == "S-":
-        return splus.T.copy()
     if label == "Sx":
         return 0.5 * (splus + splus.T)
     return -0.5j * (splus - splus.T)  # Sy

@@ -15,15 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (
-    DickeSpace,
-    Eigenbasis,
-    _frozen,
-    collective_operator,
-    hamiltonian_eig,
-    quadratic_form,
-    require_count,
-)
+from .algebra import DickeSpace, Eigenbasis, hamiltonian_eig, quadratic_form, require_count
 from .errors import AsymmetricInput, ConfigError, DimensionMismatch, InvalidSize, IsotropicCoupling
 from .states import rotation
 
@@ -200,23 +192,6 @@ def model_eigenbasis(model: LMGModel, space: DickeSpace) -> Eigenbasis:
     return Eigenbasis.of_quadratic_form(realize_hamiltonian(model, space))
 
 
-def counter_twist_decomposition(
-    model: LMGModel, space: DickeSpace
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split the model into counter-twisting terms about the x and z axes.
-
-    Returns (chi (1-gamma) Sx^2, -chi gamma Sz^2); their sum plus
-    chi gamma S^2 reproduces the realized Hamiltonian.
-    """
-    if space.n_spins != model.n_spins:
-        raise DimensionMismatch(
-            f"model has N={model.n_spins} but space has N={space.n_spins}"
-        )
-    x_twist = quadratic_form(space, model.chi * (1.0 - model.gamma), 0.0, 0.0)
-    z_twist = quadratic_form(space, 0.0, 0.0, -model.chi * model.gamma)
-    return x_twist, z_twist
-
-
 def frame_unitary(model: LMGModel, space: DickeSpace) -> np.ndarray:
     """Unitary U with U^dag S_a U = sum_b frame[a, b] S_b.
 
@@ -244,16 +219,3 @@ def frame_unitary(model: LMGModel, space: DickeSpace) -> np.ndarray:
     ones = np.ones(space.dim, dtype=complex)
     left, right = (rotation(space, "z", float(angle), of=ones) for angle in (alpha, gamma))
     return left[:, None] * rotation(space, "y", float(beta)) * right
-
-
-def pairwise_collective_hamiltonian(
-    coupling: CouplingMatrix, space: DickeSpace
-) -> np.ndarray:
-    """Lab-frame collective form 2 sum_ab chi_ab S_a S_b (constant excluded)."""
-    ops = [collective_operator(space, lbl) for lbl in ("Sx", "Sy", "Sz")]
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    sym = 0.5 * (coupling.chi + coupling.chi.T)
-    for a in range(3):
-        for b in range(3):
-            mat += 2.0 * sym[a, b] * (ops[a] @ ops[b])
-    return _frozen(mat)

@@ -123,12 +123,6 @@ def _read_config(text: str | bytes) -> dict:
     return raw
 
 
-def parse_config(text: str) -> dict:
-    """Parse and validate a JSON config (or descriptor.json) into a resolved
-    config dict with all defaults filled.  Unknown keys are rejected."""
-    return validate_config(_read_config(text))
-
-
 def validate_config(raw: dict) -> dict:
     for key in raw:
         if key not in _KNOWN_KEYS:

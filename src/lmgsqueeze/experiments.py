@@ -586,11 +586,14 @@ def scaling_study(
     minima = {v: [] for v in variants}
     for n in n_grid:
         space = build_space(n)
-        psi0 = coherent_state(space, initial)
+        generator = coherent_generator_eig(space)
+        psi0 = coherent_state(space, initial, generator)
+        if "pulsed" in variants:
+            psi_eff = coherent_state(space, design_.optimal_initial, generator)
+        del generator  # not held while the effective Hamiltonian is factored
         for variant in variants:
             if variant == "pulsed":
                 model = from_chi_gamma(chi, gamma, n)
-                psi_eff = coherent_state(space, design_.optimal_initial)
                 t_pred = predicted_optimal_time(design_, model, space, psi_eff)[0]
                 sch = schedule(design_, model, 1.2 * t_pred, max_step=pulsed_step_product / n)
                 minimum = run_schedule(psi_eff, sch, model).minimum

@@ -15,20 +15,17 @@ around free evolution under the model is run in the toggling frame
 (``toggled_cycle``): it is free evolution under the conjugated quadratic
 form, factored by parity once per realized cycle.  ``realized_cycle`` alone
 makes a cycle as it is run, pairs toggled and free Hamiltonians filled in
-with a basis: ``run_schedule``, ``schedule_unitary`` and the noise Monte
-Carlo step it; z pulses and drawn pulse errors are applied as rotations.
-``run_cycles`` is the one executor: segments in, states out.  Pulse
-schedules (one trajectory) and blocks of noisy trajectories (perturbed
-copies of a schedule's segments, held as the columns of one array) run
-through it, one product per segment for the whole block; the schedule owns
-the cycle-boundary times (``PulseSchedule.times``).  A cycle's dense
-unitary is ``_apply_cycle`` on the identity (``schedule_unitary``).  A
-cycle that keeps Sz-parity (free segments under parity bases, pulses about
-z, one value per column), repeated from ``half_unitary_crossover`` on, is
-applied as its unitary on each parity half, a complex (dim/2)^2 block
-built by ``_apply_cycle`` on that half's identity columns.  A small-N full
-product-space evolver is provided as an independent oracle for the
-symmetric-sector reduction.
+with a basis: ``run_schedule`` and the noise Monte Carlo step it; z
+pulses and drawn pulse errors are applied as rotations.  ``run_cycles`` is
+the one executor: segments in, states out.  Pulse schedules (one
+trajectory) and blocks of noisy trajectories (perturbed copies of a
+schedule's segments, held as the columns of one array) run through it, one
+product per segment for the whole block; the schedule owns the
+cycle-boundary times (``PulseSchedule.times``).  A cycle that keeps
+Sz-parity (free segments under parity bases, pulses about z, one value per
+column), repeated from ``half_unitary_crossover`` on, is applied as its
+unitary on each parity half, a complex (dim/2)^2 block built by
+``_apply_cycle`` on that half's identity columns.
 """
 
 import math
@@ -42,17 +39,13 @@ from .algebra import (
     BandedForm,
     DickeSpace,
     Eigenbasis,
-    build_space,
     conjugated_coefficients,
     quadratic_form,
 )
 from .algebra import hamiltonian_eig  # noqa: F401  (re-exported: part of this module's API)
-from .canonical import CouplingMatrix, LMGModel, model_eigenbasis
-from .errors import DimensionMismatch, TooLarge
-from .states import BlochAngles, SpinState, rotate_state
-
-FULL_SPACE_MAX_SPINS = 12
-
+from .canonical import LMGModel, model_eigenbasis
+from .errors import DimensionMismatch
+from .states import SpinState, rotate_state
 
 def half_unitary_crossover(half: int) -> int:
     """Cycles from which a repeated parity-keeping cycle is applied as its
@@ -315,104 +308,3 @@ def run_schedule(
     from .metrics import trace_from_states
 
     return trace_from_states(space, schedule.times, states)
-
-
-def schedule_unitary(schedule: PulseSchedule, model: LMGModel, space: DickeSpace) -> np.ndarray:
-    """Dense unitary for a single cycle of the schedule."""
-    basis = model_eigenbasis(model, space)
-    cycle = realized_cycle(space, schedule.segments, model.coefficients, basis)
-    return _apply_cycle(space, cycle, np.eye(space.dim, dtype=complex))
-
-
-# ---------------------------------------------------------------------------
-# full product-space oracle
-# ---------------------------------------------------------------------------
-
-_PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
-
-def _pair_term(n_spins: int, site_a: int, op_a: np.ndarray, site_b: int, op_b: np.ndarray):
-    """Dense sigma_a^(site_a) sigma_b^(site_b) on the 2^N product space."""
-    mat = np.array([[1.0 + 0.0j]])
-    for site in range(n_spins):
-        if site == site_a:
-            mat = np.kron(mat, op_a)
-        elif site == site_b:
-            mat = np.kron(mat, op_b)
-        else:
-            mat = np.kron(mat, np.eye(2, dtype=complex))
-    return mat
-
-
-def full_pairwise_hamiltonian(n_spins: int, coupling: CouplingMatrix) -> np.ndarray:
-    """H = sum_{j<k} chi_ab sigma_a^j sigma_b^k, built term by term."""
-    if n_spins > FULL_SPACE_MAX_SPINS:
-        raise TooLarge(
-            f"full product space capped at N={FULL_SPACE_MAX_SPINS}, got {n_spins}"
-        )
-    dim = 2**n_spins
-    ham = np.zeros((dim, dim), dtype=complex)
-    axes = ("x", "y", "z")
-    for j in range(n_spins):
-        for k in range(j + 1, n_spins):
-            for a, alpha in enumerate(axes):
-                for b, beta in enumerate(axes):
-                    strength = coupling.chi[a, b]
-                    if strength != 0.0:
-                        ham += strength * _pair_term(
-                            n_spins, j, _PAULI[alpha], k, _PAULI[beta]
-                        )
-    return ham
-
-
-def _product_coherent_state(n_spins: int, angles: BlochAngles) -> np.ndarray:
-    """Product state with every spin pointing along the Bloch direction."""
-    spinor = np.array(
-        [
-            math.cos(angles.theta / 2.0),
-            np.exp(1j * angles.phi) * math.sin(angles.theta / 2.0),
-        ],
-        dtype=complex,
-    )
-    psi = np.array([1.0 + 0.0j])
-    for _ in range(n_spins):
-        psi = np.kron(psi, spinor)
-    return psi
-
-
-def project_symmetric(n_spins: int, psi_full: np.ndarray) -> np.ndarray:
-    """Amplitudes of the Dicke components <j, m | psi>, index i = j - m.
-
-    With single-spin basis (up, down), a product index with i bits set holds
-    i down spins, so it belongs to the Dicke state of index i.
-    """
-    dim = 2**n_spins
-    down_counts = np.array([bin(b).count("1") for b in range(dim)])
-    weights = np.zeros(n_spins + 1, dtype=complex)
-    np.add.at(weights.real, down_counts, psi_full.real)
-    np.add.at(weights.imag, down_counts, psi_full.imag)
-    norms = np.sqrt(np.array([math.comb(n_spins, i) for i in range(n_spins + 1)]))
-    return weights / norms
-
-
-def evolve_full_product_space(
-    n_spins: int, coupling: CouplingMatrix, initial: BlochAngles, t: float
-) -> SpinState:
-    """Evolve the product coherent state under the raw pairwise Hamiltonian
-    and project onto the symmetric sector.
-
-    The symmetric sector is invariant, so the projection loses no norm; the
-    result is returned as Dicke-basis amplitudes (unnormalized projection,
-    which tests can check has unit norm).
-    """
-    ham = full_pairwise_hamiltonian(n_spins, coupling)
-    psi = _product_coherent_state(n_spins, initial)
-    w, v = np.linalg.eigh(ham)
-    psi_t = v @ (np.exp(-1j * w * t) * (v.conj().T @ psi))
-    return SpinState(
-        amplitudes=project_symmetric(n_spins, psi_t), space=build_space(n_spins)
-    )

@@ -62,10 +62,6 @@ class PulseDesign:
     no_pulse: bool = False
 
     @property
-    def form_coefficients(self) -> tuple:
-        return FORM_COEFFICIENTS[self.effective_form]
-
-    @property
     def optimal_initial(self) -> BlochAngles:
         theta, phi = FORM_OPTIMAL_INITIAL[self.effective_form]
         return BlochAngles(theta=theta, phi=phi)
@@ -197,23 +193,3 @@ def effective_hamiltonian(
             chi * f2 * conj[2],
         )
     return quadratic_form(space, *coeffs)
-
-
-@dataclass(frozen=True)
-class AxisComparison:
-    chi_eff_z: float
-    chi_eff_y: float
-    ratio_z_over_y: float
-    faster_axis: str
-
-
-def compare_axes(model: LMGModel) -> AxisComparison:
-    """Effective strengths of the z and y schemes; larger means faster."""
-    strength_z = abs(design(model, "z", "A").chi_eff)
-    strength_y = abs(design(model, "y", "A").chi_eff)
-    return AxisComparison(
-        chi_eff_z=strength_z,
-        chi_eff_y=strength_y,
-        ratio_z_over_y=strength_z / strength_y if strength_y > 0.0 else math.inf,
-        faster_axis="z" if strength_z >= strength_y else "y",
-    )

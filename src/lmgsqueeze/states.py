@@ -33,16 +33,6 @@ class BlochAngles:
         if not 0.0 <= self.phi < 2.0 * math.pi:
             raise ConfigError(f"phi: must lie in [0, 2*pi), got {self.phi}")
 
-    def direction(self) -> np.ndarray:
-        """Cartesian unit vector (sin t cos p, sin t sin p, cos t)."""
-        return np.array(
-            [
-                math.sin(self.theta) * math.cos(self.phi),
-                math.sin(self.theta) * math.sin(self.phi),
-                math.cos(self.theta),
-            ]
-        )
-
 
 @dataclass(frozen=True)
 class SpinState:
@@ -52,12 +42,6 @@ class SpinState:
 
     amplitudes: np.ndarray
     space: DickeSpace
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def expectation(self, operator: np.ndarray) -> complex:
-        return complex(np.vdot(self.amplitudes, operator @ self.amplitudes))
 
 
 def coherent_generator_eig(space: DickeSpace) -> Eigenbasis:
@@ -73,7 +57,8 @@ def coherent_generator_eig(space: DickeSpace) -> Eigenbasis:
 def coherent_state(space: DickeSpace, angles: BlochAngles, generator_eig=None) -> SpinState:
     """Coherent spin state Rz(phi) exp(-i theta Sy) |j, j>.
 
-    The mean spin points along ``angles.direction()`` with length N/2.
+    The mean spin points along (sin theta cos phi, sin theta sin phi,
+    cos theta) with length N/2.
     Since sin phi Sx - cos phi Sy = Rz(phi) (-Sy) Rz(phi)^H, this is
     exp(i theta (Sx sin phi - Sy cos phi)) |j, j> up to the global phase
     e^{i phi j}, of which xi^2 and every output column are free.

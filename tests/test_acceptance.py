@@ -31,10 +31,11 @@ from lmgsqueeze.experiments import (
     sweep_initial_state,
 )
 from lmgsqueeze.metrics import minimize_hamiltonian, squeezing_parameter
-from lmgsqueeze.propagate import evolve, evolve_full_product_space, schedule_unitary
+from lmgsqueeze.propagate import evolve
 from lmgsqueeze.pulses import design, effective_hamiltonian, schedule
 from lmgsqueeze.states import BlochAngles, SpinState, coherent_state
 
+from oracles import evolve_full_product_space, schedule_unitary
 from test_metrics import brute_force_xi2
 
 

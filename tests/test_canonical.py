@@ -10,13 +10,13 @@ from lmgsqueeze.canonical import (
     CouplingMatrix,
     LMGModel,
     canonicalize,
-    counter_twist_decomposition,
     frame_unitary,
     from_chi_gamma,
-    pairwise_collective_hamiltonian,
     realize_hamiltonian,
 )
 from lmgsqueeze.errors import AsymmetricInput, DimensionMismatch, InvalidSize, IsotropicCoupling
+
+from oracles import pairwise_collective_hamiltonian
 
 
 @pytest.mark.parametrize("n_spins", [2.5, 0, -3, np.nan, np.inf])
@@ -248,11 +248,6 @@ def model_fields(**changed):
         (lambda: LMGModel(**model_fields(gamma=-0.1)), ValueError, "gamma"),
         (lambda: from_chi_gamma(1.0, 1.5, 4), ValueError, "gamma"),
         (lambda: from_chi_gamma(1.0, -0.1, 4), ValueError, "gamma"),
-        (
-            lambda: counter_twist_decomposition(from_chi_gamma(1.0, 0.1, 4), build_space(6)),
-            DimensionMismatch,
-            "N=4",
-        ),
     ],
 )
 def test_malformed_model_input_raises_its_typed_error(build, error, message):
@@ -278,26 +273,14 @@ def test_realize_dimension_mismatch():
         realize_hamiltonian(model, build_space(4))
 
 
-def test_counter_twist_symmetric_at_half():
-    space = build_space(4)
-    model = from_chi_gamma(1.0, 0.5, 4)
-    x_twist, z_twist = counter_twist_decomposition(model, space)
-    assert np.max(np.abs(x_twist - 0.5 * quadratic_form(space, 1, 0, 0))) < 1e-12
-    assert np.max(np.abs(z_twist + 0.5 * quadratic_form(space, 0, 0, 1))) < 1e-12
-
-
-def test_counter_twist_oat_limit():
-    space = build_space(4)
-    x_twist, z_twist = counter_twist_decomposition(from_chi_gamma(1.0, 0.0, 4), space)
-    assert np.max(np.abs(x_twist - quadratic_form(space, 1, 0, 0))) < 1e-12
-    assert np.max(np.abs(z_twist)) == 0.0
-
-
-@pytest.mark.parametrize("gamma", [0.25, 0.4])
+@pytest.mark.parametrize("gamma", [0.0, 0.25, 0.4, 0.5])
 def test_counter_twist_sum_identity(gamma):
+    # chi (Sx^2 + gamma Sy^2) = chi (1 - gamma) Sx^2 - chi gamma Sz^2 + chi gamma S^2:
+    # counter-twisting about x and z, equal at gamma = 1/2, one-axis at 0
     space = build_space(6)
     model = from_chi_gamma(1.3, gamma, 6)
-    x_twist, z_twist = counter_twist_decomposition(model, space)
+    x_twist = quadratic_form(space, model.chi * (1.0 - model.gamma), 0.0, 0.0)
+    z_twist = quadratic_form(space, 0.0, 0.0, -model.chi * model.gamma)
     s2 = quadratic_form(space, 1.0, 1.0, 1.0)
     total = x_twist + z_twist + model.chi * model.gamma * s2
     assert np.max(np.abs(total - realize_hamiltonian(model, space))) < 1e-10

@@ -11,7 +11,7 @@ import pytest
 import lmgsqueeze
 from lmgsqueeze import algebra, experiments, metrics
 from lmgsqueeze.canonical import from_chi_gamma
-from lmgsqueeze.cli import EXPERIMENTS, INSPECT_COMMANDS, main, parse_config, run, validate_config
+from lmgsqueeze.cli import EXPERIMENTS, INSPECT_COMMANDS, _read_config, main, run, validate_config
 from lmgsqueeze.errors import ConfigError, TooLarge
 from lmgsqueeze.experiments import (
     MAX_WORKERS,
@@ -47,7 +47,7 @@ def cli(args, cwd):
 
 
 def test_minimal_config_defaults():
-    cfg = parse_config(json.dumps(MINIMAL))
+    cfg = validate_config(_read_config(json.dumps(MINIMAL)))
     assert cfg["axis"] == "z"
     assert cfg["branch"] == "A"
     assert cfg["max_step"] == 0.05
@@ -431,7 +431,7 @@ def test_malformed_field_is_refused_by_name(
     monkeypatch.chdir(tmp_path)
     if command is None:
         with pytest.raises(ConfigError, match=f"^{field}: "):
-            parse_config(json.dumps(config))
+            validate_config(_read_config(json.dumps(config)))
         return
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

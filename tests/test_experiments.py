@@ -609,6 +609,24 @@ def test_scaling_study_small():
         assert t_min > 0.0
 
 
+def test_scaling_study_factors_one_coherent_generator_per_n(monkeypatch):
+    # the variants' initial state and the pulsed one turn through one
+    # azimuth-0 generator per space
+    from lmgsqueeze import states
+
+    factored = []
+    factor = states.coherent_generator_eig
+
+    def recording(space):
+        factored.append(space.n_spins)
+        return factor(space)
+
+    for module in (states, experiments):
+        monkeypatch.setattr(module, "coherent_generator_eig", recording)
+    scaling_study(0.1, [10, 20], grid_points=100)
+    assert factored == [10, 20]
+
+
 @pytest.mark.parametrize("n_grid", [[20], [20, 20], [20, 20.0]])
 def test_scaling_rejects_fewer_than_two_distinct_sizes(n_grid):
     with pytest.raises(ConfigError, match="n_grid"):

@@ -28,16 +28,16 @@ from lmgsqueeze.propagate import (
     PulseSegment,
     evolve,
     evolve_batch,
-    evolve_full_product_space,
     half_unitary_crossover,
     realized_cycle,
     run_cycles,
     run_schedule,
-    schedule_unitary,
     toggled_cycle,
 )
 from lmgsqueeze.pulses import design, effective_hamiltonian, schedule
 from lmgsqueeze.states import BlochAngles, SpinState, coherent_state
+
+from oracles import evolve_full_product_space, schedule_unitary
 
 
 def test_zero_hamiltonian_and_zero_time():
@@ -104,7 +104,7 @@ def test_norm_drift_over_many_segments():
         state = SpinState(
             v @ (np.exp(-1j * w * sched.t1) * (v.conj().T @ state.amplitudes)), space
         )
-    assert abs(state.norm() - 1.0) < 1e-10
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
 
 def test_zero_cycles_leaves_state():

@@ -18,12 +18,7 @@ from lmgsqueeze.experiments import NoiseSpec, noise_monte_carlo
 from lmgsqueeze.metrics import SCAN_SAMPLE_BYTES, TRACE_BLOCKS, TRACE_FIXED_BYTES
 from lmgsqueeze.metrics import minimize_hamiltonian
 from lmgsqueeze.propagate import run_schedule
-from lmgsqueeze.pulses import (
-    compare_axes,
-    design,
-    effective_hamiltonian,
-    schedule,
-)
+from lmgsqueeze.pulses import FORM_COEFFICIENTS, design, effective_hamiltonian, schedule
 from lmgsqueeze.states import coherent_state, rotation
 
 
@@ -163,7 +158,8 @@ def test_effective_hamiltonian_is_design_form_for_all_gamma(gamma, chi, axis, br
     space = build_space(n)
     design_ = design(model, axis, branch)
     h_eff = effective_hamiltonian(design_, model, space)
-    rest = h_eff - design_.chi_eff * quadratic_form(space, *design_.form_coefficients)
+    form = FORM_COEFFICIENTS[design_.effective_form]
+    rest = h_eff - design_.chi_eff * quadratic_form(space, *form)
     offset = rest - rest[0, 0] * np.eye(space.dim)
     assert np.max(np.abs(offset)) <= 1e-12 * np.max(np.abs(h_eff))
 
@@ -234,16 +230,20 @@ def test_cycle_limit_convergence():
 
 
 def test_compare_axes_ordering():
-    model = from_chi_gamma(1.0, 0.1, 30)
-    report = compare_axes(model)
-    assert report.chi_eff_z == pytest.approx(1.1 / 3.0, abs=1e-12)
-    assert report.chi_eff_y == pytest.approx(0.8 / 3.0, abs=1e-12)
-    assert report.faster_axis == "z"
-    equal = compare_axes(from_chi_gamma(1.0, 0.0, 30))
-    assert equal.chi_eff_z == pytest.approx(equal.chi_eff_y, abs=1e-14)
-    near_half = compare_axes(from_chi_gamma(1.0, 0.4999, 30))
-    assert near_half.chi_eff_y < 1e-3
-    assert near_half.chi_eff_z == pytest.approx(0.5, abs=1e-3)
+    # the z scheme twists faster than the y scheme for every gamma in (0, 1/2)
+    def strengths(gamma):
+        model = from_chi_gamma(1.0, gamma, 30)
+        return abs(design(model, "z").chi_eff), abs(design(model, "y").chi_eff)
+
+    z, y = strengths(0.1)
+    assert z == pytest.approx(1.1 / 3.0, abs=1e-12)
+    assert y == pytest.approx(0.8 / 3.0, abs=1e-12)
+    assert z > y
+    z, y = strengths(0.0)
+    assert z == pytest.approx(y, abs=1e-14)
+    z, y = strengths(0.4999)
+    assert y < 1e-3
+    assert z == pytest.approx(0.5, abs=1e-3)
 
 
 def test_no_pulse_schedule_is_free_evolution():
