@@ -78,6 +78,12 @@ class DickeSpace:
         """Magnetic quantum numbers in basis order: j, j-1, ..., -j."""
         return self.j - np.arange(self.dim)
 
+    def ladder(self) -> np.ndarray:
+        """u_k = <k|S+|k+1> = sqrt(j(j+1) - m(m+1)) at m = m_{k+1}: S+ raises
+        m, one index up in the descending-m ordering."""
+        j, m = self.j, self.m_values()
+        return np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
+
     def built(self, key, build):
         """The object kept under ``key``, made by ``build()`` on first use."""
         value = self._built.get(key)
@@ -139,13 +145,9 @@ def collective_operator(space: DickeSpace, label: str) -> np.ndarray:
 
 
 def _operator_matrix(space: DickeSpace, label: str) -> np.ndarray:
-    j = space.j
-    m = space.m_values()
     if label == "Sz":
-        return np.diag(m).astype(complex)
-    # S+ raises m, which moves one index up in the descending-m ordering.
-    up = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
-    splus = np.diag(up, k=1).astype(complex)
+        return np.diag(space.m_values()).astype(complex)
+    splus = np.diag(space.ladder(), k=1).astype(complex)
     if label == "Sx":
         return 0.5 * (splus + splus.T)
     return -0.5j * (splus - splus.T)  # Sy
@@ -159,9 +161,8 @@ def quadratic_form(space: DickeSpace, a: float, b: float, c: float) -> np.ndarra
     on the diagonal alone: off it the dense square adds c*(+-0), which
     changes only a -0 entry, and a*Sx^2 + b*Sy^2 has none when ``a`` has no
     sign bit.  Every form the package builds from a model (chi > 0) has such
-    an ``a``.  For a < 0 or a = -0.0 (a noise run's drawn chi can be
-    negative) the signs of the zeros follow those of the dense product, so
-    that corner forms it.
+    an ``a``.  For a < 0 or a = -0.0 the signs of the zeros follow those of
+    the dense product, so that corner forms it.
     """
     for name, coeff in (("a", a), ("b", b), ("c", c)):
         if not np.isfinite(coeff):
@@ -375,8 +376,7 @@ class BandedForm:
         for name, coeff in (("a", a), ("b", b), ("c", c)):
             if not np.all(np.isfinite(coeff)):
                 raise ValueError(f"coefficient {name} must be finite, got {coeff!r}")
-        j, m = space.j, space.m_values()
-        up = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
+        j, m, up = space.j, space.m_values(), space.ladder()
         a, b, c = (np.asarray(coeff, dtype=float) for coeff in (a, b, c))
         diagonal = np.multiply.outer(j * (j + 1) - m**2, (a + b) / 2.0)
         diagonal += np.multiply.outer(m**2, c)

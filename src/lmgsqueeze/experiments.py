@@ -6,14 +6,14 @@ descriptor, and is bit-reproducible from (parameters, seed): each noise run
 spawns one child seed per channel from its own child of one root
 SeedSequence and draws only from its active channel's, so worker
 partitioning cannot change any draw.  A noise run is the nominal run plus
-the draws of its one channel (a drawn model, stretched free evolutions,
-scaled or tilted pulses, or per-segment Hamiltonians applied as
-``algebra.BandedForm``s), executed by ``propagate.run_cycles`` as the
-noiseless run is.  Runs that drew one (atom number, gamma, chi) are stepped
-together, one column each of a block, in blocks fixed by the draws alone,
-so the worker count cannot change any byte either; blocks on the nominal
-model start from the noiseless run's coherent state and perturb the one
-cycle (``propagate.realized_cycle``) that the Monte Carlo realized for it.
+the draws of its one channel (a drawn N or gamma, free evolutions
+stretched by a separation or a chi, scaled or tilted pulses, or per-segment
+Hamiltonians applied as ``algebra.BandedForm``s), executed by
+``propagate.run_cycles`` as the noiseless run is.  Runs that drew one (N,
+gamma) are stepped together, one column each of a block, in blocks fixed
+by the draws alone, so the worker count cannot change any byte either;
+blocks on the nominal model start from the noiseless run's coherent state
+and perturb the one cycle (``propagate.realized_cycle``) realized for it.
 
 Emitted tables (one CSV per table, RFC-4180-style, LF line endings, floats
 at 17 significant digits):
@@ -69,6 +69,10 @@ ALLOWED_SCOPES = {
     "atom_number": ("per_run",),
 }
 NOISE_CHANNELS = tuple(ALLOWED_SCOPES)
+# Schedules run this many predicted times long: the pulsed minimum lies on
+# the cycle grid and is moved from the effective Hamiltonian's by the
+# stroboscopic error, so a trace that ends past it still brackets it.
+SCHEDULE_SPAN = 1.2
 # Noise runs that share a space and a free basis are stepped together in
 # blocks whose states at the cycle boundaries take at most this many bytes
 # (N = 100 with 165 cycles: 31 runs).
@@ -77,7 +81,8 @@ BLOCK_BYTES = 8 * 2**20
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """One Gaussian noise channel with a relative standard deviation."""
+    """One Gaussian noise channel with a relative standard deviation; a chi
+    factor v scales free durations, as a separation does: v <= 0 clamps them."""
 
     channel: str
     relative_sigma: float
@@ -489,8 +494,8 @@ def compare_pulsed(
     # trace, is then the one effective-Hamiltonian basis ever alive
     t_pred_y = predicted_optimal_time(design_y, model, space, psi_y)[0]
     t_pred_z, h_ref = predicted_optimal_time(design_z, model, space, psi_z)
-    schedule_z = schedule(design_z, model, 1.2 * t_pred_z, max_step=max_step)
-    schedule_y = schedule(design_y, model, 1.2 * t_pred_y, max_step=max_step)
+    schedule_z = schedule(design_z, model, SCHEDULE_SPAN * t_pred_z, max_step=max_step)
+    schedule_y = schedule(design_y, model, SCHEDULE_SPAN * t_pred_y, max_step=max_step)
 
     h_lmg = model_eigenbasis(model, space)
     trace_z = run_schedule(psi_z, schedule_z, model, model_basis=h_lmg)
@@ -595,7 +600,7 @@ def scaling_study(
             if variant == "pulsed":
                 model = from_chi_gamma(chi, gamma, n)
                 t_pred = predicted_optimal_time(design_, model, space, psi_eff)[0]
-                sch = schedule(design_, model, 1.2 * t_pred, max_step=pulsed_step_product / n)
+                sch = schedule(design_, model, SCHEDULE_SPAN * t_pred, max_step=pulsed_step_product / n)
                 minimum = run_schedule(psi_eff, sch, model).minimum
             else:
                 g = {"OAT": 0.0, "TAT": 0.5, "LMG": gamma}[variant]
@@ -641,8 +646,8 @@ def scaling_study(
 class _Run:
     """One trajectory: the nominal run plus the draws of its one active
     channel, from that channel's stream.  A per-run draw changes its model
-    (n_spins, gamma, chi) or is kept as its one ``drawn`` value (a separation
-    or area factor, or a tilt)."""
+    (n_spins, gamma) or is its one ``drawn`` value (a separation, area or
+    chi factor, or a tilt); ``chi`` stays nominal (a time scale: NoiseSpec)."""
 
     noise: NoiseSpec
     stream: "np.random.Generator"  # a string: numpy loads numpy.random on first use
@@ -676,8 +681,8 @@ def _new_run(noise: NoiseSpec, model: LMGModel, seed) -> _Run:
         value = run.draw()
         if noise.channel == "atom_number":
             run.n_spins = max(1, int(round(run.n_spins * value)))
-        elif noise.channel in ("gamma", "chi"):
-            setattr(run, noise.channel, getattr(run, noise.channel) * value)
+        elif noise.channel == "gamma":
+            run.gamma = run.gamma * value
         else:
             run.drawn = value
     return run
@@ -685,10 +690,10 @@ def _new_run(noise: NoiseSpec, model: LMGModel, seed) -> _Run:
 
 def _perturbation(noise: NoiseSpec) -> tuple:
     """(kind, banded): the kind of segment the channel perturbs, None at
-    sigma = 0 or where a per-run draw changes the model, and whether each
-    free segment is one BandedForm (a per-segment gamma).  Runs that perturb
-    pulses or band their free segments keep their pulses as rotations."""
-    model_draw = noise.channel in ("gamma", "chi", "atom_number")
+    sigma = 0 or where a per-run N or gamma changes the model, and whether
+    each free segment is one BandedForm (a per-segment gamma).  Runs that
+    perturb pulses or band their free segments keep their pulses as rotations."""
+    model_draw = noise.channel in ("gamma", "atom_number")
     if noise.relative_sigma == 0.0 or (model_draw and noise.resolved_scope == "per_run"):
         return None, False
     kind = PulseSegment if noise.channel in ("pulse_area", "pulse_phase") else FreeSegment
@@ -698,17 +703,17 @@ def _perturbation(noise: NoiseSpec) -> tuple:
 def _noise_block(block: tuple) -> list:
     """Simulate the (possibly noisy) trajectories of a block (space, nominal
     state, nominal cycle, schedule, initial angles, runs).  Its runs share
-    one (n_spins, gamma, chi) and are stepped as the columns of one array:
+    one (n_spins, gamma) and are stepped as the columns of one array:
     the cycle, with the kind of segment the active channel acts on
     (``_perturbation``) perturbed as each run draws, and every other segment
-    as it is.  The cycle is None when the block drew its N or its form, and
+    as it is.  The cycle is None when the block drew its N or its gamma, and
     the state when it drew its N: the block builds them, and realizes its
     own cycle with x and y pulse pairs toggled, since such a run draws no
     pulse.  A per-segment gamma makes each free segment one BandedForm,
     applied once, whose column r takes the gamma run r drew for it.
 
     Returns, per run: the xi2 value at every cycle boundary (nan where the
-    contrast collapses), the realized (n_spins, gamma, chi), the count of
+    contrast collapses), its realized (n_spins, gamma, chi), the count of
     clamped negative durations and the norm error.  Runs of a channel that
     perturbs no segment follow one trajectory, stepped and scored once, as
     one column.  A drawn atom number gets a space of its own, dropped with
@@ -771,24 +776,25 @@ def _noise_block(block: tuple) -> list:
     states = run_cycles(SpinState(amps, space), cycles)
 
     scored = []
-    for c in range(len(columns)):
+    for c, r in enumerate(columns):
         # the noise perturbs parameters, never the state: evolution stays unitary
         norm_error = abs(float(np.linalg.norm(states[:, c, -1])) - 1.0)
         xi2, _, _, _ = batch_squeezing(space, states[:, c])
-        scored.append((xi2, (run.n_spins, run.gamma, run.chi), int(clamped[c]), norm_error))
+        chi = r.chi * r.drawn if noise.channel == "chi" and r.drawn is not None else r.chi
+        scored.append((xi2, (r.n_spins, r.gamma, chi), int(clamped[c]), norm_error))
     return scored * len(runs) if kind is None else scored
 
 
 def _noise_outcomes(space, model, sch, initial, noise, n_runs, seed, workers, psi0, cycle) -> list:
     """Each noisy run's outcome, as ``_noise_block`` returns it, in run order.
 
-    The runs are grouped by their (n_spins, gamma, chi), which fixes the
-    space and the free Hamiltonian they share (its Eigenbasis, or per
-    segment one BandedForm with a column per run), and cut into blocks of
-    at most BLOCK_BYTES, so no block depends on the worker count.  Blocks
-    on the nominal N take ``psi0``, the coherent state at ``initial``, and
-    blocks on the nominal (N, gamma, chi) take ``cycle``, the nominal cycle
-    their runs perturb.
+    The runs are grouped by their (n_spins, gamma), which fixes the space
+    and the free Hamiltonian they share (its Eigenbasis, or per segment one
+    BandedForm with a column per run), and cut into blocks of at most
+    BLOCK_BYTES, so no block depends on the worker count.  Blocks on the
+    nominal N take ``psi0``, the coherent state at ``initial``, and blocks
+    on the nominal (N, gamma) take ``cycle``, the nominal cycle their runs
+    perturb, chi runs included.
     """
     runs = [_new_run(noise, model, child) for child in np.random.SeedSequence(seed).spawn(n_runs)]
     n_max = max(run.n_spins for run in runs)  # refuse an oversized drawn N before any block
@@ -807,12 +813,12 @@ def _noise_outcomes(space, model, sch, initial, noise, n_runs, seed, workers, ps
     require_trace_memory(n_max, sch.cycle_count + 1, every_sample=True)
     groups = {}
     for index, run in enumerate(runs):
-        groups.setdefault((run.n_spins, run.gamma, run.chi), []).append(index)
+        groups.setdefault((run.n_spins, run.gamma), []).append(index)
     tasks, blocks = [], []
     for key, indices in groups.items():
         width = max(1, BLOCK_BYTES // (16 * (key[0] + 1) * (sch.cycle_count + 1)))
         state = psi0 if key[0] == model.n_spins else None
-        nominal = cycle if key == (model.n_spins, model.gamma, model.chi) else None
+        nominal = cycle if key == (model.n_spins, model.gamma) else None
         for i in range(0, len(indices), width):
             blocks.append(indices[i : i + width])
             tasks.append((space, state, nominal, sch, initial, [runs[j] for j in blocks[-1]]))
@@ -847,7 +853,7 @@ def noise_monte_carlo(
     space = build_space(model.n_spins)
     psi0 = coherent_state(space, design_.optimal_initial)
     if total_time is None:
-        total_time = 1.2 * predicted_optimal_time(design_, model, space, psi0)[0]
+        total_time = SCHEDULE_SPAN * predicted_optimal_time(design_, model, space, psi0)[0]
     sch = schedule(design_, model, total_time, max_step=max_step, cycles=cycles)
     # one realized nominal cycle serves the noiseless run and every block on
     # the nominal model; runs that keep their pulses take it untoggled

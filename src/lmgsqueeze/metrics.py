@@ -111,8 +111,7 @@ def _moment_weights(space: DickeSpace) -> tuple:
     conj(psi_k) psi_{k+2}, with u_k = <k|S+|k+1>."""
 
     def build():
-        j, m = space.j, space.m_values()
-        up = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
+        j, m, up = space.j, space.m_values(), space.ladder()
         return j * (j + 1) - m**2, m, m**2, up, up * (m[:-1] + m[1:]) / 2.0, up[:-1] * up[1:]
 
     return space.built("moment_weights", build)

@@ -127,23 +127,17 @@ class PulseSegment:
 class PulseSchedule:
     """One cycle of segments, applied ``cycle_count`` times.
 
-    Segments are listed in application order.  The total duration is
-    cycle_count * (t1 + t2); ``times`` is every run's one time axis.
+    Segments are listed in application order; the free segments hold the
+    durations, and ``times`` is every run's one time axis.
     """
 
     segments: tuple
     cycle_count: int
-    t1: float
-    t2: float
-
-    @property
-    def cycle_time(self) -> float:
-        return self.t1 + self.t2
 
     @property
     def times(self) -> np.ndarray:
         """Elapsed time at each of the cycle_count + 1 cycle boundaries: the
-        free durations added one by one in run order, not k * cycle_time."""
+        free durations added one by one in run order, not k * t_c."""
         durations = [seg.duration for seg in self.segments if isinstance(seg, FreeSegment)]
         sums = np.add.accumulate([0.0] + durations * self.cycle_count)
         return sums[:: len(durations)] if durations else np.zeros(self.cycle_count + 1)

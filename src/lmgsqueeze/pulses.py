@@ -31,25 +31,21 @@ from .metrics import require_trace_memory
 from .propagate import FreeSegment, PulseSegment, PulseSchedule
 from .states import BlochAngles
 
-# Quadratic coefficients (on Sx^2, Sy^2, Sz^2) of each effective form, and
-# the coherent state whose mean spin is left invariant by the twisting.
-FORM_COEFFICIENTS = {
-    "Sx2+2Sy2": (1.0, 2.0, 0.0),  # == Sy^2 - Sz^2 + S^2, mean spin along x
-    "2Sx2+Sy2": (2.0, 1.0, 0.0),  # == Sx^2 - Sz^2 + S^2, mean spin along y
-    "Sx2-Sy2": (1.0, -1.0, 0.0),  # two-axis twisting about z, mean spin along z
-}
+# The coherent state (theta, phi) of each effective form whose mean spin the
+# twisting leaves invariant.
 FORM_OPTIMAL_INITIAL = {
-    "Sx2+2Sy2": (math.pi / 2.0, 0.0),
-    "2Sx2+Sy2": (math.pi / 2.0, math.pi / 2.0),
-    "Sx2-Sy2": (0.0, 0.0),
+    "Sx2+2Sy2": (math.pi / 2.0, 0.0),  # == Sy^2 - Sz^2 + S^2, mean spin along x
+    "2Sx2+Sy2": (math.pi / 2.0, math.pi / 2.0),  # == Sx^2 - Sz^2 + S^2, along y
+    "Sx2-Sy2": (0.0, 0.0),  # two-axis twisting about z, mean spin along z
 }
 
 @dataclass(frozen=True)
 class PulseDesign:
     """Timing ratio and effective twisting strength for one pulse axis.
 
-    ``chi_eff`` is signed: the effective Hamiltonian is
-    chi_eff * FORM_COEFFICIENTS[effective_form] plus a multiple of S^2.
+    ``chi_eff`` is signed: the effective Hamiltonian is chi_eff times the
+    form that ``effective_form`` spells (Sx2+2Sy2 is Sx^2 + 2 Sy^2) plus a
+    multiple of S^2.
     ``no_pulse`` marks a model that is already two-axis twisting
     (gamma = 1/2), where the schedule degenerates to free evolution.
     """
@@ -151,12 +147,7 @@ def schedule(
     cycles = int(cycles)
     cycle_time = total_time / cycles
     if design_.no_pulse:
-        return PulseSchedule(
-            segments=(FreeSegment(duration=cycle_time),),
-            cycle_count=cycles,
-            t1=cycle_time,
-            t2=0.0,
-        )
+        return PulseSchedule(segments=(FreeSegment(duration=cycle_time),), cycle_count=cycles)
     ratio = design_.ratio_t2_t1
     t1 = cycle_time / (1.0 + ratio)
     t2 = cycle_time - t1
@@ -166,7 +157,7 @@ def schedule(
         PulseSegment(axis=design_.axis, angle=-math.pi / 2.0),
         FreeSegment(duration=t1),
     )
-    return PulseSchedule(segments=segments, cycle_count=cycles, t1=t1, t2=t2)
+    return PulseSchedule(segments=segments, cycle_count=cycles)
 
 
 def effective_hamiltonian(

@@ -7,7 +7,8 @@ collective spins S_a = (1/2) sum_j sigma_a^j, the product coherent state,
 free evolution under a quadratic form of those spins, a pulse as the tensor
 power of one 2x2 rotation, and the projection onto the symmetric sector.
 Beside it: the lab-frame collective form of a pairwise coupling, built from
-dense operator products, and a schedule's one-cycle dense unitary.
+dense operator products, a schedule's one-cycle dense unitary, and the
+quadratic coefficients that each effective form's name spells.
 """
 
 import math
@@ -21,6 +22,13 @@ from lmgsqueeze.propagate import _apply_cycle, realized_cycle
 from lmgsqueeze.states import BlochAngles, SpinState
 
 FULL_SPACE_MAX_SPINS = 12
+
+# Quadratic coefficients (on Sx^2, Sy^2, Sz^2) of each effective form.
+FORM_COEFFICIENTS = {
+    "Sx2+2Sy2": (1.0, 2.0, 0.0),  # == Sy^2 - Sz^2 + S^2
+    "2Sx2+Sy2": (2.0, 1.0, 0.0),  # == Sx^2 - Sz^2 + S^2
+    "Sx2-Sy2": (1.0, -1.0, 0.0),  # two-axis twisting about z
+}
 
 _PAULI = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),

@@ -34,7 +34,8 @@ N_BLOCK = 12
 def step_alone(model, sch, initial, noise, seed_seq, sigma):
     """One run drawn and stepped on its own, one segment at a time, as the
     Monte Carlo did before runs were blocked: (xi2 trace, (n_spins, gamma,
-    chi), clamped segments)."""
+    chi), clamped segments).  A per-run chi factor v > 0 runs the model
+    chi v; v <= 0 scales every free duration, clamped, as a separation."""
     # one stream per channel, spawned in ALLOWED_SCOPES order
     streams = {
         name: np.random.Generator(np.random.PCG64(child))
@@ -56,8 +57,14 @@ def step_alone(model, sch, initial, noise, seed_seq, sigma):
 
     if active("gamma", "per_run"):
         gamma = gamma * draw("gamma")
+    realized_chi, chi_scale = chi, 1.0
     if active("chi", "per_run"):
-        chi = chi * draw("chi")
+        factor = draw("chi")
+        realized_chi = chi * factor
+        if factor > 0.0:
+            chi = realized_chi
+        else:
+            chi_scale = factor
     if active("atom_number", "per_run"):
         n_spins = max(1, int(round(n_spins * draw("atom_number"))))
     space = build_space(n_spins)
@@ -69,7 +76,7 @@ def step_alone(model, sch, initial, noise, seed_seq, sigma):
     basis = free_basis(gamma)
     area = draw("pulse_area") if active("pulse_area", "per_run") else 1.0
     tilt = draw_tilt() if active("pulse_phase", "per_run") else None
-    separation = draw("pulse_separation") if active("pulse_separation", "per_run") else 1.0
+    separation = draw("pulse_separation") if active("pulse_separation", "per_run") else chi_scale
     clamped = 0
 
     def realize(seg):
@@ -113,14 +120,14 @@ def step_alone(model, sch, initial, noise, seed_seq, sigma):
     # a generator of cycles is always stepped segment by segment
     states = run_cycles(coherent_state(space, initial), cycles)
     xi2, _, _, _ = batch_squeezing(space, states)
-    return xi2, (n_spins, gamma, chi), clamped
+    return xi2, (n_spins, gamma, realized_chi), clamped
 
 
 def block_setup(axis="z"):
     model = from_chi_gamma(1.0, 0.1, N_BLOCK)
     design_ = design(model, axis, "A")
     # 20 cycles: runs whose cycle keeps parity with one value in every column
-    # (no noise, a drawn gamma, chi or N) take the two half unitaries, 20
+    # (no noise, a drawn gamma or N) take the two half unitaries, 20
     # being past the crossover below N = 168; the others step segment by segment
     return model, design_, schedule(design_, model, 0.4, cycles=20)
 
@@ -258,7 +265,7 @@ def test_runs_on_one_trajectory_are_scored_once(monkeypatch):
 @pytest.mark.parametrize("channel", ["pulse_separation", "pulse_area"])
 @pytest.mark.parametrize("axis", ["z", "y"])
 def test_blocks_reuse_the_nominal_state_and_basis(monkeypatch, axis, channel):
-    # blocks on the nominal (N, gamma, chi) take the coherent state and the
+    # blocks on the nominal (N, gamma) take the coherent state and the
     # realized cycle that the noiseless reference runs on: the state, the
     # free parity basis and, for the y design, the toggled parity basis are
     # each built once per Monte Carlo, however many blocks there are
@@ -342,3 +349,35 @@ def test_a_drawn_atom_number_is_sized_beside_the_nominal_space(monkeypatch):
     memory["SC_PHYS_PAGES"] = both
     result = noise_monte_carlo(model, design_, noise, n_runs=4, seed=3, total_time=0.4, cycles=20)
     assert stepped and drawn in [row[1] for row in result.tables["runs"].rows]
+
+
+@pytest.mark.parametrize("n_runs", [3, 10])
+@pytest.mark.parametrize("axis", ["z", "y"])
+def test_a_drawn_chi_steps_the_nominal_cycle(monkeypatch, axis, n_runs):
+    # a drawn chi scales time, not the Hamiltonian: chi runs keep the nominal
+    # model and share one block on the nominal cycle, so the Monte Carlo
+    # factors the nominal parity bases alone (the free basis, and the y
+    # design's toggled one), however many runs drew a chi
+    model, design_, _ = block_setup(axis)
+    noise = NoiseSpec("chi", 0.1)
+    run = experiments._new_run(noise, model, np.random.SeedSequence(1))
+    assert (run.n_spins, run.gamma, run.chi) == (model.n_spins, model.gamma, model.chi)
+    assert run.drawn != 1.0
+    factored, blocks = [], []
+    of_quadratic_form = Eigenbasis.of_quadratic_form.__func__
+    mapped = experiments._map
+
+    def counting(cls, matrix):
+        factored.append(1)
+        return of_quadratic_form(cls, matrix)
+
+    def recording(function, tasks, workers):
+        blocks.append([len(task[-1]) for task in tasks])
+        return mapped(function, tasks, workers)
+
+    monkeypatch.setattr(Eigenbasis, "of_quadratic_form", classmethod(counting))
+    monkeypatch.setattr(experiments, "_map", recording)
+    result = noise_monte_carlo(model, design_, noise, n_runs, seed=8, total_time=0.4, cycles=20)
+    assert len(factored) == {"z": 1, "y": 2}[axis]
+    assert blocks == [[n_runs]]
+    assert len({row[3] for row in result.tables["runs"].rows}) == n_runs

@@ -92,17 +92,18 @@ def test_norm_drift_over_many_segments():
     space = build_space(20)
     model = from_chi_gamma(1.0, 0.1, 20)
     sched = schedule(design(model, "z", "A"), model, total_time=0.5, cycles=2500)
+    t2, t1 = (seg.duration for seg in sched.segments if isinstance(seg, FreeSegment))
     ham = realize_hamiltonian(model, space)
     w, v = hamiltonian_eig(ham)
     state = coherent_state(space, BlochAngles(math.pi / 2, 0.0))
     for _ in range(sched.cycle_count):
         state = rotate_state(state, "z", math.pi / 2)
         state = SpinState(
-            v @ (np.exp(-1j * w * sched.t2) * (v.conj().T @ state.amplitudes)), space
+            v @ (np.exp(-1j * w * t2) * (v.conj().T @ state.amplitudes)), space
         )
         state = rotate_state(state, "z", -math.pi / 2)
         state = SpinState(
-            v @ (np.exp(-1j * w * sched.t1) * (v.conj().T @ state.amplitudes)), space
+            v @ (np.exp(-1j * w * t1) * (v.conj().T @ state.amplitudes)), space
         )
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
 
@@ -111,7 +112,7 @@ def test_zero_cycles_leaves_state():
     space = build_space(6)
     model = from_chi_gamma(1.0, 0.1, 6)
     state = coherent_state(space, BlochAngles(math.pi / 2, math.pi / 2))
-    sched = PulseSchedule(segments=(FreeSegment(duration=0.1),), cycle_count=0, t1=0.1, t2=0.0)
+    sched = PulseSchedule(segments=(FreeSegment(duration=0.1),), cycle_count=0)
     trace = run_schedule(state, sched, model)
     assert len(trace.samples) == 1
     assert trace.samples[0].xi2 == pytest.approx(squeezing_parameter(state).xi2, abs=1e-12)
@@ -123,12 +124,13 @@ def test_one_cycle_matches_closed_form():
     model = from_chi_gamma(1.0, 0.1, 6)
     for axis, conj_coeffs in (("z", (0.1, 1.0, 0.0)), ("y", (0.0, 0.1, 1.0))):
         sched = schedule(design(model, axis, "A"), model, total_time=0.01, cycles=1)
+        t2, t1 = (seg.duration for seg in sched.segments if isinstance(seg, FreeSegment))
         got = schedule_unitary(sched, model, space)
         w_a, v_a = np.linalg.eigh(quadratic_form(space, 1.0, 0.1, 0.0))
         w_b, v_b = np.linalg.eigh(quadratic_form(space, *conj_coeffs))
         expected = (
-            (v_a * np.exp(-1j * w_a * sched.t1)) @ v_a.conj().T
-            @ (v_b * np.exp(-1j * w_b * sched.t2)) @ v_b.conj().T
+            (v_a * np.exp(-1j * w_a * t1)) @ v_a.conj().T
+            @ (v_b * np.exp(-1j * w_b * t2)) @ v_b.conj().T
         )
         assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -290,8 +292,6 @@ def test_prebuilt_eigenbasis_matches_hamiltonian_argument():
             for seg in sched.segments
         ),
         cycle_count=sched.cycle_count,
-        t1=sched.t1,
-        t2=sched.t2,
     )
     reference = run_schedule(state, sched, model)
     fields = ("t", "xi2", "contrast", "mean_spin", "min_variance_axis")
@@ -777,7 +777,7 @@ def test_schedule_unitary_is_one_stepped_cycle(axis, tilt):
     model = from_chi_gamma(1.0, 0.1, n)
     sched = schedule(design(model, axis, "A"), model, total_time=0.2, cycles=2)
     if tilt:
-        sched = PulseSchedule(tilted(sched.segments), 1, sched.t1, sched.t2)
+        sched = PulseSchedule(tilted(sched.segments), 1)
     basis = model_eigenbasis(model, space)
     cycle = tuple(
         FreeSegment(seg.duration, basis) if isinstance(seg, FreeSegment) else seg
@@ -865,7 +865,7 @@ def test_schedule_times_are_the_running_sum_of_free_durations(axis, gamma):
 
 
 def test_pulse_only_schedule_times_are_zeros():
-    sched = PulseSchedule((PulseSegment("z", 0.3), PulseSegment("x", 0.2)), 4, 0.0, 0.0)
+    sched = PulseSchedule((PulseSegment("z", 0.3), PulseSegment("x", 0.2)), 4)
     assert sched.times.tobytes() == running_sum(sched).tobytes() == np.zeros(5).tobytes()
 
 
@@ -877,7 +877,8 @@ def test_run_schedule_toggles_y_pairs_like_stepped_pulses(n):
     # the y pair becomes one free segment; the model's free segment is kept
     toggled = toggled_cycle(space, sched.segments, model.coefficients)
     assert [type(seg) for seg in toggled] == [FreeSegment, FreeSegment]
-    assert [seg.duration for seg in toggled] == [sched.t2, sched.t1]
+    t2, t1 = (seg.duration for seg in sched.segments if isinstance(seg, FreeSegment))
+    assert [seg.duration for seg in toggled] == [t2, t1]
     assert toggled[0].hamiltonian is not None and toggled[1].hamiltonian is None
     psi = coherent_state(space, design(model, "y", "A").optimal_initial)
     trace = run_schedule(psi, sched, model)
@@ -914,7 +915,7 @@ def test_x_pair_cycle_toggles_like_stepped_pulses(sign):
         PulseSegment("x", -sign * math.pi / 2),
         FreeSegment(0.05),
     )
-    sched = PulseSchedule(segments, cycle_count=7, t1=0.05, t2=0.03)
+    sched = PulseSchedule(segments, cycle_count=7)
     cycle = stepped(segments, model_eigenbasis(model, space))
     psi = coherent_state(space, BlochAngles(1.1, 0.4))
     trace = run_schedule(psi, sched, model)

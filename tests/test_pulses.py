@@ -17,9 +17,16 @@ from lmgsqueeze.errors import TooLarge, XAxisImpossible
 from lmgsqueeze.experiments import NoiseSpec, noise_monte_carlo
 from lmgsqueeze.metrics import SCAN_SAMPLE_BYTES, TRACE_BLOCKS, TRACE_FIXED_BYTES
 from lmgsqueeze.metrics import minimize_hamiltonian
-from lmgsqueeze.propagate import run_schedule
-from lmgsqueeze.pulses import FORM_COEFFICIENTS, design, effective_hamiltonian, schedule
+from lmgsqueeze.propagate import FreeSegment, run_schedule
+from lmgsqueeze.pulses import design, effective_hamiltonian, schedule
 from lmgsqueeze.states import coherent_state, rotation
+from oracles import FORM_COEFFICIENTS
+
+
+def free_durations(sched) -> list:
+    """The free durations of one cycle in run order: [t2, t1] for a pulsed
+    design, [t_c] for free evolution."""
+    return [seg.duration for seg in sched.segments if isinstance(seg, FreeSegment)]
 
 
 def test_design_closed_forms_at_tenth():
@@ -117,7 +124,7 @@ def test_z_timing_consistency(gamma, branch, target):
     # (t1 + gamma t2) / (gamma t1 + t2) must hit 1/2 or 2 exactly
     model = from_chi_gamma(1.0, float(gamma), 10)
     sched = schedule(design(model, "z", branch), model, total_time=1.0, cycles=10)
-    t1, t2 = sched.t1, sched.t2
+    t2, t1 = free_durations(sched)
     ratio = (t1 + gamma * t2) / (gamma * t1 + t2)
     assert ratio == pytest.approx(target, abs=1e-12)
 
@@ -192,9 +199,10 @@ def test_schedule_respects_ratio_and_step():
     design_ = design(model, "z", "A")
     sched = schedule(design_, model, total_time=0.08, max_step=0.05)
     assert sched.cycle_count == math.ceil(0.08 * 100 / 0.05)
-    assert sched.t2 / sched.t1 == pytest.approx(design_.ratio_t2_t1, rel=1e-12)
-    assert sched.cycle_count * (sched.t1 + sched.t2) == pytest.approx(0.08, rel=1e-12)
-    assert sched.cycle_count * model.n_spins * model.chi * sched.cycle_time >= 0.08 * 100
+    t2, t1 = free_durations(sched)
+    assert t2 / t1 == pytest.approx(design_.ratio_t2_t1, rel=1e-12)
+    assert sched.cycle_count * (t1 + t2) == pytest.approx(0.08, rel=1e-12)
+    assert sched.cycle_count * model.n_spins * model.chi * (t1 + t2) >= 0.08 * 100
 
 
 def test_max_step_halving_doubles_cycles():
@@ -204,9 +212,10 @@ def test_max_step_halving_doubles_cycles():
     coarse = schedule(design_, model, total, max_step=0.05)
     fine = schedule(design_, model, total, max_step=0.025)
     assert fine.cycle_count == 2 * coarse.cycle_count
-    assert fine.t1 == pytest.approx(coarse.t1 / 2.0, rel=1e-12)
-    assert fine.t2 == pytest.approx(coarse.t2 / 2.0, rel=1e-12)
-    assert fine.t2 / fine.t1 == pytest.approx(coarse.t2 / coarse.t1, rel=1e-12)
+    (fine_t2, fine_t1), (coarse_t2, coarse_t1) = free_durations(fine), free_durations(coarse)
+    assert fine_t1 == pytest.approx(coarse_t1 / 2.0, rel=1e-12)
+    assert fine_t2 == pytest.approx(coarse_t2 / 2.0, rel=1e-12)
+    assert fine_t2 / fine_t1 == pytest.approx(coarse_t2 / coarse_t1, rel=1e-12)
 
 
 def test_cycle_limit_convergence():
@@ -251,7 +260,7 @@ def test_no_pulse_schedule_is_free_evolution():
     marker = design(model, "z", "A")
     sched = schedule(marker, model, total_time=0.1, max_step=0.05)
     assert len(sched.segments) == 1
-    assert sched.t2 == 0.0
+    assert free_durations(sched) == [0.1 / sched.cycle_count]
     space = build_space(16)
     psi = coherent_state(space, marker.optimal_initial)
     trace = run_schedule(psi, sched, model)

@@ -502,39 +502,72 @@ def test_every_grid_and_worker_parameter_is_refused_before_a_space_is_built(monk
 KEPT_ENTRY_POINTS = {"frame_unitary", "minimize_over_time", "squeezing_parameter", "LMGModel.sign"}
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _assigned_names(node) -> list:
+    """The plain names an assignment statement binds: a module constant, or
+    a class attribute or dataclass field."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name) and not _is_dunder(t.id)]
+
+
 def unreferenced_definitions(sources: dict) -> set:
-    """Module-level functions and classes, and non-dunder methods (as
-    ``Class.method``), of ``sources`` (module name -> source) that no module
-    names as a Name, an Attribute or an import outside their own definition."""
+    """Module-level functions, classes and constants, and the non-dunder
+    members of classes (methods, properties, fields and class attributes,
+    as ``Class.member``), of ``sources`` (module name -> source) that no
+    module refers to outside their own definition.  A module-level name is
+    referred to as a Name, an Attribute or an import; a member only when
+    some module reads it as an attribute (``x.member``, or a ``getattr``
+    string), so a local variable that shares its name does not keep it."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    references = []
+    names, reads = [], []
     for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                references.append((module, node.lineno, node.id))
+                names.append((module, node.lineno, node.id))
             elif isinstance(node, ast.Attribute):
-                references.append((module, node.lineno, node.attr))
+                names.append((module, node.lineno, node.attr))
+                if isinstance(node.ctx, ast.Load):
+                    reads.append((module, node.lineno, node.attr))
             elif isinstance(node, ast.ImportFrom):
-                references += [(module, node.lineno, alias.name) for alias in node.names]
-    definitions = []
+                names += [(module, node.lineno, alias.name) for alias in node.names]
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr"
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                reads.append((module, node.lineno, node.args[1].value))
+    definitions = []  # (label, name, node, module, the references that count)
     for module, tree in trees.items():
         for node in tree.body:
+            definitions += [(name, name, node, module, names) for name in _assigned_names(node)]
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            definitions.append((node.name, node, module))
-            if isinstance(node, ast.ClassDef):
+            definitions.append((node.name, node.name, node, module, names))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                members = _assigned_names(item)
+                if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
+                    members.append(item.name)
                 definitions += [
-                    (f"{node.name}.{item.name}", item, module)
-                    for item in node.body
-                    if isinstance(item, ast.FunctionDef)
-                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                    (f"{node.name}.{member}", member, item, module, reads) for member in members
                 ]
     return {
         label
-        for label, node, module in definitions
+        for label, name, node, module, references in definitions
         if not any(
-            name == node.name and not (where == module and node.lineno <= line <= node.end_lineno)
-            for where, line, name in references
+            found == name and not (where == module and node.lineno <= line <= node.end_lineno)
+            for where, line, found in references
         )
     }
 
@@ -543,12 +576,17 @@ def test_no_test_only_name_in_the_package():
     # the package is what the experiments run: a name that only tests call
     # belongs with the tests (tests/oracles.py for reference implementations)
     sample = {
-        "a": "def used():\n    pass\ndef unused():\n    return unused()\n"
-        "class C:\n    def __init__(self):\n        self.m()\n    def m(self):\n        pass\n"
-        "    def n(self):\n        pass\n",
-        "b": "from a import used\n",
+        "a": "LIMIT = 3\nUNUSED = 4\ndef used():\n    pass\ndef unused():\n    return unused()\n"
+        "class C:\n    read: int\n    kept: int\n    unread: int\n"
+        "    def __init__(self):\n        self.m()\n    def m(self):\n        pass\n"
+        "    def n(self):\n        pass\n"
+        "    @property\n    def p(self):\n        return self.unread\n"
+        "    @property\n    def q(self):\n        pass\n",
+        "b": "from a import used, LIMIT, C\n"
+        "def f(c, p, q=1):\n    n = c.read + p + q\n    return getattr(c, 'kept'), n\n"
+        "f(C(), LIMIT)\n",
     }
-    assert unreferenced_definitions(sample) == {"unused", "C", "C.n"}
+    assert unreferenced_definitions(sample) == {"UNUSED", "unused", "C.n", "C.p", "C.q"}
     sources = {
         path.stem: path.read_text()
         for path in sorted(PACKAGE.glob("*.py"))
