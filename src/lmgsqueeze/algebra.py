@@ -6,14 +6,15 @@ For N spin-1/2 particles the symmetric sector carries total spin j = N/2 and
 has dimension N + 1.  The basis is ordered by decreasing magnetic quantum
 number, so index 0 is |j, j> and index N is |j, -j>.  An operator is a
 plain dense, double-precision complex ``np.ndarray``, frozen (read-only)
-once built; the squares Sx^2 and Sy^2 are real, and Sz^2 is diagonal
-(m^2), so a quadratic form adds it on the diagonal and none is kept.  A
-DickeSpace keeps only real objects: the squares, the moment weights of
+once built; the squares Sx^2 and Sy^2 are real with entries only on the
+diagonals 0 and +-2, and Sz^2 is diagonal (m^2), so a quadratic form is
+assembled from those bands and none is kept dense.  A DickeSpace keeps
+only real objects: the bands of the squares, the moment weights of
 ``metrics`` and the real eigenbasis of Sx through which
 ``states.rotate_state`` turns about x and y, each built on first use (safe
 under threads: all callers get the one stored copy) and released with the
 space.  ``collective_operator`` builds a fresh matrix on every call, which
-its caller drops once used, so no dense complex operator outlives its use.
+its caller drops once used, so no dense operator outlives its use.
 
 Every exp(-i t G) whose G is applied more than once goes through an
 Eigenbasis of G (``propagate`` or ``sample``): free evolution, rotations
@@ -46,22 +47,24 @@ LABELS = ("Sx", "Sy", "Sz")
 HERMITICITY_TOL = 1e-10
 HERMITICITY_ROWS = 64  # rows per block of the Hermiticity check: no dense temporary
 PARITY_ROWS = (slice(0, None, 2), slice(1, None, 2))  # the even and the odd Sz-parity rows
+SQUARE_BANDS = (0, 2, -2)  # the diagonals on which Sx^2 and Sy^2 have entries
 # Bytes per dim^2 alive for one space at the peak of a run on it.  In
 # compare_pulsed that is the eigh of an effective Hamiltonian (one at a
 # time: the y design's basis is dropped before the z design's is
-# factored): the real Sx^2, Sy^2 the space holds (it keeps no dense Sx or
-# Sy, and its x/y pulses run in the toggling frame, so no Sx basis is
-# built); the matrix being factored and the complex v that eigh returns;
+# factored): the matrix being factored and the complex v that eigh returns;
 # and what numpy's complex eigh holds beside them: its own copy of the
-# matrix and zheevd's work and rwork.  That counts 96; one more complex
-# dim^2 covers the freed temporaries that malloc keeps resident.  Measured
-# peak RSS over the RSS after imports, on 2 vCPU with glibc malloc, at
-# N = 1000 (growth between N = 600 and 1000): compare_pulsed 104 (98); the
-# noise Monte Carlo on the nominal N, which keeps the model's basis and
-# cycle beside what its effective-Hamiltonian eigh left resident, 110.5
-# (98-99); the initial-state sweep 86 (82).  A noise run that draws its atom
-# number holds two spaces, which experiments._noise_outcomes sizes.
-DENSE_BYTES_PER_DIM2 = 2 * 8 + 2 * 16 + 3 * 16 + 16
+# matrix and zheevd's work and rwork.  The space keeps no dense matrix at
+# that point (Sx^2 and Sy^2 are bands, and its x/y pulses run in the
+# toggling frame, so no Sx basis is built).  That counts 80; one more
+# complex dim^2 covers the freed temporaries that malloc keeps resident.
+# Measured peak RSS over the RSS after imports, on 2 vCPU with glibc
+# malloc, at N = 1000 (growth between N = 600 and 1000): compare_pulsed
+# 91.9 (87.8); the noise Monte Carlo on the nominal N, which keeps the
+# model's basis and cycle beside what its effective-Hamiltonian eigh left
+# resident, 87.2 (82.1); the initial-state sweep 85.8 (81.3).  A noise run
+# that draws its atom number holds two spaces, which
+# experiments._noise_outcomes sizes.
+DENSE_BYTES_PER_DIM2 = 2 * 16 + 3 * 16 + 16
 
 
 @dataclass(frozen=True)
@@ -157,8 +160,11 @@ def quadratic_form(space: DickeSpace, a: float, b: float, c: float) -> np.ndarra
     """Return the Hermitian quadratic form a*Sx^2 + b*Sy^2 + c*Sz^2.
 
     Byte for byte the sum of the dense complex squares, signs of zeros
-    included.  Sz^2 is diagonal with entries m^2 exactly, so c*m^2 is added
-    on the diagonal alone: off it the dense square adds c*(+-0), which
+    included, assembled from the bands the space keeps
+    (``second_moment_operators``): a*x + b*y on the diagonal and the +-2
+    bands, and off them a*(+0) + b*(+0), the value every other entry of the
+    dense sum takes.  Sz^2 is diagonal with entries m^2 exactly, so c*m^2 is
+    added on the diagonal alone: off it the dense square adds c*(+-0), which
     changes only a -0 entry, and a*Sx^2 + b*Sy^2 has none when ``a`` has no
     sign bit.  Every form the package builds from a model (chi > 0) has such
     an ``a``.  For a < 0 or a = -0.0 the signs of the zeros follow those of
@@ -167,18 +173,29 @@ def quadratic_form(space: DickeSpace, a: float, b: float, c: float) -> np.ndarra
     for name, coeff in (("a", a), ("b", b), ("c", c)):
         if not np.isfinite(coeff):
             raise ValueError(f"coefficient {name} must be finite, got {coeff!r}")
-    mats = second_moment_operators(space)
-    # a*(x + 0j) is a*x + (a*0 + 0*x)j, and 0*x = +0 as Sx^2 has no negative
-    # entry, so every imaginary part of the complex sum is +0
-    out = a * mats["xx"]
-    out += b * mats["yy"]
+    squares = second_moment_operators(space)
+    dim = space.dim
+    # every imaginary part is +0, as in the complex sum, where a*(x + 0j) is
+    # a*x + (a*0 + 0*x)j and 0*x = +0; a zeroed array leaves the pages off
+    # the bands unwritten, out of the resident set until eigh copies the form
+    out = np.zeros((dim, dim), dtype=complex)
+    form = out.real
+    off_bands = a * 0.0 + b * 0.0
+    if np.signbit(off_bands):
+        form[...] = off_bands
+    for k, x, y in zip(SQUARE_BANDS, squares["xx"], squares["yy"]):
+        band = a * x
+        band += b * y
+        i = np.arange(dim - abs(k))
+        form[i + max(-k, 0), i + max(k, 0)] = band
     m = space.m_values()
     if np.signbit(a):
         sz = np.diag(m).astype(complex)
-        out += c * (sz @ sz).real
+        form += c * (sz @ sz).real
     else:
-        out.flat[:: space.dim + 1] += c * m**2
-    return _frozen(out.astype(complex))
+        i = np.arange(dim)
+        form[i, i] += c * m**2
+    return _frozen(out)
 
 
 def conjugated_coefficients(axis: str, coefficients: tuple) -> tuple:
@@ -195,19 +212,26 @@ def conjugated_coefficients(axis: str, coefficients: tuple) -> tuple:
     return swapped[axis]
 
 
-def second_moment_operators(space: DickeSpace) -> dict[str, np.ndarray]:
-    """The real squares Sx^2 and Sy^2 the space holds, keyed "xx" and "yy":
-    the real parts of the dense complex products, whose bits reach h_eff.
-    Sz^2 is diagonal (m^2), so none is kept."""
+def second_moment_operators(space: DickeSpace) -> dict[str, tuple]:
+    """The squares Sx^2 and Sy^2 as the space keeps them, keyed "xx" and
+    "yy": their diagonals on SQUARE_BANDS (0, +2 and -2), taken from the real
+    parts of the dense complex products, whose bits reach h_eff.  Every
+    other entry of those products is +0 (checked as each is formed), so the
+    dense squares are freed once their bands are copied out; Sz^2 is
+    diagonal (m^2), so none is kept."""
 
-    def real_square(label):
+    def square_bands(label):
         op = collective_operator(space, label)  # its own copy, dropped on return
         square = op @ op
-        assert not np.any(square.imag) and not np.any(np.signbit(square.imag))
-        return _frozen(square.real.copy())
+        kept = tuple(_frozen(np.diagonal(square.real, k).copy()) for k in SQUARE_BANDS)
+        # +0 is the one float whose bits are all zero: every imaginary part
+        # and every real part off the bands is +0
+        bits = sum(np.count_nonzero(band.view(np.uint64)) for band in kept)
+        assert np.count_nonzero(square.view(np.uint64)) == bits
+        return kept
 
     def build():
-        return {"xx": real_square("Sx"), "yy": real_square("Sy")}
+        return {"xx": square_bands("Sx"), "yy": square_bands("Sy")}
 
     return space.built("moments", build)
 

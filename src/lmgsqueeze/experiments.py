@@ -74,15 +74,27 @@ NOISE_CHANNELS = tuple(ALLOWED_SCOPES)
 # stroboscopic error, so a trace that ends past it still brackets it.
 SCHEDULE_SPAN = 1.2
 # Noise runs that share a space and a free basis are stepped together in
-# blocks whose states at the cycle boundaries take at most this many bytes
-# (N = 100 with 165 cycles: 31 runs).
+# blocks of BLOCK_BYTES / (16 (N+1) (cycles+1)) runs (N = 100 with 165
+# cycles: 31 runs).  The width fixes the width of every product, and so its
+# rounding, until the seed-0 benchmark reference is re-recorded (ROADMAP
+# item 7); it no longer bounds the states a block holds, which run_cycles
+# yields SCAN_CHUNK columns at a time.
 BLOCK_BYTES = 8 * 2**20
+# Bytes a noise Monte Carlo keeps per run and cycle boundary beside its
+# chunked trace: the run's xi^2 in its block's batches and their join, in
+# the outcomes, in the stacked table and in nanargmin's copy of it.  The
+# tracemalloc peak grows by 8-25 B per run and boundary beyond
+# SCAN_SAMPLE_BYTES from 400 to 1600 cycles (N = 4 and 40, 24 and 200 runs).
+NOISE_RUN_SAMPLE_BYTES = 32
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
     """One Gaussian noise channel with a relative standard deviation; a chi
-    factor v scales free durations, as a separation does: v <= 0 clamps them."""
+    factor v scales free durations, as a separation does: v <= 0 clamps them.
+    A gamma factor v runs the drawn form chi (Sx^2 + gamma v Sy^2), whatever
+    its sign: gamma v outside [0, 1/2] is stepped as drawn, neither clamped
+    nor folded into the range that ``canonical.from_chi_gamma`` keeps."""
 
     channel: str
     relative_sigma: float
@@ -495,6 +507,8 @@ def compare_pulsed(
     t_pred_y = predicted_optimal_time(design_y, model, space, psi_y)[0]
     t_pred_z, h_ref = predicted_optimal_time(design_z, model, space, psi_z)
     schedule_z = schedule(design_z, model, SCHEDULE_SPAN * t_pred_z, max_step=max_step)
+    # the reference traces below sample every z cycle boundary in one chunk
+    require_trace_memory(model.n_spins, schedule_z.cycle_count + 1, every_sample=True)
     schedule_y = schedule(design_y, model, SCHEDULE_SPAN * t_pred_y, max_step=max_step)
 
     h_lmg = model_eigenbasis(model, space)
@@ -647,7 +661,8 @@ class _Run:
     """One trajectory: the nominal run plus the draws of its one active
     channel, from that channel's stream.  A per-run draw changes its model
     (n_spins, gamma) or is its one ``drawn`` value (a separation, area or
-    chi factor, or a tilt); ``chi`` stays nominal (a time scale: NoiseSpec)."""
+    chi factor, or a tilt); ``chi`` stays nominal (a time scale: NoiseSpec).
+    A drawn ``gamma`` is kept as drawn, whatever its sign (NoiseSpec)."""
 
     noise: NoiseSpec
     stream: "np.random.Generator"  # a string: numpy loads numpy.random on first use
@@ -713,7 +728,8 @@ def _noise_block(block: tuple) -> list:
     applied once, whose column r takes the gamma run r drew for it.
 
     Returns, per run: the xi2 value at every cycle boundary (nan where the
-    contrast collapses), its realized (n_spins, gamma, chi), the count of
+    contrast collapses; each block of boundary states is scored as
+    ``run_cycles`` yields it), its realized (n_spins, gamma, chi), the count of
     clamped negative durations and the norm error.  Runs of a channel that
     perturbs no segment follow one trajectory, stepped and scored once, as
     one column.  A drawn atom number gets a space of its own, dropped with
@@ -773,15 +789,20 @@ def _noise_block(block: tuple) -> list:
         # per-segment form lives only as long as its cycle
         cycles = (realize_cycle() for _ in range(sch.cycle_count))
     amps = np.repeat(psi0.amplitudes[:, None], len(columns), axis=1)
-    states = run_cycles(SpinState(amps, space), cycles)
+    parts = []
+    for states in run_cycles(SpinState(amps, space), cycles):
+        # one xi2 per state column, run r's boundaries in row r
+        xi2 = batch_squeezing(space, states.reshape(space.dim, -1))[0]
+        parts.append(xi2.reshape(len(columns), -1))
+    traces = np.concatenate(parts, axis=1)
 
     scored = []
     for c, r in enumerate(columns):
-        # the noise perturbs parameters, never the state: evolution stays unitary
+        # the noise perturbs parameters, never the state: evolution stays
+        # unitary (the last block ends with the final states)
         norm_error = abs(float(np.linalg.norm(states[:, c, -1])) - 1.0)
-        xi2, _, _, _ = batch_squeezing(space, states[:, c])
         chi = r.chi * r.drawn if noise.channel == "chi" and r.drawn is not None else r.chi
-        scored.append((xi2, (r.n_spins, r.gamma, chi), int(clamped[c]), norm_error))
+        scored.append((traces[c], (r.n_spins, r.gamma, chi), int(clamped[c]), norm_error))
     return scored * len(runs) if kind is None else scored
 
 
@@ -803,14 +824,13 @@ def _noise_outcomes(space, model, sch, initial, noise, n_runs, seed, workers, ps
     if drawn:
         # a block on a drawn N builds and factors in a space of its own while
         # the nominal space, its basis and its cycle stay alive: both count
-        # (measured at N = 1000 with draws near it: 158 B per dim^2 of the
-        # nominal space, growing by 163 between N = 600 and 1000)
+        # (measured at N = 1000 with draws near it: 130 B per dim^2 of the
+        # nominal space, growing by 135 between N = 600 and 1000)
         n = max(drawn)
         require_memory(
             DENSE_BYTES_PER_DIM2 * ((model.n_spins + 1) ** 2 + (n + 1) ** 2),
             f"dense operators at n_spins={model.n_spins} and a drawn n_spins={n}",
         )
-    require_trace_memory(n_max, sch.cycle_count + 1, every_sample=True)
     groups = {}
     for index, run in enumerate(runs):
         groups.setdefault((run.n_spins, run.gamma), []).append(index)
@@ -822,6 +842,14 @@ def _noise_outcomes(space, model, sch, initial, noise, n_runs, seed, workers, ps
         for i in range(0, len(indices), width):
             blocks.append(indices[i : i + width])
             tasks.append((space, state, nominal, sch, initial, [runs[j] for j in blocks[-1]]))
+    # a block steps one column per run at most: the widest sets the chunk
+    require_trace_memory(
+        n_max,
+        sch.cycle_count + 1,
+        every_sample=False,
+        sample_bytes=NOISE_RUN_SAMPLE_BYTES * n_runs,
+        columns=max(len(block) for block in blocks),
+    )
     outcomes = [None] * n_runs
     for block, block_outcomes in zip(blocks, _map(_noise_block, tasks, workers)):
         for index, outcome in zip(block, block_outcomes):
@@ -859,9 +887,8 @@ def noise_monte_carlo(
     # the nominal model; runs that keep their pulses take it untoggled
     basis = model_eigenbasis(model, space)
     cycle = realized_cycle(space, sch.segments, model.coefficients, basis)
-    states = run_cycles(psi0, (cycle,) * sch.cycle_count)
-    ref_min = float(np.nanmin(batch_squeezing(space, states)[0]))
-    del states  # not held while the runs are stepped
+    blocks = run_cycles(psi0, (cycle,) * sch.cycle_count)
+    ref_min = float(np.nanmin(np.concatenate([batch_squeezing(space, b)[0] for b in blocks])))
     kind, banded = _perturbation(noise)
     if kind is PulseSegment or banded:
         cycle = realized_cycle(space, sch.segments, None, basis)

@@ -29,16 +29,12 @@ from .algebra import DickeSpace, Eigenbasis, build_space, collective_operator, r
 from .algebra import require_memory
 from .canonical import LMGModel, model_eigenbasis
 from .errors import ConfigError, MeanSpinVanished, NoMinimumFound
-from .propagate import evolve, evolve_batch
+from .propagate import SCAN_CHUNK, evolve, evolve_batch
 from .states import BlochAngles, SpinState, coherent_state
 
 CONTRAST_EPS = 1e-6
 _AXES = np.eye(3)  # columns e_x, e_y, e_z
 REFINE_XTOL = 1e-6
-# Samples per chunk of a minimum search's time scan (see _scan).  The
-# initial-state sweep (N = 100, 300 samples) finds its first minima near
-# sample 118; 128 ran it faster than 64 or 192 (2-vCPU x86-64, OpenBLAS 0.3.31).
-SCAN_CHUNK = 128
 # Bytes a scan keeps per time sampled, besides its chunk of states: its
 # per-sample results, their concatenation, the time grid and the (K,)
 # temporaries of xi^2.  Measured where they weigh most beside the states,
@@ -309,14 +305,41 @@ def trace_from_states(
     )
 
 
-def require_trace_memory(n_spins: int, samples, every_sample: bool, sample_bytes: int = 0):
-    """TooLarge when xi^2 at ``samples`` times (inf allowed) at ``n_spins``
-    would not fit in physical memory: TRACE_BLOCKS blocks of every state
-    with ``every_sample``, else of one SCAN_CHUNK chunk, plus
-    SCAN_SAMPLE_BYTES per time and TRACE_FIXED_BYTES either way; the caller
-    keeps ``sample_bytes`` per time."""
-    block = TRACE_BLOCKS * 16 * (n_spins + 1)
-    held = block * (samples if every_sample else min(samples, SCAN_CHUNK))
+def _joined(parts: list, end: int | None = None) -> tuple:
+    """The per-sample arrays of consecutive traces, concatenated and cut
+    after ``end`` samples."""
+    return tuple(
+        np.concatenate([getattr(p, f) for p in parts], axis=-1)[..., :end]
+        for f in ("t", "xi2", "contrast", "mean_spin", "min_variance_axis")
+    )
+
+
+def trace_from_blocks(space: DickeSpace, times: np.ndarray, blocks) -> SqueezingTrace:
+    """The trace of consecutive blocks of state columns (the blocks of one
+    trajectory that propagate.run_cycles yields) at ``times``, each block
+    scored as it comes and dropped, and the first local minimum of the whole."""
+    times = np.asarray(times, dtype=float)
+    parts, start = [], 0
+    for block in blocks:
+        stop = start + block.shape[-1]
+        parts.append(trace_from_states(space, times[start:stop], block))
+        start = stop
+    t, xi2, contrast, mean, axes = _joined(parts)
+    return SqueezingTrace(t, xi2, contrast, mean, axes, _located(t, xi2, first_local_minimum(xi2)))
+
+
+def require_trace_memory(
+    n_spins: int, samples, every_sample: bool, sample_bytes: int = 0, columns: int = 1
+):
+    """TooLarge when xi^2 at ``samples`` times (inf allowed) of ``columns``
+    trajectories at ``n_spins`` would not fit in physical memory:
+    TRACE_BLOCKS blocks of every state with ``every_sample``, else of one
+    chunk (SCAN_CHUNK state columns, but at least one time of every
+    trajectory, as propagate.run_cycles yields them), plus SCAN_SAMPLE_BYTES
+    per time and TRACE_FIXED_BYTES either way; the caller keeps
+    ``sample_bytes`` per time."""
+    block = TRACE_BLOCKS * 16 * (n_spins + 1) * columns
+    held = block * (samples if every_sample else min(samples, max(1, SCAN_CHUNK // columns)))
     per_sample = SCAN_SAMPLE_BYTES + sample_bytes
     needed = TRACE_FIXED_BYTES + held + per_sample * samples
     require_memory(needed, f"traces of {samples} times at n_spins={n_spins}")
@@ -406,10 +429,7 @@ def _scan(
             break
         before = window[-2:]
     end = times.size if every_sample or k is None else k + 2
-    t, xi2, contrast, mean, axes = (
-        np.concatenate([getattr(p, f) for p in parts], axis=-1)[..., :end]
-        for f in ("t", "xi2", "contrast", "mean_spin", "min_variance_axis")
-    )
+    t, xi2, contrast, mean, axes = _joined(parts, end)
     return SqueezingTrace(t, xi2, contrast, mean, axes, _located(t, xi2, k))
 
 

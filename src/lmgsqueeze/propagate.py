@@ -17,11 +17,13 @@ form, factored by parity once per realized cycle.  ``realized_cycle`` alone
 makes a cycle as it is run, pairs toggled and free Hamiltonians filled in
 with a basis: ``run_schedule`` and the noise Monte Carlo step it; z
 pulses and drawn pulse errors are applied as rotations.  ``run_cycles`` is
-the one executor: segments in, states out.  Pulse schedules (one
-trajectory) and blocks of noisy trajectories (perturbed copies of a
-schedule's segments, held as the columns of one array) run through it, one
-product per segment for the whole block; the schedule owns the
-cycle-boundary times (``PulseSchedule.times``).  A cycle that keeps
+the one executor: segments in, states out, yielded in blocks of at most
+SCAN_CHUNK state columns as they are stepped, so a caller scores each
+block and drops it and no run holds every cycle-boundary state.  Pulse
+schedules (one trajectory) and blocks of noisy trajectories (perturbed
+copies of a schedule's segments, held as the columns of one array) run
+through it, one product per segment for the whole block; the schedule owns
+the cycle-boundary times (``PulseSchedule.times``).  A cycle that keeps
 Sz-parity (free segments under parity bases, pulses about z, one value per
 column), repeated from ``half_unitary_crossover`` on, is applied as its
 unitary on each parity half, a complex (dim/2)^2 block built by
@@ -46,6 +48,13 @@ from .algebra import hamiltonian_eig  # noqa: F401  (re-exported: part of this m
 from .canonical import LMGModel, model_eigenbasis
 from .errors import DimensionMismatch
 from .states import SpinState, rotate_state
+
+# State columns scored at once: the chunks of a minimum search's time scan
+# (metrics._scan) and the blocks of cycle boundaries that run_cycles yields.
+# The initial-state sweep (N = 100, 300 samples) finds its first minima near
+# sample 118; 128 ran it faster than 64 or 192 (2-vCPU x86-64, OpenBLAS 0.3.31).
+SCAN_CHUNK = 128
+
 
 def half_unitary_crossover(half: int) -> int:
     """Cycles from which a repeated parity-keeping cycle is applied as its
@@ -240,9 +249,33 @@ def _half_unitaries(space: DickeSpace, cycle) -> list:
     return halves
 
 
-def run_cycles(state: SpinState, cycles) -> np.ndarray:
+def _boundaries(space: DickeSpace, amps: np.ndarray, cycles):
+    """Each cycle boundary, the initial state first, as the (rows,
+    amplitudes) pairs that fill it: one pair stepped segment by segment, or
+    one per parity half when a repeated parity-keeping cycle runs as its
+    half unitaries (see ``run_cycles``)."""
+    if (
+        isinstance(cycles, Sequence)
+        and len(cycles) >= half_unitary_crossover(space.dim // 2)
+        and all(cycle is cycles[0] for cycle in cycles)
+        and _keeps_parity(cycles[0])
+    ):
+        halves = _half_unitaries(space, cycles[0])
+        parts = [amps[rows] for rows in PARITY_ROWS]
+        yield zip(PARITY_ROWS, parts)
+        for _ in cycles:
+            parts = [unitary @ part for unitary, part in zip(halves, parts)]
+            yield zip(PARITY_ROWS, parts)
+        return
+    yield ((slice(None), amps),)
+    for segments in cycles:
+        amps = _apply_cycle(space, segments, amps)
+        yield ((slice(None), amps),)
+
+
+def run_cycles(state: SpinState, cycles):
     """Apply each cycle (a tuple of segments whose free Hamiltonians are
-    Eigenbases) to ``state`` in turn.
+    Eigenbases) to ``state`` in turn, yielding the states as they are stepped.
 
     ``state`` holds one amplitude vector or a block of R trajectories as the
     columns of a (dim, R) array, and each segment applies to the whole block
@@ -253,32 +286,28 @@ def run_cycles(state: SpinState, cycles) -> np.ndarray:
     built once on each parity half and applied as one product per half per
     cycle; every other sequence is stepped segment by segment.
 
-    Returns the amplitudes at every cycle boundary, starting with the
-    initial state, stacked along a last axis; their times are the
+    Yields the amplitudes at every cycle boundary, starting with the initial
+    state, in consecutive blocks along a last axis: (dim, k) or (dim, R, k)
+    arrays of k boundaries, k the most that keeps R k within SCAN_CHUNK
+    state columns (the last block may hold fewer, and no block fewer than
+    one boundary).  Each block is a fresh array, so a caller that reduces it
+    and drops it holds one block at a time; the boundary times are the
     schedule's (``PulseSchedule.times``).
     """
-    space = state.space
-    amps = state.amplitudes
-    if (
-        isinstance(cycles, Sequence)
-        and len(cycles) >= half_unitary_crossover(space.dim // 2)
-        and all(cycle is cycles[0] for cycle in cycles)
-        and _keeps_parity(cycles[0])
-    ):
-        out = np.empty(amps.shape + (len(cycles) + 1,), dtype=complex)
-        for rows, unitary in zip(PARITY_ROWS, _half_unitaries(space, cycles[0])):
-            part = amps[rows]
-            parts = [part]
-            for _ in cycles:
-                part = unitary @ part
-                parts.append(part)
-            out[rows] = np.stack(parts, axis=-1)
-        return out
-    snapshots = [amps]
-    for segments in cycles:
-        amps = _apply_cycle(space, segments, amps)
-        snapshots.append(amps)
-    return np.stack(snapshots, axis=-1)
+    space, amps = state.space, state.amplitudes
+    width = max(1, SCAN_CHUNK // (amps.size // space.dim))
+    filled = 0
+    for boundary in _boundaries(space, amps, cycles):
+        if filled == 0:
+            block = np.empty(amps.shape + (width,), dtype=complex)
+        for rows, values in boundary:
+            block[rows, ..., filled] = values
+        filled += 1
+        if filled == width:
+            yield block
+            filled = 0
+    if filled:
+        yield block[..., :filled]
 
 
 def run_schedule(
@@ -297,8 +326,8 @@ def run_schedule(
         raise DimensionMismatch(f"state has N={space.n_spins}, model has N={model.n_spins}")
     basis = model_basis or model_eigenbasis(model, space)
     cycle = realized_cycle(space, schedule.segments, model.coefficients, basis)
-    states = run_cycles(state, (cycle,) * schedule.cycle_count)
+    blocks = run_cycles(state, (cycle,) * schedule.cycle_count)
 
-    from .metrics import trace_from_states
+    from .metrics import trace_from_blocks
 
-    return trace_from_states(space, schedule.times, states)
+    return trace_from_blocks(space, schedule.times, blocks)

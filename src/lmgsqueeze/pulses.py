@@ -134,16 +134,18 @@ def schedule(
     pulse(axis, -pi/2), free(t1), which reproduces the single-period
     propagator exp(-i Ha chi' t1) exp(-i Hb chi' t2) exactly; for the y
     axis ``propagate.run_schedule`` applies the pulse pair and free(t2) as
-    that exp(-i Hb chi' t2) (the toggling frame).  A run keeps
-    the state at every cycle boundary, so a cycle count whose trace would
-    not fit in physical memory raises TooLarge.
+    that exp(-i Hb chi' t2) (the toggling frame).  A run scores its
+    cycle-boundary states a chunk at a time and keeps xi^2 at each, so a
+    cycle count whose chunked trace would not fit in physical memory raises
+    TooLarge (a run keeps about 149 B per boundary beside its chunk,
+    measured at N = 1, within the trace's SCAN_SAMPLE_BYTES).
     """
     require_timing(max_step, total_time, cycles)
     if cycles is None:
         # sized unrounded when it overflows to inf, which ceil cannot round
         count = total_time * model.n_spins * model.chi / max_step
         cycles = max(1, math.ceil(count)) if math.isfinite(count) else count
-    require_trace_memory(model.n_spins, cycles + 1, every_sample=True)
+    require_trace_memory(model.n_spins, cycles + 1, every_sample=False)
     cycles = int(cycles)
     cycle_time = total_time / cycles
     if design_.no_pulse:

@@ -7,18 +7,29 @@ collective spins S_a = (1/2) sum_j sigma_a^j, the product coherent state,
 free evolution under a quadratic form of those spins, a pulse as the tensor
 power of one 2x2 rotation, and the projection onto the symmetric sector.
 Beside it: the lab-frame collective form of a pairwise coupling, built from
-dense operator products, a schedule's one-cycle dense unitary, and the
-quadratic coefficients that each effective form's name spells.
+dense operator products, a schedule's one-cycle dense unitary, the
+quadratic coefficients that each effective form's name spells, and the
+schedule executor as it held every cycle-boundary state before it yielded
+them in blocks.
 """
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
 from lmgsqueeze.algebra import build_space, collective_operator
 from lmgsqueeze.canonical import CouplingMatrix, model_eigenbasis
 from lmgsqueeze.errors import TooLarge
-from lmgsqueeze.propagate import _apply_cycle, realized_cycle
+from lmgsqueeze.propagate import (
+    PARITY_ROWS,
+    _apply_cycle,
+    _half_unitaries,
+    _keeps_parity,
+    half_unitary_crossover,
+    realized_cycle,
+    run_cycles,
+)
 from lmgsqueeze.states import BlochAngles, SpinState
 
 FULL_SPACE_MAX_SPINS = 12
@@ -197,3 +208,38 @@ def schedule_unitary(schedule, model, space) -> np.ndarray:
     basis = model_eigenbasis(model, space)
     cycle = realized_cycle(space, schedule.segments, model.coefficients, basis)
     return _apply_cycle(space, cycle, np.eye(space.dim, dtype=complex))
+
+
+def boundary_states(state: SpinState, cycles) -> np.ndarray:
+    """Every block that ``run_cycles`` yields, joined along the boundary axis."""
+    return np.concatenate(list(run_cycles(state, cycles)), axis=-1)
+
+
+def stacked_cycles(state: SpinState, cycles) -> np.ndarray:
+    """The amplitudes at every cycle boundary, the initial state first, held
+    together and stacked along a last axis: the reference for the blocks of
+    ``run_cycles``.  A sequence repeating one parity-keeping cycle from the
+    crossover on runs as its two half unitaries, each half through every
+    cycle before the other; every other sequence is stepped segment by
+    segment into a list of snapshots."""
+    space, amps = state.space, state.amplitudes
+    if (
+        isinstance(cycles, Sequence)
+        and len(cycles) >= half_unitary_crossover(space.dim // 2)
+        and all(cycle is cycles[0] for cycle in cycles)
+        and _keeps_parity(cycles[0])
+    ):
+        out = np.empty(amps.shape + (len(cycles) + 1,), dtype=complex)
+        for rows, unitary in zip(PARITY_ROWS, _half_unitaries(space, cycles[0])):
+            part = amps[rows]
+            parts = [part]
+            for _ in cycles:
+                part = unitary @ part
+                parts.append(part)
+            out[rows] = np.stack(parts, axis=-1)
+        return out
+    snapshots = [amps]
+    for segments in cycles:
+        amps = _apply_cycle(space, segments, amps)
+        snapshots.append(amps)
+    return np.stack(snapshots, axis=-1)

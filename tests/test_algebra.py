@@ -51,13 +51,14 @@ def test_build_space_refuses_sizes_beyond_memory():
 
 
 def test_build_space_counts_every_matrix_a_run_keeps(monkeypatch):
-    # a run on one space peaks at up to 110.5 bytes per (N+1)^2 at N = 1000
-    # (the noise Monte Carlo; compare_pulsed 104): the real Sx^2 and Sy^2 in
-    # the space, the effective Hamiltonian being factored and the v of its
-    # basis, the copy, work and rwork of the complex eigh and the freed
-    # temporaries malloc keeps: memory for 111 admits N/2 but must refuse N
+    # a run on one space peaks at up to 91.9 bytes per (N+1)^2 at N = 1000
+    # (compare_pulsed; the noise Monte Carlo 87.2): the effective
+    # Hamiltonian being factored and the v of its basis, the copy, work and
+    # rwork of the complex eigh and the freed temporaries malloc keeps (the
+    # space keeps its squares as bands): memory for 92 admits N/2 but must
+    # refuse N
     n = 100
-    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 111 * (n + 1) ** 2}
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 92 * (n + 1) ** 2}
     monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
     with pytest.raises(TooLarge):
         build_space(n)
@@ -134,13 +135,14 @@ COEFFICIENT = st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(-1e3, 1e3)
 @settings(max_examples=40, deadline=None)
 @given(a=COEFFICIENT, b=COEFFICIENT, c=COEFFICIENT)
 def test_quadratic_form_keeps_the_dense_complex_bytes(n, a, b, c):
-    # the real squares summed in real arithmetic give, byte for byte, the
-    # form summed from the complex squares, signs of zeros included; no
-    # dense Sz is kept
+    # the bands of the real squares summed in real arithmetic give, byte for
+    # byte, the form summed from the complex squares, signs of zeros
+    # included; the space keeps the squares as real bands and no dense Sz
     dense = dense_form(build_space(n), a, b, c)
     space = build_space(n)
     assert quadratic_form(space, a, b, c).tobytes() == dense.tobytes()
-    assert all(square.dtype == np.float64 for square in second_moment_operators(space).values())
+    for bands in second_moment_operators(space).values():
+        assert [(band.dtype, band.ndim) for band in bands] == [(np.float64, 1)] * 3
     assert "Sz" not in space._built
 
 
@@ -208,12 +210,45 @@ def test_operators_are_freed_with_their_space():
     sx = collective_operator(space, "Sx")
     again = collective_operator(space, "Sx")
     assert np.array_equal(again, sx) and again is not sx  # built afresh, kept by no one
-    held = [second_moment_operators(space)["yy"], _x_eig(space).blocks[0].v]
+    held = [second_moment_operators(space)["yy"][0], _x_eig(space).blocks[0].v]
     refs = [weakref.ref(mat) for mat in held]
-    assert second_moment_operators(space)["yy"] is held[0]  # kept while the space lives
+    assert second_moment_operators(space)["yy"][0] is held[0]  # kept while the space lives
     del space, held
     gc.collect()
     assert all(ref() is None for ref in refs)
+
+
+def test_a_space_keeps_no_square_matrix_but_the_sx_basis(monkeypatch):
+    # after compare_pulsed has built every form, basis and state it needs,
+    # the space keeps Sx^2 and Sy^2 as bands: the eigenvectors of Sx, through
+    # which pulses about x and y turn, are its one 2-D array
+    from lmgsqueeze import canonical, experiments
+
+    spaces = []
+
+    def recording(n_spins):
+        spaces.append(build_space(n_spins))
+        return spaces[-1]
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, dict):
+            for item in value.values():
+                yield from arrays(item)
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+        elif hasattr(value, "__dict__"):
+            yield from arrays(vars(value))
+
+    monkeypatch.setattr(experiments, "build_space", recording)
+    experiments.compare_pulsed(canonical.from_chi_gamma(1.0, 0.1, 16))
+    (space,) = spaces
+    assert "moments" in space._built
+    kept = [array for array in arrays(space._built) if array.ndim > 1]
+    sx_basis = [block.v for block in _x_eig(space).blocks]
+    assert all(any(array is v for v in sx_basis) for array in kept)
 
 
 def test_spaces_of_one_size_compare_equal_but_hold_their_own_operators():

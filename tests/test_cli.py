@@ -331,7 +331,7 @@ def test_chunked_scans_are_sized_by_their_chunk(monkeypatch, experiment):
 
 @pytest.mark.parametrize("experiment", ["compare-pulsed", "noise", "design"])
 def test_a_grid_the_experiment_never_reads_is_not_sized(monkeypatch, experiment):
-    # compare-pulsed samples its z cycle grid, sized with its schedule, and
+    # compare-pulsed samples its z cycle grid, sized once its schedule is built, and
     # noise and design build no trace grid: 8 GiB refuses no grid_points
     memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 2**33}
     monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)

@@ -1,7 +1,7 @@
 """Each library entry point refuses, before it allocates or spawns, the
 traces, grids and workers it would need: memory equal to a trace's bound is
-admitted and one byte less is refused, a scan's measured peak stays within
-that bound, and a worker count outside
+admitted and one byte less is refused, the measured peak of a scan, a
+schedule run and a noise block stays within that bound, and a worker count outside
 [1, MAX_WORKERS] is refused before any space is built.  Every other value
 rule has one owner too, the function that reads the value: it raises a
 ConfigError (also a ValueError) whose message starts with the value's key.
@@ -31,6 +31,7 @@ from lmgsqueeze.experiments import (
 from lmgsqueeze.metrics import SCAN_CHUNK, SCAN_SAMPLE_BYTES, TRACE_BLOCKS, TRACE_FIXED_BYTES
 from lmgsqueeze.metrics import minimize_hamiltonian, minimize_over_time
 from lmgsqueeze.metrics import scan_times
+from lmgsqueeze.propagate import run_schedule
 from lmgsqueeze.pulses import design, schedule
 from lmgsqueeze.states import BlochAngles, coherent_state
 
@@ -121,23 +122,124 @@ def test_a_scan_peaks_within_its_trace_bound(monkeypatch, n, k, every_sample):
     assert peak <= asked[0]
 
 
+def noise_bytes(n, k, n_runs, columns):
+    """A noise Monte Carlo's chunked trace: a chunk of SCAN_CHUNK state
+    columns, but one boundary at least of each of the ``columns`` runs of
+    its widest block, and xi^2 of every run at each of its ``k`` boundaries."""
+    held = TRACE_BLOCKS * 16 * (n + 1) * columns * min(k, max(1, SCAN_CHUNK // columns))
+    per_sample = SCAN_SAMPLE_BYTES + experiments.NOISE_RUN_SAMPLE_BYTES * n_runs
+    return TRACE_FIXED_BYTES + held + per_sample * k
+
+
 def test_noise_sizes_the_trace_of_its_largest_drawn_atom_number(monkeypatch):
     # seed 2 draws N = 8, 19, 27, 16, 15, 28 around the nominal 20: the run
-    # at N = 28 holds a longer trace than the nominal schedule, which fits
+    # at N = 28 scores a wider chunk of states than the nominal schedule, which fits
     model = from_chi_gamma(1.0, 0.1, 20)
     noise = NoiseSpec("atom_number", 0.5)
     cycles = 4000
-    assert every_sample_bytes(20, cycles + 1) < every_sample_bytes(28, cycles + 1)
+    # the six runs drew six atom numbers: each block steps one run
+    assert noise_bytes(20, cycles + 1, 6, 1) < noise_bytes(28, cycles + 1, 6, 1)
 
     def run():
         return noise_monte_carlo(model, design(model, "z"), noise, 6, seed=2, cycles=cycles)
 
-    set_memory(monkeypatch, every_sample_bytes(28, cycles + 1))
+    set_memory(monkeypatch, noise_bytes(28, cycles + 1, 6, 1))
     drawn = [row[1] for row in run().tables["runs"].rows]
     assert max(drawn) == 28
-    set_memory(monkeypatch, every_sample_bytes(28, cycles + 1) - 1)
+    set_memory(monkeypatch, noise_bytes(28, cycles + 1, 6, 1) - 1)
     with pytest.raises(TooLarge, match="n_spins=28"):
         run()
+
+
+def traced_peak(call, warm: bool = True) -> int:
+    """tracemalloc peak of ``call()`` over what was allocated before it;
+    with ``warm``, a first call builds what a space keeps, outside the peak."""
+    if warm:
+        call()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def asked_bytes(monkeypatch) -> list:
+    """The bytes each trace check asks require_memory for, as they come."""
+    asked = []
+    monkeypatch.setattr(metrics, "require_memory", lambda needed, what: asked.append(needed))
+    return asked
+
+
+@pytest.mark.parametrize("n, cycles", [(1, 400), (1, 2000), (4, 400), (20, 400), (20, 2000)])
+@pytest.mark.parametrize("axis", ["z", "y"])
+def test_a_schedule_run_peaks_within_its_trace_bound(monkeypatch, n, cycles, axis):
+    # run_schedule scores its boundary states a chunk at a time; the bound
+    # pulses.schedule asks for covers its peak once the chunk is full (below
+    # about SCAN_CHUNK cycles the run's fixed objects, its realized cycle
+    # and half unitaries, weigh more: 5-7 KB at N = 1)
+    model = from_chi_gamma(1.0, 0.1, n)
+    space = build_space(n)
+    basis = model_eigenbasis(model, space)
+    design_ = design(model, axis)
+    sch = schedule(design_, model, 0.4, cycles=cycles)
+    psi0 = coherent_state(space, design_.optimal_initial)
+    peak = traced_peak(lambda: run_schedule(psi0, sch, model, basis))
+    asked = asked_bytes(monkeypatch)
+    schedule(design_, model, 0.4, cycles=cycles)
+    assert asked == [chunked_bytes(n, cycles + 1)]
+    assert peak <= asked[0]
+
+
+NOISE_CHANNELS = [
+    ("pulse_separation", "per_segment"),
+    ("pulse_phase", "per_pulse"),
+    ("gamma", "per_segment"),
+    ("pulse_area", "per_run"),
+]
+
+
+@pytest.mark.parametrize("channel, scope", NOISE_CHANNELS)
+@pytest.mark.parametrize("n, n_runs, cycles", [(4, 24, 400), (40, 24, 400), (4, 200, 100)])
+def test_a_noise_block_peaks_within_its_trace_bound(monkeypatch, channel, scope, n, n_runs, cycles):
+    # each block scores its runs' boundary states a chunk at a time (one
+    # boundary of 200 runs at N = 4); the bound _noise_outcomes asks for,
+    # the last trace check of the Monte Carlo, covers every block's peak.
+    # At N = 40 and 50 cycles it does not: xi^2 of a chunk below numpy's
+    # temporary-elision size holds 5.5 blocks, not TRACE_BLOCKS (496 KB
+    # against 452 KB)
+    model = from_chi_gamma(1.0, 0.1, n)
+    noise = NoiseSpec(channel, 0.1, scope)
+    peaks, mapped = [], experiments._map
+
+    def traced(function, tasks, workers):
+        # the noiseless run has built what the space keeps
+        peaks.extend(traced_peak(lambda: function(task), warm=False) for task in tasks)
+        return mapped(function, tasks, workers)
+
+    monkeypatch.setattr(experiments, "_map", traced)
+    asked = asked_bytes(monkeypatch)
+    noise_monte_carlo(model, design(model, "z"), noise, n_runs, 3, total_time=0.4, cycles=cycles)
+    assert asked[-1] == noise_bytes(n, cycles + 1, n_runs, n_runs)
+    assert peaks and max(peaks) <= asked[-1]
+
+
+@pytest.mark.parametrize("channel, scope", NOISE_CHANNELS[:2])
+def test_a_noise_monte_carlo_grows_by_its_per_sample_bytes(channel, scope):
+    # boundary states are scored as they are stepped: from 50 to 400 cycles
+    # the peak grows by no more than the bytes per boundary _noise_outcomes
+    # counts (holding every state would add 16 (N+1) B per run and boundary)
+    model = from_chi_gamma(1.0, 0.1, 40)
+    noise = NoiseSpec(channel, 0.1, scope)
+
+    def run(cycles):
+        return noise_monte_carlo(model, design(model, "z"), noise, 24, 3, 0.05, 0.4, cycles)
+
+    low, high = (traced_peak(lambda c=c: run(c)) for c in (50, 400))
+    per_sample = SCAN_SAMPLE_BYTES + experiments.NOISE_RUN_SAMPLE_BYTES * 24
+    assert high - low <= per_sample * 350
 
 
 @pytest.mark.parametrize("workers", [0, -3, MAX_WORKERS + 1])

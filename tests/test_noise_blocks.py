@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from lmgsqueeze import algebra, experiments
-from lmgsqueeze.algebra import build_space, second_moment_operators
+from lmgsqueeze.algebra import build_space, collective_operator
 from lmgsqueeze.canonical import from_chi_gamma, model_eigenbasis
 from lmgsqueeze.errors import TooLarge
 from lmgsqueeze.experiments import ALLOWED_SCOPES, NoiseSpec, noise_monte_carlo, write_result
 from lmgsqueeze.metrics import batch_squeezing
 from lmgsqueeze.propagate import (
+    SCAN_CHUNK,
     Eigenbasis,
     FreeSegment,
     PulseSegment,
@@ -26,6 +27,8 @@ from lmgsqueeze.propagate import (
 )
 from lmgsqueeze.pulses import design, schedule
 from lmgsqueeze.states import coherent_state
+
+from oracles import boundary_states, stacked_cycles
 
 CHANNEL_SCOPES = [(ch, sc) for ch, scopes in ALLOWED_SCOPES.items() for sc in scopes]
 N_BLOCK = 12
@@ -68,10 +71,11 @@ def step_alone(model, sch, initial, noise, seed_seq, sigma):
     if active("atom_number", "per_run"):
         n_spins = max(1, int(round(n_spins * draw("atom_number"))))
     space = build_space(n_spins)
-    moments = second_moment_operators(space)
+    sx, sy = (collective_operator(space, label) for label in ("Sx", "Sy"))
+    xx, yy = (sx @ sx).real, (sy @ sy).real
 
     def free_basis(g):
-        return Eigenbasis.of_quadratic_form(chi * (moments["xx"] + g * moments["yy"]))
+        return Eigenbasis.of_quadratic_form(chi * (xx + g * yy))
 
     basis = free_basis(gamma)
     area = draw("pulse_area") if active("pulse_area", "per_run") else 1.0
@@ -118,7 +122,7 @@ def step_alone(model, sch, initial, noise, seed_seq, sigma):
     else:
         cycles = (realize_cycle() for _ in range(sch.cycle_count))
     # a generator of cycles is always stepped segment by segment
-    states = run_cycles(coherent_state(space, initial), cycles)
+    states = stacked_cycles(coherent_state(space, initial), cycles)
     xi2, _, _, _ = batch_squeezing(space, states)
     return xi2, (n_spins, gamma, realized_chi), clamped
 
@@ -161,6 +165,33 @@ def test_blocks_match_each_run_stepped_alone(channel, scope, sigma):
         assert norm_error < 1e-12
     if sigma == 3.0 and channel == "pulse_separation":
         assert sum(outcome[2] for outcome in outcomes) > 0  # clamping is exercised
+
+
+@pytest.mark.parametrize("axis", ["z", "y"])
+def test_a_drawn_gamma_runs_as_drawn_whatever_its_sign(axis):
+    # at sigma = 3, three of five per-run draws give gamma v < 0, which
+    # from_chi_gamma refuses; each run steps chi (Sx^2 + gamma v Sy^2) as
+    # drawn, neither clamped nor folded into [0, 1/2]
+    model, design_, sch = block_setup(axis)
+    space = build_space(N_BLOCK)
+    initial = design_.optimal_initial
+    psi0 = coherent_state(space, initial)
+    cycle = realized_cycle(space, sch.segments, model.coefficients, model_eigenbasis(model, space))
+    noise = NoiseSpec("gamma", 3.0, "per_run")
+    outcomes = experiments._noise_outcomes(space, model, sch, initial, noise, 5, 11, 1, psi0, cycle)
+    sx, sy = (collective_operator(space, label) for label in ("Sx", "Sy"))
+    xx, yy = (sx @ sx).real, (sy @ sy).real
+    drawn = []
+    for xi2, (n_spins, gamma, chi), clamped, _ in outcomes:
+        drawn.append(gamma)
+        # the realized form, built by hand and run on its own
+        basis = Eigenbasis.of_quadratic_form(chi * (xx + gamma * yy))
+        realized = realized_cycle(space, sch.segments, (chi, chi * gamma, 0.0), basis)
+        states = boundary_states(psi0, (realized,) * sch.cycle_count)
+        np.testing.assert_allclose(xi2, batch_squeezing(space, states)[0], rtol=1e-12, atol=0.0)
+        assert (n_spins, chi, clamped) == (N_BLOCK, model.chi, 0)
+    assert np.round(sorted(drawn)[:3], 3).tolist() == [-0.141, -0.121, -0.111]
+    assert sorted(drawn)[3] > 0.0
 
 
 def test_noiseless_trace_is_bit_identical_across_channels():
@@ -234,7 +265,8 @@ def test_per_segment_gamma_shares_one_block_and_factors_no_segment(monkeypatch):
 
 def test_runs_on_one_trajectory_are_scored_once(monkeypatch):
     # atom-number runs that drew one N follow one trajectory: the block steps
-    # it as one column and takes its xi2 once, not once per run
+    # it as one column, and every boundary state of every stepped column is
+    # scored exactly once, in batches of at most SCAN_CHUNK state columns
     model, design_, _ = block_setup()
     stepped, scored = [], []
     stepping, scoring = experiments.run_cycles, experiments.batch_squeezing
@@ -250,16 +282,18 @@ def test_runs_on_one_trajectory_are_scored_once(monkeypatch):
     monkeypatch.setattr(experiments, "run_cycles", counting_steps)
     monkeypatch.setattr(experiments, "batch_squeezing", counting_scores)
     noise = NoiseSpec("atom_number", 0.1)
-    n_runs = 12
-    result = noise_monte_carlo(model, design_, noise, n_runs, seed=5, total_time=0.4, cycles=20)
+    n_runs, cycles = 12, 200
+    result = noise_monte_carlo(model, design_, noise, n_runs, seed=5, total_time=0.4, cycles=cycles)
     n_drawn = {row[1] for row in result.tables["runs"].rows}
     # the noiseless run steps one vector first, then each block a (dim, R) array
     noiseless, *blocks = stepped
     columns = sum(shape[1] for shape in blocks)
     assert len(noiseless) == 1
     assert columns == len(n_drawn) < n_runs
-    # each stepped column, and the noiseless run, is scored once
-    assert len(scored) == columns + 1
+    assert sum(shape[1] for shape in scored) == (columns + 1) * (cycles + 1)
+    assert max(shape[1] for shape in scored) == SCAN_CHUNK
+    # one batch per yielded block: the noiseless run's two, one per drawn N
+    assert len(scored) == 2 * (columns + 1)
 
 
 @pytest.mark.parametrize("channel", ["pulse_separation", "pulse_area"])

@@ -23,12 +23,11 @@ from lmgsqueeze.propagate import (
     PulseSegment,
     half_unitary_crossover,
     realized_cycle,
-    run_cycles,
 )
 from lmgsqueeze.pulses import design, schedule
 from lmgsqueeze.states import BlochAngles, SpinState, coherent_state
 
-from oracles import ProductSpace, apply_step, project_symmetric
+from oracles import ProductSpace, apply_step, boundary_states, project_symmetric
 
 SIZES = [4, 6, 8]
 CYCLES = 5
@@ -93,7 +92,7 @@ def test_design_cycles_match_the_product_space(n, axis, path):
     count = max(CYCLES, half_unitary_crossover(space.dim // 2))
     cycles = (cycle,) * count if path == "half_unitaries" else (cycle for _ in range(count))
     psi = coherent_state(space, design_.optimal_initial)
-    states = run_cycles(psi, cycles)[:, None, :]
+    states = boundary_states(psi, cycles)[:, None, :]
     product = ProductSpace(n)
     steps = product_steps(product, sch.segments, model.coefficients)
     full = product_run(product, steps, product.coherent_block(design_.optimal_initial, 1), count)
@@ -136,7 +135,8 @@ def test_noise_blocks_match_the_product_space(n, kind):
     assert not propagate._keeps_parity(drawn)
     initial = BlochAngles(math.pi / 2.0, 0.0)
     psi = coherent_state(space, initial).amplitudes
-    states = run_cycles(SpinState(np.repeat(psi[:, None], 3, axis=1), space), (drawn,) * CYCLES)
+    block = SpinState(np.repeat(psi[:, None], 3, axis=1), space)
+    states = boundary_states(block, (drawn,) * CYCLES)
     product = ProductSpace(n)
     steps = product_steps(product, perturbed(sch.segments, kind), model.coefficients)
     full = product_run(product, steps, product.coherent_block(initial, 3), CYCLES)

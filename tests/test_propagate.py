@@ -22,6 +22,7 @@ from lmgsqueeze.errors import NotHermitian, TooLarge
 from lmgsqueeze.metrics import squeezing_parameter, trace_from_states
 from lmgsqueeze.experiments import NoiseSpec, noise_monte_carlo, predicted_optimal_time
 from lmgsqueeze.propagate import (
+    SCAN_CHUNK,
     Eigenbasis,
     FreeSegment,
     PulseSchedule,
@@ -37,7 +38,12 @@ from lmgsqueeze.propagate import (
 from lmgsqueeze.pulses import design, effective_hamiltonian, schedule
 from lmgsqueeze.states import BlochAngles, SpinState, coherent_state
 
-from oracles import evolve_full_product_space, schedule_unitary
+from oracles import (
+    boundary_states,
+    evolve_full_product_space,
+    schedule_unitary,
+    stacked_cycles,
+)
 
 
 def test_zero_hamiltonian_and_zero_time():
@@ -662,15 +668,45 @@ def test_repeated_cycle_unitary_matches_stepping(monkeypatch, columns):
         crossover = half_unitary_crossover(space.dim // 2)
         for count in (crossover - 1, crossover, crossover + 7):
             calls.clear()
-            states = run_cycles(state, (cycle,) * count)
+            states = boundary_states(state, (cycle,) * count)
             switched = calls.count("_half_unitaries") == 1
             assert switched == (count >= crossover)
             pulses = 2 * per_cycle if switched else count * per_cycle
             assert calls.count("rotate_state") == pulses
             # an iterator of cycles is always stepped segment by segment
-            stepped = run_cycles(state, iter((cycle,) * count))
+            stepped = boundary_states(state, iter((cycle,) * count))
             assert states.shape == stepped.shape == state.amplitudes.shape + (count + 1,)
             assert np.max(np.abs(states - stepped)) < 1e-12
+
+
+@pytest.mark.parametrize("path", ["half_unitaries", "stepped"])
+@pytest.mark.parametrize("columns", [1, 2, SCAN_CHUNK - 1, SCAN_CHUNK, SCAN_CHUNK + 1])
+def test_streamed_blocks_join_to_the_stacked_states_at_every_chunk_edge(
+    monkeypatch, path, columns
+):
+    # run_cycles yields c = max(1, SCAN_CHUNK // R) boundaries per block for
+    # R trajectory columns; on both sides of each block edge the joined
+    # blocks are, bit for bit, the states held and stacked at once
+    space, block, cycle = realized_block_and_cycle(12, "z")
+    amps = block[:, 0] if columns == 1 else block[:, np.arange(columns) % 3]
+    state = SpinState(amps, space)
+    per_block = max(1, SCAN_CHUNK // columns)
+    calls = []
+    spy(monkeypatch, "_half_unitaries", calls)
+    for count in sorted({1, per_block - 1, per_block, per_block + 1, 2 * per_block + 1}):
+        # an iterator of cycles is always stepped segment by segment
+        cycles = (cycle,) * count if path == "half_unitaries" else iter((cycle,) * count)
+        calls.clear()
+        blocks = list(run_cycles(state, cycles))
+        halves = path == "half_unitaries" and count >= half_unitary_crossover(space.dim // 2)
+        assert calls == ["_half_unitaries"] * halves
+        widths = [b.shape[-1] for b in blocks]
+        assert widths[:-1] == [per_block] * (len(blocks) - 1) and 1 <= widths[-1] <= per_block
+        assert sum(widths) == count + 1
+        assert all(b.shape[:-1] == amps.shape for b in blocks)
+        reference = (cycle,) * count if path == "half_unitaries" else iter((cycle,) * count)
+        want = stacked_cycles(state, reference)
+        assert np.concatenate(blocks, axis=-1).tobytes() == want.tobytes()
 
 
 def test_half_unitary_crossover_grows_with_the_half():
@@ -722,10 +758,10 @@ def test_cycles_that_mix_parity_are_stepped(monkeypatch):
     for name, cycle in mixing.items():
         assert not propagate._keeps_parity(cycle), name
         calls.clear()
-        states = run_cycles(state, (cycle,) * count)
+        states = boundary_states(state, (cycle,) * count)
         per_cycle = sum(isinstance(seg, PulseSegment) for seg in cycle)
         assert calls == ["rotate_state"] * (count * per_cycle), name
-        stepped = run_cycles(state, iter((cycle,) * count))
+        stepped = boundary_states(state, iter((cycle,) * count))
         assert np.max(np.abs(states - stepped)) < 1e-12, name
 
 
@@ -742,11 +778,11 @@ def test_block_columns_match_vectors_stepped_alone(axis):
         return PulseSegment(seg.axis, seg.angle * factor)
 
     cycles = [tuple(per_column(seg) for seg in cycle)] * 4
-    states = run_cycles(SpinState(block, space), cycles)
+    states = boundary_states(SpinState(block, space), cycles)
     assert states.shape == (space.dim, 3, 5)
     for r in range(3):
         alone = [tuple(per_column(seg, r) for seg in cycle)] * 4
-        s_alone = run_cycles(SpinState(block[:, r], space), alone)
+        s_alone = boundary_states(SpinState(block[:, r], space), alone)
         assert np.max(np.abs(states[:, r] - s_alone)) < 1e-12
 
 
@@ -784,7 +820,7 @@ def test_schedule_unitary_is_one_stepped_cycle(axis, tilt):
         for seg in sched.segments
     )
     psi = coherent_state(space, BlochAngles(1.3, 0.6))
-    states = run_cycles(psi, (cycle,))
+    states = boundary_states(psi, (cycle,))
     unitary = schedule_unitary(sched, model, space)
     assert np.max(np.abs(unitary @ psi.amplitudes - states[:, 1])) <= 1e-12
 
@@ -883,7 +919,7 @@ def test_run_schedule_toggles_y_pairs_like_stepped_pulses(n):
     psi = coherent_state(space, design(model, "y", "A").optimal_initial)
     trace = run_schedule(psi, sched, model)
     cycle = stepped(sched.segments, model_eigenbasis(model, space))
-    states = run_cycles(psi, (cycle,) * sched.cycle_count)
+    states = boundary_states(psi, (cycle,) * sched.cycle_count)
     reference = trace_from_states(space, sched.times, states)
     assert_traces_agree(trace, reference, space)
 
@@ -919,8 +955,8 @@ def test_x_pair_cycle_toggles_like_stepped_pulses(sign):
     cycle = stepped(segments, model_eigenbasis(model, space))
     psi = coherent_state(space, BlochAngles(1.1, 0.4))
     trace = run_schedule(psi, sched, model)
-    states = run_cycles(psi, (cycle,) * sched.cycle_count)
+    states = boundary_states(psi, (cycle,) * sched.cycle_count)
     reference = trace_from_states(space, sched.times, states)
     assert_traces_agree(trace, reference, space)
-    unitary = run_cycles(SpinState(np.eye(space.dim, dtype=complex), space), (cycle,))
+    unitary = boundary_states(SpinState(np.eye(space.dim, dtype=complex), space), (cycle,))
     assert np.max(np.abs(schedule_unitary(sched, model, space) - unitary[..., 1])) <= 1e-12

@@ -15,7 +15,7 @@ from lmgsqueeze.algebra import (
 from lmgsqueeze.canonical import from_chi_gamma, realize_hamiltonian
 from lmgsqueeze.errors import TooLarge, XAxisImpossible
 from lmgsqueeze.experiments import NoiseSpec, noise_monte_carlo
-from lmgsqueeze.metrics import SCAN_SAMPLE_BYTES, TRACE_BLOCKS, TRACE_FIXED_BYTES
+from lmgsqueeze.metrics import SCAN_CHUNK, SCAN_SAMPLE_BYTES, TRACE_BLOCKS, TRACE_FIXED_BYTES
 from lmgsqueeze.metrics import minimize_hamiltonian
 from lmgsqueeze.propagate import FreeSegment, run_schedule
 from lmgsqueeze.pulses import design, effective_hamiltonian, schedule
@@ -295,13 +295,15 @@ def test_schedule_refuses_a_step_count_too_large_to_round():
 
 def test_schedule_refuses_cycle_counts_beyond_memory(monkeypatch):
     # the y scheme slows as gamma -> 1/2: 900,593 cycles at N = 100 and
-    # gamma = 0.4999, each boundary state kept as a trace sample
+    # gamma = 0.4999, the boundary states scored a chunk at a time and xi^2
+    # kept at each boundary
     model = from_chi_gamma(1.0, 0.4999, 100)
     design_ = design(model, "y", "A")
     with pytest.raises(TooLarge):
         schedule(design_, model, 1.0, cycles=10**15)
     cycles = 900_593
-    needed = TRACE_FIXED_BYTES + (TRACE_BLOCKS * 16 * 101 + SCAN_SAMPLE_BYTES) * (cycles + 1)
+    chunk = TRACE_BLOCKS * 16 * 101 * SCAN_CHUNK
+    needed = TRACE_FIXED_BYTES + chunk + SCAN_SAMPLE_BYTES * (cycles + 1)
     memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": needed}
     monkeypatch.setattr(algebra.os, "sysconf", memory.__getitem__)
     assert schedule(design_, model, 1.0, cycles=cycles).cycle_count == cycles

@@ -237,7 +237,7 @@ def test_first_use_from_many_threads_matches_serial():
     def work(space):
         state = SpinState(psi, space)
         ops = [collective_operator(space, lbl) for lbl in ("Sx", "Sy", "Sz")]
-        kept = [second_moment_operators(space)["xx"], _x_eig(space).blocks[0].v]
+        kept = [second_moment_operators(space)["xx"][0], _x_eig(space).blocks[0].v]
         return kept + ops + [rotate_state(state, axis, 0.7).amplitudes for axis in ("x", "y")]
 
     serial = work(build_space(n))

@@ -355,7 +355,7 @@ def test_no_space_keeps_a_dense_complex_operator():
         for function, _ in calls_named(path.read_text(), "collective_operator")
     }
     assert found == {
-        ("algebra.py", "real_square"),
+        ("algebra.py", "square_bands"),
         ("metrics.py", "minimize_hamiltonian"),
         ("states.py", "coherent_generator_eig"),
         ("states.py", "_x_eig"),
@@ -404,6 +404,36 @@ def test_memory_is_checked_only_where_it_is_allocated():
     cli = (PACKAGE / "cli.py").read_text()
     for name in ("require_memory", "require_trace_memory", "sweep_bytes"):
         assert calls_named(cli, name) == [], name
+
+
+def test_only_whole_grid_scans_are_sized_as_every_state_held():
+    # boundary states are scored as run_cycles yields them, so schedules and
+    # noise Monte Carlos size chunked traces; only the scans that write every
+    # row from one chunk (evolve's trace, compare-pulsed's reference traces)
+    # are sized as every state held at once
+    def every_sample(call):
+        flags = [kw.value for kw in call.keywords if kw.arg == "every_sample"] + call.args[2:3]
+        return ast.literal_eval(flags[0])
+
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and getattr(call.func, "id", None) == (
+                        "require_trace_memory"
+                    ):
+                        found[(path.name, node.name)] = every_sample(call)
+    assert found == {
+        ("experiments.py", "evolve_trace"): True,
+        ("experiments.py", "compare_pulsed"): True,
+        ("experiments.py", "sweep_initial_state"): False,
+        ("experiments.py", "sweep_gamma"): False,
+        ("experiments.py", "scaling_study"): False,
+        ("experiments.py", "_noise_outcomes"): False,
+        ("metrics.py", "minimize_over_time"): False,
+        ("pulses.py", "schedule"): False,
+    }
 
 
 def test_every_scan_grid_is_built_by_scan_times():
